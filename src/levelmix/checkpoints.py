@@ -1,15 +1,24 @@
 """JSON checkpoint formats for trained models.
 
-Parameters are stored as nested number arrays; Python's float repr is the
-shortest decimal that round-trips IEEE-754 doubles, so 64-bit weights survive
-save/load bit-exactly (32-bit weights pass through float64 exactly as well).
-Files are written with sorted keys and fixed separators so identical models
-produce identical bytes.
+A checkpoint is one JSON object: format, format_version, config, vocab,
+networks, history and run_info (plus pca and gmm for the baseline). In format
+version 2 every numpy array is a blob {"dtype": "<f8" | "<f4", "shape": [...],
+"data": base64 of the array's little-endian bytes}, so parameters survive
+save/load bit-exactly in the model's dtype with no decimal conversion.
+Scalars and plain lists (history, total_variance, m, the EM trace) stay JSON
+numbers. Version 1 files, which store arrays as nested float lists, are still
+read. Files are written with sorted keys and fixed separators, so identical
+models give identical bytes, and they are written to a temporary file that
+is then renamed over the target, so a crash mid-save keeps the previous file.
 """
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import json
+import math
+import os
 
 import numpy as np
 
@@ -21,7 +30,43 @@ from .neuralnet import DenseNet, Layer
 
 FORMAT_GMVAE = "levelmix-gmvae"
 FORMAT_VAE_GMM = "levelmix-vae-gmm"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+BLOB_DTYPES = ("<f8", "<f4")
+
+GMVAE_NETS = (
+    "label_net", "prior_mean_net", "prior_var_net",
+    "encoder_trunk", "enc_mean_head", "enc_var_head", "decoder",
+)
+VAE_NETS = ("encoder_trunk", "enc_mean_head", "enc_var_head", "decoder")
+
+
+def _encode_array(array, dtype=np.float64):
+    """An array as a format-2 blob of dtype's little-endian bytes."""
+    a = np.ascontiguousarray(array, dtype=np.dtype(dtype).newbyteorder("<"))
+    return {
+        "dtype": a.dtype.str,
+        "shape": list(a.shape),
+        "data": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(value, dtype=np.float64):
+    """A nested list (format 1) or a blob (format 2) as an owned, writable
+    array of dtype."""
+    if isinstance(value, list):
+        return np.array(value, dtype=dtype)
+    blob_dtype, shape = value["dtype"], value["shape"]
+    if blob_dtype not in BLOB_DTYPES:
+        raise DataError(f"array dtype {blob_dtype!r} is not one of {BLOB_DTYPES}")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise DataError(f"array shape {shape!r} is not a list of sizes")
+    raw = base64.b64decode(value["data"], validate=True)
+    expected = math.prod(shape) * np.dtype(blob_dtype).itemsize
+    if len(raw) != expected:
+        raise DataError(f"array of shape {shape} {blob_dtype} has {len(raw)} bytes, expected {expected}")
+    # astype copies, so the result does not share frombuffer's read-only memory
+    return np.frombuffer(raw, dtype=blob_dtype).reshape(shape).astype(dtype)
 
 
 def _net_to_dict(net):
@@ -29,8 +74,8 @@ def _net_to_dict(net):
         "layers": [
             {
                 "activation": layer.activation,
-                "weight": layer.weight.astype(np.float64).tolist(),
-                "bias": layer.bias.astype(np.float64).tolist(),
+                "weight": _encode_array(layer.weight, net.dtype),
+                "bias": _encode_array(layer.bias, net.dtype),
             }
             for layer in net.layers
         ]
@@ -42,13 +87,18 @@ def _net_from_dict(data, dtype):
     net.dtype = np.dtype(dtype)
     net.layers = [
         Layer(
-            weight=np.array(entry["weight"], dtype=net.dtype),
-            bias=np.array(entry["bias"], dtype=net.dtype),
+            weight=_decode_array(entry["weight"], net.dtype),
+            bias=_decode_array(entry["bias"], net.dtype),
             activation=entry["activation"],
         )
         for entry in data["layers"]
     ]
     return net
+
+
+def _set_networks(model, names, nets, dtype):
+    for name in names:
+        setattr(model, name, _net_from_dict(nets[name], dtype))
 
 
 def _vocab_to_dict(vocab):
@@ -94,116 +144,132 @@ def _history_from_dict(data):
 
 
 def _dump(path, payload):
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    """Write payload to <path>.tmp, sync it, then rename it over path, so a
+    failed save leaves the previous file as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(payload, f, sort_keys=True, separators=(",", ":"))
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _envelope(fmt, vocab, config, nets, history, run_info):
+    return {
+        "format": fmt,
+        "format_version": FORMAT_VERSION,
+        "game": vocab.game if vocab else "",
+        "config": vars(config),
+        "vocab": _vocab_to_dict(vocab),
+        "networks": {name: _net_to_dict(net) for name, net in nets.items()},
+        "history": _history_to_dict(history),
+        "run_info": run_info,
+    }
 
 
 def save_gmvae(path, model, history=None, run_info=None):
-    payload = {
-        "format": FORMAT_GMVAE,
-        "format_version": FORMAT_VERSION,
-        "game": model.vocab.game if model.vocab else "",
-        "config": vars(model.config),
-        "vocab": _vocab_to_dict(model.vocab),
-        "networks": {name: _net_to_dict(net) for name, net in model.networks().items()},
-        "history": _history_to_dict(history),
-        "run_info": run_info,
-    }
-    _dump(path, payload)
-
-
-def load_gmvae(path):
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != FORMAT_GMVAE:
-        raise DataError(f"{path}: not a {FORMAT_GMVAE} checkpoint")
-    config = GmvaeConfig(**payload["config"])
-    vocab = _vocab_from_dict(payload["vocab"])
-    model = GmvaeModel.__new__(GmvaeModel)
-    model.config = config
-    model.vocab = vocab
-    nets = payload["networks"]
-    model.label_net = _net_from_dict(nets["label_net"], config.dtype)
-    model.prior_mean_net = _net_from_dict(nets["prior_mean_net"], config.dtype)
-    model.prior_var_net = _net_from_dict(nets["prior_var_net"], config.dtype)
-    model.encoder_trunk = _net_from_dict(nets["encoder_trunk"], config.dtype)
-    model.enc_mean_head = _net_from_dict(nets["enc_mean_head"], config.dtype)
-    model.enc_var_head = _net_from_dict(nets["enc_var_head"], config.dtype)
-    model.decoder = _net_from_dict(nets["decoder"], config.dtype)
-    return model, _history_from_dict(payload["history"])
+    _dump(path, _envelope(FORMAT_GMVAE, model.vocab, model.config, model.networks(), history, run_info))
 
 
 def save_vae_gmm(path, model, history=None, run_info=None):
-    payload = {
-        "format": FORMAT_VAE_GMM,
-        "format_version": FORMAT_VERSION,
-        "game": model.vocab.game if model.vocab else "",
-        "config": vars(model.vae.config),
-        "vocab": _vocab_to_dict(model.vocab),
-        "networks": {name: _net_to_dict(net) for name, net in model.vae.networks().items()},
-        "pca": {
-            "mean": model.pca.mean.tolist(),
-            "axes": model.pca.axes.tolist(),
-            "explained_variance": model.pca.explained_variance.tolist(),
-            "total_variance": model.pca.total_variance,
-            "m": model.pca.m,
-        },
-        "gmm": {
-            "weights": model.gmm.weights.tolist(),
-            "means": model.gmm.means.tolist(),
-            "covariances": model.gmm.covariances.tolist(),
-            "log_likelihood_trace": model.gmm.log_likelihood_trace,
-        },
-        "history": _history_to_dict(history),
-        "run_info": run_info,
+    payload = _envelope(FORMAT_VAE_GMM, model.vocab, model.vae.config, model.vae.networks(), history, run_info)
+    payload["pca"] = {
+        "mean": _encode_array(model.pca.mean),
+        "axes": _encode_array(model.pca.axes),
+        "explained_variance": _encode_array(model.pca.explained_variance),
+        "total_variance": model.pca.total_variance,
+        "m": model.pca.m,
+    }
+    payload["gmm"] = {
+        "weights": _encode_array(model.gmm.weights),
+        "means": _encode_array(model.gmm.means),
+        "covariances": _encode_array(model.gmm.covariances),
+        "log_likelihood_trace": model.gmm.log_likelihood_trace,
     }
     _dump(path, payload)
 
 
-def load_vae_gmm(path):
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != FORMAT_VAE_GMM:
-        raise DataError(f"{path}: not a {FORMAT_VAE_GMM} checkpoint")
-    config = VaeConfig(**payload["config"])
-    vocab = _vocab_from_dict(payload["vocab"])
+def _gmvae_from_payload(payload):
+    model = GmvaeModel.__new__(GmvaeModel)
+    model.config = GmvaeConfig(**payload["config"])
+    model.vocab = _vocab_from_dict(payload["vocab"])
+    _set_networks(model, GMVAE_NETS, payload["networks"], model.config.dtype)
+    return model
+
+
+def _vae_gmm_from_payload(payload):
     vae = VaeModel.__new__(VaeModel)
-    vae.config = config
-    vae.vocab = vocab
-    nets = payload["networks"]
-    vae.encoder_trunk = _net_from_dict(nets["encoder_trunk"], config.dtype)
-    vae.enc_mean_head = _net_from_dict(nets["enc_mean_head"], config.dtype)
-    vae.enc_var_head = _net_from_dict(nets["enc_var_head"], config.dtype)
-    vae.decoder = _net_from_dict(nets["decoder"], config.dtype)
-    pca = PcaProjection(
-        mean=np.array(payload["pca"]["mean"]),
-        axes=np.array(payload["pca"]["axes"]),
-        explained_variance=np.array(payload["pca"]["explained_variance"]),
-        total_variance=payload["pca"]["total_variance"],
-        m=payload["pca"]["m"],
+    vae.config = VaeConfig(**payload["config"])
+    vae.vocab = _vocab_from_dict(payload["vocab"])
+    _set_networks(vae, VAE_NETS, payload["networks"], vae.config.dtype)
+    pca, gmm = payload["pca"], payload["gmm"]
+    return VaeGmmModel(
+        vae=vae,
+        pca=PcaProjection(
+            mean=_decode_array(pca["mean"]),
+            axes=_decode_array(pca["axes"]),
+            explained_variance=_decode_array(pca["explained_variance"]),
+            total_variance=pca["total_variance"],
+            m=pca["m"],
+        ),
+        gmm=GmmModel(
+            weights=_decode_array(gmm["weights"]),
+            means=_decode_array(gmm["means"]),
+            covariances=_decode_array(gmm["covariances"]),
+            log_likelihood_trace=list(gmm["log_likelihood_trace"]),
+        ),
+        vocab=vae.vocab,
     )
-    gmm = GmmModel(
-        weights=np.array(payload["gmm"]["weights"]),
-        means=np.array(payload["gmm"]["means"]),
-        covariances=np.array(payload["gmm"]["covariances"]),
-        log_likelihood_trace=list(payload["gmm"]["log_likelihood_trace"]),
-    )
-    model = VaeGmmModel(vae=vae, pca=pca, gmm=gmm, vocab=vocab)
-    return model, _history_from_dict(payload["history"])
+
+
+_KINDS = {
+    FORMAT_GMVAE: ("gmvae", _gmvae_from_payload),
+    FORMAT_VAE_GMM: ("vae-gmm", _vae_gmm_from_payload),
+}
+
+
+def _read(path, expected_format=None):
+    """Parse the checkpoint at path once and build its model:
+    (kind, model, history). Any malformed content raises DataError."""
+    with open(path) as f:
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{path}: not a JSON checkpoint ({exc})") from None
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if expected_format is not None and fmt != expected_format:
+        raise DataError(f"{path}: not a {expected_format} checkpoint")
+    if fmt not in _KINDS:
+        raise DataError(f"{path}: unknown checkpoint format {fmt!r}")
+    version = payload.get("format_version")
+    if version not in READABLE_VERSIONS:
+        raise DataError(f"{path}: unsupported {fmt} format_version {version!r}")
+    kind, build = _KINDS[fmt]
+    try:
+        return kind, build(payload), _history_from_dict(payload["history"])
+    except (DataError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})") from exc
+
+
+def load_gmvae(path):
+    _, model, history = _read(path, FORMAT_GMVAE)
+    return model, history
+
+
+def load_vae_gmm(path):
+    _, model, history = _read(path, FORMAT_VAE_GMM)
+    return model, history
 
 
 def load_any(path):
     """(kind, model, history) for either checkpoint family."""
-    with open(path) as f:
-        fmt = json.load(f).get("format")
-    if fmt == FORMAT_GMVAE:
-        model, history = load_gmvae(path)
-        return "gmvae", model, history
-    if fmt == FORMAT_VAE_GMM:
-        model, history = load_vae_gmm(path)
-        return "vae-gmm", model, history
-    raise DataError(f"{path}: unknown checkpoint format {fmt!r}")
+    return _read(path)
 
 
 def history_to_csv(history):

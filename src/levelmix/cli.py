@@ -137,7 +137,7 @@ def cmd_train(args):
         data,
         level_types=level_types if args.sampler == "balanced" else None,
         sampler=args.sampler,
-        checkpoint_path=args.out if args.checkpoint_every else None,
+        checkpoint_path=args.out,
         checkpoint_every=args.checkpoint_every,
         log_every=args.log_every,
     )

@@ -341,8 +341,10 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
 
     data: (n, d) one-hot matrix. sampler: "uniform" shuffles each epoch;
     "balanced" draws indices weighted by 1 / level-type count (requires
-    level_types). Returns the TrainingHistory; the model is updated in place
-    and should be treated as immutable afterwards.
+    level_types). With checkpoint_path and checkpoint_every, the model is
+    saved to checkpoint_path every checkpoint_every epochs; saving the final
+    model is left to the caller. Returns the TrainingHistory; the model is
+    updated in place and should be treated as immutable afterwards.
     """
     cfg = model.config
     data = np.asarray(data, dtype=np.float64)
@@ -390,10 +392,6 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
             from .checkpoints import save_gmvae
 
             save_gmvae(checkpoint_path, model, history)
-    if checkpoint_path:
-        from .checkpoints import save_gmvae
-
-        save_gmvae(checkpoint_path, model, history)
     return history
 
 

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -6,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import corpus as cp
 from levelmix import toygame
@@ -95,6 +97,72 @@ def test_train_determinism_byte_identical(workspace, tmp_path):
     out.unlink()
     assert cli.run(args + ["--epochs", "6", "--out", str(out)]) == 0
     assert out.read_bytes() == first
+
+
+def test_checkpoint_every_saves_once_per_period(workspace, tmp_path, monkeypatch):
+    calls = []
+    save = ckpt.save_gmvae
+
+    def counting_save(path, *args, **kwargs):
+        calls.append(kwargs.get("run_info") is not None)
+        return save(path, *args, **kwargs)
+
+    monkeypatch.setattr(ckpt, "save_gmvae", counting_save)
+    out = tmp_path / "model.json"
+    args = ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
+    assert cli.run(args + ["--epochs", "4", "--checkpoint-every", "2"]) == 0
+    # two periodic saves, then the final one with run_info
+    assert calls == [False, False, True]
+    assert json.loads(out.read_text())["run_info"]["command"] == "train"
+
+
+def _truncate(raw):
+    return raw[: len(raw) // 2]
+
+
+def _drop_config(raw):
+    payload = json.loads(raw)
+    del payload["config"]
+    return json.dumps(payload)
+
+
+def _short_blob(raw):
+    payload = json.loads(raw)
+    bias = payload["networks"]["decoder"]["layers"][0]["bias"]
+    bias["data"] = base64.b64encode(base64.b64decode(bias["data"])[:-8]).decode("ascii")
+    return json.dumps(payload)
+
+
+def _int_blob(raw):
+    payload = json.loads(raw)
+    payload["networks"]["decoder"]["layers"][0]["bias"]["dtype"] = "<i8"
+    return json.dumps(payload)
+
+
+def _no_version(raw):
+    return json.dumps({"format": "levelmix-gmvae"})
+
+
+def _future_version(raw):
+    payload = json.loads(raw)
+    payload["format_version"] = 3
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate, _drop_config, _short_blob, _int_blob, _no_version, _future_version]
+)
+def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.json"
+    bad.write_text(corrupt(open(trained_checkpoint).read()))
+    capsys.readouterr()
+    code = cli.run(["generate", "--model", str(bad), "--component", "0", "--n", "1"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert str(bad) in error["message"]
 
 
 def test_generate_ascii_output(trained_checkpoint, capsys):
