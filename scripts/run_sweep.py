@@ -12,8 +12,10 @@ epochs.
 import argparse
 import csv
 
+from levelmix import baseline as bl
 from levelmix import corpus as cp
 from levelmix import experiments
+from levelmix import gmvae as gm
 
 
 def main():
@@ -33,14 +35,21 @@ def main():
     manifest = cp.load_manifest(args.manifest)
     _, vocab, chunks = cp.load_corpus(manifest, heuristic_types=True)
     data = cp.encode_chunks(chunks, vocab)
+    k_values = [int(k) for k in args.k_list.split(",")]
+    shared = dict(
+        d=data.shape[1],
+        latent_dim=args.latent_dim,
+        hidden_width=args.hidden_width,
+        epochs=args.epochs,
+        rng_seed=args.seed,
+        dtype=args.dtype,
+    )
     rows = experiments.disentanglement_sweep(
         data,
         vocab,
-        [int(k) for k in args.k_list.split(",")],
-        seed=args.seed,
-        epochs=args.epochs,
-        latent_dim=args.latent_dim,
-        hidden_width=args.hidden_width,
+        k_values,
+        gm.GmvaeConfig(k=k_values[0], **shared).validate(),
+        bl.VaeConfig(**shared).validate(),
         n_per_component=args.n_per_component,
         n_train=args.n_train,
         log=print,

@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from . import neuralnet as nn
-from .corpus import BalancedSampler, decode
 from .errors import (
     ComponentOutOfRange,
     DegenerateData,
@@ -23,7 +22,7 @@ from .errors import (
     NumericError,
     SingularCovariance,
 )
-from .neuralnet import AdamState, DenseNet
+from .gmvae import EncoderDecoder, StepLosses, decode_generated, fit
 
 
 @dataclass
@@ -52,7 +51,7 @@ class VaeConfig:
         return self
 
 
-class VaeModel:
+class VaeModel(EncoderDecoder):
     """Encoder/decoder identical to the mixture model minus label machinery,
     so comparisons isolate the prior."""
 
@@ -60,113 +59,45 @@ class VaeModel:
         config.validate()
         self.config = config
         self.vocab = vocab
-        w, depth, ld = config.hidden_width, config.hidden_depth, config.latent_dim
-        rng = np.random.default_rng(config.rng_seed)
-        dt = config.dtype
-        self.encoder_trunk = DenseNet([config.d] + [w] * depth, ["relu"] * depth, rng, dt)
-        self.enc_mean_head = DenseNet([w, ld], ["linear"], rng, dt)
-        self.enc_var_head = DenseNet([w, ld], ["softplus"], rng, dt)
-        self.decoder = DenseNet(
-            [ld] + [w] * depth + [config.d], ["relu"] * depth + ["sigmoid"], rng, dt
-        )
-
-    def networks(self):
-        return {
-            "encoder_trunk": self.encoder_trunk,
-            "enc_mean_head": self.enc_mean_head,
-            "enc_var_head": self.enc_var_head,
-            "decoder": self.decoder,
-        }
+        self._build_encoder_decoder(config.d, np.random.default_rng(config.rng_seed))
 
 
 def vae_loss(model, x, eps_noise):
     """Mean per-item (recon, kl) against the standard-normal prior."""
-    h = model.encoder_trunk.forward(x)
-    mu = model.enc_mean_head.forward(h)
-    var = model.enc_var_head.forward(h)
-    z = mu + np.sqrt(var) * eps_noise
-    x_hat = model.decoder.forward(z)
+    mu, var, x_hat, _ = model.encode_decode(x, eps_noise, keep_caches=False)
     recon = nn.bce_loss(x_hat, x)
     kl = nn.kl_diag(mu, var, np.zeros_like(mu), np.ones_like(var))
     return float(np.mean(recon)), float(np.mean(kl))
 
 
 def vae_loss_and_grads(model, x, eps_noise):
-    cfg = model.config
-    batch = x.shape[0]
-    h, trunk_cache = model.encoder_trunk.forward_cached(x)
-    mu, mean_cache = model.enc_mean_head.forward_cached(h)
-    var, var_cache = model.enc_var_head.forward_cached(h)
-    z = mu + np.sqrt(var) * eps_noise
-    x_hat, dec_cache = model.decoder.forward_cached(z)
-
-    recon_vec, d_xhat = nn.bce_loss(x_hat, x, with_grad=True)
-    kl_vec, (d_mu, d_var, _, _) = nn.kl_diag(
-        mu, var, np.zeros_like(mu), np.ones_like(var), with_grad=True
+    mu, var, x_hat, caches = model.encode_decode(x, eps_noise)
+    recon, kl, grads, _, _, _ = model.recon_kl_backward(
+        x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
     )
-    rw = cfg.recon_weight / batch
-    kw = cfg.kl_weight / batch
+    return recon, kl, grads
 
-    dec_grads, d_z = model.decoder.backward(dec_cache, rw * d_xhat)
-    d_mu_total = kw * d_mu + d_z
-    d_var_total = kw * d_var + d_z * nn.reparam_grad_var(var, eps_noise)
-    mean_grads, d_h_mean = model.enc_mean_head.backward(mean_cache, d_mu_total)
-    var_grads, d_h_var = model.enc_var_head.backward(var_cache, d_var_total)
-    trunk_grads, _ = model.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var)
 
-    grads = {
-        "encoder_trunk": trunk_grads,
-        "enc_mean_head": mean_grads,
-        "enc_var_head": var_grads,
-        "decoder": dec_grads,
-    }
-    return float(np.mean(recon_vec)), float(np.mean(kl_vec)), grads
+def vae_training_step(model, batch, tau, optimizers, rng, hard=False):
+    """One gradient step of the plain VAE; tau and hard are unused."""
+    eps = rng.standard_normal((batch.shape[0], model.config.latent_dim))
+    recon, kl, grads = vae_loss_and_grads(model, batch, eps)
+    if not (math.isfinite(recon) and math.isfinite(kl)):
+        raise NonFiniteLoss(f"non-finite loss: recon={recon} kl={kl}")
+    nets = model.networks()
+    for name, opt in optimizers.items():
+        opt.step(nets[name], grads[name])
+    return StepLosses(recon, kl, 0.0)
 
 
 def train_vae(data, config, level_types=None, sampler="uniform", log_every=None):
-    """Same loop shape as the mixture model's train(); returns (model, history)."""
-    from .gmvae import TrainingHistory
-
-    config.validate()
+    """fit() with the VAE's step and a constant (0.0, False) temperature
+    schedule; returns (model, history)."""
     model = VaeModel(config)
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    if n == 0:
-        raise DimensionMismatch("no training data")
-    rng = np.random.default_rng(config.rng_seed + 1)
-    optimizers = {
-        name: AdamState(net, learning_rate=config.learning_rate)
-        for name, net in model.networks().items()
-    }
-    history = TrainingHistory()
-    batches_per_epoch = max(1, math.ceil(n / config.batch_size))
-    balanced = BalancedSampler(level_types, config.rng_seed + 2) if sampler == "balanced" else None
-
-    for epoch in range(config.epochs):
-        order = balanced.draw(n) if balanced is not None else rng.permutation(n)
-        recon_sum = kl_sum = 0.0
-        count = 0
-        for b in range(batches_per_epoch):
-            idx = order[b * config.batch_size : (b + 1) * config.batch_size]
-            if len(idx) == 0:
-                continue
-            x = data[idx]
-            eps = rng.standard_normal((x.shape[0], config.latent_dim))
-            recon, kl, grads = vae_loss_and_grads(model, x, eps)
-            if not (math.isfinite(recon) and math.isfinite(kl)):
-                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}: recon={recon} kl={kl}")
-            nets = model.networks()
-            for name, opt in optimizers.items():
-                opt.step(nets[name], grads[name])
-            recon_sum += recon * len(idx)
-            kl_sum += kl * len(idx)
-            count += len(idx)
-        mean_recon = recon_sum / count
-        mean_kl = kl_sum / count
-        total = config.recon_weight * mean_recon + config.kl_weight * mean_kl
-        history.record(mean_recon, mean_kl, total, 0.0)
-        if log_every and (epoch + 1) % log_every == 0:
-            print(f"epoch {epoch + 1}/{config.epochs} recon={mean_recon:.4f} kl={mean_kl:.4f}")
+    history = fit(
+        model, data, vae_training_step, lambda epoch: (0.0, False),
+        level_types=level_types, sampler=sampler, log_every=log_every,
+    )
     return model, history
 
 
@@ -263,6 +194,20 @@ def _log_gaussian(points, mean, cov):
     return -0.5 * (m * np.log(2.0 * np.pi) + logdet + maha)
 
 
+def _e_step(points, weights, means, covariances):
+    """(log_prob, log_norm): per point and component, log weight plus log
+    density, and its log-sum-exp over components."""
+    log_prob = np.empty((points.shape[0], len(weights)))
+    for j in range(len(weights)):
+        try:
+            log_prob[:, j] = np.log(weights[j]) + _log_gaussian(points, means[j], covariances[j])
+        except np.linalg.LinAlgError:
+            raise SingularCovariance(f"component {j} covariance is not positive definite") from None
+    log_max = log_prob.max(axis=1, keepdims=True)
+    log_norm = log_max + np.log(np.exp(log_prob - log_max).sum(axis=1, keepdims=True))
+    return log_prob, log_norm
+
+
 def _kmeans_pp_means(points, k, rng):
     """k-means++ seeding: first mean uniform, then proportional to squared
     distance from the nearest chosen mean."""
@@ -292,17 +237,7 @@ def _em_run(points, k, rng, max_iters, tol, ridge):
     trace = []
     prev = -np.inf
     for _ in range(max_iters):
-        # E step: log responsibilities with log-sum-exp
-        log_prob = np.empty((n, k))
-        for j in range(k):
-            try:
-                log_prob[:, j] = np.log(weights[j]) + _log_gaussian(points, means[j], covariances[j])
-            except np.linalg.LinAlgError:
-                raise SingularCovariance(
-                    f"component {j} covariance not positive definite despite ridge {ridge}"
-                ) from None
-        log_max = log_prob.max(axis=1, keepdims=True)
-        log_norm = log_max + np.log(np.exp(log_prob - log_max).sum(axis=1, keepdims=True))
+        log_prob, log_norm = _e_step(points, weights, means, covariances)
         resp = np.exp(log_prob - log_norm)
         ll = float(log_norm.mean())
         trace.append(ll)
@@ -358,13 +293,7 @@ def gmm_log_responsibilities(model, points):
         raise DimensionMismatch(
             f"points have dim {points.shape[1]}, model expects {model.means.shape[1]}"
         )
-    log_prob = np.empty((points.shape[0], model.k))
-    for j in range(model.k):
-        log_prob[:, j] = np.log(model.weights[j]) + _log_gaussian(
-            points, model.means[j], model.covariances[j]
-        )
-    log_max = log_prob.max(axis=1, keepdims=True)
-    log_norm = log_max + np.log(np.exp(log_prob - log_max).sum(axis=1, keepdims=True))
+    log_prob, log_norm = _e_step(points, model.weights, model.means, model.covariances)
     return log_prob - log_norm
 
 
@@ -413,11 +342,7 @@ class VaeGmmModel:
         return self.vae.decoder.forward(latents)
 
     def generate(self, component, n, rng):
-        x_hat = self.generate_flat(component, n, rng)
-        return [
-            decode(x_hat[i], self.vocab, level_id=f"gen-c{component}", offset=(0, i))
-            for i in range(n)
-        ]
+        return decode_generated(self.generate_flat(component, n, rng), self.vocab, component)
 
 
 def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform", log_every=None):

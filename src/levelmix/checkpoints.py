@@ -24,7 +24,7 @@ import numpy as np
 
 from .baseline import GmmModel, PcaProjection, VaeConfig, VaeGmmModel, VaeModel
 from .corpus import TileVocab
-from .errors import DataError
+from .errors import DataError, InvalidConfig
 from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory
 from .neuralnet import DenseNet, Layer
 
@@ -33,12 +33,6 @@ FORMAT_VAE_GMM = "levelmix-vae-gmm"
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 BLOB_DTYPES = ("<f8", "<f4")
-
-GMVAE_NETS = (
-    "label_net", "prior_mean_net", "prior_var_net",
-    "encoder_trunk", "enc_mean_head", "enc_var_head", "decoder",
-)
-VAE_NETS = ("encoder_trunk", "enc_mean_head", "enc_var_head", "decoder")
 
 
 def _encode_array(array, dtype=np.float64):
@@ -96,8 +90,8 @@ def _net_from_dict(data, dtype):
     return net
 
 
-def _set_networks(model, names, nets, dtype):
-    for name in names:
+def _set_networks(model, nets, dtype):
+    for name in model.NETWORKS:
         setattr(model, name, _net_from_dict(nets[name], dtype))
 
 
@@ -117,18 +111,6 @@ def _vocab_from_dict(data):
     return TileVocab(
         game=data["game"], chars=tuple(data["chars"]), background_char=data["background"]
     )
-
-
-def _history_to_dict(history):
-    if history is None:
-        return None
-    return {
-        "recon_loss": history.recon_loss,
-        "kl_loss": history.kl_loss,
-        "label_balance_loss": history.label_balance_loss,
-        "total_loss": history.total_loss,
-        "temperature": history.temperature,
-    }
 
 
 def _history_from_dict(data):
@@ -168,7 +150,7 @@ def _envelope(fmt, vocab, config, nets, history, run_info):
         "config": vars(config),
         "vocab": _vocab_to_dict(vocab),
         "networks": {name: _net_to_dict(net) for name, net in nets.items()},
-        "history": _history_to_dict(history),
+        "history": None if history is None else vars(history),
         "run_info": run_info,
     }
 
@@ -197,17 +179,17 @@ def save_vae_gmm(path, model, history=None, run_info=None):
 
 def _gmvae_from_payload(payload):
     model = GmvaeModel.__new__(GmvaeModel)
-    model.config = GmvaeConfig(**payload["config"])
+    model.config = GmvaeConfig(**payload["config"]).validate()
     model.vocab = _vocab_from_dict(payload["vocab"])
-    _set_networks(model, GMVAE_NETS, payload["networks"], model.config.dtype)
+    _set_networks(model, payload["networks"], model.config.dtype)
     return model
 
 
 def _vae_gmm_from_payload(payload):
     vae = VaeModel.__new__(VaeModel)
-    vae.config = VaeConfig(**payload["config"])
+    vae.config = VaeConfig(**payload["config"]).validate()
     vae.vocab = _vocab_from_dict(payload["vocab"])
-    _set_networks(vae, VAE_NETS, payload["networks"], vae.config.dtype)
+    _set_networks(vae, payload["networks"], vae.config.dtype)
     pca, gmm = payload["pca"], payload["gmm"]
     return VaeGmmModel(
         vae=vae,
@@ -253,7 +235,7 @@ def _read(path, expected_format=None):
     kind, build = _KINDS[fmt]
     try:
         return kind, build(payload), _history_from_dict(payload["history"])
-    except (DataError, KeyError, TypeError, ValueError) as exc:
+    except (DataError, InvalidConfig, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})") from exc
 
 

@@ -24,6 +24,7 @@ from . import charts
 from . import checkpoints as ckpt
 from . import corpus as cp
 from . import evaluation as ev
+from . import experiments
 from . import gmvae as gm
 from . import playability as pl
 from .errors import (
@@ -48,9 +49,7 @@ def _run_info(command, args):
 
 
 def _write_sidecar(out_path, info):
-    with open(out_path + ".run.json", "w") as f:
-        json.dump(info, f, sort_keys=True, indent=2)
-        f.write("\n")
+    experiments.save_json(out_path + ".run.json", info)
 
 
 def _load_corpus(args, heuristic_types=False):
@@ -61,10 +60,10 @@ def _load_corpus(args, heuristic_types=False):
     return manifest, levels, vocab, chunks
 
 
-def _gmvae_config(args, d):
-    return gm.GmvaeConfig(
+def _vae_fields(args, d):
+    """The config fields both model families take from the flags."""
+    return dict(
         d=d,
-        k=args.k,
         latent_dim=args.latent_dim,
         hidden_width=args.hidden_width,
         hidden_depth=args.hidden_depth,
@@ -73,29 +72,40 @@ def _gmvae_config(args, d):
         learning_rate=args.learning_rate,
         kl_weight=args.kl_weight,
         recon_weight=args.recon_weight,
+        rng_seed=args.seed,
+        dtype=args.dtype,
+    )
+
+
+def _gmvae_config(args, d, k):
+    return gm.GmvaeConfig(
+        k=k,
         label_balance_weight=args.label_balance_weight,
         tau_start=args.tau_start,
         tau_min=args.tau_min,
         tau_decay=args.tau_decay,
-        rng_seed=args.seed,
-        dtype=args.dtype,
+        **_vae_fields(args, d),
     ).validate()
 
 
 def _vae_config(args, d):
-    return bl.VaeConfig(
-        d=d,
-        latent_dim=args.latent_dim,
-        hidden_width=args.hidden_width,
-        hidden_depth=args.hidden_depth,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        kl_weight=args.kl_weight,
-        recon_weight=args.recon_weight,
-        rng_seed=args.seed,
-        dtype=args.dtype,
-    ).validate()
+    return bl.VaeConfig(**_vae_fields(args, d)).validate()
+
+
+def _training_data(args):
+    """(vocab, data, level_types) for a training command; level_types is
+    None unless the balanced sampler, which needs it, is selected."""
+    balanced = args.sampler == "balanced"
+    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=balanced)
+    level_types = [c.level_type for c in chunks] if balanced else None
+    return vocab, cp.encode_chunks(chunks, vocab), level_types
+
+
+def _write_history(args, command, history):
+    if args.history_csv:
+        with open(args.history_csv, "w") as f:
+            f.write(ckpt.history_to_csv(history))
+        _write_sidecar(args.history_csv, _run_info(command, args))
 
 
 def _generator(kind, model):
@@ -106,6 +116,10 @@ def _generator(kind, model):
 
 def _model_k(kind, model):
     return model.config.k if kind == "gmvae" else model.k
+
+
+def _hard_labels(kind, model, data):
+    return gm.hard_labels(model, data) if kind == "gmvae" else model.predict(data)
 
 
 def cmd_ingest(args):
@@ -127,49 +141,39 @@ def cmd_ingest(args):
 
 
 def cmd_train(args):
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=args.sampler == "balanced")
-    data = cp.encode_chunks(chunks, vocab)
-    config = _gmvae_config(args, data.shape[1])
+    vocab, data, level_types = _training_data(args)
+    config = _gmvae_config(args, data.shape[1], args.k)
     model = gm.build_model(config, vocab)
-    level_types = [c.level_type for c in chunks]
     history = gm.train(
         model,
         data,
-        level_types=level_types if args.sampler == "balanced" else None,
+        level_types=level_types,
         sampler=args.sampler,
         checkpoint_path=args.out,
         checkpoint_every=args.checkpoint_every,
         log_every=args.log_every,
     )
     ckpt.save_gmvae(args.out, model, history, run_info=_run_info("train", args))
-    if args.history_csv:
-        with open(args.history_csv, "w") as f:
-            f.write(ckpt.history_to_csv(history))
-        _write_sidecar(args.history_csv, _run_info("train", args))
+    _write_history(args, "train", history)
     print(f"saved {args.out} ({len(history)} epochs)")
     return 0
 
 
 def cmd_train_baseline(args):
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=args.sampler == "balanced")
-    data = cp.encode_chunks(chunks, vocab)
+    vocab, data, level_types = _training_data(args)
     config = _vae_config(args, data.shape[1])
-    level_types = [c.level_type for c in chunks]
     model, history = bl.fit_vae_gmm(
         data,
         config,
         args.k,
         gmm_seed=args.seed,
         vocab=vocab,
-        level_types=level_types if args.sampler == "balanced" else None,
+        level_types=level_types,
         sampler=args.sampler,
         log_every=args.log_every,
     )
     ckpt.save_vae_gmm(args.out, model, history, run_info=_run_info("train-baseline", args))
-    if args.history_csv:
-        with open(args.history_csv, "w") as f:
-            f.write(ckpt.history_to_csv(history))
-        _write_sidecar(args.history_csv, _run_info("train-baseline", args))
+    _write_history(args, "train-baseline", history)
     print(f"saved {args.out} (pca kept {model.pca.m} axes)")
     return 0
 
@@ -182,7 +186,7 @@ def cmd_generate(args):
     rng = np.random.default_rng(args.seed)
     chunks = _generator(kind, model)(args.component, args.n, rng)
     vocab = model.vocab
-    rendered = ["\n".join(render_chunk_ascii(c, vocab)) for c in chunks]
+    rendered = ["\n".join(cp.chunk_to_lines(c, vocab)) for c in chunks]
     text = ("\n\n").join(rendered) + "\n"
     if args.out:
         with open(args.out, "w") as f:
@@ -191,11 +195,6 @@ def cmd_generate(args):
     else:
         print(text, end="")
     return 0
-
-
-def render_chunk_ascii(chunk, vocab):
-    """16 lines of 16 characters; parse_level() reproduces the chunk."""
-    return cp.chunk_to_lines(chunk, vocab)
 
 
 def cmd_encode(args):
@@ -224,17 +223,10 @@ def cmd_eval_cluster(args):
     kind, model, _ = ckpt.load_any(args.model)
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
     data = cp.encode_chunks(chunks, model.vocab or vocab)
-    if kind == "gmvae":
-        labels = gm.hard_labels(model, data)
-        k = model.config.k
-    else:
-        labels = model.predict(data)
-        k = model.k
-    report = ev.clustering_accuracy(labels, [c.level_type for c in chunks], k)
+    labels = _hard_labels(kind, model, data)
+    report = ev.clustering_accuracy(labels, [c.level_type for c in chunks], _model_k(kind, model))
     payload = {"run_info": _run_info("eval-cluster", args), "report": report.to_dict()}
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    experiments.save_json(args.out, payload)
     print(f"balanced accuracy {report.balanced_accuracy:.4f} -> {args.out}")
     return 0
 
@@ -251,9 +243,7 @@ def cmd_eval_disentangle(args):
         n_train=args.n_train,
     )
     payload = {"run_info": _run_info("eval-disentangle", args), "report": report.to_dict()}
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    experiments.save_json(args.out, payload)
     print(
         f"p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f} -> {args.out}"
     )
@@ -278,9 +268,7 @@ def cmd_eval_playability(args):
         total_budget=args.budget,
     )
     payload = {"run_info": _run_info("eval-playability", args), "report": result.to_dict()}
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    experiments.save_json(args.out, payload)
     print(f"playable {result.playable_count}/{result.total} = {result.fraction:.4f} -> {args.out}")
     return 0
 
@@ -293,7 +281,7 @@ def _density_groups(args, kind, model):
         return [gen(i, args.n_per_component, rng) for i in range(k)]
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
     data = cp.encode_chunks(chunks, model.vocab or vocab)
-    labels = gm.hard_labels(model, data) if kind == "gmvae" else model.predict(data)
+    labels = _hard_labels(kind, model, data)
     groups = [[] for _ in range(k)]
     for chunk, lab in zip(chunks, labels):
         groups[int(lab)].append(chunk)
@@ -344,40 +332,25 @@ def cmd_sweep(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families or any(f not in ("gmvae", "vae-gmm") for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=args.sampler == "balanced")
-    data = cp.encode_chunks(chunks, vocab)
-    level_types = [c.level_type for c in chunks]
-    types_arg = level_types if args.sampler == "balanced" else None
-    rows = []
-    for family in families:
-        for k in k_list:
-            rng = np.random.default_rng(args.seed + k)
-            if family == "gmvae":
-                base = argparse.Namespace(**vars(args))
-                base.k = k
-                config = _gmvae_config(base, data.shape[1])
-                model = gm.build_model(config, vocab)
-                gm.train(model, data, level_types=types_arg, sampler=args.sampler)
-                gen, kk = _generator("gmvae", model), k
-            else:
-                base = argparse.Namespace(**vars(args))
-                config = _vae_config(base, data.shape[1])
-                model, _ = bl.fit_vae_gmm(
-                    data, config, k, gmm_seed=args.seed, vocab=vocab,
-                    level_types=types_arg, sampler=args.sampler,
-                )
-                gen, kk = _generator("vae-gmm", model), k
-            report = ev.disentanglement(
-                gen, kk, vocab, rng,
-                n_per_component=args.n_per_component, n_train=args.n_train,
-            )
-            rows.append((family, k, report.p70, report.p80, report.p90))
-            print(f"{family} k={k}: p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f}")
+    vocab, data, level_types = _training_data(args)
+    d = data.shape[1]
+    rows = experiments.disentanglement_sweep(
+        data,
+        vocab,
+        k_list,
+        _gmvae_config(args, d, k_list[0]) if "gmvae" in families else None,
+        _vae_config(args, d),
+        level_types=level_types,
+        sampler=args.sampler,
+        n_per_component=args.n_per_component,
+        n_train=args.n_train,
+        families=families,
+        log=print,
+    )
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["family", "k", "p70", "p80", "p90"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     _write_sidecar(args.out, _run_info("sweep", args))
     return 0
 
@@ -399,7 +372,7 @@ def _add_model_flags(p, with_k=True):
     p.add_argument("--tau-min", type=float, default=0.5)
     p.add_argument("--tau-decay", type=float, default=None)
     p.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    p.add_argument("--sampler", choices=("uniform", "balanced"), default="uniform")
+    p.add_argument("--sampler", choices=gm.SAMPLERS, default="uniform")
     p.add_argument("--log-every", type=int, default=None)
     p.add_argument("--history-csv", default=None)
     p.add_argument("--checkpoint-every", type=int, default=None, help="also save every N epochs")

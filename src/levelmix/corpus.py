@@ -229,7 +229,7 @@ def classify_level_type(level, ground_char="X"):
 
 
 class BalancedSampler:
-    """Infinite index sampler weighting each chunk by 1 / (count of its type),
+    """Index sampler weighting each chunk by 1 / (count of its type),
     so the expected draw frequency is equal across level types. Owns a seeded
     RNG; intended for a single consumer."""
 
@@ -246,10 +246,6 @@ class BalancedSampler:
 
     def draw(self, n):
         return self.rng.choice(len(self.level_types), size=n, p=self.probabilities)
-
-    def __iter__(self):
-        while True:
-            yield int(self.draw(1)[0])
 
 
 @dataclass
@@ -273,7 +269,17 @@ class DatasetManifest:
 
 def load_manifest(path):
     with open(path) as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"{path}: manifest is not JSON ({exc})") from None
+    try:
+        return _manifest_from_json(raw, path)
+    except (AttributeError, KeyError, TypeError) as exc:  # a value of the wrong JSON type
+        raise DataError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
+
+
+def _manifest_from_json(raw, path):
     base = os.path.dirname(os.path.abspath(path))
     level_paths, level_types = [], []
     for entry in raw.get("levels", []):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -267,22 +267,3 @@ def export_latents(fileobj, chunk_ids, level_types, labels, latents):
     for cid, ltype, lab, row in zip(chunk_ids, level_types, labels, latents):
         writer.writerow([cid, "" if ltype is None else ltype, int(lab)] + [repr(float(v)) for v in row])
 
-
-@dataclass
-class EvaluationReport:
-    """Aggregate of whichever evaluations were run, JSON/CSV serializable."""
-
-    game: str = ""
-    clustering: dict = field(default_factory=dict)
-    disentanglement: dict = field(default_factory=dict)
-    tile_density_csv: str = ""
-    playability: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "game": self.game,
-            "clustering": self.clustering,
-            "disentanglement": self.disentanglement,
-            "tile_density_csv": self.tile_density_csv,
-            "playability": self.playability,
-        }

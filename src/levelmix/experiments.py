@@ -1,11 +1,12 @@
 """Multi-run experiment drivers: the reduced clustering comparison between
 the mixture-prior model and the VAE+PCA+GMM baseline, and the component-count
-sweep of disentanglement proportions. Used by the scripts in scripts/ and by
-the acceptance suite.
+sweep of disentanglement proportions. Used by the scripts in scripts/, the
+sweep command and the acceptance suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import time
@@ -90,43 +91,41 @@ def disentanglement_sweep(
     data,
     vocab,
     k_values,
-    seed,
-    epochs,
-    latent_dim=64,
-    hidden_width=512,
+    gmvae_config,
+    vae_config,
     level_types=None,
     sampler="uniform",
-    dtype="float64",
     n_per_component=500,
     n_train=300,
     families=("gmvae", "vae-gmm"),
     log=None,
 ):
-    """Rows of (family, k, p70, p80, p90) over the component grid."""
+    """Rows of (family, k, p70, p80, p90) over the component grid.
+
+    gmvae_config and vae_config are templates: a gmvae row trains
+    gmvae_config with k replaced, a vae-gmm row fits a k-component mixture
+    (seeded with vae_config.rng_seed) on a VAE trained with vae_config. The
+    template of a family not in families may be None. Each row's probe RNG is
+    seeded with its config's rng_seed + k.
+    """
     rows = []
     for family in families:
         for k in k_values:
-            rng = np.random.default_rng(seed + k)
             if family == "gmvae":
-                config = gm.GmvaeConfig(
-                    d=data.shape[1], k=k, latent_dim=latent_dim,
-                    hidden_width=hidden_width, epochs=epochs, rng_seed=seed, dtype=dtype,
-                )
-                model = gm.build_model(config, vocab)
+                seed = gmvae_config.rng_seed
+                model = gm.build_model(dataclasses.replace(gmvae_config, k=k).validate(), vocab)
                 gm.train(model, data, level_types=level_types, sampler=sampler)
                 generator = functools.partial(gm.generate, model)
             else:
-                config = bl.VaeConfig(
-                    d=data.shape[1], latent_dim=latent_dim,
-                    hidden_width=hidden_width, epochs=epochs, rng_seed=seed, dtype=dtype,
-                )
+                seed = vae_config.rng_seed
                 model, _ = bl.fit_vae_gmm(
-                    data, config, k, gmm_seed=seed, vocab=vocab,
+                    data, vae_config, k, gmm_seed=seed, vocab=vocab,
                     level_types=level_types, sampler=sampler,
                 )
                 generator = model.generate
             report = ev.disentanglement(
-                generator, k, vocab, rng, n_per_component=n_per_component, n_train=n_train
+                generator, k, vocab, np.random.default_rng(seed + k),
+                n_per_component=n_per_component, n_train=n_train,
             )
             rows.append((family, k, report.p70, report.p80, report.p90))
             if log:

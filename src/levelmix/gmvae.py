@@ -36,6 +36,7 @@ from .errors import (
     ComponentOutOfRange,
     DimensionMismatch,
     InvalidConfig,
+    MissingLabels,
     NonFiniteLoss,
 )
 from .neuralnet import DenseNet, AdamState, DiagGaussian
@@ -131,7 +132,69 @@ class GmComponentParams:
         return len(self.components)
 
 
-class GmvaeModel:
+class EncoderDecoder:
+    """The encoder trunk, its mean and variance heads and the decoder, which
+    both model families share; subclasses list their networks in NETWORKS,
+    in optimizer and checkpoint order."""
+
+    NETWORKS = ("encoder_trunk", "enc_mean_head", "enc_var_head", "decoder")
+
+    def _build_encoder_decoder(self, in_dim, rng):
+        cfg = self.config
+        w, depth, ld, dt = cfg.hidden_width, cfg.hidden_depth, cfg.latent_dim, cfg.dtype
+        self.encoder_trunk = DenseNet([in_dim] + [w] * depth, ["relu"] * depth, rng, dt)
+        self.enc_mean_head = DenseNet([w, ld], ["linear"], rng, dt)
+        self.enc_var_head = DenseNet([w, ld], ["softplus"], rng, dt)
+        self.decoder = DenseNet(
+            [ld] + [w] * depth + [cfg.d], ["relu"] * depth + ["sigmoid"], rng, dt
+        )
+
+    def networks(self):
+        return {name: getattr(self, name) for name in self.NETWORKS}
+
+    def encode_decode(self, enc_in, eps_noise, keep_caches=True):
+        """Trunk, mean and variance heads, reparameterized latent and decoder:
+        (mu_q, var_q, x_hat, caches)."""
+        h, trunk_cache = self.encoder_trunk.forward_cached(enc_in, keep_cache=keep_caches)
+        mu_q, mean_cache = self.enc_mean_head.forward_cached(h, keep_cache=keep_caches)
+        var_q, var_cache = self.enc_var_head.forward_cached(h, keep_cache=keep_caches)
+        z = mu_q + np.sqrt(var_q) * eps_noise
+        x_hat, dec_cache = self.decoder.forward_cached(z, keep_cache=keep_caches)
+        return mu_q, var_q, x_hat, (trunk_cache, mean_cache, var_cache, dec_cache)
+
+    def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches):
+        """Mean per-item BCE and KL(q || p), and the gradient of the weighted
+        batch-mean objective back through the decoder, the reparameterized
+        sample, both heads and the trunk: (recon, kl, grads, d_enc_in,
+        d_mu_p, d_var_p), the last two already weighted for the prior."""
+        trunk_cache, mean_cache, var_cache, dec_cache = caches
+        recon_vec, d_xhat = nn.bce_loss(x_hat, x, with_grad=True)
+        kl_vec, (d_mu_q, d_var_q, d_mu_p, d_var_p) = nn.kl_diag(
+            mu_q, var_q, mu_p, var_p, with_grad=True
+        )
+        # scale per-item gradients for the weighted batch-mean objective
+        rw = self.config.recon_weight / x.shape[0]
+        kw = self.config.kl_weight / x.shape[0]
+
+        dec_grads, d_z = self.decoder.backward(dec_cache, rw * d_xhat)
+        d_mu_q_total = kw * d_mu_q + d_z
+        d_var_q_total = kw * d_var_q + d_z * nn.reparam_grad_var(var_q, eps_noise)
+        mean_grads, d_h_mean = self.enc_mean_head.backward(mean_cache, d_mu_q_total)
+        var_grads, d_h_var = self.enc_var_head.backward(var_cache, d_var_q_total)
+        trunk_grads, d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var)
+        grads = {
+            "encoder_trunk": trunk_grads,
+            "enc_mean_head": mean_grads,
+            "enc_var_head": var_grads,
+            "decoder": dec_grads,
+        }
+        recon, kl = float(np.mean(recon_vec)), float(np.mean(kl_vec))
+        return recon, kl, grads, d_enc_in, kw * d_mu_p, kw * d_var_p
+
+
+class GmvaeModel(EncoderDecoder):
+    NETWORKS = ("label_net", "prior_mean_net", "prior_var_net") + EncoderDecoder.NETWORKS
+
     def __init__(self, config, vocab=None):
         config.validate()
         if vocab is not None and config.d != CHUNK_SIZE * CHUNK_SIZE * vocab.size:
@@ -148,30 +211,12 @@ class GmvaeModel:
         )
         self.prior_mean_net = DenseNet([config.k, ld], ["linear"], rng, dt)
         self.prior_var_net = DenseNet([config.k, ld], ["softplus"], rng, dt)
-        self.encoder_trunk = DenseNet(
-            [config.d + config.k] + [w] * depth, ["relu"] * depth, rng, dt
-        )
-        self.enc_mean_head = DenseNet([w, ld], ["linear"], rng, dt)
-        self.enc_var_head = DenseNet([w, ld], ["softplus"], rng, dt)
-        self.decoder = DenseNet(
-            [ld] + [w] * depth + [config.d], ["relu"] * depth + ["sigmoid"], rng, dt
-        )
+        self._build_encoder_decoder(config.d + config.k, rng)
         # symmetric start: all components identical and all labels equally
         # likely, so early assignment is driven by the data, not by init noise
         self.label_net.layers[-1].weight[...] = 0.0
         self.prior_mean_net.layers[0].weight[...] = 0.0
         self.prior_var_net.layers[0].weight[...] = 0.0
-
-    def networks(self):
-        return {
-            "label_net": self.label_net,
-            "prior_mean_net": self.prior_mean_net,
-            "prior_var_net": self.prior_var_net,
-            "encoder_trunk": self.encoder_trunk,
-            "enc_mean_head": self.enc_mean_head,
-            "enc_var_head": self.enc_var_head,
-            "decoder": self.decoder,
-        }
 
 
 def build_model(config, vocab=None):
@@ -194,22 +239,16 @@ def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
     """Shared forward for loss evaluation and backprop."""
     logits, label_cache = model.label_net.forward_cached(x, keep_cache=keep_caches)
     y, soft_y, _ = nn.gumbel_softmax(logits, tau, rng=None, hard=hard, noise=gumbel_noise)
-    enc_in = np.concatenate([x, y], axis=1)
-    h, trunk_cache = model.encoder_trunk.forward_cached(enc_in, keep_cache=keep_caches)
-    mu_q, mean_cache = model.enc_mean_head.forward_cached(h, keep_cache=keep_caches)
-    var_q, var_cache = model.enc_var_head.forward_cached(h, keep_cache=keep_caches)
     mu_p, pmean_cache = model.prior_mean_net.forward_cached(y, keep_cache=keep_caches)
     var_p, pvar_cache = model.prior_var_net.forward_cached(y, keep_cache=keep_caches)
-    z = mu_q + np.sqrt(var_q) * eps_noise
-    x_hat, dec_cache = model.decoder.forward_cached(z, keep_cache=keep_caches)
+    mu_q, var_q, x_hat, enc_caches = model.encode_decode(
+        np.concatenate([x, y], axis=1), eps_noise, keep_caches
+    )
     caches = {
         "label": label_cache,
-        "trunk": trunk_cache,
-        "enc_mean": mean_cache,
-        "enc_var": var_cache,
         "prior_mean": pmean_cache,
         "prior_var": pvar_cache,
-        "decoder": dec_cache,
+        "encoder_decoder": enc_caches,
     }
     tensors = {
         "logits": logits,
@@ -219,7 +258,6 @@ def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
         "var_q": var_q,
         "mu_p": mu_p,
         "var_p": var_p,
-        "z": z,
         "x_hat": x_hat,
     }
     return tensors, caches
@@ -243,7 +281,7 @@ def gmvae_loss(model, x, tau, hard, gumbel_noise, eps_noise):
 
 
 def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
-    """Backprop the weighted mean loss to all five networks.
+    """Backprop the weighted mean loss to all seven networks.
 
     Returns (recon, kl, balance, grads) where grads maps network name to the
     gradient list its AdamState expects. Gradients flow through the decoder,
@@ -254,28 +292,12 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
     cfg = model.config
     batch = x.shape[0]
     t, caches = _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches=True)
-
-    recon_vec, d_xhat = nn.bce_loss(t["x_hat"], x, with_grad=True)
-    kl_vec, (d_mu_q, d_var_q, d_mu_p, d_var_p) = nn.kl_diag(
-        t["mu_q"], t["var_q"], t["mu_p"], t["var_p"], with_grad=True
+    recon, kl, grads, d_enc_in, d_mu_p, d_var_p = model.recon_kl_backward(
+        x, eps_noise, t["mu_q"], t["var_q"], t["x_hat"], t["mu_p"], t["var_p"],
+        caches["encoder_decoder"],
     )
-    recon = float(np.mean(recon_vec))
-    kl = float(np.mean(kl_vec))
-
-    # scale per-item gradients for the weighted batch-mean objective
-    rw = cfg.recon_weight / batch
-    kw = cfg.kl_weight / batch
-
-    dec_grads, d_z = model.decoder.backward(caches["decoder"], rw * d_xhat)
-    d_mu_q_total = kw * d_mu_q + d_z
-    d_var_q_total = kw * d_var_q + d_z * nn.reparam_grad_var(t["var_q"], eps_noise)
-
-    mean_grads, d_h_mean = model.enc_mean_head.backward(caches["enc_mean"], d_mu_q_total)
-    var_grads, d_h_var = model.enc_var_head.backward(caches["enc_var"], d_var_q_total)
-    trunk_grads, d_enc_in = model.encoder_trunk.backward(caches["trunk"], d_h_mean + d_h_var)
-
-    pmean_grads, d_y_mean = model.prior_mean_net.backward(caches["prior_mean"], kw * d_mu_p)
-    pvar_grads, d_y_var = model.prior_var_net.backward(caches["prior_var"], kw * d_var_p)
+    grads["prior_mean_net"], d_y_mean = model.prior_mean_net.backward(caches["prior_mean"], d_mu_p)
+    grads["prior_var_net"], d_y_var = model.prior_var_net.backward(caches["prior_var"], d_var_p)
 
     d_y = d_enc_in[:, cfg.d :] + d_y_mean + d_y_var
     d_logits = nn.gumbel_softmax_backward(t["soft_y"], tau, d_y)
@@ -288,17 +310,7 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
         d_logits = d_logits + (cfg.label_balance_weight / batch) * (
             p * (g - (p @ g)[:, None])
         )
-    label_grads, _ = model.label_net.backward(caches["label"], d_logits)
-
-    grads = {
-        "label_net": label_grads,
-        "prior_mean_net": pmean_grads,
-        "prior_var_net": pvar_grads,
-        "encoder_trunk": trunk_grads,
-        "enc_mean_head": mean_grads,
-        "enc_var_head": var_grads,
-        "decoder": dec_grads,
-    }
+    grads["label_net"], _ = model.label_net.backward(caches["label"], d_logits)
     return recon, kl, balance, grads
 
 
@@ -336,17 +348,25 @@ def training_step(model, batch, tau, optimizers, rng, hard=False):
     return StepLosses(recon, kl, balance)
 
 
-def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None, checkpoint_every=None, log_every=None):
-    """Train for config.epochs epochs of ceil(n / batch_size) batches.
+SAMPLERS = ("uniform", "balanced")
 
-    data: (n, d) one-hot matrix. sampler: "uniform" shuffles each epoch;
-    "balanced" draws indices weighted by 1 / level-type count (requires
-    level_types). With checkpoint_path and checkpoint_every, the model is
-    saved to checkpoint_path every checkpoint_every epochs; saving the final
-    model is left to the caller. Returns the TrainingHistory; the model is
-    updated in place and should be treated as immutable afterwards.
+
+def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_every=None, on_epoch=None):
+    """The training loop both model families share: config.epochs epochs of
+    ceil(n / batch_size) batches.
+
+    data: (n, d) one-hot matrix. step(model, batch, tau, optimizers, rng,
+    hard=...) takes one gradient step and returns StepLosses; schedule(epoch)
+    gives (tau, hard). sampler: "uniform" shuffles each epoch; "balanced"
+    draws indices weighted by 1 / level-type count (requires level_types).
+    on_epoch(epoch, history), if given, runs after each epoch is recorded.
+    Returns the TrainingHistory; the model is updated in place.
     """
     cfg = model.config
+    if sampler not in SAMPLERS:
+        raise InvalidConfig(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+    if sampler == "balanced" and level_types is None:
+        raise MissingLabels("the balanced sampler needs level_types")
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if n == 0:
@@ -356,20 +376,19 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
     history = TrainingHistory()
     batches_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
+    # the plain VAE has no balance term; its StepLosses carry label_balance 0.0
+    balance_weight = getattr(cfg, "label_balance_weight", 0.0)
 
     for epoch in range(cfg.epochs):
-        tau, hard = temperature_schedule(cfg, epoch)
-        if balanced is not None:
-            order = balanced.draw(n)
-        else:
-            order = rng.permutation(n)
+        tau, hard = schedule(epoch)
+        order = balanced.draw(n) if balanced is not None else rng.permutation(n)
         recon_sum = kl_sum = balance_sum = 0.0
         count = 0
         for b in range(batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             if len(idx) == 0:
                 continue
-            losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
+            losses = step(model, data[idx], tau, optimizers, rng, hard=hard)
             recon_sum += losses.recon * len(idx)
             kl_sum += losses.kl * len(idx)
             balance_sum += losses.label_balance * len(idx)
@@ -380,7 +399,7 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
         total = (
             cfg.recon_weight * mean_recon
             + cfg.kl_weight * mean_kl
-            + cfg.label_balance_weight * mean_balance
+            + balance_weight * mean_balance
         )
         history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
         if log_every and (epoch + 1) % log_every == 0:
@@ -388,11 +407,31 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
                 f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
                 f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
             )
-        if checkpoint_path and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            from .checkpoints import save_gmvae
-
-            save_gmvae(checkpoint_path, model, history)
+        if on_epoch is not None:
+            on_epoch(epoch, history)
     return history
+
+
+def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None, checkpoint_every=None, log_every=None):
+    """fit() with the mixture model's step and temperature schedule.
+
+    With checkpoint_path and checkpoint_every, the model is saved to
+    checkpoint_path every checkpoint_every epochs; saving the final model is
+    left to the caller. The model should be treated as immutable afterwards.
+    """
+    cfg = model.config
+    on_epoch = None
+    if checkpoint_path and checkpoint_every:
+        from .checkpoints import save_gmvae
+
+        def on_epoch(epoch, history):
+            if (epoch + 1) % checkpoint_every == 0:
+                save_gmvae(checkpoint_path, model, history)
+
+    return fit(
+        model, data, training_step, lambda epoch: temperature_schedule(cfg, epoch),
+        level_types=level_types, sampler=sampler, log_every=log_every, on_epoch=on_epoch,
+    )
 
 
 def component_params(model):
@@ -418,25 +457,16 @@ def generate(model, component, n, rng):
     var = model.prior_var_net.forward(one_hot)[0]
     eps = rng.standard_normal((n, cfg.latent_dim))
     z = mu + np.sqrt(var) * eps
-    x_hat = model.decoder.forward(z)
+    return decode_generated(model.decoder.forward(z), model.vocab, component)
+
+
+def decode_generated(x_hat, vocab, component):
+    """Decoder outputs (n, d) of one component as chunks; both model families
+    label them gen-c<component> at offsets (0, i)."""
     return [
-        decode(x_hat[i], model.vocab, level_id=f"gen-c{component}", offset=(0, i))
-        for i in range(n)
+        decode(x_hat[i], vocab, level_id=f"gen-c{component}", offset=(0, i))
+        for i in range(len(x_hat))
     ]
-
-
-def generate_flat(model, component, n, rng):
-    """Like generate() but returns raw decoder outputs (n, d); usable without
-    a vocab, e.g. for probing."""
-    cfg = model.config
-    if not 0 <= component < cfg.k:
-        raise ComponentOutOfRange(f"component {component} out of range [0, {cfg.k})")
-    one_hot = np.zeros((1, cfg.k), dtype=np.float64)
-    one_hot[0, component] = 1.0
-    mu = model.prior_mean_net.forward(one_hot)[0]
-    var = model.prior_var_net.forward(one_hot)[0]
-    z = mu + np.sqrt(var) * rng.standard_normal((n, cfg.latent_dim))
-    return model.decoder.forward(z)
 
 
 def hard_labels(model, data):

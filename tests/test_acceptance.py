@@ -234,8 +234,10 @@ def test_criterion_4_synthetic_generators():
 def test_criterion_4_smb_reduced_sweep(smb_data, tmp_path):
     manifest, vocab, chunks, data, types = smb_data
     rows = experiments.disentanglement_sweep(
-        data, vocab, [2, 4, 10], seed=0, epochs=2000,
-        latent_dim=64, hidden_width=512, log=print,
+        data, vocab, [2, 4, 10],
+        gm.GmvaeConfig(d=data.shape[1], k=2, epochs=2000, rng_seed=0),
+        bl.VaeConfig(d=data.shape[1], epochs=2000, rng_seed=0),
+        log=print,
     )
     experiments.save_json(tmp_path / "sweep.json", {"rows": rows})
     by_key = {(family, k): (p70, p80, p90) for family, k, p70, p80, p90 in rows}

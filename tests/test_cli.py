@@ -149,8 +149,24 @@ def _future_version(raw):
     return json.dumps(payload)
 
 
+def _float16_config(raw):
+    payload = json.loads(raw)
+    payload["config"]["dtype"] = "float16"
+    return json.dumps(payload)
+
+
+def _one_component_config(raw):
+    payload = json.loads(raw)
+    payload["config"]["k"] = 1
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_truncate, _drop_config, _short_blob, _int_blob, _no_version, _future_version]
+    "corrupt",
+    [
+        _truncate, _drop_config, _short_blob, _int_blob, _no_version, _future_version,
+        _float16_config, _one_component_config,
+    ],
 )
 def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"
@@ -163,6 +179,53 @@ def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys
     error = json.loads(lines[0])
     assert error["error"] == "data" and error["type"] == "DataError"
     assert str(bad) in error["message"]
+
+
+def _single_error_line(capsys):
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_non_positive_definite_covariance_is_numeric_error(workspace, baseline_checkpoint, tmp_path, capsys):
+    payload = json.loads(open(baseline_checkpoint).read())
+    covariances = ckpt._decode_array(payload["gmm"]["covariances"])
+    covariances[0] = -np.eye(covariances.shape[1])
+    payload["gmm"]["covariances"] = ckpt._encode_array(covariances)
+    bad = tmp_path / "bad_covariance.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = cli.run(
+        ["eval-cluster", "--model", str(bad), "--manifest", workspace["manifest"], "--out", str(tmp_path / "c.json")]
+    )
+    assert code == 3
+    error = _single_error_line(capsys)
+    assert error["error"] == "numeric" and error["type"] == "SingularCovariance"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"levels": [',
+        '["a.txt"]',
+        '{"levels": [{"type": "overworld"}]}',
+        '{"levels": 5}',
+        '{"levels": ["a.txt"], "pad": "top"}',
+    ],
+    ids=["not-json", "not-object", "no-path", "levels-not-list", "pad-not-object"],
+)
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_malformed_manifest_is_data_error(tmp_path, capsys, command, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    argv = [command, "--manifest", str(manifest)]
+    if command == "train":
+        argv += ["--k", "2", "--out", str(tmp_path / "m.json")] + FAST_TRAIN
+    capsys.readouterr()
+    assert cli.run(argv) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert str(manifest) in error["message"]
 
 
 def test_generate_ascii_output(trained_checkpoint, capsys):
@@ -330,7 +393,7 @@ def test_sweep_empty_k_list_usage_error(workspace, tmp_path):
 def test_render_chunk_ascii_roundtrip(toy_setup):
     vocab = toy_setup["vocab"]
     chunk = toy_setup["chunks"][5]
-    lines = cli.render_chunk_ascii(chunk, vocab)
+    lines = cp.chunk_to_lines(chunk, vocab)
     assert len(lines) == 16
     grid = cp.parse_level("\n".join(lines))
     ids = np.array([[vocab.id_of(c) for c in row] for row in grid.tiles])
@@ -344,4 +407,4 @@ def test_render_matches_source_level_window(toy_setup):
     level = next(lv for lv in toy_setup["levels"] if lv.level_id == chunk.level_id)
     r, c = chunk.offset
     expected = [row[c : c + 16] for row in level.tiles[r : r + 16]]
-    assert cli.render_chunk_ascii(chunk, vocab) == expected
+    assert cp.chunk_to_lines(chunk, vocab) == expected

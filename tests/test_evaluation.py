@@ -262,23 +262,6 @@ def test_export_latents_row_and_column_counts():
     assert len(lines[0].split(",")) == 3 + 64
 
 
-def test_evaluation_report_serializable(toy_setup):
-    import json
-
-    vocab = toy_setup["vocab"]
-    matrix = ev.tile_densities([toy_setup["chunks"][:10]], vocab)
-    report = ev.EvaluationReport(
-        game="toy",
-        clustering={"balanced_accuracy": 0.9},
-        disentanglement={"p70": 1.0},
-        tile_density_csv=matrix.to_csv(),
-        playability={"fraction": 0.95},
-    )
-    parsed = json.loads(json.dumps(report.to_dict()))
-    assert parsed["game"] == "toy"
-    assert parsed["clustering"]["balanced_accuracy"] == 0.9
-
-
 def test_export_latents_lossless_roundtrip():
     buf = io.StringIO()
     rng = np.random.default_rng(1)

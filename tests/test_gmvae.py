@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
@@ -11,6 +12,7 @@ from levelmix.errors import (
     ComponentOutOfRange,
     DimensionMismatch,
     InvalidConfig,
+    MissingLabels,
 )
 
 from conftest import small_gmvae_config
@@ -219,6 +221,27 @@ def test_train_epochs_zero_is_noop(toy_setup):
     assert len(history) == 0
     after = [p for net in model.networks().values() for p in net.param_arrays()]
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def _train_gmvae(data, vocab, **kwargs):
+    return gm.train(gm.build_model(small_gmvae_config(data.shape[1], epochs=1), vocab), data, **kwargs)
+
+
+def _train_vae(data, vocab, **kwargs):
+    return bl.train_vae(data, bl.VaeConfig(d=data.shape[1], hidden_width=16, latent_dim=4, epochs=1), **kwargs)
+
+
+@pytest.mark.parametrize("train", [_train_gmvae, _train_vae])
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"sampler": "stratified"}, InvalidConfig),
+        ({"sampler": "balanced"}, MissingLabels),  # no level_types
+    ],
+)
+def test_train_rejects_unknown_or_unlabeled_sampler(toy_setup, train, kwargs, error):
+    with pytest.raises(error):
+        train(toy_setup["data"][:16], toy_setup["vocab"], **kwargs)
 
 
 def test_train_loss_decreases(trained_gmvae):
