@@ -11,8 +11,10 @@ Full-size horizontal-game runs at 2000 epochs take a few CPU-hours; use
 
 import argparse
 
+from levelmix import baseline as bl
 from levelmix import corpus as cp
 from levelmix import experiments
+from levelmix import gmvae as gm
 
 
 def main():
@@ -33,15 +35,20 @@ def main():
     types = [c.level_type for c in chunks]
     print(f"{manifest.game}: {len(chunks)} chunks, d={data.shape[1]}")
 
+    shared = dict(
+        d=data.shape[1],
+        latent_dim=args.latent_dim,
+        hidden_width=args.hidden_width,
+        epochs=args.epochs,
+        dtype=args.dtype,
+    )
     result = experiments.clustering_comparison(
         data,
         types,
         args.k,
-        seeds=[int(s) for s in args.seeds.split(",")],
-        epochs=args.epochs,
-        latent_dim=args.latent_dim,
-        hidden_width=args.hidden_width,
-        dtype=args.dtype,
+        [int(s) for s in args.seeds.split(",")],
+        gm.GmvaeConfig(k=args.k, **shared).validate(),
+        bl.VaeConfig(**shared).validate(),
         log=print,
     )
     summary = result.to_dict()

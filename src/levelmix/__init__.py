@@ -23,7 +23,6 @@ from .gmvae import (
     GmvaeModel,
     build_model,
     component_params,
-    encode_dataset,
     generate,
     train,
 )

@@ -17,38 +17,11 @@ from .errors import (
     ComponentOutOfRange,
     DegenerateData,
     DimensionMismatch,
-    InvalidConfig,
     NonFiniteLoss,
     NumericError,
     SingularCovariance,
 )
-from .gmvae import EncoderDecoder, StepLosses, decode_generated, fit
-
-
-@dataclass
-class VaeConfig:
-    d: int
-    latent_dim: int = 64
-    hidden_width: int = 512
-    hidden_depth: int = 3
-    batch_size: int = 64
-    epochs: int = 10000
-    learning_rate: float = 0.001
-    kl_weight: float = 2.0
-    recon_weight: float = 1.0
-    rng_seed: int = 0
-    dtype: str = "float64"
-
-    def validate(self):
-        if self.d < 1:
-            raise InvalidConfig(f"d must be positive, got {self.d}")
-        if min(self.latent_dim, self.hidden_width, self.hidden_depth, self.batch_size) < 1:
-            raise InvalidConfig("latent_dim, hidden_width, hidden_depth, batch_size must be >= 1")
-        if self.epochs < 0 or self.learning_rate <= 0:
-            raise InvalidConfig("epochs must be >= 0 and learning_rate > 0")
-        if self.dtype not in ("float64", "float32"):
-            raise InvalidConfig(f"dtype must be float64 or float32, got {self.dtype}")
-        return self
+from .gmvae import EncoderDecoder, StepLosses, VaeConfig, decode_generated, fit
 
 
 class VaeModel(EncoderDecoder):
@@ -259,7 +232,8 @@ def _em_run(points, k, rng, max_iters, tol, ridge):
 
 def gmm_fit(points, k, rng_seed=0, max_iters=200, tol=1e-4, ridge=1e-6, restarts=10):
     """EM with k-means++ restarts; the best final mean log-likelihood wins,
-    ties broken by lowest restart index."""
+    ties broken by lowest restart index. A restart that hits a singular
+    covariance or a decreasing log-likelihood is discarded."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
@@ -272,16 +246,14 @@ def gmm_fit(points, k, rng_seed=0, max_iters=200, tol=1e-4, ridge=1e-6, restarts
         rng = np.random.default_rng(rng_seed + r)
         try:
             model = _em_run(points, k, rng, max_iters, tol, ridge)
-        except SingularCovariance as exc:
+        except NumericError as exc:
             failures.append(str(exc))
             continue
         ll = model.log_likelihood_trace[-1]
         if ll > best_ll:
             best, best_ll = model, ll
     if best is None:
-        raise SingularCovariance(
-            f"all {restarts} EM restarts failed: {failures[:3]}"
-        )
+        raise NumericError(f"all {restarts} EM restarts failed: {failures[:3]}")
     return best
 
 
@@ -309,6 +281,8 @@ def gmm_predict(model, points):
 def gmm_sample(model, component, n, rng):
     if not 0 <= component < model.k:
         raise ComponentOutOfRange(f"component {component} out of range [0, {model.k})")
+    if n < 1:
+        raise ComponentOutOfRange(f"n must be >= 1, got {n}")
     chol = np.linalg.cholesky(model.covariances[component])
     eps = rng.standard_normal((n, model.means.shape[1]))
     return model.means[component] + eps @ chol.T
@@ -320,7 +294,8 @@ def gmm_sample(model, component, n, rng):
 
 @dataclass
 class VaeGmmModel:
-    """VAE + PCA + GMM stages glued together for clustering and generation."""
+    """VAE + PCA + GMM stages glued together for clustering and generation.
+    Like gmvae.GmvaeModel it offers k, generate, predict and encode."""
 
     vae: VaeModel
     pca: PcaProjection
@@ -331,18 +306,19 @@ class VaeGmmModel:
     def k(self):
         return self.gmm.k
 
+    def generate(self, component, n, rng):
+        """Sample a GMM component, back-project through PCA, decode."""
+        latents = pca_inverse(self.pca, gmm_sample(self.gmm, component, n, rng))
+        return decode_generated(self.vae.decoder.forward(latents), self.vocab, component)
+
     def predict(self, data):
         """Hard cluster per flat input vector."""
-        return gmm_predict(self.gmm, pca_project(self.pca, vae_encode(self.vae, data)))
+        return self.encode(data)[1]
 
-    def generate_flat(self, component, n, rng):
-        """Sample a GMM component, back-project through PCA, decode."""
-        projected = gmm_sample(self.gmm, component, n, rng)
-        latents = pca_inverse(self.pca, projected)
-        return self.vae.decoder.forward(latents)
-
-    def generate(self, component, n, rng):
-        return decode_generated(self.generate_flat(component, n, rng), self.vocab, component)
+    def encode(self, data):
+        """(VAE latent means, hard clusters) per row."""
+        latents = vae_encode(self.vae, data)
+        return latents, gmm_predict(self.gmm, pca_project(self.pca, latents))
 
 
 def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform", log_every=None):

@@ -22,10 +22,10 @@ import os
 
 import numpy as np
 
-from .baseline import GmmModel, PcaProjection, VaeConfig, VaeGmmModel, VaeModel
+from .baseline import GmmModel, PcaProjection, VaeGmmModel, VaeModel
 from .corpus import TileVocab
 from .errors import DataError, InvalidConfig
-from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory
+from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig
 from .neuralnet import DenseNet, Layer
 
 FORMAT_GMVAE = "levelmix-gmvae"
@@ -88,11 +88,6 @@ def _net_from_dict(data, dtype):
         for entry in data["layers"]
     ]
     return net
-
-
-def _set_networks(model, nets, dtype):
-    for name in model.NETWORKS:
-        setattr(model, name, _net_from_dict(nets[name], dtype))
 
 
 def _vocab_to_dict(vocab):
@@ -177,19 +172,22 @@ def save_vae_gmm(path, model, history=None, run_info=None):
     _dump(path, payload)
 
 
-def _gmvae_from_payload(payload):
-    model = GmvaeModel.__new__(GmvaeModel)
-    model.config = GmvaeConfig(**payload["config"]).validate()
+def _rebuild(model_cls, config_cls, payload):
+    """A model_cls with the payload's validated config, vocab and networks."""
+    model = model_cls.__new__(model_cls)
+    model.config = config_cls(**payload["config"]).validate()
     model.vocab = _vocab_from_dict(payload["vocab"])
-    _set_networks(model, payload["networks"], model.config.dtype)
+    for name in model.NETWORKS:
+        setattr(model, name, _net_from_dict(payload["networks"][name], model.config.dtype))
     return model
 
 
+def _gmvae_from_payload(payload):
+    return _rebuild(GmvaeModel, GmvaeConfig, payload)
+
+
 def _vae_gmm_from_payload(payload):
-    vae = VaeModel.__new__(VaeModel)
-    vae.config = VaeConfig(**payload["config"]).validate()
-    vae.vocab = _vocab_from_dict(payload["vocab"])
-    _set_networks(vae, payload["networks"], vae.config.dtype)
+    vae = _rebuild(VaeModel, VaeConfig, payload)
     pca, gmm = payload["pca"], payload["gmm"]
     return VaeGmmModel(
         vae=vae,

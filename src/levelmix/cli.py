@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -28,7 +27,6 @@ from . import experiments
 from . import gmvae as gm
 from . import playability as pl
 from .errors import (
-    ComponentOutOfRange,
     DataError,
     LevelMixError,
     NumericError,
@@ -108,18 +106,18 @@ def _write_history(args, command, history):
         _write_sidecar(args.history_csv, _run_info(command, args))
 
 
-def _generator(kind, model):
-    if kind == "gmvae":
-        return functools.partial(gm.generate, model)
-    return model.generate
+def _load_model(args):
+    """The model in the --model checkpoint. Both families offer k,
+    generate, predict and encode, so no command asks which family it is."""
+    _, model, _ = ckpt.load_any(args.model)
+    return model
 
 
-def _model_k(kind, model):
-    return model.config.k if kind == "gmvae" else model.k
-
-
-def _hard_labels(kind, model, data):
-    return gm.hard_labels(model, data) if kind == "gmvae" else model.predict(data)
+def _vocab(args, model):
+    """The checkpoint's tile vocabulary, for commands that render chunks."""
+    if model.vocab is None:
+        raise DataError(f"{args.model}: checkpoint has no tile vocabulary (\"vocab\": null)")
+    return model.vocab
 
 
 def cmd_ingest(args):
@@ -179,13 +177,9 @@ def cmd_train_baseline(args):
 
 
 def cmd_generate(args):
-    kind, model, _ = ckpt.load_any(args.model)
-    k = _model_k(kind, model)
-    if not 0 <= args.component < k:
-        raise ComponentOutOfRange(f"component {args.component} out of range [0, {k})")
-    rng = np.random.default_rng(args.seed)
-    chunks = _generator(kind, model)(args.component, args.n, rng)
-    vocab = model.vocab
+    model = _load_model(args)
+    vocab = _vocab(args, model)
+    chunks = model.generate(args.component, args.n, np.random.default_rng(args.seed))
     rendered = ["\n".join(cp.chunk_to_lines(c, vocab)) for c in chunks]
     text = ("\n\n").join(rendered) + "\n"
     if args.out:
@@ -198,18 +192,13 @@ def cmd_generate(args):
 
 
 def cmd_encode(args):
-    kind, model, _ = ckpt.load_any(args.model)
+    model = _load_model(args)
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
     data = cp.encode_chunks(chunks, model.vocab or vocab)
-    if kind == "gmvae":
-        types = [c.level_type for c in chunks] if args.balanced else None
-        latents, labels, indices = gm.encode_dataset(
-            model, data, sampler_types=types, sampler_seed=args.seed
-        )
-    else:
-        latents = bl.vae_encode(model.vae, data)
-        labels = model.predict(data)
-        indices = np.arange(len(chunks))
+    indices = np.arange(len(chunks))
+    if args.balanced:
+        indices = cp.BalancedSampler([c.level_type for c in chunks], args.seed).draw(len(chunks))
+    latents, labels = model.encode(data[indices])
     picked = [chunks[i] for i in indices]
     ids = [f"{c.level_id}:{c.offset[0]}:{c.offset[1]}" for c in picked]
     with open(args.out, "w", newline="") as f:
@@ -220,11 +209,10 @@ def cmd_encode(args):
 
 
 def cmd_eval_cluster(args):
-    kind, model, _ = ckpt.load_any(args.model)
+    model = _load_model(args)
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
     data = cp.encode_chunks(chunks, model.vocab or vocab)
-    labels = _hard_labels(kind, model, data)
-    report = ev.clustering_accuracy(labels, [c.level_type for c in chunks], _model_k(kind, model))
+    report = ev.clustering_accuracy(model.predict(data), [c.level_type for c in chunks], model.k)
     payload = {"run_info": _run_info("eval-cluster", args), "report": report.to_dict()}
     experiments.save_json(args.out, payload)
     print(f"balanced accuracy {report.balanced_accuracy:.4f} -> {args.out}")
@@ -232,13 +220,12 @@ def cmd_eval_cluster(args):
 
 
 def cmd_eval_disentangle(args):
-    kind, model, _ = ckpt.load_any(args.model)
-    rng = np.random.default_rng(args.seed)
+    model = _load_model(args)
     report = ev.disentanglement(
-        _generator(kind, model),
-        _model_k(kind, model),
-        model.vocab,
-        rng,
+        model.generate,
+        model.k,
+        _vocab(args, model),
+        np.random.default_rng(args.seed),
         n_per_component=args.n_per_component,
         n_train=args.n_train,
     )
@@ -251,20 +238,19 @@ def cmd_eval_disentangle(args):
 
 
 def cmd_eval_playability(args):
-    kind, model, _ = ckpt.load_any(args.model)
+    model = _load_model(args)
+    vocab = _vocab(args, model)
     manifest = cp.load_manifest(args.manifest)
     rules = pl.rules_from_manifest(manifest)
-    vocab = model.vocab
     missing = [c for c in vocab.chars if c not in rules.solidity]
     if missing:
         raise DataError(f"solidity map misses vocab tiles {missing!r}")
-    rng = np.random.default_rng(args.seed)
     result = pl.playability_suite(
-        _generator(kind, model),
-        _model_k(kind, model),
+        model.generate,
+        model.k,
         rules,
         vocab,
-        rng,
+        np.random.default_rng(args.seed),
         total_budget=args.budget,
     )
     payload = {"run_info": _run_info("eval-playability", args), "report": result.to_dict()}
@@ -273,27 +259,23 @@ def cmd_eval_playability(args):
     return 0
 
 
-def _density_groups(args, kind, model):
-    rng = np.random.default_rng(args.seed)
-    k = _model_k(kind, model)
+def _density_groups(args, model):
     if args.source == "generated":
-        gen = _generator(kind, model)
-        return [gen(i, args.n_per_component, rng) for i in range(k)]
+        rng = np.random.default_rng(args.seed)
+        return [model.generate(i, args.n_per_component, rng) for i in range(model.k)]
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
-    data = cp.encode_chunks(chunks, model.vocab or vocab)
-    labels = _hard_labels(kind, model, data)
-    groups = [[] for _ in range(k)]
-    for chunk, lab in zip(chunks, labels):
+    groups = [[] for _ in range(model.k)]
+    for chunk, lab in zip(chunks, model.predict(cp.encode_chunks(chunks, model.vocab))):
         groups[int(lab)].append(chunk)
     return groups
 
 
 def cmd_densities(args):
-    kind, model, _ = ckpt.load_any(args.model)
     if args.source == "corpus" and not args.manifest:
         raise UsageError("--source corpus needs --manifest")
-    groups = _density_groups(args, kind, model)
-    matrix = ev.tile_densities(groups, model.vocab)
+    model = _load_model(args)
+    vocab = _vocab(args, model)
+    matrix = ev.tile_densities(_density_groups(args, model), vocab)
     with open(args.out, "w") as f:
         f.write(matrix.to_csv())
     _write_sidecar(args.out, _run_info("densities", args))
@@ -330,7 +312,7 @@ def cmd_sweep(args):
     if not k_list:
         raise UsageError("empty k list")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if not families or any(f not in ("gmvae", "vae-gmm") for f in families):
+    if not families or any(f not in experiments.FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
     vocab, data, level_types = _training_data(args)
     d = data.shape[1]
@@ -355,9 +337,8 @@ def cmd_sweep(args):
     return 0
 
 
-def _add_model_flags(p, with_k=True):
-    if with_k:
-        p.add_argument("--k", type=int, required=True, help="mixture component count")
+def _add_vae_flags(p):
+    """Flags of the config fields both model families share."""
     p.add_argument("--epochs", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--latent-dim", type=int, default=64)
@@ -367,15 +348,26 @@ def _add_model_flags(p, with_k=True):
     p.add_argument("--learning-rate", type=float, default=0.001)
     p.add_argument("--kl-weight", type=float, default=2.0)
     p.add_argument("--recon-weight", type=float, default=1.0)
+    p.add_argument("--dtype", choices=("float64", "float32"), default="float64")
+    p.add_argument("--sampler", choices=gm.SAMPLERS, default="uniform")
+
+
+def _add_gmvae_flags(p):
+    """Flags of the mixture model's own config fields."""
     p.add_argument("--label-balance-weight", type=float, default=2.0)
     p.add_argument("--tau-start", type=float, default=1.0)
     p.add_argument("--tau-min", type=float, default=0.5)
     p.add_argument("--tau-decay", type=float, default=None)
-    p.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    p.add_argument("--sampler", choices=gm.SAMPLERS, default="uniform")
+
+
+def _add_training_run_flags(p):
+    """Flags of a single training run: train and train-baseline."""
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--k", type=int, required=True, help="mixture component count")
     p.add_argument("--log-every", type=int, default=None)
     p.add_argument("--history-csv", default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None, help="also save every N epochs")
+    _add_vae_flags(p)
 
 
 def build_parser():
@@ -392,15 +384,13 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train a mixture-prior model")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
+    _add_training_run_flags(p)
+    _add_gmvae_flags(p)
+    p.add_argument("--checkpoint-every", type=int, default=None, help="also save every N epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-baseline", help="train the VAE + PCA + GMM pipeline")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
+    _add_training_run_flags(p)
     p.set_defaults(func=cmd_train_baseline)
 
     p = sub.add_parser("generate", help="sample chunks from one component")
@@ -462,7 +452,8 @@ def build_parser():
     p.add_argument("--families", default="gmvae,vae-gmm")
     p.add_argument("--n-per-component", type=int, default=500)
     p.add_argument("--n-train", type=int, default=300)
-    _add_model_flags(p, with_k=False)
+    _add_vae_flags(p)
+    _add_gmvae_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -29,6 +29,7 @@ from .errors import (
 
 CHUNK_SIZE = 16
 AXES = ("horizontal", "vertical", "both")
+PAD_SIDES = ("top", "bottom")
 
 
 @dataclass
@@ -279,6 +280,18 @@ def load_manifest(path):
         raise DataError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", dict: "an object", type(None): "null"}
+
+
+def _checked(value, kinds, what, path):
+    """value if it has one of the JSON kinds (str, int, dict, None), else a
+    DataError naming the manifest field; no field takes a boolean."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise DataError(f"{path}: manifest {what} must be {names}, got {value!r}")
+    return value
+
+
 def _manifest_from_json(raw, path):
     base = os.path.dirname(os.path.abspath(path))
     level_paths, level_types = [], []
@@ -286,24 +299,32 @@ def _manifest_from_json(raw, path):
         if isinstance(entry, str):
             rel, ltype = entry, None
         else:
-            rel, ltype = entry["path"], entry.get("type")
+            rel = _checked(entry["path"], (str,), "level path", path)
+            ltype = _checked(entry.get("type"), (str, type(None)), "level type", path)
         rel = os.path.expandvars(rel)
         level_paths.append(rel if os.path.isabs(rel) else os.path.join(base, rel))
         level_types.append(ltype)
     if not level_paths:
         raise DataError(f"{path}: manifest lists no levels")
-    pad = raw.get("pad") or {}
+    pad = _checked(raw.get("pad") or {}, (dict,), "pad", path)
+    jump = _checked(raw.get("jump") or {}, (dict,), "jump", path)
+    pad_side = _checked(pad.get("side", "top"), (str,), "pad.side", path)
+    if pad_side not in PAD_SIDES:
+        raise DataError(f"{path}: manifest pad.side must be one of {PAD_SIDES}, got {pad_side!r}")
+    background = _checked(raw.get("background", "-"), (str,), "background", path)
+    if len(background) != 1:
+        raise DataError(f"{path}: manifest background must be one tile character, got {background!r}")
     return DatasetManifest(
-        game=raw.get("game", ""),
+        game=_checked(raw.get("game", ""), (str,), "game", path),
         level_paths=level_paths,
         level_types=level_types,
-        solidity=raw.get("solidity", {}),
+        solidity=_checked(raw.get("solidity", {}), (dict,), "solidity", path),
         axis=raw.get("axis", "horizontal"),
-        background=raw.get("background", "-"),
-        pad_rows_to=pad.get("rows_to"),
-        pad_side=pad.get("side", "top"),
-        jump_max_height=(raw.get("jump") or {}).get("max_height", 4),
-        jump_max_span=(raw.get("jump") or {}).get("max_span", 5),
+        background=background,
+        pad_rows_to=_checked(pad.get("rows_to"), (int, type(None)), "pad.rows_to", path),
+        pad_side=pad_side,
+        jump_max_height=_checked(jump.get("max_height", 4), (int,), "jump.max_height", path),
+        jump_max_span=_checked(jump.get("max_span", 5), (int,), "jump.max_span", path),
         path=os.path.abspath(path),
     )
 

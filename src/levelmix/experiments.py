@@ -7,7 +7,6 @@ sweep command and the acceptance suite.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -17,6 +16,9 @@ import numpy as np
 from . import baseline as bl
 from . import evaluation as ev
 from . import gmvae as gm
+
+
+FAMILIES = ("gmvae", "vae-gmm")
 
 
 @dataclass
@@ -43,47 +45,47 @@ class ComparisonResult:
         }
 
 
+def train_family(family, config, k, data, vocab=None, level_types=None, sampler="uniform"):
+    """Train one model family with k components from its config template and
+    return the model, which offers k, generate, predict and encode whatever
+    the family. A gmvae trains config with k replaced; a vae-gmm fits a
+    k-component mixture, seeded with config.rng_seed, on a VAE trained with
+    config."""
+    if family == "gmvae":
+        model = gm.build_model(dataclasses.replace(config, k=k).validate(), vocab)
+        gm.train(model, data, level_types=level_types, sampler=sampler)
+        return model
+    model, _ = bl.fit_vae_gmm(
+        data, config, k, gmm_seed=config.rng_seed, vocab=vocab,
+        level_types=level_types, sampler=sampler,
+    )
+    return model
+
+
 def clustering_comparison(
     data,
     level_types,
     k,
     seeds,
-    epochs,
-    latent_dim=64,
-    hidden_width=512,
+    gmvae_config,
+    vae_config,
     sampler="balanced",
-    dtype="float64",
     log=None,
 ):
     """Train both model families per seed and score balanced clustering
-    accuracy against the level-type labels."""
+    accuracy against the level-type labels. gmvae_config and vae_config are
+    templates whose rng_seed is replaced by each seed."""
     result = ComparisonResult()
+    templates = {"gmvae": gmvae_config, "vae-gmm": vae_config}
     for seed in seeds:
-        t0 = time.time()
-        config = gm.GmvaeConfig(
-            d=data.shape[1], k=k, latent_dim=latent_dim, hidden_width=hidden_width,
-            epochs=epochs, rng_seed=seed, dtype=dtype,
-        )
-        model = gm.build_model(config)
-        gm.train(model, data, level_types=level_types, sampler=sampler)
-        labels = gm.hard_labels(model, data)
-        acc = ev.clustering_accuracy(labels, level_types, k).balanced_accuracy
-        result.runs.append(ComparisonRun(seed, "gmvae", acc, (time.time() - t0) / 60))
-        if log:
-            log(f"gmvae seed={seed}: balanced accuracy {acc:.3f}")
-
-        t0 = time.time()
-        vae_config = bl.VaeConfig(
-            d=data.shape[1], latent_dim=latent_dim, hidden_width=hidden_width,
-            epochs=epochs, rng_seed=seed, dtype=dtype,
-        )
-        pipeline, _ = bl.fit_vae_gmm(
-            data, vae_config, k, gmm_seed=seed, level_types=level_types, sampler=sampler
-        )
-        acc = ev.clustering_accuracy(pipeline.predict(data), level_types, k).balanced_accuracy
-        result.runs.append(ComparisonRun(seed, "vae-gmm", acc, (time.time() - t0) / 60))
-        if log:
-            log(f"vae-gmm seed={seed}: balanced accuracy {acc:.3f}")
+        for family, template in templates.items():
+            t0 = time.time()
+            config = dataclasses.replace(template, rng_seed=seed)
+            model = train_family(family, config, k, data, level_types=level_types, sampler=sampler)
+            acc = ev.clustering_accuracy(model.predict(data), level_types, k).balanced_accuracy
+            result.runs.append(ComparisonRun(seed, family, acc, (time.time() - t0) / 60))
+            if log:
+                log(f"{family} seed={seed}: balanced accuracy {acc:.3f}")
     return result
 
 
@@ -102,29 +104,20 @@ def disentanglement_sweep(
 ):
     """Rows of (family, k, p70, p80, p90) over the component grid.
 
-    gmvae_config and vae_config are templates: a gmvae row trains
-    gmvae_config with k replaced, a vae-gmm row fits a k-component mixture
-    (seeded with vae_config.rng_seed) on a VAE trained with vae_config. The
-    template of a family not in families may be None. Each row's probe RNG is
-    seeded with its config's rng_seed + k.
+    gmvae_config and vae_config are the templates train_family trains each
+    row from; the template of a family not in families may be None. Each
+    row's probe RNG is seeded with its config's rng_seed + k.
     """
+    templates = {"gmvae": gmvae_config, "vae-gmm": vae_config}
     rows = []
     for family in families:
+        config = templates[family]
         for k in k_values:
-            if family == "gmvae":
-                seed = gmvae_config.rng_seed
-                model = gm.build_model(dataclasses.replace(gmvae_config, k=k).validate(), vocab)
-                gm.train(model, data, level_types=level_types, sampler=sampler)
-                generator = functools.partial(gm.generate, model)
-            else:
-                seed = vae_config.rng_seed
-                model, _ = bl.fit_vae_gmm(
-                    data, vae_config, k, gmm_seed=seed, vocab=vocab,
-                    level_types=level_types, sampler=sampler,
-                )
-                generator = model.generate
+            model = train_family(
+                family, config, k, data, vocab=vocab, level_types=level_types, sampler=sampler
+            )
             report = ev.disentanglement(
-                generator, k, vocab, np.random.default_rng(seed + k),
+                model.generate, k, vocab, np.random.default_rng(config.rng_seed + k),
                 n_per_component=n_per_component, n_train=n_train,
             )
             rows.append((family, k, report.p70, report.p80, report.p90))

@@ -43,9 +43,11 @@ from .neuralnet import DenseNet, AdamState, DiagGaussian
 
 
 @dataclass
-class GmvaeConfig:
+class VaeConfig:
+    """The fields of the encoder/decoder and its training run, which both
+    model families share."""
+
     d: int
-    k: int
     latent_dim: int = 64
     hidden_width: int = 512
     hidden_depth: int = 3
@@ -54,33 +56,41 @@ class GmvaeConfig:
     learning_rate: float = 0.001
     kl_weight: float = 2.0
     recon_weight: float = 1.0
-    label_balance_weight: float = 2.0
-    tau_start: float = 1.0
-    tau_min: float = 0.5
-    tau_decay: Optional[float] = None  # None: reach tau_min halfway through training
     rng_seed: int = 0
     dtype: str = "float64"
 
     def validate(self):
-        if self.k < 2:
-            raise InvalidConfig(f"k must be >= 2, got {self.k}")
         if self.d < 1:
             raise InvalidConfig(f"d must be positive, got {self.d}")
         if min(self.latent_dim, self.hidden_width, self.hidden_depth, self.batch_size) < 1:
             raise InvalidConfig("latent_dim, hidden_width, hidden_depth, batch_size must be >= 1")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
-        if self.learning_rate <= 0 or self.tau_start <= 0 or self.tau_min <= 0:
-            raise InvalidConfig("rates and temperatures must be > 0")
+        if self.epochs < 0 or self.learning_rate <= 0:
+            raise InvalidConfig("epochs must be >= 0 and learning_rate > 0")
+        if self.dtype not in ("float64", "float32"):
+            raise InvalidConfig(f"dtype must be float64 or float32, got {self.dtype}")
+        return self
+
+
+@dataclass
+class GmvaeConfig(VaeConfig):
+    k: int = field(kw_only=True)
+    label_balance_weight: float = 2.0
+    tau_start: float = 1.0
+    tau_min: float = 0.5
+    tau_decay: Optional[float] = None  # None: reach tau_min halfway through training
+
+    def validate(self):
+        if self.k < 2:
+            raise InvalidConfig(f"k must be >= 2, got {self.k}")
+        if self.tau_start <= 0 or self.tau_min <= 0:
+            raise InvalidConfig("temperatures must be > 0")
         if self.label_balance_weight < 0:
             raise InvalidConfig("label_balance_weight must be >= 0")
         if self.tau_min > self.tau_start:
             raise InvalidConfig("tau_min must not exceed tau_start")
         if self.tau_decay is not None and not 0 < self.tau_decay <= 1:
             raise InvalidConfig("tau_decay must be in (0, 1]")
-        if self.dtype not in ("float64", "float32"):
-            raise InvalidConfig(f"dtype must be float64 or float32, got {self.dtype}")
-        return self
+        return super().validate()
 
 
 def temperature_schedule(config, epoch):
@@ -193,6 +203,10 @@ class EncoderDecoder:
 
 
 class GmvaeModel(EncoderDecoder):
+    """The mixture-prior model. Like baseline.VaeGmmModel it offers k,
+    generate(component, n, rng), predict(data) and encode(data), so the CLI
+    and the experiment drivers treat both families alike."""
+
     NETWORKS = ("label_net", "prior_mean_net", "prior_var_net") + EncoderDecoder.NETWORKS
 
     def __init__(self, config, vocab=None):
@@ -217,6 +231,27 @@ class GmvaeModel(EncoderDecoder):
         self.label_net.layers[-1].weight[...] = 0.0
         self.prior_mean_net.layers[0].weight[...] = 0.0
         self.prior_var_net.layers[0].weight[...] = 0.0
+
+    @property
+    def k(self):
+        return self.config.k
+
+    def generate(self, component, n, rng):
+        return generate(self, component, n, rng)
+
+    def predict(self, data):
+        """Hard component per row."""
+        return hard_labels(self, data)
+
+    def encode(self, data):
+        """(latent means, hard labels) per row; the encoder sees each row's
+        hard label as a one-hot."""
+        data = np.asarray(data, dtype=np.float64)
+        labels = hard_labels(self, data)
+        one_hot = np.zeros((data.shape[0], self.k), dtype=np.float64)
+        one_hot[np.arange(data.shape[0]), labels] = 1.0
+        h = self.encoder_trunk.forward(np.concatenate([data, one_hot], axis=1))
+        return self.enc_mean_head.forward(h), labels
 
 
 def build_model(config, vocab=None):
@@ -475,24 +510,3 @@ def hard_labels(model, data):
     data = np.asarray(data, dtype=np.float64)
     logits = model.label_net.forward(data)
     return np.argmax(logits, axis=1)
-
-
-def encode_dataset(model, data, sampler_types=None, sampler_seed=None):
-    """Per-row (latent mean vector, hard label index).
-
-    With sampler_types, rows are re-drawn by a balanced sampler first and the
-    chosen indices are returned as the third element.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    indices = np.arange(data.shape[0])
-    if sampler_types is not None:
-        sampler = BalancedSampler(sampler_types, 0 if sampler_seed is None else sampler_seed)
-        indices = sampler.draw(data.shape[0])
-        data = data[indices]
-    labels = hard_labels(model, data)
-    k = model.config.k
-    one_hot = np.zeros((data.shape[0], k), dtype=np.float64)
-    one_hot[np.arange(data.shape[0]), labels] = 1.0
-    h = model.encoder_trunk.forward(np.concatenate([data, one_hot], axis=1))
-    latents = model.enc_mean_head.forward(h)
-    return latents, labels, indices

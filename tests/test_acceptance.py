@@ -171,9 +171,10 @@ def test_criterion_2_numerics():
 def test_criterion_3_toy_scale_analog(toy_setup):
     # In-sandbox analog on the synthetic corpus: the same property at toy
     # scale (3 seeds, both families). The corpus-scale criterion runs below.
+    shared = dict(d=toy_setup["data"].shape[1], epochs=100, latent_dim=16, hidden_width=64)
     result = experiments.clustering_comparison(
         toy_setup["data"], toy_setup["types"], k=3, seeds=[3, 4, 5],
-        epochs=100, latent_dim=16, hidden_width=64,
+        gmvae_config=gm.GmvaeConfig(k=3, **shared), vae_config=bl.VaeConfig(**shared),
     )
     median_mix = result.median("gmvae")
     median_base = result.median("vae-gmm")
@@ -188,9 +189,10 @@ def test_criterion_3_toy_scale_analog(toy_setup):
 @needs_full_run
 def test_criterion_3_smb_reduced_replication(smb_data, tmp_path):
     manifest, vocab, chunks, data, types = smb_data
+    shared = dict(d=data.shape[1], epochs=2000, latent_dim=64, hidden_width=512)
     result = experiments.clustering_comparison(
-        data, types, k=3, seeds=[0, 1, 2], epochs=2000,
-        latent_dim=64, hidden_width=512, log=print,
+        data, types, k=3, seeds=[0, 1, 2],
+        gmvae_config=gm.GmvaeConfig(k=3, **shared), vae_config=bl.VaeConfig(**shared), log=print,
     )
     experiments.save_json(tmp_path / "experiment1.json", result.to_dict())
     median_mix = result.median("gmvae")

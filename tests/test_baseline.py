@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
+from levelmix import corpus as cp
 from levelmix import neuralnet as nn
+from levelmix import toygame
 from levelmix.errors import (
     ComponentOutOfRange,
     DegenerateData,
     DimensionMismatch,
+    NumericError,
 )
 
 
@@ -253,6 +256,23 @@ def test_gmm_restart_determinism():
     m2 = bl.gmm_fit(points, 2, rng_seed=4)
     assert np.array_equal(m1.means, m2.means)
     assert m1.log_likelihood_trace == m2.log_likelihood_trace
+
+
+def test_gmm_fit_discards_non_monotone_restart(tmp_path):
+    # on these toy VAE latents one of the ten restarts (seed 11) trips the
+    # EM monotonicity guard with a rounding-level drop; the other nine converge
+    manifest = toygame.write_corpus(tmp_path / "corpus", levels_per_type=2, cols=32, seed=2)
+    _, vocab, chunks = cp.load_corpus(cp.load_manifest(manifest), heuristic_types=True)
+    data = cp.encode_chunks(chunks, vocab)
+    config = bl.VaeConfig(d=data.shape[1], latent_dim=8, hidden_width=32, epochs=6, rng_seed=4)
+    vae, _ = bl.train_vae(data, config, level_types=[c.level_type for c in chunks], sampler="balanced")
+    latents = bl.vae_encode(vae, data)
+    points = bl.pca_project(bl.pca_fit(latents), latents)
+    with pytest.raises(NumericError, match="decreased"):
+        bl._em_run(points, 3, np.random.default_rng(11), 200, 1e-4, 1e-6)
+    model = bl.gmm_fit(points, 3, rng_seed=4)
+    assert model.k == 3
+    assert np.isfinite(model.log_likelihood_trace[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ def baseline_checkpoint(workspace):
     return out
 
 
+@pytest.fixture(scope="module")
+def checkpoints(trained_checkpoint, baseline_checkpoint):
+    """The checkpoint of each model family, by family name."""
+    return {"gmvae": trained_checkpoint, "vae-gmm": baseline_checkpoint}
+
+
 def test_ingest_reports_counts(workspace, capsys):
     code = cli.run(["ingest", "--manifest", workspace["manifest"]])
     assert code == 0
@@ -211,8 +217,20 @@ def test_non_positive_definite_covariance_is_numeric_error(workspace, baseline_c
         '{"levels": [{"type": "overworld"}]}',
         '{"levels": 5}',
         '{"levels": ["a.txt"], "pad": "top"}',
+        '{"levels": ["a.txt"], "pad": {"rows_to": "16"}}',
+        '{"levels": ["a.txt"], "pad": {"side": "left"}}',
+        '{"levels": ["a.txt"], "jump": {"max_height": "4"}}',
+        '{"levels": ["a.txt"], "background": 3}',
+        '{"levels": ["a.txt"], "background": "--"}',
+        '{"levels": ["a.txt"], "solidity": ["X"]}',
+        '{"levels": [{"path": "a.txt", "type": 7}]}',
+        '{"levels": ["a.txt"], "game": 3}',
     ],
-    ids=["not-json", "not-object", "no-path", "levels-not-list", "pad-not-object"],
+    ids=[
+        "not-json", "not-object", "no-path", "levels-not-list", "pad-not-object",
+        "pad-rows-to-string", "pad-side-left", "jump-height-string", "background-number",
+        "background-two-chars", "solidity-list", "level-type-number", "game-number",
+    ],
 )
 @pytest.mark.parametrize("command", ["ingest", "train"])
 def test_malformed_manifest_is_data_error(tmp_path, capsys, command, text):
@@ -226,6 +244,67 @@ def test_malformed_manifest_is_data_error(tmp_path, capsys, command, text):
     error = _single_error_line(capsys)
     assert error["error"] == "data" and error["type"] == "DataError"
     assert str(manifest) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("train-baseline", "--label-balance-weight"),
+        ("train-baseline", "--tau-start"),
+        ("train-baseline", "--tau-min"),
+        ("train-baseline", "--tau-decay"),
+        ("train-baseline", "--checkpoint-every"),
+        ("sweep", "--history-csv"),
+        ("sweep", "--checkpoint-every"),
+        ("sweep", "--log-every"),
+    ],
+)
+def test_training_commands_reject_flags_they_ignore(workspace, tmp_path, command, flag):
+    out = tmp_path / "out"
+    argv = [command, "--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
+    argv += ["--k", "2"] if command == "train-baseline" else ["--k-list", "2"]
+    cli.build_parser().parse_args(argv)  # accepted without the flag
+    assert cli.run(argv + [flag, "1"]) == 1
+    assert not out.exists()
+
+
+def _without_vocab(checkpoint, tmp_path):
+    payload = json.loads(open(checkpoint).read())
+    payload["vocab"] = None
+    path = tmp_path / "no_vocab.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize("command", ["generate", "eval-disentangle", "eval-playability", "densities"])
+def test_checkpoint_without_vocab_is_data_error(workspace, checkpoints, tmp_path, capsys, family, command):
+    model = _without_vocab(checkpoints[family], tmp_path)
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["--component", "0", "--n", "1"],
+        "eval-disentangle": ["--out", out, "--n-per-component", "5", "--n-train", "3"],
+        "eval-playability": ["--manifest", workspace["manifest"], "--out", out, "--budget", "6"],
+        "densities": ["--out", out, "--n-per-component", "5"],
+    }[command]
+    capsys.readouterr()
+    assert cli.run([command, "--model", model] + argv) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert model in error["message"] and "vocabulary" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["eval-cluster", "encode"])
+def test_checkpoint_without_vocab_uses_corpus_vocab(workspace, trained_checkpoint, tmp_path, command):
+    # the toy corpus vocab is the one the model was trained with, so the
+    # output matches the one from the full checkpoint
+    outputs = []
+    for model in (trained_checkpoint, _without_vocab(trained_checkpoint, tmp_path)):
+        out = tmp_path / f"out{len(outputs)}"
+        assert cli.run([command, "--model", model, "--manifest", workspace["manifest"], "--out", str(out)]) == 0
+        text = out.read_text()
+        outputs.append(json.loads(text)["report"] if command == "eval-cluster" else text)
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_ascii_output(trained_checkpoint, capsys):
@@ -247,6 +326,15 @@ def test_generate_component_out_of_range_exit_code(trained_checkpoint):
     assert code == 1
 
 
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_generate_non_positive_n_is_usage_error(checkpoints, capsys, family, n):
+    capsys.readouterr()
+    assert cli.run(["generate", "--model", checkpoints[family], "--component", "0", "--n", n]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "ComponentOutOfRange"
+
+
 def test_generate_deterministic_with_seed(trained_checkpoint, capsys):
     cli.run(["generate", "--model", trained_checkpoint, "--component", "0", "--n", "2", "--seed", "5"])
     first = capsys.readouterr().out
@@ -254,19 +342,46 @@ def test_generate_deterministic_with_seed(trained_checkpoint, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_encode_latent_csv(workspace, trained_checkpoint, tmp_path):
-    out = tmp_path / "latents.csv"
+def _encode_rows(workspace, checkpoint, out, *flags):
     code = cli.run(
-        ["encode", "--model", trained_checkpoint, "--manifest", workspace["manifest"], "--out", str(out)]
+        ["encode", "--model", checkpoint, "--manifest", workspace["manifest"], "--out", str(out)]
+        + list(flags)
     )
     assert code == 0
     with open(out) as f:
-        rows = list(csv.reader(f))
+        return list(csv.reader(f))
+
+
+def _check_encode_latent_csv(workspace, checkpoint, tmp_path):
+    rows = _encode_rows(workspace, checkpoint, tmp_path / "latents.csv")
     assert len(rows) == 6 * 17 + 1
     assert rows[0][:3] == ["chunk_id", "level_type", "label"]
     assert len(rows[0]) == 3 + 8  # latent-dim 8 override
     values = [float(v) for v in rows[1][3:]]
     assert all(np.isfinite(values))
+
+
+def test_encode_latent_csv(workspace, trained_checkpoint, tmp_path):
+    _check_encode_latent_csv(workspace, trained_checkpoint, tmp_path)
+
+
+def test_encode_latent_csv_vae_gmm(workspace, baseline_checkpoint, tmp_path):
+    _check_encode_latent_csv(workspace, baseline_checkpoint, tmp_path)
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_encode_balanced_writes_sampler_rows(workspace, checkpoints, tmp_path, family):
+    rows = _encode_rows(workspace, checkpoints[family], tmp_path / "balanced.csv", "--balanced", "--seed", "3")
+    _, vocab, chunks = cp.load_corpus(cp.load_manifest(workspace["manifest"]), heuristic_types=True)
+    indices = cp.BalancedSampler([c.level_type for c in chunks], 3).draw(len(chunks))
+    picked = [chunks[i] for i in indices]
+    assert len(rows) == len(chunks) + 1
+    assert [r[0] for r in rows[1:]] == [f"{c.level_id}:{c.offset[0]}:{c.offset[1]}" for c in picked]
+    assert [r[1] for r in rows[1:]] == [c.level_type for c in picked]
+    _, model, _ = ckpt.load_any(checkpoints[family])
+    latents, labels = model.encode(cp.encode_chunks(chunks, vocab)[indices])
+    assert [int(r[2]) for r in rows[1:]] == labels.tolist()
+    assert np.array_equal(np.array([[float(v) for v in r[3:]] for r in rows[1:]]), latents)
 
 
 def test_eval_cluster_report(workspace, trained_checkpoint, tmp_path):
@@ -281,11 +396,11 @@ def test_eval_cluster_report(workspace, trained_checkpoint, tmp_path):
     assert payload["run_info"]["command"] == "eval-cluster"
 
 
-def test_eval_disentangle_report(trained_checkpoint, tmp_path):
+def _check_eval_disentangle_report(checkpoint, tmp_path):
     out = tmp_path / "dis.json"
     code = cli.run(
         [
-            "eval-disentangle", "--model", trained_checkpoint, "--out", str(out),
+            "eval-disentangle", "--model", checkpoint, "--out", str(out),
             "--n-per-component", "40", "--n-train", "25", "--seed", "1",
         ]
     )
@@ -296,11 +411,19 @@ def test_eval_disentangle_report(trained_checkpoint, tmp_path):
     assert 1.0 >= report["p70"] >= report["p80"] >= report["p90"] >= 0.0
 
 
-def test_eval_playability_report(workspace, trained_checkpoint, tmp_path):
+def test_eval_disentangle_report(trained_checkpoint, tmp_path):
+    _check_eval_disentangle_report(trained_checkpoint, tmp_path)
+
+
+def test_eval_disentangle_report_vae_gmm(baseline_checkpoint, tmp_path):
+    _check_eval_disentangle_report(baseline_checkpoint, tmp_path)
+
+
+def _check_eval_playability_report(workspace, checkpoint, tmp_path):
     out = tmp_path / "play.json"
     code = cli.run(
         [
-            "eval-playability", "--model", trained_checkpoint,
+            "eval-playability", "--model", checkpoint,
             "--manifest", workspace["manifest"], "--out", str(out),
             "--budget", "30", "--seed", "1",
         ]
@@ -311,11 +434,19 @@ def test_eval_playability_report(workspace, trained_checkpoint, tmp_path):
     assert 0.0 <= payload["report"]["fraction"] <= 1.0
 
 
-def test_densities_and_chart_pipeline(workspace, trained_checkpoint, tmp_path):
+def test_eval_playability_report(workspace, trained_checkpoint, tmp_path):
+    _check_eval_playability_report(workspace, trained_checkpoint, tmp_path)
+
+
+def test_eval_playability_report_vae_gmm(workspace, baseline_checkpoint, tmp_path):
+    _check_eval_playability_report(workspace, baseline_checkpoint, tmp_path)
+
+
+def _check_densities_and_chart_pipeline(checkpoint, tmp_path):
     dens = tmp_path / "dens.csv"
     code = cli.run(
         [
-            "densities", "--model", trained_checkpoint, "--out", str(dens),
+            "densities", "--model", checkpoint, "--out", str(dens),
             "--n-per-component", "20", "--seed", "2",
         ]
     )
@@ -330,6 +461,14 @@ def test_densities_and_chart_pipeline(workspace, trained_checkpoint, tmp_path):
     assert len(svgs) == 3
     for svg in svgs:
         ET.fromstring(svg.read_text())
+
+
+def test_densities_and_chart_pipeline(trained_checkpoint, tmp_path):
+    _check_densities_and_chart_pipeline(trained_checkpoint, tmp_path)
+
+
+def test_densities_and_chart_pipeline_vae_gmm(baseline_checkpoint, tmp_path):
+    _check_densities_and_chart_pipeline(baseline_checkpoint, tmp_path)
 
 
 def test_densities_from_corpus_source(workspace, trained_checkpoint, tmp_path):

@@ -199,11 +199,7 @@ def test_single_batch_overfit(toy_setup):
     for step in range(2000):
         tau, hard = gm.temperature_schedule(cfg, step)
         gm.training_step(model, data, tau, opts, rng, hard=hard)
-    latents, labels, _ = gm.encode_dataset(model, data)
-    one_hot = np.zeros((64, cfg.k))
-    one_hot[np.arange(64), labels] = 1.0
-    h = model.encoder_trunk.forward(np.concatenate([data, one_hot], axis=1))
-    z = model.enc_mean_head.forward(h)
+    z, _ = model.encode(data)
     x_hat = model.decoder.forward(z)
     t = vocab.size
     pred = np.argmax(x_hat.reshape(64, 256, t), axis=2)
@@ -331,27 +327,19 @@ def test_generate_degenerate_component_identical_chunks(toy_setup):
         assert np.array_equal(chunks[0].tiles, other.tiles)
 
 
-def test_encode_dataset_outputs(trained_gmvae, toy_setup):
+def test_model_encode_outputs(trained_gmvae, toy_setup):
     model, _ = trained_gmvae
     data = toy_setup["data"]
-    latents, labels, indices = gm.encode_dataset(model, data)
+    latents, labels = model.encode(data)
     assert latents.shape == (len(data), model.config.latent_dim)
     assert labels.shape == (len(data),)
     assert np.all((labels >= 0) & (labels < model.config.k))
     assert len(set(labels.tolist())) >= 3
+    assert np.array_equal(labels, model.predict(data))
     # deterministic: same output twice
-    latents2, labels2, _ = gm.encode_dataset(model, data)
+    latents2, labels2 = model.encode(data)
     assert np.array_equal(latents, latents2)
     assert np.array_equal(labels, labels2)
-
-
-def test_encode_dataset_balanced_sampler(trained_gmvae, toy_setup):
-    model, _ = trained_gmvae
-    latents, labels, indices = gm.encode_dataset(
-        model, toy_setup["data"], sampler_types=toy_setup["types"], sampler_seed=1
-    )
-    assert latents.shape[0] == len(toy_setup["data"])
-    assert len(indices) == len(toy_setup["data"])
 
 
 def test_checkpoint_roundtrip_bit_exact(trained_gmvae, tmp_path):

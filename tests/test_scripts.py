@@ -67,3 +67,10 @@ def test_run_experiment1_writes_summary(manifest, tmp_path, monkeypatch):
         (0, "gmvae"), (0, "vae-gmm"), (1, "gmvae"), (1, "vae-gmm"),
     ]
     assert all(0.0 <= r["balanced_accuracy"] <= 1.0 for r in summary["runs"])
+
+
+def test_toy_demo_runs_every_step(tmp_path, monkeypatch):
+    _run_script("toy_demo", ["--workdir", str(tmp_path), "--epochs", "2"], monkeypatch)
+    for name in ("model.json", "cluster.json", "latents.csv", "densities.csv", "playability.json"):
+        assert (tmp_path / name).exists(), name
+    assert len(list((tmp_path / "charts").glob("*.svg"))) == 3
