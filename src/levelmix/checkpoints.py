@@ -26,7 +26,7 @@ from .baseline import GmmModel, PcaProjection, VaeGmmModel, VaeModel
 from .corpus import TileVocab
 from .errors import DataError, InvalidConfig
 from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig
-from .neuralnet import DenseNet, Layer
+from .neuralnet import DenseNet
 
 FORMAT_GMVAE = "levelmix-gmvae"
 FORMAT_VAE_GMM = "levelmix-vae-gmm"
@@ -45,22 +45,37 @@ def _encode_array(array, dtype=np.float64):
     }
 
 
-def _decode_array(value, dtype=np.float64):
-    """A nested list (format 1) or a blob (format 2) as an owned, writable
-    array of dtype."""
+def _array_shape(value):
+    """The shape of a nested list (format 1) or a blob (format 2)."""
     if isinstance(value, list):
-        return np.array(value, dtype=dtype)
-    blob_dtype, shape = value["dtype"], value["shape"]
-    if blob_dtype not in BLOB_DTYPES:
-        raise DataError(f"array dtype {blob_dtype!r} is not one of {BLOB_DTYPES}")
+        return np.shape(value)
+    shape = value["shape"]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise DataError(f"array shape {shape!r} is not a list of sizes")
-    raw = base64.b64decode(value["data"], validate=True)
-    expected = math.prod(shape) * np.dtype(blob_dtype).itemsize
-    if len(raw) != expected:
-        raise DataError(f"array of shape {shape} {blob_dtype} has {len(raw)} bytes, expected {expected}")
-    # astype copies, so the result does not share frombuffer's read-only memory
-    return np.frombuffer(raw, dtype=blob_dtype).reshape(shape).astype(dtype)
+    return tuple(shape)
+
+
+def _decode_array(value, dtype=np.float64, out=None):
+    """A nested list (format 1) or a blob (format 2) as an owned, writable
+    array of dtype or, given out, written into out."""
+    if isinstance(value, list):
+        array = np.array(value, dtype=dtype)
+    else:
+        shape, blob_dtype = _array_shape(value), value["dtype"]
+        if blob_dtype not in BLOB_DTYPES:
+            raise DataError(f"array dtype {blob_dtype!r} is not one of {BLOB_DTYPES}")
+        raw = base64.b64decode(value["data"], validate=True)
+        expected = math.prod(shape) * np.dtype(blob_dtype).itemsize
+        if len(raw) != expected:
+            raise DataError(f"array of shape {list(shape)} {blob_dtype} has {len(raw)} bytes, expected {expected}")
+        array = np.frombuffer(raw, dtype=blob_dtype).reshape(shape)
+    if out is None:
+        # astype copies, so a blob's array does not share frombuffer's read-only memory
+        return array if isinstance(value, list) else array.astype(dtype)
+    if array.shape != out.shape:
+        raise DataError(f"array of shape {list(array.shape)} where {list(out.shape)} is expected")
+    out[...] = array
+    return out
 
 
 def _net_to_dict(net):
@@ -77,16 +92,17 @@ def _net_to_dict(net):
 
 
 def _net_from_dict(data, dtype):
-    net = DenseNet.__new__(DenseNet)
-    net.dtype = np.dtype(dtype)
-    net.layers = [
-        Layer(
-            weight=_decode_array(entry["weight"], net.dtype),
-            bias=_decode_array(entry["bias"], net.dtype),
-            activation=entry["activation"],
-        )
-        for entry in data["layers"]
-    ]
+    """The net the layer entries describe, each array decoded into its view
+    of the net's parameter buffer."""
+    entries = data["layers"]
+    shapes = [_array_shape(entry["weight"]) for entry in entries]
+    if not shapes or any(len(shape) != 2 for shape in shapes):
+        raise DataError(f"layer weight shapes {shapes} are not a list of matrices")
+    sizes = [shapes[0][1]] + [shape[0] for shape in shapes]
+    net = DenseNet.zeros(sizes, [entry["activation"] for entry in entries], dtype)
+    for entry, layer in zip(entries, net.layers):
+        _decode_array(entry["weight"], net.dtype, out=layer.weight)
+        _decode_array(entry["bias"], net.dtype, out=layer.bias)
     return net
 
 

@@ -150,15 +150,14 @@ def train_probe(train_x, train_y, val_x, val_y, k, rng_seed=0):
         acc = float(np.mean(val_pred == val_y))
         if acc > best_acc + 1e-12:
             best_acc = acc
-            best_params = [p.copy() for p in net.param_arrays()]
+            best_params = net.params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= PROBE_PATIENCE:
                 break
     if best_params is not None:
-        for p, saved in zip(net.param_arrays(), best_params):
-            p[...] = saved
+        net.params[...] = best_params
     return net
 
 

@@ -395,6 +395,8 @@ def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_ev
     gives (tau, hard). sampler: "uniform" shuffles each epoch; "balanced"
     draws indices weighted by 1 / level-type count (requires level_types).
     on_epoch(epoch, history), if given, runs after each epoch is recorded.
+    A NonFiniteLoss from step is raised again naming the 1-based epoch and
+    step within it.
     Returns the TrainingHistory; the model is updated in place.
     """
     cfg = model.config
@@ -423,7 +425,10 @@ def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_ev
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             if len(idx) == 0:
                 continue
-            losses = step(model, data[idx], tau, optimizers, rng, hard=hard)
+            try:
+                losses = step(model, data[idx], tau, optimizers, rng, hard=hard)
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
             recon_sum += losses.recon * len(idx)
             kl_sum += losses.kl * len(idx)
             balance_sum += losses.label_balance * len(idx)

@@ -127,7 +127,15 @@ def test_v2_save_writes_blobs_and_loads_writable(family, dtype, toy_setup, tmp_p
     kind, loaded, _ = ckpt.load_any(path)
     assert kind == family
     assert_same_params(model, loaded)
-    for p in params(loaded):
+    # no array aliases frombuffer's read-only memory: network arrays are views
+    # of their own net's parameter buffer, the PCA and GMM arrays own theirs
+    nets = getattr(loaded, "vae", loaded).networks().values()
+    net_arrays = [(p, net.params) for net in nets for p in net.param_arrays()]
+    for net in nets:
+        assert net.params.flags.owndata
+    for p, buffer in net_arrays:
+        assert p.flags.writeable and np.shares_memory(p, buffer)
+    for p in params(loaded)[len(net_arrays):]:
         assert p.flags.writeable and p.flags.owndata
     # a loaded model can be trained further
     if family == "gmvae":

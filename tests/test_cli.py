@@ -167,11 +167,18 @@ def _one_component_config(raw):
     return json.dumps(payload)
 
 
+def _unchained_layers(raw):
+    payload = json.loads(raw)
+    layers = payload["networks"]["decoder"]["layers"]
+    layers[1] = layers[-1]  # its input width is not the previous layer's output width
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _truncate, _drop_config, _short_blob, _int_blob, _no_version, _future_version,
-        _float16_config, _one_component_config,
+        _float16_config, _one_component_config, _unchained_layers,
     ],
 )
 def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys, corrupt):

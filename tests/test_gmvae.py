@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from levelmix.errors import (
     DimensionMismatch,
     InvalidConfig,
     MissingLabels,
+    NonFiniteLoss,
 )
 
 from conftest import small_gmvae_config
@@ -238,6 +240,41 @@ def _train_vae(data, vocab, **kwargs):
 def test_train_rejects_unknown_or_unlabeled_sampler(toy_setup, train, kwargs, error):
     with pytest.raises(error):
         train(toy_setup["data"][:16], toy_setup["vocab"], **kwargs)
+
+
+@pytest.mark.parametrize("train", [_train_gmvae, _train_vae])
+def test_non_finite_loss_names_epoch_and_step(toy_setup, train):
+    data = toy_setup["data"][:16].copy()
+    data[5, 7] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss, match=r"^epoch 1 step 1: non-finite loss"):
+        train(data, toy_setup["vocab"])
+
+
+def _traced_peak(step, model, batch):
+    """tracemalloc peak, in bytes, of one step after a warm-up step."""
+    optimizers = gm.make_optimizers(model)
+    rng = np.random.default_rng(0)
+    step(model, batch, 1.0, optimizers, rng)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        step(model, batch, 1.0, optimizers, rng)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_allocates_far_less_than_parameters():
+    # gradients and Adam's scratch are preallocated, so a step allocates only
+    # batch-sized activations, not parameter-sized temporaries
+    d = 600
+    batch = (np.random.default_rng(1).random((16, d)) < 0.1).astype(np.float64)
+    gmvae = gm.build_model(gm.GmvaeConfig(d=d, k=3, hidden_width=256, latent_dim=8, batch_size=16))
+    vae = bl.VaeModel(bl.VaeConfig(d=d, hidden_width=256, latent_dim=8, batch_size=16))
+    for step, model in ((gm.training_step, gmvae), (bl.vae_training_step, vae)):
+        param_bytes = sum(p.nbytes for net in model.networks().values() for p in net.param_arrays())
+        ratio = _traced_peak(step, model, batch) / param_bytes
+        assert ratio < 0.5, f"{step.__name__}: peak {ratio:.2f}x the parameter bytes"
 
 
 def test_train_loss_decreases(trained_gmvae):

@@ -175,6 +175,66 @@ def test_adam_shape_mismatch():
         opt.step(net, [(np.zeros((3, 3)), np.zeros(2))])
 
 
+def test_adam_rejects_another_nets_parameters():
+    opt = nn.AdamState(make_net([2, 2], ["linear"]))
+    other = make_net([3, 3], ["linear"])
+    with pytest.raises(ShapeMismatch, match="optimizer holds 6 parameters, net has 12"):
+        opt.step(other, [(np.zeros((3, 3)), np.zeros(3))])
+
+
+def per_array_adam(params, grads, m, v, t, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook update, one expression per parameter array."""
+    lr_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    for p, g, mp, vp in zip(params, grads, m, v):
+        mp *= b1
+        mp += (1.0 - b1) * g
+        vp *= b2
+        vp += (1.0 - b2) * g * g
+        p -= lr_t * mp / (np.sqrt(vp) + eps)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("source", ["backward", "hand-built"])
+def test_blocked_adam_bit_identical_to_per_array_update(dtype, source):
+    # 3 blocks, the last one partial
+    net = nn.DenseNet([300, 256, 50], ["relu", "sigmoid"], np.random.default_rng(5), dtype)
+    assert 2 * nn.ADAM_BLOCK < net.params.size < 3 * nn.ADAM_BLOCK
+    ref_params = [p.copy() for p in net.param_arrays()]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    opt = nn.AdamState(net)
+    rng = np.random.default_rng(6)
+    for t in range(1, 4):
+        if source == "backward":
+            out, cache = net.forward_cached(rng.standard_normal((8, 300)))
+            grads, _ = net.backward(cache, rng.standard_normal(out.shape))
+            for dw, db in grads:
+                assert np.shares_memory(dw, net.grads) and np.shares_memory(db, net.grads)
+        else:
+            grads = [
+                (rng.standard_normal(layer.weight.shape).astype(dtype), rng.standard_normal(layer.bias.shape).astype(dtype))
+                for layer in net.layers
+            ]
+        flat = [g.copy() for pair in grads for g in pair]
+        opt.step(net, grads)
+        per_array_adam(ref_params, flat, ref_m, ref_v, t)
+        for p, ref in zip(net.param_arrays(), ref_params):
+            assert p.dtype == np.dtype(dtype) and np.array_equal(p, ref)
+    assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m]))
+    assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v]))
+
+
+def test_parameters_and_gradients_are_views_of_flat_buffers():
+    net = make_net([4, 5, 3], ["relu", "linear"], seed=2)
+    assert net.params.flags.owndata and net.grads.flags.owndata
+    assert sum(p.size for p in net.param_arrays()) == net.params.size == net.grads.size
+    for p in net.param_arrays():
+        assert np.shares_memory(p, net.params)
+    _, cache = net.forward_cached(np.ones((2, 4)))
+    grads, _ = net.backward(cache, np.ones((2, 3)))
+    assert np.array_equal(np.concatenate([g.ravel() for pair in grads for g in pair]), net.grads)
+
+
 # ---------------------------------------------------------------------------
 # bce
 
