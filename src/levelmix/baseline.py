@@ -32,7 +32,12 @@ class VaeModel(EncoderDecoder):
         config.validate()
         self.config = config
         self.vocab = vocab
-        self._build_encoder_decoder(config.d, np.random.default_rng(config.rng_seed))
+        self._build_networks()
+
+    def architecture(self):
+        """{network name: (layer sizes, activations)} from the config, in
+        the order the networks draw their initial weights."""
+        return self._encoder_decoder_architecture(self.config.d)
 
 
 def vae_loss(model, x, eps_noise):
@@ -46,7 +51,7 @@ def vae_loss(model, x, eps_noise):
 def vae_loss_and_grads(model, x, eps_noise):
     mu, var, x_hat, caches = model.encode_decode(x, eps_noise)
     recon, kl, grads, _, _, _ = model.recon_kl_backward(
-        x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
+        x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches, input_grad=False
     )
     return recon, kl, grads
 
@@ -283,7 +288,10 @@ def gmm_sample(model, component, n, rng):
         raise ComponentOutOfRange(f"component {component} out of range [0, {model.k})")
     if n < 1:
         raise ComponentOutOfRange(f"n must be >= 1, got {n}")
-    chol = np.linalg.cholesky(model.covariances[component])
+    try:
+        chol = np.linalg.cholesky(model.covariances[component])
+    except np.linalg.LinAlgError:
+        raise SingularCovariance(f"component {component} covariance is not positive definite") from None
     eps = rng.standard_normal((n, model.means.shape[1]))
     return model.means[component] + eps @ chol.T
 

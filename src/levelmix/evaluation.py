@@ -144,7 +144,7 @@ def train_probe(train_x, train_y, val_x, val_y, k, rng_seed=0):
             idx = order[b : b + PROBE_BATCH]
             logits, cache = net.forward_cached(train_x[idx])
             _, d_logits = _softmax_xent_and_grad(logits, train_y[idx])
-            grads, _ = net.backward(cache, d_logits)
+            grads, _ = net.backward(cache, d_logits, input_grad=False)
             opt.step(net, grads)
         val_pred = np.argmax(net.forward(val_x), axis=1)
         acc = float(np.mean(val_pred == val_y))

@@ -144,23 +144,30 @@ class GmComponentParams:
 
 class EncoderDecoder:
     """The encoder trunk, its mean and variance heads and the decoder, which
-    both model families share; subclasses list their networks in NETWORKS,
-    in optimizer and checkpoint order."""
+    both model families share. Subclasses give their networks' shapes in
+    architecture()."""
 
-    NETWORKS = ("encoder_trunk", "enc_mean_head", "enc_var_head", "decoder")
-
-    def _build_encoder_decoder(self, in_dim, rng):
+    def _encoder_decoder_architecture(self, in_dim):
         cfg = self.config
-        w, depth, ld, dt = cfg.hidden_width, cfg.hidden_depth, cfg.latent_dim, cfg.dtype
-        self.encoder_trunk = DenseNet([in_dim] + [w] * depth, ["relu"] * depth, rng, dt)
-        self.enc_mean_head = DenseNet([w, ld], ["linear"], rng, dt)
-        self.enc_var_head = DenseNet([w, ld], ["softplus"], rng, dt)
-        self.decoder = DenseNet(
-            [ld] + [w] * depth + [cfg.d], ["relu"] * depth + ["sigmoid"], rng, dt
-        )
+        w, depth, ld = cfg.hidden_width, cfg.hidden_depth, cfg.latent_dim
+        return {
+            "encoder_trunk": ([in_dim] + [w] * depth, ["relu"] * depth),
+            "enc_mean_head": ([w, ld], ["linear"]),
+            "enc_var_head": ([w, ld], ["softplus"]),
+            "decoder": ([ld] + [w] * depth + [cfg.d], ["relu"] * depth + ["sigmoid"]),
+        }
+
+    def _build_networks(self):
+        """Every network, each drawing its initial weights in turn from one
+        generator seeded with config.rng_seed."""
+        rng = np.random.default_rng(self.config.rng_seed)
+        for name, (sizes, activations) in self.architecture().items():
+            setattr(self, name, DenseNet(sizes, activations, rng, self.config.dtype))
 
     def networks(self):
-        return {name: getattr(self, name) for name in self.NETWORKS}
+        """{name: net} in architecture order, which is also the optimizer
+        and checkpoint order."""
+        return {name: getattr(self, name) for name in self.architecture()}
 
     def encode_decode(self, enc_in, eps_noise, keep_caches=True):
         """Trunk, mean and variance heads, reparameterized latent and decoder:
@@ -172,11 +179,12 @@ class EncoderDecoder:
         x_hat, dec_cache = self.decoder.forward_cached(z, keep_cache=keep_caches)
         return mu_q, var_q, x_hat, (trunk_cache, mean_cache, var_cache, dec_cache)
 
-    def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches):
+    def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches, input_grad=True):
         """Mean per-item BCE and KL(q || p), and the gradient of the weighted
         batch-mean objective back through the decoder, the reparameterized
         sample, both heads and the trunk: (recon, kl, grads, d_enc_in,
-        d_mu_p, d_var_p), the last two already weighted for the prior."""
+        d_mu_p, d_var_p), the last two already weighted for the prior.
+        d_enc_in is None with input_grad=False."""
         trunk_cache, mean_cache, var_cache, dec_cache = caches
         recon_vec, d_xhat = nn.bce_loss(x_hat, x, with_grad=True)
         kl_vec, (d_mu_q, d_var_q, d_mu_p, d_var_p) = nn.kl_diag(
@@ -191,7 +199,7 @@ class EncoderDecoder:
         d_var_q_total = kw * d_var_q + d_z * nn.reparam_grad_var(var_q, eps_noise)
         mean_grads, d_h_mean = self.enc_mean_head.backward(mean_cache, d_mu_q_total)
         var_grads, d_h_var = self.enc_var_head.backward(var_cache, d_var_q_total)
-        trunk_grads, d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var)
+        trunk_grads, d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var, input_grad)
         grads = {
             "encoder_trunk": trunk_grads,
             "enc_mean_head": mean_grads,
@@ -207,8 +215,6 @@ class GmvaeModel(EncoderDecoder):
     generate(component, n, rng), predict(data) and encode(data), so the CLI
     and the experiment drivers treat both families alike."""
 
-    NETWORKS = ("label_net", "prior_mean_net", "prior_var_net") + EncoderDecoder.NETWORKS
-
     def __init__(self, config, vocab=None):
         config.validate()
         if vocab is not None and config.d != CHUNK_SIZE * CHUNK_SIZE * vocab.size:
@@ -217,20 +223,24 @@ class GmvaeModel(EncoderDecoder):
             )
         self.config = config
         self.vocab = vocab
-        w, depth, ld = config.hidden_width, config.hidden_depth, config.latent_dim
-        rng = np.random.default_rng(config.rng_seed)
-        dt = config.dtype
-        self.label_net = DenseNet(
-            [config.d] + [w] * depth + [config.k], ["relu"] * depth + ["linear"], rng, dt
-        )
-        self.prior_mean_net = DenseNet([config.k, ld], ["linear"], rng, dt)
-        self.prior_var_net = DenseNet([config.k, ld], ["softplus"], rng, dt)
-        self._build_encoder_decoder(config.d + config.k, rng)
+        self._build_networks()
         # symmetric start: all components identical and all labels equally
         # likely, so early assignment is driven by the data, not by init noise
         self.label_net.layers[-1].weight[...] = 0.0
         self.prior_mean_net.layers[0].weight[...] = 0.0
         self.prior_var_net.layers[0].weight[...] = 0.0
+
+    def architecture(self):
+        """{network name: (layer sizes, activations)} from the config, in
+        the order the networks draw their initial weights."""
+        cfg = self.config
+        w, depth, ld, k = cfg.hidden_width, cfg.hidden_depth, cfg.latent_dim, cfg.k
+        return {
+            "label_net": ([cfg.d] + [w] * depth + [k], ["relu"] * depth + ["linear"]),
+            "prior_mean_net": ([k, ld], ["linear"]),
+            "prior_var_net": ([k, ld], ["softplus"]),
+            **self._encoder_decoder_architecture(cfg.d + k),
+        }
 
     @property
     def k(self):
@@ -345,7 +355,7 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
         d_logits = d_logits + (cfg.label_balance_weight / batch) * (
             p * (g - (p @ g)[:, None])
         )
-    grads["label_net"], _ = model.label_net.backward(caches["label"], d_logits)
+    grads["label_net"], _ = model.label_net.backward(caches["label"], d_logits, input_grad=False)
     return recon, kl, balance, grads
 
 

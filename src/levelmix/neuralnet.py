@@ -40,7 +40,10 @@ def _sigmoid(z):
 
 
 def _softplus(z):
-    return np.logaddexp(0.0, z)
+    # floored at the dtype's smallest normal number: in float32 logaddexp(0, z)
+    # is exactly 0 below z = -104, and a variance head must stay positive
+    out = np.logaddexp(0.0, z)
+    return np.maximum(out, np.finfo(out.dtype).tiny)
 
 
 def softmax(z, axis=-1):
@@ -172,12 +175,14 @@ class DenseNet:
             a = a_next
         return a, cache
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         """Gradients of a scalar loss given d(loss)/d(output).
 
         Returns ([(dW, db) per layer], d(loss)/d(input)). The (dW, db) are
         views of this net's gradient buffer: they stay valid until this
-        net's next backward, which overwrites them.
+        net's next backward, which overwrites them. With input_grad=False
+        the first layer's input gradient is not computed and None is
+        returned in its place.
         """
         if cache is None or len(cache) != len(self.layers):
             raise NoCache("forward cache missing or stale")
@@ -193,7 +198,7 @@ class DenseNet:
             else:
                 np.matmul(gz.T, a_in, out=dw)
                 gz.sum(axis=0, out=db)
-            g = gz @ layer.weight
+            g = gz @ layer.weight if i or input_grad else None
         return list(self._grad_views), g
 
     def param_arrays(self):

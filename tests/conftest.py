@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from levelmix import baseline as bl
+from levelmix import checkpoints as ckpt
 from levelmix import corpus as cp
 from levelmix import gmvae as gm
 from levelmix import toygame
@@ -68,3 +72,23 @@ def trained_vae_gmm(toy_setup):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def split_checkpoint(raw):
+    """(header, data section) of a format-3 checkpoint's bytes."""
+    assert raw[:8] == ckpt.MAGIC
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    end = 16 + length
+    return json.loads(raw[16:end]), raw[end + -end % 64 :]
+
+
+def join_checkpoint(header, data):
+    """A format-3 checkpoint of header and an unchanged data section, which
+    starts at the first 64-byte boundary after the header."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return ckpt.MAGIC + struct.pack("<Q", len(head)) + head + bytes(-(16 + len(head)) % 64) + data
+
+
+def read_header(path):
+    with open(path, "rb") as f:
+        return split_checkpoint(f.read())[0]

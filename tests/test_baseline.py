@@ -293,12 +293,11 @@ def test_vae_gmm_checkpoint_roundtrip(trained_vae_gmm, toy_setup, tmp_path):
     model, history = trained_vae_gmm
     path = tmp_path / "baseline.json"
     ckpt.save_vae_gmm(path, model, history)
-    loaded, loaded_history = ckpt.load_vae_gmm(path)
+    kind, loaded, loaded_history = ckpt.load_any(path)
+    assert kind == "vae-gmm"
     assert np.array_equal(loaded.gmm.means, model.gmm.means)
     assert np.array_equal(loaded.pca.axes, model.pca.axes)
     assert loaded.pca.m == model.pca.m
     pred_a = model.predict(toy_setup["data"][:40])
     pred_b = loaded.predict(toy_setup["data"][:40])
     assert np.array_equal(pred_a, pred_b)
-    kind, _, _ = ckpt.load_any(path)
-    assert kind == "vae-gmm"

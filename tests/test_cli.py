@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 import os
@@ -7,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from conftest import join_checkpoint, read_header, split_checkpoint
 from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import corpus as cp
@@ -86,7 +86,7 @@ def test_usage_error_exit_code():
 
 
 def test_train_writes_checkpoint_and_history(workspace, trained_checkpoint):
-    payload = json.loads(open(trained_checkpoint).read())
+    payload = read_header(trained_checkpoint)
     assert payload["format"] == "levelmix-gmvae"
     assert payload["run_info"]["command"] == "train"
     assert payload["run_info"]["seed"] == 7
@@ -119,71 +119,91 @@ def test_checkpoint_every_saves_once_per_period(workspace, tmp_path, monkeypatch
     assert cli.run(args + ["--epochs", "4", "--checkpoint-every", "2"]) == 0
     # two periodic saves, then the final one with run_info
     assert calls == [False, False, True]
-    assert json.loads(out.read_text())["run_info"]["command"] == "train"
+    assert read_header(out)["run_info"]["command"] == "train"
 
 
 def _truncate(raw):
     return raw[: len(raw) // 2]
 
 
-def _drop_config(raw):
-    payload = json.loads(raw)
-    del payload["config"]
-    return json.dumps(payload)
+def _edit_header(edit):
+    """A corruption that applies edit to the header and keeps the blobs."""
+
+    def corrupt(raw):
+        header, data = split_checkpoint(raw)
+        edit(header)
+        return join_checkpoint(header, data)
+
+    corrupt.__name__ = edit.__name__
+    return corrupt
 
 
-def _short_blob(raw):
-    payload = json.loads(raw)
-    bias = payload["networks"]["decoder"]["layers"][0]["bias"]
-    bias["data"] = base64.b64encode(base64.b64decode(bias["data"])[:-8]).decode("ascii")
-    return json.dumps(payload)
+@_edit_header
+def _drop_config(header):
+    del header["config"]
 
 
-def _int_blob(raw):
-    payload = json.loads(raw)
-    payload["networks"]["decoder"]["layers"][0]["bias"]["dtype"] = "<i8"
-    return json.dumps(payload)
+@_edit_header
+def _short_blob(header):
+    # the last blob's shape claims a row more than the file holds
+    blobs = [layer[part] for net in header["networks"].values() for layer in net["layers"] for part in ("weight", "bias")]
+    max(blobs, key=lambda blob: blob["offset"])["shape"][0] += 1
 
 
-def _no_version(raw):
-    return json.dumps({"format": "levelmix-gmvae"})
+@_edit_header
+def _int_blob(header):
+    header["networks"]["decoder"]["layers"][0]["bias"]["dtype"] = "<i8"
 
 
-def _future_version(raw):
-    payload = json.loads(raw)
-    payload["format_version"] = 3
-    return json.dumps(payload)
+@_edit_header
+def _no_version(header):
+    header.clear()
+    header["format"] = "levelmix-gmvae"
 
 
-def _float16_config(raw):
-    payload = json.loads(raw)
-    payload["config"]["dtype"] = "float16"
-    return json.dumps(payload)
+@_edit_header
+def _unknown_format(header):
+    header["format"] = "something-else"
 
 
-def _one_component_config(raw):
-    payload = json.loads(raw)
-    payload["config"]["k"] = 1
-    return json.dumps(payload)
+@_edit_header
+def _future_version(header):
+    header["format_version"] = 4
 
 
-def _unchained_layers(raw):
-    payload = json.loads(raw)
-    layers = payload["networks"]["decoder"]["layers"]
+@_edit_header
+def _float16_config(header):
+    header["config"]["dtype"] = "float16"
+
+
+@_edit_header
+def _one_component_config(header):
+    header["config"]["k"] = 1
+
+
+@_edit_header
+def _unchained_layers(header):
+    layers = header["networks"]["decoder"]["layers"]
     layers[1] = layers[-1]  # its input width is not the previous layer's output width
-    return json.dumps(payload)
+
+
+@_edit_header
+def _latent_dim_config(header):
+    # the networks no longer have the shapes the config gives
+    header["config"]["latent_dim"] += 1
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _truncate, _drop_config, _short_blob, _int_blob, _no_version, _future_version,
-        _float16_config, _one_component_config, _unchained_layers,
+        _truncate, _drop_config, _short_blob, _int_blob, _no_version, _unknown_format,
+        _future_version, _float16_config, _one_component_config, _unchained_layers, _latent_dim_config,
     ],
 )
 def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"
-    bad.write_text(corrupt(open(trained_checkpoint).read()))
+    with open(trained_checkpoint, "rb") as f:
+        bad.write_bytes(corrupt(f.read()))
     capsys.readouterr()
     code = cli.run(["generate", "--model", str(bad), "--component", "0", "--n", "1"])
     assert code == 2
@@ -200,20 +220,51 @@ def _single_error_line(capsys):
     return json.loads(lines[0])
 
 
-def test_non_positive_definite_covariance_is_numeric_error(workspace, baseline_checkpoint, tmp_path, capsys):
-    payload = json.loads(open(baseline_checkpoint).read())
-    covariances = ckpt._decode_array(payload["gmm"]["covariances"])
+def _with_negative_covariance(checkpoint, tmp_path):
+    with open(checkpoint, "rb") as f:
+        raw = bytearray(f.read())
+    header, data = split_checkpoint(bytes(raw))
+    blob = header["gmm"]["covariances"]
+    # overwrite the covariance blob's bytes in place
+    start = len(raw) - len(data) + blob["offset"]
+    covariances = np.frombuffer(raw, dtype=blob["dtype"], count=int(np.prod(blob["shape"])), offset=start)
+    covariances = covariances.reshape(blob["shape"]).copy()
     covariances[0] = -np.eye(covariances.shape[1])
-    payload["gmm"]["covariances"] = ckpt._encode_array(covariances)
+    raw[start : start + covariances.nbytes] = covariances.tobytes()
     bad = tmp_path / "bad_covariance.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_bytes(bytes(raw))
+    return str(bad)
+
+
+def test_non_positive_definite_covariance_is_numeric_error(workspace, baseline_checkpoint, tmp_path, capsys):
+    bad = _with_negative_covariance(baseline_checkpoint, tmp_path)
     capsys.readouterr()
     code = cli.run(
-        ["eval-cluster", "--model", str(bad), "--manifest", workspace["manifest"], "--out", str(tmp_path / "c.json")]
+        ["eval-cluster", "--model", bad, "--manifest", workspace["manifest"], "--out", str(tmp_path / "c.json")]
     )
     assert code == 3
     error = _single_error_line(capsys)
     assert error["error"] == "numeric" and error["type"] == "SingularCovariance"
+
+
+def test_generate_from_non_positive_definite_covariance_is_numeric_error(baseline_checkpoint, tmp_path, capsys):
+    bad = _with_negative_covariance(baseline_checkpoint, tmp_path)
+    capsys.readouterr()
+    assert cli.run(["generate", "--model", bad, "--component", "0", "--n", "1"]) == 3
+    error = _single_error_line(capsys)
+    assert error["error"] == "numeric" and error["type"] == "SingularCovariance"
+
+
+def test_baseline_checkpoint_with_mismatched_pca_shape_is_data_error(baseline_checkpoint, tmp_path, capsys):
+    with open(baseline_checkpoint, "rb") as f:
+        header, data = split_checkpoint(f.read())
+    header["pca"]["mean"]["shape"][0] -= 1  # one latent dimension short
+    bad = tmp_path / "bad_pca.json"
+    bad.write_bytes(join_checkpoint(header, data))
+    capsys.readouterr()
+    assert cli.run(["generate", "--model", str(bad), "--component", "0", "--n", "1"]) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "DataError"
 
 
 @pytest.mark.parametrize(
@@ -276,10 +327,11 @@ def test_training_commands_reject_flags_they_ignore(workspace, tmp_path, command
 
 
 def _without_vocab(checkpoint, tmp_path):
-    payload = json.loads(open(checkpoint).read())
-    payload["vocab"] = None
+    with open(checkpoint, "rb") as f:
+        header, data = split_checkpoint(f.read())
+    header["vocab"] = None
     path = tmp_path / "no_vocab.json"
-    path.write_text(json.dumps(payload))
+    path.write_bytes(join_checkpoint(header, data))
     return str(path)
 
 
@@ -492,7 +544,7 @@ def test_densities_from_corpus_source(workspace, trained_checkpoint, tmp_path):
 
 
 def test_baseline_checkpoint_and_eval(workspace, baseline_checkpoint, tmp_path):
-    payload = json.loads(open(baseline_checkpoint).read())
+    payload = read_header(baseline_checkpoint)
     assert payload["format"] == "levelmix-vae-gmm"
     assert payload["pca"]["m"] >= 1
     out = tmp_path / "cluster_baseline.json"

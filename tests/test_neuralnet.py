@@ -57,13 +57,45 @@ def test_forward_dimension_mismatch():
 
 def test_softplus_large_inputs_stable():
     out = nn.apply_activation("softplus", np.array([-800.0, 800.0]))
-    assert out[0] == 0.0 and math.isclose(out[1], 800.0)
+    assert out[0] == np.finfo(np.float64).tiny and math.isclose(out[1], 800.0)
     sig = nn.apply_activation("sigmoid", np.array([-800.0, 800.0]))
     assert 0.0 <= sig[0] and sig[1] <= 1.0
 
 
+def test_float32_variance_head_stays_positive_far_below_softplus_underflow():
+    # in float32, logaddexp(0, z) is exactly 0 below z = -104
+    head = nn.DenseNet([4, 3], ["softplus"], np.random.default_rng(0), "float32")
+    head.layers[0].weight[...] = 0.0
+    head.layers[0].bias[...] = -120.0
+    var = head.forward(np.ones((2, 4), dtype=np.float32))
+    assert var.dtype == np.float32 and np.all(var > 0.0)
+    kl = nn.kl_diag(np.zeros_like(var), var, np.zeros_like(var), np.ones_like(var))
+    assert np.all(np.isfinite(kl))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_softplus_floor_leaves_normal_range_bit_identical(dtype):
+    z = np.linspace(-80.0, 80.0, 200_001, dtype=dtype)
+    assert np.array_equal(nn._softplus(z), np.logaddexp(0.0, z))
+
+
 # ---------------------------------------------------------------------------
 # backward
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_backward_without_input_grad_gives_identical_parameter_gradients(dtype):
+    net = nn.DenseNet([6, 5, 4, 3], ["relu", "softplus", "linear"], np.random.default_rng(5), dtype)
+    rng = np.random.default_rng(6)
+    _, cache = net.forward_cached(rng.standard_normal((7, 6)))
+    upstream = rng.standard_normal((7, 3))
+    grads, grad_in = net.backward(cache, upstream)
+    expected = [(dw.copy(), db.copy()) for dw, db in grads]
+    assert grad_in.shape == (7, 6)
+    grads, grad_in = net.backward(cache, upstream, input_grad=False)
+    assert grad_in is None
+    for (dw, db), (ew, eb) in zip(grads, expected):
+        assert np.array_equal(dw, ew) and np.array_equal(db, eb)
 
 
 def test_linear_weight_gradient_is_outer_product():
