@@ -19,6 +19,9 @@ Versions 1 and 2 are JSON text and are still read: version 1 stores arrays
 as nested float lists, version 2 as blobs whose "data" is the base64 of
 their bytes.
 
+Loading, of any version, rejects a network with a NaN or infinite
+parameter.
+
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
 bytes. Files are written to a temporary file that is then renamed over the
@@ -283,6 +286,8 @@ def _rebuild(model_cls, config_cls, payload, arrays):
     model.vocab = _vocab_from_dict(payload["vocab"])
     for name, (sizes, activations) in model.architecture().items():
         net = _net_from_dict(payload["networks"][name], sizes, activations, model.config.dtype, arrays)
+        if not np.isfinite(net.params).all():
+            raise DataError(f"network {name} has non-finite parameters")
         setattr(model, name, net)
     return model
 

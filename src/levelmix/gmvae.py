@@ -175,7 +175,7 @@ class EncoderDecoder:
         h, trunk_cache = self.encoder_trunk.forward_cached(enc_in, keep_cache=keep_caches)
         mu_q, mean_cache = self.enc_mean_head.forward_cached(h, keep_cache=keep_caches)
         var_q, var_cache = self.enc_var_head.forward_cached(h, keep_cache=keep_caches)
-        z = mu_q + np.sqrt(var_q) * eps_noise
+        z = mu_q + np.sqrt(var_q) * np.asarray(eps_noise, dtype=mu_q.dtype)
         x_hat, dec_cache = self.decoder.forward_cached(z, keep_cache=keep_caches)
         return mu_q, var_q, x_hat, (trunk_cache, mean_cache, var_cache, dec_cache)
 
@@ -313,7 +313,8 @@ def _label_balance(logits, k):
     softmax; zero when labels spread evenly, log k at full collapse."""
     p = nn.softmax(logits, axis=-1)
     p_bar = p.mean(axis=0)
-    return float(np.sum(p_bar * np.log(np.maximum(p_bar * k, 1e-300)))), p, p_bar
+    log_ratio = np.log(np.maximum(p_bar * k, nn.positive_floor(p_bar.dtype)))
+    return float(np.sum(p_bar * log_ratio)), p, p_bar
 
 
 def gmvae_loss(model, x, tau, hard, gumbel_noise, eps_noise):
@@ -351,7 +352,7 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
     if cfg.label_balance_weight > 0:
         # d(balance)/d(p_bar) = log(k p_bar) + 1, pushed through each row's
         # softmax jacobian; every row contributes 1/batch to the mean
-        g = np.log(np.maximum(p_bar * cfg.k, 1e-300)) + 1.0
+        g = np.log(np.maximum(p_bar * cfg.k, nn.positive_floor(p_bar.dtype))) + 1.0
         d_logits = d_logits + (cfg.label_balance_weight / batch) * (
             p * (g - (p @ g)[:, None])
         )
@@ -375,7 +376,7 @@ def training_step(model, batch, tau, optimizers, rng, hard=False):
     weighted objective terms, label_balance the anti-collapse regularizer.
     """
     cfg = model.config
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=cfg.dtype)
     if x.ndim != 2 or x.shape[1] != cfg.d:
         raise DimensionMismatch(f"batch must be (n, {cfg.d}), got {x.shape}")
     if x.shape[0] > cfg.batch_size:
@@ -414,7 +415,8 @@ def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_ev
         raise InvalidConfig(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if sampler == "balanced" and level_types is None:
         raise MissingLabels("the balanced sampler needs level_types")
-    data = np.asarray(data, dtype=np.float64)
+    # one-hot values are exact in either dtype
+    data = np.asarray(data, dtype=cfg.dtype)
     n = data.shape[0]
     if n == 0:
         raise DimensionMismatch("no training data")

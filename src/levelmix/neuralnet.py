@@ -4,7 +4,9 @@ sampling and finite-difference gradient checking.
 
 Everything operates on numpy arrays whose last axis is the feature axis, so
 the same code handles single vectors (dim,) and batches (batch, dim).
-float64 is the default; float32 can be selected per network for speed.
+float64 is the default; float32 can be selected per network for speed. The
+loss terms, the Gumbel-Softmax and Adam compute in the dtype of their
+floating inputs (or parameters), so a float32 network trains in float32.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ GUMBEL_EPS = 1e-12
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows (min(z, -z) is -|z| that keeps a NaN's
+    # sign), and max(e, z >= 0) is 1 where z >= 0 and e below, so this is
+    # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) bit for bit, with no
+    # boolean gathers
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _softplus(z):
@@ -50,6 +52,18 @@ def softmax(z, axis=-1):
     shifted = z - np.max(z, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _floating(x):
+    """x as an array of its own floating dtype; any other input as float64."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(np.float64)
+
+
+def positive_floor(dtype):
+    """A tiny positive floor for logs and divisors: 1e-300, or the dtype's
+    smallest normal number where 1e-300 rounds to zero (float32)."""
+    return max(1e-300, float(np.finfo(dtype).tiny))
 
 
 def apply_activation(name, z):
@@ -231,9 +245,7 @@ class AdamState:
         block = min(net.params.size, ADAM_BLOCK)
         self._scaled_grad = np.empty(block, dtype=net.dtype)
         self._denom = np.empty(block, dtype=net.dtype)
-        # lr_t below is an np.float64, so the step itself is float64 in every
-        # dtype, as in the per-array expression
-        self._update = np.empty(block, dtype=np.float64)
+        self._update = np.empty(block, dtype=net.dtype)
 
     def step(self, net, grads):
         """One update in place. `grads` is the list returned by backward(),
@@ -252,7 +264,8 @@ class AdamState:
                 own[...] = g
         self.step_count += 1
         t = self.step_count
-        lr_t = self.learning_rate * np.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t)
+        # a scalar of the net's dtype, so a float32 update runs in float32
+        lr_t = net.dtype.type(self.learning_rate * np.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t))
         # the per-array update m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
         # p -= lr_t m / (sqrt(v) + eps), op for op and dtype for dtype, so
         # results are bit-identical to it
@@ -299,9 +312,10 @@ def bce_loss(output, target, with_grad=False):
 
     Outputs are clamped to [1e-7, 1 - 1e-7] before the logs; the gradient is
     zero where the clamp is active (exact derivative of the clamped loss).
+    Computed in the output's floating dtype.
     """
-    output = np.asarray(output, dtype=float)
-    target = np.asarray(target, dtype=float)
+    output = _floating(output)
+    target = np.asarray(target, dtype=output.dtype)
     if output.shape != target.shape:
         raise LengthMismatch(f"output {output.shape} vs target {target.shape}")
     clamped = np.clip(output, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -318,11 +332,12 @@ def kl_diag(mu_q, var_q, mu_p, var_p, with_grad=False):
 
     Per dimension: ln(sigma_p/sigma_q) + (var_q + (mu_q - mu_p)^2) / (2 var_p) - 1/2.
     With `with_grad` also returns (d/dmu_q, d/dvar_q, d/dmu_p, d/dvar_p).
+    Computed in mu_q's floating dtype.
     """
-    mu_q = np.asarray(mu_q, dtype=float)
-    var_q = np.asarray(var_q, dtype=float)
-    mu_p = np.asarray(mu_p, dtype=float)
-    var_p = np.asarray(var_p, dtype=float)
+    mu_q = _floating(mu_q)
+    var_q = np.asarray(var_q, dtype=mu_q.dtype)
+    mu_p = np.asarray(mu_p, dtype=mu_q.dtype)
+    var_p = np.asarray(var_p, dtype=mu_q.dtype)
     if np.any(var_q <= 0.0) or np.any(var_p <= 0.0):
         raise NonPositiveVariance("variances must be strictly positive")
     diff = mu_q - mu_p
@@ -354,12 +369,15 @@ def reparam_sample(mu, var, rng, eps=None):
 
 
 def reparam_grad_var(var, eps):
-    """dz/dvar for the reparameterized sample (zero-variance limit handled)."""
-    sd = np.sqrt(np.asarray(var, dtype=float))
-    return np.where(sd > 0.0, eps / np.maximum(2.0 * sd, 1e-300), 0.0)
+    """dz/dvar for the reparameterized sample (zero-variance limit handled),
+    in var's floating dtype."""
+    sd = np.sqrt(_floating(var))
+    eps = np.asarray(eps, dtype=sd.dtype)
+    return np.where(sd > 0.0, eps / np.maximum(2.0 * sd, positive_floor(sd.dtype)), 0.0)
 
 
 def sample_gumbel(shape, rng):
+    """float64 Gumbel noise; clipped in float64, where 1 - GUMBEL_EPS < 1."""
     u = np.clip(rng.random(shape), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
     return -np.log(-np.log(u))
 
@@ -370,13 +388,15 @@ def gumbel_softmax(logits, temperature, rng, hard=False, noise=None):
     Soft mode returns y = softmax((logits + g) / tau). Hard mode returns the
     one-hot argmax of y; callers keep gradients flowing through the soft y
     (straight through), see gumbel_softmax_backward.
-    Returns (sample, soft_y, noise).
+    Computed in the logits' floating dtype; the noise is drawn in float64
+    and cast to it. Returns (sample, soft_y, noise).
     """
     if temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    logits = np.asarray(logits, dtype=float)
+    logits = _floating(logits)
     if noise is None:
         noise = sample_gumbel(logits.shape, rng)
+    noise = np.asarray(noise, dtype=logits.dtype)
     y = softmax((logits + noise) / temperature, axis=-1)
     if not hard:
         return y, y, noise

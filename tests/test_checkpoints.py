@@ -293,3 +293,24 @@ def test_checkpoint_with_any_header_length_exits_cleanly(fuzz_workspace, family,
     # bytes 8-16 are format 3's header length; in format 2 they are JSON text
     raw, _ = fuzz_workspace["files"][family, version]
     assert_clean_exit(fuzz_workspace, raw[:8] + struct.pack("<Q", length) + raw[16:])
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_parameter_exits_2_naming_the_network(fuzz_workspace, family, value):
+    raw, _ = fuzz_workspace["files"][family, 3]
+    header, data = split_checkpoint(raw)
+    blob = header["networks"]["decoder"]["layers"][-1]["bias"]
+    at = len(raw) - len(data) + blob["offset"]
+    value = np.array([value], dtype=blob["dtype"]).tobytes()
+    damaged = bytearray(raw)
+    damaged[at : at + len(value)] = value
+    path = fuzz_workspace["root"] / "non-finite.ckpt"
+    path.write_bytes(bytes(damaged))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "data" and "network decoder has non-finite parameters" in error["message"]

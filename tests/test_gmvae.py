@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
+from levelmix import evaluation as ev
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
 from levelmix.errors import (
@@ -132,6 +134,28 @@ def test_training_step_losses_finite_nonnegative(toy_setup, rng):
     assert losses.recon >= 0.0 and math.isfinite(losses.recon)
     assert losses.kl >= 0.0 and math.isfinite(losses.kl)
     assert math.isfinite(losses.label_balance)
+
+
+def test_float32_label_balance_at_full_collapse_matches_float64():
+    # every row sits on component 0; the other two means underflow to 0
+    logits = np.tile([200.0, 0.0, 0.0], (5, 1))
+    b64, _, _ = gm._label_balance(logits, 3)
+    b32, _, p_bar = gm._label_balance(logits.astype(np.float32), 3)
+    assert p_bar.dtype == np.float32 and p_bar[1] == 0.0
+    assert abs(b64 - math.log(3.0)) < 1e-12
+    assert abs(b32 - b64) < 1e-6
+
+
+def test_float32_step_of_a_collapsed_label_net_is_finite(toy_setup, rng):
+    # the softmax of the other components underflows to 0 in float32; the
+    # balance term must stay log k and the step finite, not raise NonFiniteLoss
+    data = toy_setup["data"]
+    model = gm.build_model(small_gmvae_config(data.shape[1], dtype="float32"), toy_setup["vocab"])
+    model.label_net.layers[-1].bias[...] = [200.0, 0.0, 0.0]
+    opts = gm.make_optimizers(model)
+    losses = gm.training_step(model, data[:32], tau=1.0, optimizers=opts, rng=rng)
+    assert abs(losses.label_balance - math.log(3.0)) < 1e-6
+    assert all(np.all(np.isfinite(net.params)) for net in model.networks().values())
 
 
 def test_training_step_rejects_oversized_batch(toy_setup, rng):
@@ -431,3 +455,32 @@ def test_hard_label_stability_after_training(trained_gmvae, toy_setup):
         y = gm.assign_label(model, x, tau=0.01, rng=rng)
         agree += np.sum(np.argmax(y, axis=1) == hard)
     assert agree / (draws * len(x)) >= 0.95
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_float32_training_tracks_float64(family, request, toy_setup):
+    # float32 trains in float32, so its parameters differ from float64's:
+    # the tolerance is the loss curve within 1e-2 relative at every epoch
+    # and an equal clustering accuracy
+    data, types = toy_setup["data"], toy_setup["types"]
+    if family == "gmvae":
+        model64, history64 = request.getfixturevalue("trained_gmvae")
+        model32 = gm.build_model(dataclasses.replace(model64.config, dtype="float32"), toy_setup["vocab"])
+        history32 = gm.train(model32, data, level_types=types, sampler="balanced")
+        nets = model32.networks()
+    else:
+        model64, history64 = request.getfixturevalue("trained_vae_gmm")
+        model32, history32 = bl.fit_vae_gmm(
+            data, dataclasses.replace(model64.vae.config, dtype="float32"), 3, gmm_seed=3,
+            vocab=toy_setup["vocab"], level_types=types, sampler="balanced",
+        )
+        nets = model32.vae.networks()
+    assert all(net.params.dtype == np.float32 for net in nets.values())
+    loss64, loss32 = np.array(history64.total_loss), np.array(history32.total_loss)
+    assert len(loss32) == len(loss64) == 100
+    assert np.max(np.abs(loss32 - loss64) / np.abs(loss64)) < 1e-2
+
+    def accuracy(model):
+        return ev.clustering_accuracy(model.predict(data), types, model.k).balanced_accuracy
+
+    assert accuracy(model32) == accuracy(model64)

@@ -79,6 +79,32 @@ def test_softplus_floor_leaves_normal_range_bit_identical(dtype):
     assert np.array_equal(nn._softplus(z), np.logaddexp(0.0, z))
 
 
+def masked_sigmoid(z):
+    """The two-branch sigmoid written with boolean gathers."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_sigmoid_bytes_equal_masked_expression(dtype):
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 88.0, -88.0, 710.0, -710.0,
+               info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+               info.max, -info.max, info.eps, -info.eps]
+    z = np.concatenate([
+        np.array(special, dtype=dtype),
+        np.random.default_rng(0).standard_normal(100_059).astype(dtype) * 20,
+        np.linspace(-120.0, 120.0, 10_001, dtype=dtype),
+    ]).reshape(-1, 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, ref = nn._sigmoid(z), masked_sigmoid(z)
+    assert out.dtype == np.dtype(dtype) and out.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -215,8 +241,9 @@ def test_adam_rejects_another_nets_parameters():
 
 
 def per_array_adam(params, grads, m, v, t, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
-    """The textbook update, one expression per parameter array."""
-    lr_t = lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    """The textbook update, one expression per parameter array, with the
+    step size a scalar of the parameters' dtype."""
+    lr_t = params[0].dtype.type(lr * np.sqrt(1.0 - b2**t) / (1.0 - b1**t))
     for p, g, mp, vp in zip(params, grads, m, v):
         mp *= b1
         mp += (1.0 - b1) * g
@@ -254,6 +281,12 @@ def test_blocked_adam_bit_identical_to_per_array_update(dtype, source):
             assert p.dtype == np.dtype(dtype) and np.array_equal(p, ref)
     assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m]))
     assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v]))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_adam_scratch_is_in_the_net_dtype(dtype):
+    opt = nn.AdamState(nn.DenseNet([3, 2], ["linear"], np.random.default_rng(0), dtype))
+    assert opt._update.dtype == opt._denom.dtype == opt.m.dtype == np.dtype(dtype)
 
 
 def test_parameters_and_gradients_are_views_of_flat_buffers():
@@ -482,3 +515,46 @@ def test_gumbel_simplex_property(seed):
     y, _, _ = nn.gumbel_softmax(r.standard_normal(k) * 5, tau, r, hard=bool(r.integers(2)))
     assert np.all(y >= 0.0)
     assert abs(float(y.sum()) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# dtype: the loss terms compute in the dtype of their floating inputs
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_loss_terms_keep_the_input_dtype(dtype):
+    rng = np.random.default_rng(3)
+    out = rng.uniform(0.0, 1.0, (4, 6)).astype(dtype)
+    mu, var = rng.standard_normal((4, 5)).astype(dtype), rng.uniform(0.1, 2.0, (4, 5)).astype(dtype)
+    target = (rng.random((4, 6)) < 0.5).astype(np.float64)
+    eps = rng.standard_normal((4, 5))
+    loss, grad = nn.bce_loss(out, target, with_grad=True)
+    kl, kl_grads = nn.kl_diag(mu, var, np.zeros(5), np.ones(5), with_grad=True)
+    y, soft, noise = nn.gumbel_softmax(rng.standard_normal((4, 3)).astype(dtype), 0.7, rng, hard=True)
+    for a in (loss, grad, kl, *kl_grads, nn.reparam_grad_var(var, eps), y, soft, noise):
+        assert a.dtype == np.dtype(dtype)
+
+
+def test_loss_terms_compute_non_float_inputs_in_float64():
+    ones = np.ones(3, dtype=np.int64)
+    assert nn.bce_loss([0, 1, 1], ones).dtype == np.float64
+    assert nn.kl_diag(np.zeros(3, dtype=np.int64), ones, ones, ones).dtype == np.float64
+    assert nn.reparam_grad_var(ones, ones).dtype == np.float64
+    y, _, _ = nn.gumbel_softmax([0, 1, 2], 1.0, np.random.default_rng(0))
+    assert y.dtype == np.float64
+
+
+def test_float32_gumbel_noise_is_the_float64_draw_cast():
+    # the draw (and so the RNG stream) is the float64 one in either dtype
+    logits = np.zeros((50, 4), dtype=np.float32)
+    _, _, noise = nn.gumbel_softmax(logits, 1.0, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    assert np.array_equal(noise, nn.sample_gumbel(logits.shape, rng).astype(np.float32))
+    assert rng.random() == np.random.default_rng(9).random(201)[-1]
+    assert np.all(np.isfinite(noise))
+
+
+def test_positive_floor_is_normal_in_float32_and_1e_300_in_float64():
+    assert nn.positive_floor(np.float64) == 1e-300
+    assert nn.positive_floor(np.float32) == np.finfo(np.float32).tiny
+    assert np.float32(nn.positive_floor(np.float32)) > 0.0
