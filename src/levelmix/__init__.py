@@ -22,7 +22,6 @@ from .gmvae import (
     GmvaeConfig,
     GmvaeModel,
     build_model,
-    component_params,
     generate,
     train,
 )

@@ -6,7 +6,6 @@ learning the mixture during training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,11 +16,10 @@ from .errors import (
     ComponentOutOfRange,
     DegenerateData,
     DimensionMismatch,
-    NonFiniteLoss,
     NumericError,
     SingularCovariance,
 )
-from .gmvae import EncoderDecoder, StepLosses, VaeConfig, decode_generated, fit
+from .gmvae import EncoderDecoder, VaeConfig, decode_generated, fit
 
 
 class VaeModel(EncoderDecoder):
@@ -38,6 +36,17 @@ class VaeModel(EncoderDecoder):
         """{network name: (layer sizes, activations)} from the config, in
         the order the networks draw their initial weights."""
         return self._encoder_decoder_architecture(self.config.d)
+
+    def schedule(self, epoch):
+        """The plain VAE has no temperature: (0.0, False) every epoch."""
+        return 0.0, False
+
+    def loss_and_grads(self, x, tau, hard, rng):
+        """Draw the latent noise from rng and backprop the batch: (recon, kl,
+        0.0, grads); there is no balance term, and tau and hard are unused."""
+        eps = rng.standard_normal((x.shape[0], self.config.latent_dim))
+        recon, kl, grads = vae_loss_and_grads(self, x, eps)
+        return recon, kl, 0.0, grads
 
 
 def vae_loss(model, x, eps_noise):
@@ -56,32 +65,15 @@ def vae_loss_and_grads(model, x, eps_noise):
     return recon, kl, grads
 
 
-def vae_training_step(model, batch, tau, optimizers, rng, hard=False):
-    """One gradient step of the plain VAE; tau and hard are unused."""
-    eps = rng.standard_normal((batch.shape[0], model.config.latent_dim))
-    recon, kl, grads = vae_loss_and_grads(model, batch, eps)
-    if not (math.isfinite(recon) and math.isfinite(kl)):
-        raise NonFiniteLoss(f"non-finite loss: recon={recon} kl={kl}")
-    nets = model.networks()
-    for name, opt in optimizers.items():
-        opt.step(nets[name], grads[name])
-    return StepLosses(recon, kl, 0.0)
-
-
 def train_vae(data, config, level_types=None, sampler="uniform", log_every=None):
-    """fit() with the VAE's step and a constant (0.0, False) temperature
-    schedule; returns (model, history)."""
+    """fit() a new VaeModel of config; returns (model, history)."""
     model = VaeModel(config)
-    history = fit(
-        model, data, vae_training_step, lambda epoch: (0.0, False),
-        level_types=level_types, sampler=sampler, log_every=log_every,
-    )
+    history = fit(model, data, level_types=level_types, sampler=sampler, log_every=log_every)
     return model, history
 
 
 def vae_encode(model, data):
-    """Deterministic latent means (no sampling)."""
-    data = np.asarray(data, dtype=np.float64)
+    """Deterministic latent means (no sampling), in the model's dtype."""
     h = model.encoder_trunk.forward(data)
     return model.enc_mean_head.forward(h)
 
@@ -272,10 +264,6 @@ def gmm_log_responsibilities(model, points):
         )
     log_prob, log_norm = _e_step(points, model.weights, model.means, model.covariances)
     return log_prob - log_norm
-
-
-def gmm_responsibilities(model, points):
-    return np.exp(gmm_log_responsibilities(model, points))
 
 
 def gmm_predict(model, points):

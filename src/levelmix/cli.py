@@ -91,12 +91,13 @@ def _vae_config(args, d):
 
 
 def _training_data(args):
-    """(vocab, data, level_types) for a training command; level_types is
-    None unless the balanced sampler, which needs it, is selected."""
+    """(vocab, data in --dtype, level_types) for a training command;
+    level_types is None unless the balanced sampler, which needs it, is
+    selected."""
     balanced = args.sampler == "balanced"
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=balanced)
     level_types = [c.level_type for c in chunks] if balanced else None
-    return vocab, cp.encode_chunks(chunks, vocab), level_types
+    return vocab, cp.encode_chunks(chunks, vocab).astype(args.dtype, copy=False), level_types
 
 
 def _write_history(args, command, history):

@@ -40,9 +40,6 @@ class LevelGrid:
     level_id: str = ""
     level_type: Optional[str] = None
 
-    def char_at(self, r, c):
-        return self.tiles[r][c]
-
 
 def parse_level(text, level_id="", level_type=None):
     """Parse raw level file contents into a rectangular LevelGrid."""
@@ -371,24 +368,3 @@ def write_chunk_dump(path, chunks, vocab):
                 "rows": chunk_to_lines(chunk, vocab),
             }
             f.write(json.dumps(record) + "\n")
-
-
-def read_chunk_dump(path, vocab):
-    chunks = []
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            ids = np.array(
-                [[vocab.id_of(c) for c in row] for row in record["rows"]], dtype=np.int64
-            )
-            chunks.append(
-                Chunk(
-                    tiles=ids,
-                    level_id=record.get("level_id", ""),
-                    offset=tuple(record.get("offset", (0, 0))),
-                    level_type=record.get("type"),
-                )
-            )
-    return chunks

@@ -19,6 +19,7 @@ from .errors import (
     EmptyComponent,
     GeneratorFailure,
     MissingLabels,
+    UsageError,
 )
 from .neuralnet import AdamState, DenseNet
 
@@ -87,9 +88,6 @@ class DisentanglementReport:
     p80: float
     p90: float
     probe: str
-
-    def proportions(self):
-        return {"p70": self.p70, "p80": self.p80, "p90": self.p90}
 
     def to_dict(self):
         return {
@@ -161,6 +159,12 @@ def train_probe(train_x, train_y, val_x, val_y, k, rng_seed=0):
     return net
 
 
+def check_probe_split(n_per_component, n_train):
+    """UsageError unless the probe gets training and validation chunks."""
+    if not 1 <= n_train < n_per_component:
+        raise UsageError(f"need 1 <= n_train < n_per_component, got {n_train} and {n_per_component}")
+
+
 def disentanglement(generate_fn, k, vocab, rng, n_per_component=500, n_train=300):
     """Generate n_per_component chunks per component, train the probe on the
     training split, and score each component by the probe's accuracy on that
@@ -169,9 +173,8 @@ def disentanglement(generate_fn, k, vocab, rng, n_per_component=500, n_train=300
     generate_fn(component, n, rng) must return chunks; a model's generate
     method bound to its vocab fits directly.
     """
+    check_probe_split(n_per_component, n_train)
     n_val = n_per_component - n_train
-    if n_val <= 0:
-        raise GeneratorFailure("n_per_component must exceed n_train")
     train_x, train_y, val_x, val_y = [], [], [], []
     for component in range(k):
         try:

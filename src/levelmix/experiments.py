@@ -108,6 +108,7 @@ def disentanglement_sweep(
     row from; the template of a family not in families may be None. Each
     row's probe RNG is seeded with its config's rng_seed + k.
     """
+    ev.check_probe_split(n_per_component, n_train)
     templates = {"gmvae": gmvae_config, "vae-gmm": vae_config}
     rows = []
     for family in families:

@@ -39,7 +39,7 @@ from .errors import (
     MissingLabels,
     NonFiniteLoss,
 )
-from .neuralnet import DenseNet, AdamState, DiagGaussian
+from .neuralnet import DenseNet, AdamState
 
 
 @dataclass
@@ -129,17 +129,6 @@ class TrainingHistory:
 
     def __len__(self):
         return len(self.total_loss)
-
-
-@dataclass
-class GmComponentParams:
-    """Per-component latent Gaussians read out of the prior nets."""
-
-    components: list  # k DiagGaussians
-
-    @property
-    def k(self):
-        return len(self.components)
 
 
 class EncoderDecoder:
@@ -246,6 +235,17 @@ class GmvaeModel(EncoderDecoder):
     def k(self):
         return self.config.k
 
+    def schedule(self, epoch):
+        """(tau, hard) for the epoch, from temperature_schedule."""
+        return temperature_schedule(self.config, epoch)
+
+    def loss_and_grads(self, x, tau, hard, rng):
+        """gmvae_loss_and_grads with Gumbel noise, then latent noise, drawn
+        from rng: (recon, kl, balance, grads)."""
+        gumbel_noise = nn.sample_gumbel((x.shape[0], self.k), rng)
+        eps_noise = rng.standard_normal((x.shape[0], self.config.latent_dim))
+        return gmvae_loss_and_grads(self, x, tau, hard, gumbel_noise, eps_noise)
+
     def generate(self, component, n, rng):
         return generate(self, component, n, rng)
 
@@ -256,9 +256,9 @@ class GmvaeModel(EncoderDecoder):
     def encode(self, data):
         """(latent means, hard labels) per row; the encoder sees each row's
         hard label as a one-hot."""
-        data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data, dtype=self.config.dtype)
         labels = hard_labels(self, data)
-        one_hot = np.zeros((data.shape[0], self.k), dtype=np.float64)
+        one_hot = np.zeros((data.shape[0], self.k), dtype=data.dtype)
         one_hot[np.arange(data.shape[0]), labels] = 1.0
         h = self.encoder_trunk.forward(np.concatenate([data, one_hot], axis=1))
         return self.enc_mean_head.forward(h), labels
@@ -267,17 +267,6 @@ class GmvaeModel(EncoderDecoder):
 def build_model(config, vocab=None):
     """Construct all networks; deterministic given config.rng_seed."""
     return GmvaeModel(config, vocab)
-
-
-def assign_label(model, x, tau, rng, hard=False):
-    """Label-net forward then Gumbel-Softmax; a length-k simplex vector
-    (one-hot when hard) per input row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[-1] != model.config.d:
-        raise DimensionMismatch(f"expected d={model.config.d}, got {x.shape[-1]}")
-    logits = model.label_net.forward(x)
-    y, _, _ = nn.gumbel_softmax(logits, tau, rng, hard=hard)
-    return y[0] if y.shape[0] == 1 else y
 
 
 def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
@@ -370,7 +359,8 @@ StepLosses = namedtuple("StepLosses", ["recon", "kl", "label_balance"])
 
 
 def training_step(model, batch, tau, optimizers, rng, hard=False):
-    """One gradient step on a batch of flat vectors.
+    """One gradient step of either model family on a batch of flat vectors,
+    from the gradients of model.loss_and_grads.
 
     Returns StepLosses(recon, kl, label_balance); recon and kl are the two
     weighted objective terms, label_balance the anti-collapse regularizer.
@@ -383,9 +373,7 @@ def training_step(model, batch, tau, optimizers, rng, hard=False):
         raise DimensionMismatch(
             f"batch of {x.shape[0]} exceeds configured batch_size {cfg.batch_size}"
         )
-    gumbel_noise = nn.sample_gumbel((x.shape[0], cfg.k), rng)
-    eps_noise = rng.standard_normal((x.shape[0], cfg.latent_dim))
-    recon, kl, balance, grads = gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise)
+    recon, kl, balance, grads = model.loss_and_grads(x, tau, hard, rng)
     if not (math.isfinite(recon) and math.isfinite(kl) and math.isfinite(balance)):
         raise NonFiniteLoss(f"non-finite loss: recon={recon} kl={kl} balance={balance} tau={tau}")
     nets = model.networks()
@@ -397,20 +385,20 @@ def training_step(model, batch, tau, optimizers, rng, hard=False):
 SAMPLERS = ("uniform", "balanced")
 
 
-def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_every=None, on_epoch=None):
+def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epoch=None):
     """The training loop both model families share: config.epochs epochs of
-    ceil(n / batch_size) batches.
+    ceil(n / batch_size) training_steps at model.schedule(epoch)'s (tau, hard).
 
-    data: (n, d) one-hot matrix. step(model, batch, tau, optimizers, rng,
-    hard=...) takes one gradient step and returns StepLosses; schedule(epoch)
-    gives (tau, hard). sampler: "uniform" shuffles each epoch; "balanced"
-    draws indices weighted by 1 / level-type count (requires level_types).
-    on_epoch(epoch, history), if given, runs after each epoch is recorded.
-    A NonFiniteLoss from step is raised again naming the 1-based epoch and
-    step within it.
+    data: (n, d) one-hot matrix. sampler: "uniform" shuffles each epoch;
+    "balanced" draws indices weighted by 1 / level-type count (requires
+    level_types). on_epoch(epoch, history), if given, runs after each epoch
+    is recorded. A NonFiniteLoss from a step is raised again naming the
+    1-based epoch and step within it.
     Returns the TrainingHistory; the model is updated in place.
     """
     cfg = model.config
+    if log_every is not None and log_every < 1:
+        raise InvalidConfig(f"log_every must be >= 1, got {log_every}")
     if sampler not in SAMPLERS:
         raise InvalidConfig(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if sampler == "balanced" and level_types is None:
@@ -423,22 +411,20 @@ def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_ev
     rng = np.random.default_rng(cfg.rng_seed + 1)  # distinct from init stream
     optimizers = make_optimizers(model)
     history = TrainingHistory()
-    batches_per_epoch = max(1, math.ceil(n / cfg.batch_size))
+    batches_per_epoch = math.ceil(n / cfg.batch_size)
     balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
     # the plain VAE has no balance term; its StepLosses carry label_balance 0.0
     balance_weight = getattr(cfg, "label_balance_weight", 0.0)
 
     for epoch in range(cfg.epochs):
-        tau, hard = schedule(epoch)
+        tau, hard = model.schedule(epoch)
         order = balanced.draw(n) if balanced is not None else rng.permutation(n)
         recon_sum = kl_sum = balance_sum = 0.0
         count = 0
         for b in range(batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            if len(idx) == 0:
-                continue
             try:
-                losses = step(model, data[idx], tau, optimizers, rng, hard=hard)
+                losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
             recon_sum += losses.recon * len(idx)
@@ -454,7 +440,7 @@ def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_ev
             + balance_weight * mean_balance
         )
         history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
-        if log_every and (epoch + 1) % log_every == 0:
+        if log_every is not None and (epoch + 1) % log_every == 0:
             print(
                 f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
                 f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
@@ -465,13 +451,14 @@ def fit(model, data, step, schedule, level_types=None, sampler="uniform", log_ev
 
 
 def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None, checkpoint_every=None, log_every=None):
-    """fit() with the mixture model's step and temperature schedule.
+    """fit() the mixture model.
 
     With checkpoint_path and checkpoint_every, the model is saved to
     checkpoint_path every checkpoint_every epochs; saving the final model is
     left to the caller. The model should be treated as immutable afterwards.
     """
-    cfg = model.config
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise InvalidConfig(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     on_epoch = None
     if checkpoint_path and checkpoint_every:
         from .checkpoints import save_gmvae
@@ -480,20 +467,7 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
             if (epoch + 1) % checkpoint_every == 0:
                 save_gmvae(checkpoint_path, model, history)
 
-    return fit(
-        model, data, training_step, lambda epoch: temperature_schedule(cfg, epoch),
-        level_types=level_types, sampler=sampler, log_every=log_every, on_epoch=on_epoch,
-    )
-
-
-def component_params(model):
-    """Forward each one-hot label through the prior nets."""
-    eye = np.eye(model.config.k, dtype=np.float64)
-    means = model.prior_mean_net.forward(eye)
-    variances = model.prior_var_net.forward(eye)
-    return GmComponentParams(
-        components=[DiagGaussian(means[i], variances[i]) for i in range(model.config.k)]
-    )
+    return fit(model, data, level_types=level_types, sampler=sampler, log_every=log_every, on_epoch=on_epoch)
 
 
 def generate(model, component, n, rng):
@@ -524,6 +498,5 @@ def decode_generated(x_hat, vocab, component):
 def hard_labels(model, data):
     """Deterministic component labels: argmax of the label-net logits
     (the zero-temperature, no-noise limit)."""
-    data = np.asarray(data, dtype=np.float64)
     logits = model.label_net.forward(data)
     return np.argmax(logits, axis=1)

@@ -291,22 +291,6 @@ class AdamState:
             p[start:end] -= u
 
 
-@dataclass
-class DiagGaussian:
-    """Diagonal Gaussian given by per-dimension means and variances."""
-
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        self.variances = np.asarray(self.variances, dtype=float)
-        if self.means.shape != self.variances.shape:
-            raise ShapeMismatch("means and variances differ in shape")
-        if np.any(self.variances <= 0.0):
-            raise NonPositiveVariance("variances must be strictly positive")
-
-
 def bce_loss(output, target, with_grad=False):
     """Summed Bernoulli cross-entropy over the last axis.
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_vae_single_batch_overfit(toy_setup):
     pred = np.argmax(x_hat.reshape(64, 256, t), axis=2)
     truth = np.argmax(data.reshape(64, 256, t), axis=2)
     assert float(np.mean(pred == truth)) >= 0.99
+
+
+def test_vae_encode_of_float32_data_makes_no_float64_copy():
+    config = bl.VaeConfig(d=1024, latent_dim=4, hidden_width=8, hidden_depth=1, dtype="float32")
+    model = bl.VaeModel(config)
+    data = (np.random.default_rng(0).random((256, 1024)) < 0.1).astype(np.float32)
+    tracemalloc.start()
+    try:
+        latents = bl.vae_encode(model, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert latents.dtype == np.float32
+    assert peak < data.size * 8, f"peak {peak} bytes for {data.nbytes} bytes of float32 input"
 
 
 def test_vae_loss_decreases(trained_vae_gmm):
@@ -210,7 +225,7 @@ def test_gmm_k1_closed_form():
 def test_gmm_predict_mean_point_and_responsibilities():
     points, _ = two_blobs(seed=11)
     model = bl.gmm_fit(points, 2, rng_seed=3)
-    resp = bl.gmm_responsibilities(model, points)
+    resp = np.exp(bl.gmm_log_responsibilities(model, points))
     assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
     pred_at_means = bl.gmm_predict(model, model.means)
     assert pred_at_means[0] != pred_at_means[1]

@@ -10,6 +10,7 @@ from conftest import join_checkpoint, read_header, split_checkpoint
 from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import corpus as cp
+from levelmix import experiments
 from levelmix import toygame
 
 FAST_TRAIN = [
@@ -120,6 +121,31 @@ def test_checkpoint_every_saves_once_per_period(workspace, tmp_path, monkeypatch
     # two periodic saves, then the final one with run_info
     assert calls == [False, False, True]
     assert read_header(out)["run_info"]["command"] == "train"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--log-every"), ("train-baseline", "--log-every"), ("train", "--checkpoint-every")],
+)
+def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "model.json"
+    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
+    capsys.readouterr()
+    assert cli.run(argv + ["--epochs", "2", flag, value]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "InvalidConfig"
+    assert value in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_training_data_is_in_the_training_dtype(workspace, tmp_path, dtype):
+    args = cli.build_parser().parse_args(
+        ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(tmp_path / "m"), "--dtype", dtype]
+    )
+    _, data, _ = cli._training_data(args)
+    assert data.dtype == np.dtype(dtype)
 
 
 def _truncate(raw):
@@ -579,6 +605,30 @@ def test_sweep_csv(workspace, tmp_path):
     assert len(rows) == 1 + 4  # 2 families x 2 k values
     families = {r[0] for r in rows[1:]}
     assert families == {"gmvae", "vae-gmm"}
+
+
+@pytest.mark.parametrize("n_train", ["0", "20", "25"])
+def test_eval_disentangle_bad_n_train_is_usage_error(checkpoints, tmp_path, capsys, n_train):
+    out = tmp_path / "dis.json"
+    argv = ["eval-disentangle", "--model", checkpoints["gmvae"], "--out", str(out), "--n-per-component", "20"]
+    capsys.readouterr()
+    assert cli.run(argv + ["--n-train", n_train]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and "n_train" in error["message"]
+    assert not out.exists()
+
+
+def test_sweep_bad_n_train_is_usage_error_before_training(workspace, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model before checking --n-train")
+
+    monkeypatch.setattr(experiments, "train_family", no_training)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--manifest", workspace["manifest"], "--out", str(out), "--k-list", "2"]
+    capsys.readouterr()
+    assert cli.run(argv + ["--n-per-component", "20", "--n-train", "20"]) == 1
+    assert _single_error_line(capsys)["error"] == "usage"
+    assert not out.exists()
 
 
 def test_sweep_empty_k_list_usage_error(workspace, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,8 +256,10 @@ def test_chunk_dump_roundtrip(tmp_path, toy_setup):
     cp.write_chunk_dump(path, chunks, vocab)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 10
-    back = cp.read_chunk_dump(path, vocab)
-    for a, b in zip(chunks, back):
-        assert np.array_equal(a.tiles, b.tiles)
-        assert a.level_type == b.level_type
-        assert a.offset == b.offset
+    for chunk, line in zip(chunks, lines):
+        record = json.loads(line)
+        tiles = [[vocab.id_of(c) for c in row] for row in record["rows"]]
+        assert np.array_equal(chunk.tiles, tiles)
+        assert record["type"] == chunk.level_type
+        assert tuple(record["offset"]) == chunk.offset
+        assert record["level_id"] == chunk.level_id

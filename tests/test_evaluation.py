@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from levelmix import corpus as cp
 from levelmix import evaluation as ev
-from levelmix.errors import EmptyComponent, MissingLabels
+from levelmix.errors import EmptyComponent, MissingLabels, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,20 @@ def test_proportions_monotone(rng):
 
     report = ev.disentanglement(gen, 4, vocab, rng, n_per_component=80, n_train=50)
     assert report.p70 >= report.p80 >= report.p90
+
+
+@pytest.mark.parametrize("n_per_component, n_train", [(10, 0), (10, -1), (10, 10), (10, 11), (0, 1)])
+def test_probe_split_without_both_sides_is_usage_error(n_per_component, n_train):
+    vocab = cp.TileVocab(game="t", chars=("-", "A"))
+    calls = []
+
+    def gen(component, n, rng):
+        calls.append(component)
+        return [constant_chunk(1) for _ in range(n)]
+
+    with pytest.raises(UsageError, match="n_train"):
+        ev.disentanglement(gen, 2, vocab, np.random.default_rng(0), n_per_component=n_per_component, n_train=n_train)
+    assert calls == []
 
 
 def test_generator_failure_wrapped():

@@ -97,22 +97,6 @@ def test_different_seed_differs():
     assert not same
 
 
-def test_assign_label_simplex_and_hard(rng):
-    model = gm.build_model(small_gmvae_config(64))
-    x = rng.random(64)
-    y = gm.assign_label(model, x, tau=1.0, rng=rng)
-    assert y.shape == (3,)
-    assert math.isclose(float(y.sum()), 1.0, rel_tol=1e-9)
-    y_hard = gm.assign_label(model, x, tau=1.0, rng=rng, hard=True)
-    assert sorted(y_hard.tolist()) == [0.0, 0.0, 1.0]
-
-
-def test_assign_label_dimension_mismatch(rng):
-    model = gm.build_model(small_gmvae_config(64))
-    with pytest.raises(DimensionMismatch):
-        gm.assign_label(model, np.zeros(65), tau=1.0, rng=rng)
-
-
 def test_temperature_schedule_reaches_floor_then_hard():
     cfg = small_gmvae_config(64, epochs=100, tau_start=1.0, tau_min=0.5)
     tau0, hard0 = gm.temperature_schedule(cfg, 0)
@@ -273,15 +257,15 @@ def test_non_finite_loss_names_epoch_and_step(toy_setup, train):
         train(data, toy_setup["vocab"])
 
 
-def _traced_peak(step, model, batch):
-    """tracemalloc peak, in bytes, of one step after a warm-up step."""
+def _traced_peak(model, batch):
+    """tracemalloc peak, in bytes, of one training_step after a warm-up step."""
     optimizers = gm.make_optimizers(model)
     rng = np.random.default_rng(0)
-    step(model, batch, 1.0, optimizers, rng)
+    gm.training_step(model, batch, 1.0, optimizers, rng)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        step(model, batch, 1.0, optimizers, rng)
+        gm.training_step(model, batch, 1.0, optimizers, rng)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,10 +278,10 @@ def test_training_step_allocates_far_less_than_parameters():
     batch = (np.random.default_rng(1).random((16, d)) < 0.1).astype(np.float64)
     gmvae = gm.build_model(gm.GmvaeConfig(d=d, k=3, hidden_width=256, latent_dim=8, batch_size=16))
     vae = bl.VaeModel(bl.VaeConfig(d=d, hidden_width=256, latent_dim=8, batch_size=16))
-    for step, model in ((gm.training_step, gmvae), (bl.vae_training_step, vae)):
+    for model in (gmvae, vae):
         param_bytes = sum(p.nbytes for net in model.networks().values() for p in net.param_arrays())
-        ratio = _traced_peak(step, model, batch) / param_bytes
-        assert ratio < 0.5, f"{step.__name__}: peak {ratio:.2f}x the parameter bytes"
+        ratio = _traced_peak(model, batch) / param_bytes
+        assert ratio < 0.5, f"{type(model).__name__}: peak {ratio:.2f}x the parameter bytes"
 
 
 def test_train_loss_decreases(trained_gmvae):
@@ -314,23 +298,6 @@ def test_deterministic_replay(toy_setup):
     h2 = gm.train(gm.build_model(small_gmvae_config(data.shape[1], epochs=4, rng_seed=9), toy_setup["vocab"]), data)
     assert h1.total_loss == h2.total_loss
     assert h1.recon_loss == h2.recon_loss
-
-
-def test_component_params_shapes_and_positive_variances(trained_gmvae):
-    model, _ = trained_gmvae
-    params = gm.component_params(model)
-    assert params.k == model.config.k
-    for component in params.components:
-        assert component.means.shape == (model.config.latent_dim,)
-        assert component.variances.shape == (model.config.latent_dim,)
-        assert np.all(component.variances > 0.0)
-
-
-def test_component_params_k10():
-    model = gm.build_model(gm.GmvaeConfig(d=64, k=10, latent_dim=64, hidden_width=8, hidden_depth=1))
-    params = gm.component_params(model)
-    assert params.k == 10
-    assert all(c.means.shape == (64,) for c in params.components)
 
 
 def test_prior_mean_linearity(trained_gmvae):
@@ -452,7 +419,7 @@ def test_hard_label_stability_after_training(trained_gmvae, toy_setup):
     agree = 0
     draws = 40
     for _ in range(draws):
-        y = gm.assign_label(model, x, tau=0.01, rng=rng)
+        y, _, _ = nn.gumbel_softmax(model.label_net.forward(x), 0.01, rng)
         agree += np.sum(np.argmax(y, axis=1) == hard)
     assert agree / (draws * len(x)) >= 0.95
 
