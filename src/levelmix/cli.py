@@ -97,7 +97,7 @@ def _training_data(args):
     balanced = args.sampler == "balanced"
     manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=balanced)
     level_types = [c.level_type for c in chunks] if balanced else None
-    return vocab, cp.encode_chunks(chunks, vocab).astype(args.dtype, copy=False), level_types
+    return vocab, cp.encode_chunks(chunks, vocab, args.dtype), level_types
 
 
 def _write_history(args, command, history):

@@ -30,6 +30,9 @@ from .errors import (
 CHUNK_SIZE = 16
 AXES = ("horizontal", "vertical", "both")
 PAD_SIDES = ("top", "bottom")
+# padding only has to make a 16-row window fit; every row past that is a row
+# of background windows, and pad_level builds each one as a string
+MAX_PAD_ROWS = 256
 
 
 @dataclass
@@ -129,9 +132,20 @@ class Chunk:
             raise LengthMismatch(f"chunk must be 16x16, got {self.tiles.shape}")
 
 
+def _check_ids(ids, size):
+    """IdOutOfRange naming the first id outside [0, size), in row-major order."""
+    bad = (ids < 0) | (ids >= size)
+    if bad.any():
+        raise IdOutOfRange(f"tile id {ids.flat[np.argmax(bad)]} out of range [0, {size})")
+
+
 def chunk_to_lines(chunk, vocab):
     """Render a chunk back to its 16 row strings."""
-    return ["".join(vocab.char_of(int(t)) for t in row) for row in chunk.tiles]
+    _check_ids(chunk.tiles, vocab.size)
+    # index the vocab's code points, then read them back as one string
+    codes = np.array([ord(c) for c in vocab.chars], dtype="<u4")
+    text = codes[chunk.tiles].tobytes().decode("utf-32-le", "surrogatepass")
+    return [text[i : i + CHUNK_SIZE] for i in range(0, len(text), CHUNK_SIZE)]
 
 
 def level_to_ids(level, vocab):
@@ -185,16 +199,21 @@ def one_hot_encode(chunk, vocab):
     """
     t = vocab.size
     ids = chunk.tiles.reshape(-1)
-    if np.any(ids < 0) or np.any(ids >= t):
-        raise IdOutOfRange(f"chunk ids outside [0, {t})")
+    _check_ids(ids, t)
     flat = np.zeros(ids.size * t, dtype=np.float64)
     flat[np.arange(ids.size) * t + ids] = 1.0
     return flat
 
 
-def encode_chunks(chunks, vocab):
-    """Stack one-hot encodings into an (n, d) matrix."""
-    return np.stack([one_hot_encode(c, vocab) for c in chunks])
+def encode_chunks(chunks, vocab, dtype=np.float64):
+    """The chunks' one-hot encodings as the rows of one (n, d) matrix in
+    `dtype`: row i is one_hot_encode(chunks[i], vocab)."""
+    ids = np.stack([c.tiles for c in chunks]).reshape(len(chunks), -1, 1)
+    t = vocab.size
+    _check_ids(ids, t)
+    out = np.zeros((len(ids), ids.shape[1] * t), dtype=dtype)
+    np.put_along_axis(out.reshape(len(ids), -1, t), ids, 1, axis=2)
+    return out
 
 
 def decode(values, vocab, level_id="", offset=(0, 0), level_type=None):
@@ -277,22 +296,32 @@ def load_manifest(path):
         raise DataError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
 
 
-_JSON_KINDS = {str: "a string", int: "an integer", dict: "an object", type(None): "null"}
+_JSON_KINDS = {str: "a string", int: "an integer", dict: "an object", list: "an array", type(None): "null"}
 
 
 def _checked(value, kinds, what, path):
-    """value if it has one of the JSON kinds (str, int, dict, None), else a
-    DataError naming the manifest field; no field takes a boolean."""
+    """value if it has one of the JSON kinds (str, int, dict, list, None),
+    else a DataError naming the manifest field; no field takes a boolean."""
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(_JSON_KINDS[k] for k in kinds)
         raise DataError(f"{path}: manifest {what} must be {names}, got {value!r}")
     return value
 
 
+def _count(value, what, path, limit=None):
+    """An integer manifest field that counts tiles: in [0, limit], or just
+    non-negative without a limit; else a DataError naming the field."""
+    _checked(value, (int,), what, path)
+    if value < 0 or (limit is not None and value > limit):
+        bound = ">= 0" if limit is None else f"in [0, {limit}]"
+        raise DataError(f"{path}: manifest {what} must be {bound}, got {value}")
+    return value
+
+
 def _manifest_from_json(raw, path):
     base = os.path.dirname(os.path.abspath(path))
     level_paths, level_types = [], []
-    for entry in raw.get("levels", []):
+    for entry in _checked(raw.get("levels", []), (list,), "levels", path):
         if isinstance(entry, str):
             rel, ltype = entry, None
         else:
@@ -303,8 +332,11 @@ def _manifest_from_json(raw, path):
         level_types.append(ltype)
     if not level_paths:
         raise DataError(f"{path}: manifest lists no levels")
-    pad = _checked(raw.get("pad") or {}, (dict,), "pad", path)
-    jump = _checked(raw.get("jump") or {}, (dict,), "jump", path)
+    pad = _checked(raw.get("pad"), (dict, type(None)), "pad", path) or {}
+    jump = _checked(raw.get("jump"), (dict, type(None)), "jump", path) or {}
+    rows_to = pad.get("rows_to")
+    if rows_to is not None:
+        _count(rows_to, "pad.rows_to", path, MAX_PAD_ROWS)
     pad_side = _checked(pad.get("side", "top"), (str,), "pad.side", path)
     if pad_side not in PAD_SIDES:
         raise DataError(f"{path}: manifest pad.side must be one of {PAD_SIDES}, got {pad_side!r}")
@@ -318,10 +350,10 @@ def _manifest_from_json(raw, path):
         solidity=_checked(raw.get("solidity", {}), (dict,), "solidity", path),
         axis=raw.get("axis", "horizontal"),
         background=background,
-        pad_rows_to=_checked(pad.get("rows_to"), (int, type(None)), "pad.rows_to", path),
+        pad_rows_to=rows_to,
         pad_side=pad_side,
-        jump_max_height=_checked(jump.get("max_height", 4), (int,), "jump.max_height", path),
-        jump_max_span=_checked(jump.get("max_span", 5), (int,), "jump.max_span", path),
+        jump_max_height=_count(jump.get("max_height", 4), "jump.max_height", path),
+        jump_max_span=_count(jump.get("max_span", 5), "jump.max_span", path),
         path=os.path.abspath(path),
     )
 
@@ -336,7 +368,10 @@ def load_levels(manifest, heuristic_types=False):
         if not os.path.exists(lv_path):
             raise DataError(f"level file not found: {lv_path}")
         with open(lv_path) as f:
-            text = f.read()
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{lv_path}: level file is not text ({exc})") from None
         level = parse_level(text, level_id=os.path.basename(lv_path), level_type=lv_type)
         if level.level_type is None and heuristic_types:
             # classify before padding: added background rows would hide a ceiling

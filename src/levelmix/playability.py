@@ -9,19 +9,21 @@ vertical games from the bottom row to the top row. Falling off the bottom of
 the grid or rising above its top row ends the attempt.
 
 A queue-based flood (bfs_crossable) over the same move set serves as an
-independent reachability oracle for the A* search.
+independent reachability oracle for the A* search; both read one move model
+(_moves) over flat passable/standable flags of the grid.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+import math
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .corpus import chunk_to_lines
-from .errors import UncoveredTile, UnsupportedGame
+from .errors import RaggedRows, UncoveredTile, UnsupportedGame
 
 SOLID, PASSABLE, HAZARD = "solid", "passable", "hazard"
 
@@ -55,154 +57,158 @@ def rules_from_manifest(manifest):
     )
 
 
-class _Grid:
-    """Solidity-resolved view of a character grid."""
+class _Moves(NamedTuple):
+    """The movement model on one grid, shared by A* and the BFS oracle.
 
-    def __init__(self, rows, rules):
-        self.rows = rows
-        self.height = len(rows)
-        self.width = len(rows[0])
-        solid = set()
-        for r, row in enumerate(rows):
-            for c, char in enumerate(row):
-                kind = rules.solidity.get(char)
-                if kind is None:
-                    raise UncoveredTile(f"tile {char!r} missing from the solidity map")
-                if kind == SOLID:
-                    solid.add((r, c))
-        self.solid = solid
+    Cells are indices into the grid flattened row-major inside a frame of
+    blocked cells: (r, c) is (r + 1) * width + c + 1, where width is the
+    grid's plus 2, so no move needs a bounds check. A state is (cell,
+    ascent_left, drift_left); grounded states carry ascent -1 and full drift
+    so landing always reaches one canonical state. cost[cell] is the A*
+    heuristic, 0 exactly on the goal cells.
+    """
 
-    def passable(self, r, c):
-        return 0 <= r < self.height and 0 <= c < self.width and (r, c) not in self.solid
+    width: int
+    starts: list
+    successors: Callable
+    cost: list
+    is_goal: Callable
 
-    def standable(self, r, c):
-        return self.passable(r, c) and r + 1 < self.height and (r + 1, c) in self.solid
+    def cell(self, state):
+        r, c = divmod(state[0], self.width)
+        return r - 1, c - 1
 
 
-# states: (row, col, ascent_left, drift_left); grounded states carry
-# ascent = -1 and full drift so landing always reaches one canonical state
-def _grounded(r, c, rules):
-    return (r, c, -1, rules.max_jump_span)
-
-
-def _successors(state, grid, rules):
-    r, c, ascent, drift = state
-    out = []
-    if ascent < 0:  # standing
-        for dc in (-1, 1):
-            nc = c + dc
-            if grid.passable(r, nc):
-                if grid.standable(r, nc):
-                    out.append(_grounded(r, nc, rules))
-                else:
-                    out.append((r, nc, 0, rules.max_jump_span))  # walked off a ledge
-        out.append((r, c, rules.max_jump_height, rules.max_jump_span))  # launch a jump
-        return out
-    if ascent > 0:  # rising
-        nr = r - 1
-        if grid.passable(nr, c):
-            out.append((nr, c, ascent - 1, drift))
-        if drift > 0:
-            for dc in (-1, 1):
-                if grid.passable(nr, c + dc):
-                    out.append((nr, c + dc, ascent - 1, drift - 1))
-        out.append((r, c, 0, drift))  # cut the jump short
-        return out
-    # falling
-    if grid.standable(r, c):  # ground directly below: land in place
-        out.append(_grounded(r, c, rules))
-        return out
-    nr = r + 1
-    landings = []
-    if grid.passable(nr, c):
-        landings.append((nr, c, drift))
-    if drift > 0:
-        for dc in (-1, 1):
-            if grid.passable(nr, c + dc):
-                landings.append((nr, c + dc, drift - 1))
-    for lr, lc, ld in landings:
-        if grid.standable(lr, lc):
-            out.append(_grounded(lr, lc, rules))
-        else:
-            out.append((lr, lc, 0, ld))
-    return out
-
-
-def _start_states(grid, rules):
+def _moves(rows, rules):
+    """The _Moves of equal-length character rows under `rules`."""
+    text = "".join(rows)
+    missing = set(text).difference(rules.solidity)
+    if missing:
+        char = next(c for c in text if c in missing)
+        raise UncoveredTile(f"tile {char!r} missing from the solidity map")
+    height, width = len(rows), len(rows[0])
+    lengths = set(map(len, rows))
+    if lengths != {width}:
+        raise RaggedRows(f"playability needs rows of one length, got lengths {sorted(lengths)}")
+    # cell codes: 1 solid, 2 open (passable or hazard), 0 the blocked frame
+    w = width + 2
+    table = {ord(char): "\1" if kind == SOLID else "\2" for char, kind in rules.solidity.items() if len(char) == 1}
+    edge = "\0" * (w + 1)
+    framed = edge + "\0\0".join(row.translate(table) for row in rows) + edge
+    cells = np.frombuffer(framed.encode("latin-1"), np.uint8)
+    is_open = cells == 2
+    passable = is_open.tobytes()
+    standable = (is_open[:-w] & (cells[w:] == 1)).tobytes() + bytes(w)
+    jump, span = rules.max_jump_height, rules.max_jump_span
+    n = len(cells)
     if rules.axis == "horizontal":
-        cells = [(r, 0) for r in range(grid.height) if grid.standable(r, 0)]
+        # stand somewhere in the rightmost column, having entered at the left
+        cost = list(range(width, width - w, -1)) * (height + 2)
+        starts = [(i, -1, span) for i in range(w + 1, n - w, w) if standable[i]]
+
+        def is_goal(state):
+            return state[1] < 0 and cost[state[0]] == 0
+
     else:
-        # enter from the bottom edge: stand on any bottom-row solid, or on
-        # the window boundary itself where the bottom row is open
-        bottom = grid.height - 1
-        cells = [(bottom - 1, c) for c in range(grid.width) if grid.standable(bottom - 1, c)]
-        cells += [(bottom, c) for c in range(grid.width) if grid.passable(bottom, c)]
-    return [_grounded(r, c, rules) for r, c in cells]
+        # occupy the top row in any movement phase, having entered from the
+        # bottom edge: standing on any bottom-row solid, or on the window
+        # boundary itself where the bottom row is open
+        cost = [i // w - 1 for i in range(n)]
+        bottom = height * w + 1
+        starts = [(i, -1, span) for i in range(bottom - w, bottom - w + width) if standable[i]]
+        starts += [(i, -1, span) for i in range(bottom, bottom + width) if passable[i]]
 
+        def is_goal(state):
+            return cost[state[0]] == 0
 
-def _is_goal(state, grid, rules):
-    r, c, ascent, _ = state
-    if rules.axis == "horizontal":
-        # stand somewhere in the rightmost column
-        return ascent < 0 and c == grid.width - 1
-    # occupy the top row in any movement phase
-    return r == 0
+    def successors(state):
+        i, ascent, drift = state
+        out = []
+        if ascent < 0:  # standing
+            for j in (i - 1, i + 1):
+                if passable[j]:
+                    # walk, or walk off a ledge
+                    out.append((j, -1, span) if standable[j] else (j, 0, span))
+            out.append((i, jump, span))  # launch a jump
+            return out
+        if ascent > 0:  # rising
+            j = i - w
+            if passable[j]:
+                out.append((j, ascent - 1, drift))
+            if drift > 0:
+                for k in (j - 1, j + 1):
+                    if passable[k]:
+                        out.append((k, ascent - 1, drift - 1))
+            out.append((i, 0, drift))  # cut the jump short
+            return out
+        # falling
+        if standable[i]:  # ground directly below: land in place
+            return [(i, -1, span)]
+        j = i + w
+        if passable[j]:
+            out.append((j, -1, span) if standable[j] else (j, 0, drift))
+        if drift > 0:
+            for k in (j - 1, j + 1):
+                if passable[k]:
+                    out.append((k, -1, span) if standable[k] else (k, 0, drift - 1))
+        return out
 
-
-def _heuristic(state, grid, rules):
-    r, c, _, _ = state
-    if rules.axis == "horizontal":
-        return grid.width - 1 - c
-    return r
+    return _Moves(w, starts, successors, cost, is_goal)
 
 
 def crossable(rows, rules):
-    """A* over the movement model; returns (reachable, path of (row, col))."""
-    grid = _Grid(rows, rules)
-    starts = _start_states(grid, rules)
-    if not starts:
+    """A* over the movement model; returns (reachable, path of (row, col)).
+
+    Every move costs 1 and changes the heuristic by at most 1, so f = g + h
+    never drops along a move. The open set is therefore one FIFO list per f,
+    taken in ascending f: that pops states in the order of a binary heap on
+    (f, push count), without the heap.
+    """
+    moves = _moves(rows, rules)
+    successors, cost, is_goal = moves.successors, moves.cost, moves.is_goal
+    if not moves.starts:
         return False, None
-    counter = 0
-    heap = []
+    open_by_f = defaultdict(list)
     best_g = {}
     parent = {}
-    for s in starts:
-        heapq.heappush(heap, (_heuristic(s, grid, rules), counter, 0, s))
-        counter += 1
+    for s in moves.starts:
+        open_by_f[cost[s[0]]].append(s)
         best_g[s] = 0
         parent[s] = None
-    while heap:
-        _, _, g, state = heapq.heappop(heap)
-        if g > best_g.get(state, np.inf):
-            continue
-        if _is_goal(state, grid, rules):
-            path = []
-            cur = state
-            while cur is not None:
-                path.append((cur[0], cur[1]))
-                cur = parent[cur]
-            return True, path[::-1]
-        for nxt in _successors(state, grid, rules):
+    f = min(open_by_f)
+    while open_by_f:
+        # states pushed at this f while it is scanned are scanned too
+        for state in open_by_f.get(f, ()):
+            g = f - cost[state[0]]
+            if g > best_g[state]:
+                continue
+            if is_goal(state):
+                path = []
+                while state is not None:
+                    path.append(moves.cell(state))
+                    state = parent[state]
+                return True, path[::-1]
             ng = g + 1
-            if ng < best_g.get(nxt, np.inf):
-                best_g[nxt] = ng
-                parent[nxt] = state
-                heapq.heappush(heap, (ng + _heuristic(nxt, grid, rules), counter, ng, nxt))
-                counter += 1
+            for nxt in successors(state):
+                if ng < best_g.get(nxt, math.inf):
+                    best_g[nxt] = ng
+                    parent[nxt] = state
+                    open_by_f[ng + cost[nxt[0]]].append(nxt)
+        open_by_f.pop(f, None)
+        f += 1
     return False, None
 
 
 def bfs_crossable(rows, rules):
     """Plain breadth-first flood over the same move set; reachability oracle."""
-    grid = _Grid(rows, rules)
-    starts = _start_states(grid, rules)
-    seen = set(starts)
-    queue = deque(starts)
+    moves = _moves(rows, rules)
+    seen = set(moves.starts)
+    queue = deque(moves.starts)
     while queue:
         state = queue.popleft()
-        if _is_goal(state, grid, rules):
+        if moves.is_goal(state):
             return True
-        for nxt in _successors(state, grid, rules):
+        for nxt in moves.successors(state):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

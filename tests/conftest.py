@@ -3,12 +3,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import corpus as cp
 from levelmix import gmvae as gm
 from levelmix import toygame
+
+# property and fuzz tests: the same examples on every run, and no deadline,
+# as one example's time varies with the machine
+FUZZ = settings(max_examples=50, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="session")

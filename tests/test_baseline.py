@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FUZZ
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import corpus as cp
@@ -198,7 +199,7 @@ def test_gmm_log_likelihood_monotone():
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(FUZZ, max_examples=25)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_gmm_log_likelihood_monotone_property(seed):
     r = np.random.default_rng(seed)

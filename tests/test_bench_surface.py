@@ -8,10 +8,15 @@ before any of its own gates run.
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from levelmix import baseline as bl
+from levelmix import corpus as cp
+from levelmix import evaluation as ev
 from levelmix import gmvae as gm
+from levelmix import playability as pl
+from levelmix import toygame
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -32,6 +37,19 @@ def perfbench():
     return tracer, workloads
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_tracer_installs_and_removes_its_wrappers(perfbench):
     tracer, workloads = perfbench
     assert set(workloads.WORKLOADS) == {"train-smb-f64", "baseline-ki-f32", "eval-smb-k10"}
@@ -44,14 +62,7 @@ def test_tracer_installs_and_removes_its_wrappers(perfbench):
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
 def test_both_families_train_through_training_step(toy_setup, monkeypatch, family):
     # so the tracer's wrapper on gmvae.training_step sees every step of both
-    calls = []
-    step = gm.training_step
-
-    def counted(model, *args, **kwargs):
-        calls.append(type(model).__name__)
-        return step(model, *args, **kwargs)
-
-    monkeypatch.setattr(gm, "training_step", counted)
+    calls = counting(monkeypatch, gm, "training_step")
     data = toy_setup["data"][:100]
     fields = dict(d=data.shape[1], latent_dim=4, hidden_width=16, hidden_depth=1, batch_size=32, epochs=1)
     if family == "gmvae":
@@ -59,4 +70,31 @@ def test_both_families_train_through_training_step(toy_setup, monkeypatch, famil
     else:
         bl.train_vae(data, bl.VaeConfig(**fields))
     # ceil(100 / 32) steps in the one epoch
-    assert calls == [{"gmvae": "GmvaeModel", "vae": "VaeModel"}[family]] * 4
+    assert [type(model).__name__ for model in calls] == [{"gmvae": "GmvaeModel", "vae": "VaeModel"}[family]] * 4
+
+
+def test_playability_suite_runs_one_crossable_per_chunk(toy_setup, monkeypatch):
+    # the tracer times every A* search through the module global pl.crossable
+    searched = counting(monkeypatch, pl, "crossable")
+    vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
+    rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame.SOLIDITY), axis="horizontal")
+    result = pl.playability_suite(lambda component, n, rng: chunks[component * n : (component + 1) * n],
+                                  3, rules, vocab, np.random.default_rng(0), total_budget=30)
+    assert result.total == 30
+    assert searched == [cp.chunk_to_lines(c, vocab) for c in chunks[:30]]
+
+
+def test_generate_decodes_each_chunk_through_the_decode_global(trained_gmvae, monkeypatch):
+    # the tracer's decode_ms_per_chunk times gmvae.decode once per chunk
+    calls = counting(monkeypatch, gm, "decode")
+    chunks = gm.generate(trained_gmvae[0], 1, 5, np.random.default_rng(0))
+    assert len(chunks) == len(calls) == 5
+
+
+def test_disentanglement_encodes_each_chunk_through_its_one_hot_encode_global(toy_setup, monkeypatch):
+    # the tracer's one_hot_ms_per_chunk times evaluation.one_hot_encode once per chunk
+    calls = counting(monkeypatch, ev, "one_hot_encode")
+    chunks = toy_setup["chunks"]
+    ev.disentanglement(lambda component, n, rng: chunks[component * n : (component + 1) * n],
+                       2, toy_setup["vocab"], np.random.default_rng(0), n_per_component=6, n_train=4)
+    assert [id(c) for c in calls] == [id(c) for c in chunks[:12]]

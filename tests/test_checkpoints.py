@@ -7,9 +7,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from conftest import small_gmvae_config, split_checkpoint
+from conftest import FUZZ, small_gmvae_config, split_checkpoint
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import cli
@@ -254,7 +254,6 @@ def assert_clean_exit(workspace, raw):
             assert json.loads(lines[0])["error"] == ("data" if code == 2 else "numeric")
 
 
-FUZZ = settings(max_examples=50, deadline=None, derandomize=True)
 FUZZ_FILES = pytest.mark.parametrize(
     "family,version", [("gmvae", 3), ("gmvae", 2), ("vae-gmm", 3), ("vae-gmm", 2)]
 )

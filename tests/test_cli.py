@@ -309,11 +309,17 @@ def test_baseline_checkpoint_with_mismatched_pca_shape_is_data_error(baseline_ch
         '{"levels": ["a.txt"], "solidity": ["X"]}',
         '{"levels": [{"path": "a.txt", "type": 7}]}',
         '{"levels": ["a.txt"], "game": 3}',
+        '{"levels": "ab"}',
+        '{"levels": {"a.txt": "overworld"}}',
+        '{"levels": ["a.txt"], "pad": false}',
+        '{"levels": ["a.txt"], "pad": []}',
+        '{"levels": ["a.txt"], "jump": 0}',
     ],
     ids=[
         "not-json", "not-object", "no-path", "levels-not-list", "pad-not-object",
         "pad-rows-to-string", "pad-side-left", "jump-height-string", "background-number",
         "background-two-chars", "solidity-list", "level-type-number", "game-number",
+        "levels-string", "levels-object", "pad-false", "pad-empty-array", "jump-zero",
     ],
 )
 @pytest.mark.parametrize("command", ["ingest", "train"])

@@ -1,13 +1,16 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from conftest import FUZZ
 from levelmix import corpus as cp
 from levelmix import toygame
 from levelmix.errors import (
+    DataError,
     EmptyLevel,
     IdOutOfRange,
     LengthMismatch,
@@ -171,13 +174,43 @@ def test_roundtrip_all_corpus_chunks(toy_setup):
         assert np.array_equal(chunk.tiles, again.tiles)
 
 
-@settings(max_examples=50, deadline=None)
+@FUZZ
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=2, max_value=9))
 def test_roundtrip_random_chunks(seed, t):
     grid_rng = np.random.default_rng(seed)
     vocab = cp.TileVocab(game="t", chars=tuple(chr(ord("A") + i) for i in range(t)))
     chunk = cp.Chunk(tiles=grid_rng.integers(0, t, size=(16, 16)))
     assert np.array_equal(cp.decode(cp.one_hot_encode(chunk, vocab), vocab).tiles, chunk.tiles)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_encode_chunks_equals_stacked_one_hot(toy_setup, dtype):
+    vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
+    data = cp.encode_chunks(chunks, vocab, dtype)
+    assert data.dtype == dtype
+    assert np.array_equal(data, np.stack([cp.one_hot_encode(c, vocab) for c in chunks]))
+
+
+@pytest.mark.parametrize("bad", ["negative", "vocab-size"])
+def test_out_of_range_ids_raise(toy_setup, bad):
+    vocab = toy_setup["vocab"]
+    chunk = cp.Chunk(tiles=toy_setup["chunks"][5].tiles.copy())
+    chunk.tiles[3, 7] = -1 if bad == "negative" else vocab.size
+    chunks = [toy_setup["chunks"][0], chunk]
+    with pytest.raises(IdOutOfRange, match=f"tile id {chunk.tiles[3, 7]} out of range"):
+        cp.encode_chunks(chunks, vocab)
+    with pytest.raises(IdOutOfRange):
+        cp.encode_chunks(chunks, vocab, np.float32)
+    with pytest.raises(IdOutOfRange, match=f"tile id {chunk.tiles[3, 7]} out of range"):
+        cp.chunk_to_lines(chunk, vocab)
+
+
+def test_chunk_to_lines_renders_every_vocab_char():
+    # NUL and a lone surrogate (a checkpoint's JSON vocab can hold one) included
+    vocab = cp.TileVocab(game="t", chars=("\0", "-", "X", "\ud800", "\U0001f344"))
+    tiles = np.random.default_rng(0).integers(0, vocab.size, size=(16, 16))
+    lines = cp.chunk_to_lines(cp.Chunk(tiles=tiles), vocab)
+    assert lines == ["".join(vocab.char_of(int(t)) for t in row) for row in tiles]
 
 
 def test_balanced_sampler_uniform_when_balanced():
@@ -263,3 +296,122 @@ def test_chunk_dump_roundtrip(tmp_path, toy_setup):
         assert record["type"] == chunk.level_type
         assert tuple(record["offset"]) == chunk.offset
         assert record["level_id"] == chunk.level_id
+
+
+def write_manifest(directory, value):
+    path = os.path.join(directory, "manifest.json")
+    with open(path, "w") as f:
+        json.dump(value, f)
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pad", {"rows_to": cp.MAX_PAD_ROWS + 1}),
+        ("pad", {"rows_to": 10**9}),
+        ("pad", {"rows_to": -1}),
+        ("jump", {"max_height": -1}),
+        ("jump", {"max_span": -1}),
+        ("jump", {"max_height": 4, "max_span": -5}),
+    ],
+)
+def test_manifest_bounds_are_data_errors(tmp_path, field, value):
+    # checked through load_manifest alone: a manifest past the bound is never padded
+    path = write_manifest(tmp_path, {"levels": ["a.txt"], field: value})
+    with pytest.raises(DataError, match=f"manifest {field}\\."):
+        cp.load_manifest(path)
+
+
+def test_manifest_bounds_are_inclusive(tmp_path):
+    raw = {"levels": ["a.txt"], "pad": {"rows_to": cp.MAX_PAD_ROWS}, "jump": {"max_height": 0, "max_span": 0}}
+    manifest = cp.load_manifest(write_manifest(tmp_path, raw))
+    assert (manifest.pad_rows_to, manifest.jump_max_height, manifest.jump_max_span) == (cp.MAX_PAD_ROWS, 0, 0)
+
+
+def test_level_file_that_is_not_text_is_data_error(tmp_path):
+    (tmp_path / "a.txt").write_bytes(b"\xff\xfe--\n--\n")
+    manifest = cp.load_manifest(write_manifest(tmp_path, {"levels": ["a.txt"]}))
+    with pytest.raises(DataError, match="level file is not text"):
+        cp.load_levels(manifest)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+PLAUSIBLE_MANIFEST = st.fixed_dictionaries(
+    {"levels": st.lists(
+        st.one_of(st.text(max_size=6), st.fixed_dictionaries(
+            {"path": st.text(max_size=6)}, optional={"type": st.none() | st.text(max_size=6)},
+        )),
+        min_size=1, max_size=3,
+    )},
+    optional={
+        "game": st.text(max_size=6),
+        "axis": st.sampled_from(cp.AXES),
+        "background": st.characters(),
+        "pad": st.fixed_dictionaries({}, optional={
+            "rows_to": st.integers(-2, cp.MAX_PAD_ROWS + 2),
+            "side": st.sampled_from(cp.PAD_SIDES),
+        }),
+        "solidity": st.dictionaries(st.text(max_size=2), st.sampled_from(["solid", "passable", "hazard"])),
+        "jump": st.fixed_dictionaries({}, optional={"max_height": st.integers(-2, 8), "max_span": st.integers(-2, 8)}),
+    },
+)
+
+
+@st.composite
+def manifest_shaped(draw):
+    """A plausible manifest, near the bounds, with at most one field (or
+    one pad or jump entry) replaced by any JSON value."""
+    raw = draw(PLAUSIBLE_MANIFEST)
+    if draw(st.booleans()):
+        target = raw
+        key = draw(st.sampled_from(sorted(raw)))
+        if key in ("pad", "jump") and raw[key] and draw(st.booleans()):
+            target, key = raw[key], draw(st.sampled_from(sorted(raw[key])))
+        target[key] = draw(JSON)
+    return raw
+
+
+def is_count(value, limit=None):
+    return type(value) is int and 0 <= value and (limit is None or value <= limit)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.one_of(JSON, manifest_shaped()))
+def test_any_json_manifest_loads_or_is_a_data_error(fuzz_dir, value):
+    path = write_manifest(fuzz_dir, value)
+    try:
+        manifest = cp.load_manifest(path)
+    except DataError:
+        return
+    assert isinstance(manifest.game, str) and manifest.axis in cp.AXES
+    assert manifest.level_paths and all(isinstance(p, str) and os.path.isabs(p) for p in manifest.level_paths)
+    assert len(manifest.level_types) == len(manifest.level_paths)
+    assert all(t is None or isinstance(t, str) for t in manifest.level_types)
+    assert isinstance(manifest.solidity, dict)
+    assert isinstance(manifest.background, str) and len(manifest.background) == 1
+    assert manifest.pad_rows_to is None or is_count(manifest.pad_rows_to, cp.MAX_PAD_ROWS)
+    assert manifest.pad_side in cp.PAD_SIDES
+    assert is_count(manifest.jump_max_height) and is_count(manifest.jump_max_span)
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.one_of(st.text(), st.text(alphabet="-X\n\r ")))
+def test_any_text_parses_or_is_a_data_error(text):
+    try:
+        level = cp.parse_level(text)
+    except DataError:
+        return
+    assert level.rows == len(level.tiles) >= 1 and level.cols >= 1
+    assert all(len(row) == level.cols and "\n" not in row for row in level.tiles)

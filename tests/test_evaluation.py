@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FUZZ
 from levelmix import corpus as cp
 from levelmix import evaluation as ev
 from levelmix.errors import EmptyComponent, MissingLabels, UsageError
@@ -76,7 +77,7 @@ def test_missing_labels_rejected():
         ev.clustering_accuracy(np.array([0, 5]), ["a", "b"], 2)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(FUZZ, max_examples=150)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_hungarian_equals_exhaustive_small_k(seed):
     r = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FUZZ
 from levelmix import neuralnet as nn
 from levelmix.errors import (
     DimensionMismatch,
@@ -402,7 +403,7 @@ def test_kl_rejects_nonpositive_variance():
         nn.kl_diag(np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), np.ones(2))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(FUZZ, max_examples=100)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_kl_nonnegative_property(seed):
     r = np.random.default_rng(seed)
@@ -506,7 +507,7 @@ def test_gumbel_soft_gradient_matches_finite_differences():
     assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
 
 
-@settings(max_examples=100, deadline=None)
+@settings(FUZZ, max_examples=100)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_gumbel_simplex_property(seed):
     r = np.random.default_rng(seed)

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import FUZZ
 from levelmix import corpus as cp
 from levelmix import playability as pl
-from levelmix.errors import UncoveredTile, UnsupportedGame
+from levelmix.errors import RaggedRows, UncoveredTile, UnsupportedGame
 
 SOLIDITY = {"-": "passable", "X": "solid", "E": "hazard"}
 
@@ -99,6 +102,14 @@ def test_uncovered_tile_raises():
         pl.crossable(rows, horizontal_rules())
 
 
+def test_ragged_rows_raise():
+    rows = ["-" * 16] * 15 + ["X" * 15]
+    with pytest.raises(RaggedRows):
+        pl.crossable(rows, horizontal_rules())
+    with pytest.raises(RaggedRows):
+        pl.bfs_crossable(rows, vertical_rules())
+
+
 def test_mixed_axis_rules_rejected():
     with pytest.raises(UnsupportedGame):
         pl.PlayabilityRules(game="mm", solidity=dict(SOLIDITY), axis="both")
@@ -147,7 +158,7 @@ def test_astar_equals_bfs_on_many_random_grids():
     assert mismatches == []
 
 
-@settings(max_examples=200, deadline=None)
+@settings(FUZZ, max_examples=200)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
     st.floats(min_value=0.05, max_value=0.7),
@@ -157,6 +168,38 @@ def test_astar_equals_bfs_property(seed, density, axis):
     rows = random_grid(seed, density=density)
     rules = horizontal_rules() if axis == "horizontal" else vertical_rules()
     assert pl.crossable(rows, rules)[0] == pl.bfs_crossable(rows, rules)
+
+
+# sha256 over repr((reachable, path)) of every astar_cases() search, as the
+# per-cell search computed it before the flat-grid rewrite: results and paths
+# must stay byte-identical
+ASTAR_SHA256 = "93e142eead3b4df21eb02f814c9d888a2687924939fd02c8d74d3044b18c0804"
+JUMPS = ({}, {"max_jump_height": 6, "max_jump_span": 2})
+
+
+def astar_cases(toy_setup):
+    """Seeded random grids of three shapes, with hazards, on both axes with
+    the default and one other jump, then every toy-corpus chunk."""
+    cases = []
+    for make in (horizontal_rules, vertical_rules):
+        for jump in JUMPS:
+            rules = make(**jump)
+            for seed in range(100):
+                for height, width in ((8, 8), (16, 16), (12, 20)):
+                    rng = np.random.default_rng([seed, height, width])
+                    density = rng.uniform(0.1, 0.6)
+                    kinds = rng.choice(3, size=(height, width), p=[0.95 - density, density, 0.05])
+                    cases.append((["".join("-XE"[k] for k in row) for row in kinds], rules))
+    toy = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
+    cases += [(cp.chunk_to_lines(chunk, toy_setup["vocab"]), toy) for chunk in toy_setup["chunks"]]
+    return cases
+
+
+def test_astar_results_and_paths_are_pinned(toy_setup):
+    h = hashlib.sha256()
+    for rows, rules in astar_cases(toy_setup):
+        h.update(repr(pl.crossable(rows, rules)).encode())
+    assert h.hexdigest() == ASTAR_SHA256
 
 
 def test_astar_path_is_valid_when_found():
