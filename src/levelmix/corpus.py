@@ -30,6 +30,9 @@ from .errors import (
 CHUNK_SIZE = 16
 AXES = ("horizontal", "vertical", "both")
 PAD_SIDES = ("top", "bottom")
+# what a manifest's solidity map may call a tile, for the A* agent
+SOLID, PASSABLE, HAZARD = "solid", "passable", "hazard"
+SOLIDITY_KINDS = (SOLID, PASSABLE, HAZARD)
 # padding only has to make a 16-row window fit; every row past that is a row
 # of background windows, and pad_level builds each one as a string
 MAX_PAD_ROWS = 256
@@ -343,11 +346,17 @@ def _manifest_from_json(raw, path):
     background = _checked(raw.get("background", "-"), (str,), "background", path)
     if len(background) != 1:
         raise DataError(f"{path}: manifest background must be one tile character, got {background!r}")
+    solidity = _checked(raw.get("solidity", {}), (dict,), "solidity", path)
+    for char, kind in solidity.items():
+        if len(char) != 1:
+            raise DataError(f"{path}: manifest solidity keys must be one tile character, got {char!r}")
+        if kind not in SOLIDITY_KINDS:
+            raise DataError(f"{path}: manifest solidity of {char!r} must be one of {SOLIDITY_KINDS}, got {kind!r}")
     return DatasetManifest(
         game=_checked(raw.get("game", ""), (str,), "game", path),
         level_paths=level_paths,
         level_types=level_types,
-        solidity=_checked(raw.get("solidity", {}), (dict,), "solidity", path),
+        solidity=solidity,
         axis=raw.get("axis", "horizontal"),
         background=background,
         pad_rows_to=rows_to,

@@ -22,10 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import chunk_to_lines
+from .corpus import SOLID, SOLIDITY_KINDS, chunk_to_lines
 from .errors import RaggedRows, UncoveredTile, UnsupportedGame
-
-SOLID, PASSABLE, HAZARD = "solid", "passable", "hazard"
 
 
 @dataclass
@@ -43,7 +41,7 @@ class PlayabilityRules:
                 f"got {self.axis!r} (mixed-axis games have no start/finish criteria)"
             )
         for char, kind in self.solidity.items():
-            if kind not in (SOLID, PASSABLE, HAZARD):
+            if kind not in SOLIDITY_KINDS:
                 raise UncoveredTile(f"tile {char!r} has unknown solidity {kind!r}")
 
 

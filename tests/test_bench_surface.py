@@ -15,6 +15,7 @@ from levelmix import baseline as bl
 from levelmix import corpus as cp
 from levelmix import evaluation as ev
 from levelmix import gmvae as gm
+from levelmix import neuralnet as nn
 from levelmix import playability as pl
 from levelmix import toygame
 
@@ -98,3 +99,15 @@ def test_disentanglement_encodes_each_chunk_through_its_one_hot_encode_global(to
     ev.disentanglement(lambda component, n, rng: chunks[component * n : (component + 1) * n],
                        2, toy_setup["vocab"], np.random.default_rng(0), n_per_component=6, n_train=4)
     assert [id(c) for c in calls] == [id(c) for c in chunks[:12]]
+
+
+def test_generate_and_hard_labels_run_each_network_through_forward_cached(trained_gmvae, toy_setup, monkeypatch):
+    # the tracer's forward_ms.* and hard_labels_ms time DenseNet.forward_cached,
+    # so every network forward of these two commands must pass through it
+    model = trained_gmvae[0]
+    calls = counting(monkeypatch, nn.DenseNet, "forward_cached")
+    gm.generate(model, 1, 5, np.random.default_rng(0))
+    assert calls == [model.prior_mean_net, model.prior_var_net, model.decoder]
+    calls.clear()
+    gm.hard_labels(model, toy_setup["data"][:20])
+    assert calls == [model.label_net]

@@ -314,12 +314,15 @@ def test_baseline_checkpoint_with_mismatched_pca_shape_is_data_error(baseline_ch
         '{"levels": ["a.txt"], "pad": false}',
         '{"levels": ["a.txt"], "pad": []}',
         '{"levels": ["a.txt"], "jump": 0}',
+        '{"levels": ["a.txt"], "solidity": {"X": "solidd"}}',
+        '{"levels": ["a.txt"], "solidity": {"XY": "solid"}}',
     ],
     ids=[
         "not-json", "not-object", "no-path", "levels-not-list", "pad-not-object",
         "pad-rows-to-string", "pad-side-left", "jump-height-string", "background-number",
         "background-two-chars", "solidity-list", "level-type-number", "game-number",
         "levels-string", "levels-object", "pad-false", "pad-empty-array", "jump-zero",
+        "solidity-misspelt-kind", "solidity-two-char-key",
     ],
 )
 @pytest.mark.parametrize("command", ["ingest", "train"])

@@ -400,6 +400,7 @@ def test_any_json_manifest_loads_or_is_a_data_error(fuzz_dir, value):
     assert len(manifest.level_types) == len(manifest.level_paths)
     assert all(t is None or isinstance(t, str) for t in manifest.level_types)
     assert isinstance(manifest.solidity, dict)
+    assert all(len(char) == 1 and kind in cp.SOLIDITY_KINDS for char, kind in manifest.solidity.items())
     assert isinstance(manifest.background, str) and len(manifest.background) == 1
     assert manifest.pad_rows_to is None or is_count(manifest.pad_rows_to, cp.MAX_PAD_ROWS)
     assert manifest.pad_side in cp.PAD_SIDES

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,10 +75,38 @@ def test_float32_variance_head_stays_positive_far_below_softplus_underflow():
     assert np.all(np.isfinite(kl))
 
 
+def special_values(dtype):
+    """±0, ±inf, ±NaN, subnormals, ±max and the edges of exp's range."""
+    info = np.finfo(dtype)
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 88.0, -88.0, 710.0, -710.0,
+                     info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+                     info.max, -info.max, info.eps, -info.eps], dtype=dtype)
+
+
+def in_place(name, z):
+    """The activation's one body run in place on a copy of z."""
+    out = z.copy()
+    assert nn._activate(name, out, out) is out
+    return out
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_softplus_floor_leaves_normal_range_bit_identical(dtype):
     z = np.linspace(-80.0, 80.0, 200_001, dtype=dtype)
     assert np.array_equal(nn._softplus(z), np.logaddexp(0.0, z))
+    assert in_place("softplus", z).tobytes() == np.logaddexp(0.0, z).tobytes()
+    z = special_values(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, ref = in_place("softplus", z), np.maximum(np.logaddexp(0.0, z), np.finfo(dtype).tiny)
+        assert out.tobytes() == ref.tobytes() == nn._softplus(z).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_relu_mask_from_the_output_equals_the_mask_from_z(dtype):
+    z = np.concatenate([special_values(dtype), np.random.default_rng(0).standard_normal(1000).astype(dtype)])
+    a = in_place("relu", z)
+    assert a.tobytes() == np.maximum(z, 0.0).tobytes()
+    assert nn.activation_grad("relu", None, a).tobytes() == (z > 0.0).astype(dtype).tobytes()
 
 
 def masked_sigmoid(z):
@@ -92,18 +121,105 @@ def masked_sigmoid(z):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_sigmoid_bytes_equal_masked_expression(dtype):
-    info = np.finfo(dtype)
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 88.0, -88.0, 710.0, -710.0,
-               info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
-               info.max, -info.max, info.eps, -info.eps]
     z = np.concatenate([
-        np.array(special, dtype=dtype),
+        special_values(dtype),
         np.random.default_rng(0).standard_normal(100_059).astype(dtype) * 20,
         np.linspace(-120.0, 120.0, 10_001, dtype=dtype),
     ]).reshape(-1, 64)
     with np.errstate(over="ignore", invalid="ignore"):
-        out, ref = nn._sigmoid(z), masked_sigmoid(z)
-    assert out.dtype == np.dtype(dtype) and out.tobytes() == ref.tobytes()
+        out, inplace, ref = nn._sigmoid(z), in_place("sigmoid", z), masked_sigmoid(z)
+    assert out.dtype == inplace.dtype == np.dtype(dtype)
+    assert out.tobytes() == inplace.tobytes() == ref.tobytes()
+
+
+# every activation stack the models build, and one of all four
+STACKS = [
+    ["relu", "relu", "linear"],
+    ["relu", "relu", "sigmoid"],
+    ["relu", "relu"],
+    ["linear"],
+    ["softplus"],
+    ["sigmoid", "softplus", "relu", "linear"],
+]
+
+
+def reference_forward(net, x):
+    """The textbook forward, a @ W.T + b then the activation out of place:
+    (output, [(layer input, z, layer output)])."""
+    layers, a = [], x
+    for layer in net.layers:
+        z = a @ layer.weight.T + layer.bias
+        out = {
+            "relu": lambda: np.maximum(z, 0.0),
+            "softplus": lambda: np.maximum(np.logaddexp(0.0, z), np.finfo(z.dtype).tiny),
+            "sigmoid": lambda: masked_sigmoid(z),
+            "linear": lambda: z,
+        }[layer.activation]()
+        layers.append((a, z, out))
+        a = out
+    return a, layers
+
+
+def reference_backward(net, layers, g):
+    """The textbook backward over reference_forward's layers:
+    ([dW, db per parameter array], input gradient)."""
+    grads = []
+    for layer, (a_in, z, a_out) in reversed(list(zip(net.layers, layers))):
+        slope = {
+            "relu": lambda: (z > 0.0).astype(z.dtype),
+            "softplus": lambda: masked_sigmoid(z),
+            "sigmoid": lambda: a_out * (1.0 - a_out),
+            "linear": lambda: np.ones_like(z),
+        }[layer.activation]()
+        gz = g * slope
+        grads[:0] = [gz.T @ a_in, gz.sum(axis=0)]
+        g = gz @ layer.weight
+    return grads, g
+
+
+@pytest.mark.parametrize("block", [nn.ACTIVATION_BLOCK, 100], ids=["one-block", "partial-blocks"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("activations", STACKS, ids="-".join)
+def test_in_place_forward_is_the_textbook_forward_byte_for_byte(monkeypatch, block, dtype, activations):
+    # 33 rows are one block at the default size; at 100 elements they are 17
+    # blocks of 2 rows (40 wide) or 7 of 5 (17 wide), the last one partial
+    monkeypatch.setattr(nn, "ACTIVATION_BLOCK", block)
+    sizes = [24] + [40] * (len(activations) - 1) + [17]
+    net = nn.DenseNet(sizes, activations, np.random.default_rng(7), dtype)
+    rng = np.random.default_rng(8)
+    for layer in net.layers:
+        layer.bias[...] = rng.standard_normal(layer.bias.shape) * 3
+    x = (rng.standard_normal((33, 24)) * 6).astype(dtype)
+    x_bytes, params = x.tobytes(), net.params.copy()
+    ref_out, ref_layers = reference_forward(net, x)
+    g = rng.standard_normal(ref_out.shape).astype(dtype)
+    ref_grads, ref_in = reference_backward(net, ref_layers, g)
+    for out in (net.forward(x), net.forward_cached(x, keep_cache=False)[0]):
+        assert out.dtype == np.dtype(dtype) and out.tobytes() == ref_out.tobytes()
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, net.params)
+    out, cache = net.forward_cached(x)
+    assert out.tobytes() == ref_out.tobytes() and cache[0][0] is x
+    assert not np.shares_memory(out, x) and not np.shares_memory(out, net.params)
+    grads, grad_in = net.backward(cache, g)
+    assert [a.tobytes() for pair in grads for a in pair] == [a.tobytes() for a in ref_grads]
+    assert grad_in.tobytes() == ref_in.tobytes()
+    assert x.tobytes() == x_bytes and np.array_equal(net.params, params)
+
+
+def test_decoder_shaped_forward_peaks_below_one_and_a_half_outputs():
+    # the float64 decoder of a 64-latent, 512-wide net on 500 rows: the
+    # textbook forward holds up to four output-sized arrays at once (4.17
+    # outputs), the in-place one the output, the last hidden layer and one
+    # block's sigmoid scratch (1.2 outputs)
+    net = make_net([64, 512, 512, 512, 3072], ["relu"] * 3 + ["sigmoid"])
+    x = np.random.default_rng(1).standard_normal((500, 64))
+    tracemalloc.start()
+    try:
+        out = net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes, peak / out.nbytes
 
 
 # ---------------------------------------------------------------------------
