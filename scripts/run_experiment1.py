@@ -31,7 +31,7 @@ def main():
 
     manifest = cp.load_manifest(args.manifest)
     _, vocab, chunks = cp.load_corpus(manifest, heuristic_types=True)
-    data = cp.encode_chunks(chunks, vocab)
+    data = cp.encode_chunks(chunks, vocab, args.dtype)
     types = [c.level_type for c in chunks]
     print(f"{manifest.game}: {len(chunks)} chunks, d={data.shape[1]}")
 

@@ -121,6 +121,17 @@ def _vocab(args, model):
     return model.vocab
 
 
+def _model_corpus(args, model):
+    """The manifest's chunks, their tile ids renumbered to the checkpoint's
+    vocab, and their one-hot matrix in that vocab. A checkpoint without a
+    vocab takes the manifest's own."""
+    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
+    if model.vocab is not None:
+        chunks = cp.renumber_chunks(chunks, vocab, model.vocab)
+        vocab = model.vocab
+    return chunks, cp.encode_chunks(chunks, vocab)
+
+
 def cmd_ingest(args):
     manifest, levels, vocab, chunks = _load_corpus(args)
     d = cp.CHUNK_SIZE * cp.CHUNK_SIZE * vocab.size
@@ -194,8 +205,7 @@ def cmd_generate(args):
 
 def cmd_encode(args):
     model = _load_model(args)
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
-    data = cp.encode_chunks(chunks, model.vocab or vocab)
+    chunks, data = _model_corpus(args, model)
     indices = np.arange(len(chunks))
     if args.balanced:
         indices = cp.BalancedSampler([c.level_type for c in chunks], args.seed).draw(len(chunks))
@@ -211,8 +221,7 @@ def cmd_encode(args):
 
 def cmd_eval_cluster(args):
     model = _load_model(args)
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
-    data = cp.encode_chunks(chunks, model.vocab or vocab)
+    chunks, data = _model_corpus(args, model)
     report = ev.clustering_accuracy(model.predict(data), [c.level_type for c in chunks], model.k)
     payload = {"run_info": _run_info("eval-cluster", args), "report": report.to_dict()}
     experiments.save_json(args.out, payload)
@@ -264,9 +273,9 @@ def _density_groups(args, model):
     if args.source == "generated":
         rng = np.random.default_rng(args.seed)
         return [model.generate(i, args.n_per_component, rng) for i in range(model.k)]
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
+    chunks, data = _model_corpus(args, model)
     groups = [[] for _ in range(model.k)]
-    for chunk, lab in zip(chunks, model.predict(cp.encode_chunks(chunks, model.vocab))):
+    for chunk, lab in zip(chunks, model.predict(data)):
         groups[int(lab)].append(chunk)
     return groups
 

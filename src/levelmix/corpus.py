@@ -401,6 +401,23 @@ def load_corpus(manifest, heuristic_types=False):
     return levels, vocab, chunks
 
 
+def renumber_chunks(chunks, vocab, target):
+    """The chunks, whose tile ids index `vocab`, with each id renumbered to
+    the id of the same character in `target`, through one lookup table. A
+    character of `vocab` that `target` lacks is a DataError naming it."""
+    lookup = target.char_to_id
+    missing = [c for c in vocab.chars if c not in lookup]
+    if missing:
+        raise DataError(
+            f"tile character {missing[0]!r} is not in the model's vocab {''.join(target.chars)!r}"
+        )
+    table = np.array([lookup[c] for c in vocab.chars], dtype=np.int64)
+    return [
+        Chunk(table[c.tiles], level_id=c.level_id, offset=c.offset, level_type=c.level_type)
+        for c in chunks
+    ]
+
+
 def write_chunk_dump(path, chunks, vocab):
     """JSON lines, one chunk per line as 16 strings of 16 characters."""
     with open(path, "w") as f:

@@ -11,7 +11,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import neuralnet as nn
 from .corpus import one_hot_encode
@@ -49,6 +48,10 @@ def clustering_accuracy(labels, level_types, k):
     Matching is solved as a linear assignment on the per-type fraction
     matrix; for fewer components than types the unmatched types score zero.
     """
+    # imported here: scipy.optimize costs 0.5-0.7 s and 49 MB at start-up,
+    # and no other function needs it
+    from scipy.optimize import linear_sum_assignment
+
     labels = np.asarray(labels)
     if len(labels) != len(level_types):
         raise MissingLabels("labels and level_types differ in length")

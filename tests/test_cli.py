@@ -10,7 +10,9 @@ from conftest import join_checkpoint, read_header, split_checkpoint
 from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import corpus as cp
+from levelmix import evaluation as ev
 from levelmix import experiments
+from levelmix import gmvae as gm
 from levelmix import toygame
 
 FAST_TRAIN = [
@@ -401,6 +403,69 @@ def test_checkpoint_without_vocab_uses_corpus_vocab(workspace, trained_checkpoin
     assert outputs[0] == outputs[1]
 
 
+def _retiled_manifest(workspace, tmp_path, old, new):
+    """A copy of the toy corpus with every `old` tile written as `new`."""
+    root = os.path.dirname(workspace["manifest"])
+    with open(workspace["manifest"]) as f:
+        manifest = json.load(f)
+    for entry in manifest["levels"]:
+        with open(os.path.join(root, entry["path"])) as f:
+            (tmp_path / entry["path"]).write_text(f.read().replace(old, new))
+    path = tmp_path / "retiled.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+CORPUS_COMMANDS = {
+    "eval-cluster": ["eval-cluster"],
+    "encode": ["encode"],
+    "densities": ["densities", "--source", "corpus"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+def test_manifest_tile_outside_the_model_vocab_is_data_error(workspace, trained_checkpoint, tmp_path, capsys, command):
+    # the manifest's vocab -XZo has the model's size (-SXo) but numbers X, Z
+    # and o where the model has S, X and o
+    manifest = _retiled_manifest(workspace, tmp_path, "S", "Z")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = CORPUS_COMMANDS[command] + ["--model", trained_checkpoint, "--manifest", manifest, "--out", str(out)]
+    assert cli.run(argv) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert "'Z'" in error["message"]
+    assert not out.exists()
+
+
+def test_manifest_with_a_subset_vocab_is_read_in_the_model_vocab(workspace, trained_checkpoint, tmp_path):
+    # without S the manifest's own vocab is -Xo, which numbers X and o as
+    # the model numbers S and X
+    manifest_path = _retiled_manifest(workspace, tmp_path, "S", "-")
+    _, model, _ = ckpt.load_any(trained_checkpoint)
+    manifest = cp.load_manifest(manifest_path)
+    chunks = [
+        chunk
+        for level in cp.load_levels(manifest, heuristic_types=True)
+        for chunk in cp.extract_chunks(level, model.vocab, axis=manifest.axis)
+    ]
+    data = cp.encode_chunks(chunks, model.vocab)
+    labels = model.predict(data)
+
+    def run(command):
+        out = tmp_path / command
+        argv = CORPUS_COMMANDS[command] + ["--model", trained_checkpoint, "--manifest", manifest_path, "--out", str(out)]
+        assert cli.run(argv) == 0
+        return out.read_text()
+
+    report = ev.clustering_accuracy(labels, [c.level_type for c in chunks], model.k)
+    assert json.loads(run("eval-cluster"))["report"] == report.to_dict()
+    rows = list(csv.reader(run("encode").splitlines()))[1:]
+    latents, _ = model.encode(data)
+    assert [int(r[2]) for r in rows] == labels.tolist()
+    assert np.array_equal(np.array([[float(v) for v in r[3:]] for r in rows]), latents)
+
+
 def test_generate_ascii_output(trained_checkpoint, capsys):
     code = cli.run(["generate", "--model", trained_checkpoint, "--component", "1", "--n", "6"])
     assert code == 0
@@ -597,12 +662,20 @@ def test_generate_from_baseline(baseline_checkpoint, capsys):
     assert len(blocks) == 2
 
 
-def test_sweep_csv(workspace, tmp_path):
+def test_sweep_csv(workspace, tmp_path, monkeypatch):
+    dtypes = []
+    build = gm.build_model
+
+    def recording_build(config, vocab=None):
+        dtypes.append(config.dtype)
+        return build(config, vocab)
+
+    monkeypatch.setattr(gm, "build_model", recording_build)
     out = tmp_path / "sweep.csv"
     code = cli.run(
         [
             "sweep", "--manifest", workspace["manifest"], "--out", str(out),
-            "--k-list", "2,3", "--families", "gmvae,vae-gmm",
+            "--k-list", "2,3", "--families", "gmvae,vae-gmm", "--dtype", "float32",
             "--epochs", "6", "--hidden-width", "32", "--latent-dim", "8",
             "--n-per-component", "30", "--n-train", "20", "--seed", "3",
         ]
@@ -611,9 +684,10 @@ def test_sweep_csv(workspace, tmp_path):
     with open(out) as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["family", "k", "p70", "p80", "p90"]
-    assert len(rows) == 1 + 4  # 2 families x 2 k values
-    families = {r[0] for r in rows[1:]}
-    assert families == {"gmvae", "vae-gmm"}
+    assert [(r[0], r[1]) for r in rows[1:]] == [
+        ("gmvae", "2"), ("gmvae", "3"), ("vae-gmm", "2"), ("vae-gmm", "3"),
+    ]
+    assert dtypes == ["float32", "float32"]
 
 
 @pytest.mark.parametrize("n_train", ["0", "20", "25"])

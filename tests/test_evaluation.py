@@ -1,6 +1,10 @@
 import csv
 import io
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +94,52 @@ def test_hungarian_equals_exhaustive_small_k(seed):
     report = ev.clustering_accuracy(labels, types, k)
     oracle = exhaustive_balanced_accuracy(report.confusion)
     assert abs(report.balanced_accuracy - oracle) < 1e-9
+
+
+IMPORT_FOOTPRINT = """
+import json, sys
+import levelmix, levelmix.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(scipy_modules()))
+from levelmix.evaluation import clustering_accuracy
+reports = [
+    clustering_accuracy([0, 0, 1, 2, 1, 1], list("aabcba"), 3).to_dict(),
+    clustering_accuracy([1, 1, 1, 1], list("abcc"), 3).to_dict(),
+]
+print(json.dumps("scipy.optimize" in scipy_modules()))
+print(json.dumps(reports))
+"""
+
+
+def test_scipy_is_imported_only_by_clustering_accuracy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ev.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    at_import, loaded, reports = [json.loads(line) for line in result.stdout.splitlines()]
+    assert at_import == []
+    assert loaded
+    assert reports == [
+        {
+            "k": 3,
+            "type_names": ["a", "b", "c"],
+            "confusion": [[2, 0, 0], [1, 2, 0], [0, 0, 1]],
+            "assignment": {"a": 0, "b": 1, "c": 2},
+            "balanced_accuracy": 8 / 9,
+        },
+        # every chunk in one component (an untrained model): all assignments
+        # tie, and the solver's choice is part of the report
+        {
+            "k": 3,
+            "type_names": ["a", "b", "c"],
+            "confusion": [[0, 0, 0], [1, 1, 2], [0, 0, 0]],
+            "assignment": {"a": 0, "b": 1, "c": 2},
+            "balanced_accuracy": 1 / 3,
+        },
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Smoke runs of the experiment scripts on the toy corpus at tiny sizes."""
 
-import csv
 import importlib.util
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from levelmix import gmvae as gm
+from levelmix import experiments
 from levelmix import toygame
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -29,38 +29,22 @@ def manifest(tmp_path_factory):
     return str(toygame.write_corpus(root / "corpus", levels_per_type=2, cols=32, seed=2))
 
 
-def test_run_sweep_writes_rows_in_requested_dtype(manifest, tmp_path, monkeypatch):
-    dtypes = []
-    build = gm.build_model
-
-    def recording_build(config, vocab=None):
-        dtypes.append(config.dtype)
-        return build(config, vocab)
-
-    monkeypatch.setattr(gm, "build_model", recording_build)
-    out = tmp_path / "sweep.csv"
-    _run_script(
-        "run_sweep",
-        ["--manifest", manifest, "--out", str(out), "--k-list", "2,3", "--dtype", "float32",
-         "--n-per-component", "20", "--n-train", "10"] + TINY,
-        monkeypatch,
-    )
-    with open(out) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["family", "k", "p70", "p80", "p90"]
-    assert [(r[0], r[1]) for r in rows[1:]] == [
-        ("gmvae", "2"), ("gmvae", "3"), ("vae-gmm", "2"), ("vae-gmm", "3"),
-    ]
-    assert dtypes == ["float32", "float32"]
-
-
 def test_run_experiment1_writes_summary(manifest, tmp_path, monkeypatch):
+    dtypes = []
+    compare = experiments.clustering_comparison
+
+    def recording_compare(data, *args, **kwargs):
+        dtypes.append(data.dtype)
+        return compare(data, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "clustering_comparison", recording_compare)
     out = tmp_path / "exp1.json"
     _run_script(
         "run_experiment1",
-        ["--manifest", manifest, "--out", str(out), "--k", "3", "--seeds", "0,1"] + TINY,
+        ["--manifest", manifest, "--out", str(out), "--k", "3", "--seeds", "0,1", "--dtype", "float32"] + TINY,
         monkeypatch,
     )
+    assert dtypes == [np.float32]
     summary = json.loads(out.read_text())
     assert set(summary) == {"runs", "median_gmvae", "median_vae_gmm"}
     assert [(r["seed"], r["family"]) for r in summary["runs"]] == [
