@@ -73,9 +73,11 @@ def radial_chart_svg(densities, tile_chars, component_index):
 
 
 def emit_radial_charts(matrix):
-    """TileDensityMatrix -> list of SVG documents, one per component."""
+    """TileDensityMatrix -> list of SVG documents, one per component, with
+    None for a component whose row is all nan (it had no chunks)."""
     if matrix.k == 0 or not matrix.tile_chars:
         raise EmptyMatrix("density matrix has no components or no tiles")
     return [
-        radial_chart_svg(matrix.values[i], matrix.tile_chars, i) for i in range(matrix.k)
+        None if all(math.isnan(v) for v in row) else radial_chart_svg(row, matrix.tile_chars, i)
+        for i, row in enumerate(matrix.values)
     ]

@@ -15,12 +15,9 @@ their views of the net's parameter buffer), so parameters survive save/load
 bit-exactly with no decoding step. Scalars and plain lists (history,
 total_variance, m, the EM trace) stay JSON numbers.
 
-Versions 1 and 2 are JSON text and are still read: version 1 stores arrays
-as nested float lists, version 2 as blobs whose "data" is the base64 of
-their bytes.
-
-Loading, of any version, rejects a network with a NaN or infinite
-parameter.
+Only version 3 is read. Versions 1 and 2, the JSON text that levelmix wrote
+before format 3, no longer load: such a file is a DataError that names its
+format_version. Loading rejects a network with a NaN or infinite parameter.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -30,8 +27,8 @@ target, so a crash mid-save keeps the previous file.
 
 from __future__ import annotations
 
-import base64
 import contextlib
+import functools
 import json
 import math
 import os
@@ -48,8 +45,6 @@ from .neuralnet import DenseNet
 FORMAT_GMVAE = "levelmix-gmvae"
 FORMAT_VAE_GMM = "levelmix-vae-gmm"
 FORMAT_VERSION = 3
-# the versions stored as JSON text, read by the JSON reader
-READABLE_VERSIONS = (1, 2)
 BLOB_DTYPES = ("<f8", "<f4")
 # neither JSON nor UTF-8, so a file damaged in text mode is told apart
 MAGIC = b"\x89LVLMIX\n"
@@ -77,46 +72,6 @@ class _BlobWriter:
         return {"dtype": a.dtype.str, "shape": list(a.shape), "offset": offset}
 
 
-def _array_shape(value):
-    """The shape of a nested list (format 1) or a blob (formats 2 and 3)."""
-    if isinstance(value, list):
-        return np.shape(value)
-    shape = value["shape"]
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise DataError(f"array shape {shape!r} is not a list of sizes")
-    return tuple(shape)
-
-
-def _decode_array(value, dtype=np.float64, out=None):
-    """A nested list (format 1) or a blob (format 2) as an owned, writable
-    array of dtype or, given out, written into out."""
-    if isinstance(value, list):
-        array = np.array(value, dtype=dtype)
-    else:
-        shape, blob_dtype = _array_shape(value), value["dtype"]
-        if blob_dtype not in BLOB_DTYPES:
-            raise DataError(f"array dtype {blob_dtype!r} is not one of {BLOB_DTYPES}")
-        raw = base64.b64decode(value["data"], validate=True)
-        expected = math.prod(shape) * np.dtype(blob_dtype).itemsize
-        if len(raw) != expected:
-            raise DataError(f"array of shape {list(shape)} {blob_dtype} has {len(raw)} bytes, expected {expected}")
-        array = np.frombuffer(raw, dtype=blob_dtype).reshape(shape)
-    if out is None:
-        # astype copies, so a blob's array does not share frombuffer's read-only memory
-        return array if isinstance(value, list) else array.astype(dtype)
-    if array.shape != out.shape:
-        raise DataError(f"array of shape {list(array.shape)} where {list(out.shape)} is expected")
-    out[...] = array
-    return out
-
-
-class _InlineArrays:
-    """Arrays stored inside the JSON text (formats 1 and 2)."""
-
-    shape = staticmethod(_array_shape)
-    read = staticmethod(_decode_array)
-
-
 class _BlobFile:
     """The data section of an open format-3 file: each blob is checked
     against the file's size, then read straight into the array it fills."""
@@ -125,8 +80,11 @@ class _BlobFile:
         self.f, self.start, self.size = f, start, size
 
     def shape(self, value):
-        """The blob's shape, once its dtype, offset and extent are valid."""
-        shape, blob_dtype, offset = _array_shape(value), value["dtype"], value["offset"]
+        """The blob's shape, once its shape, dtype, offset and extent are valid."""
+        shape, blob_dtype, offset = value["shape"], value["dtype"], value["offset"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise DataError(f"array shape {shape!r} is not a list of sizes")
+        shape = tuple(shape)
         if blob_dtype not in BLOB_DTYPES:
             raise DataError(f"array dtype {blob_dtype!r} is not one of {BLOB_DTYPES}")
         if not (type(offset) is int and offset >= 0):
@@ -292,10 +250,6 @@ def _rebuild(model_cls, config_cls, payload, arrays):
     return model
 
 
-def _gmvae_from_payload(payload, arrays):
-    return _rebuild(GmvaeModel, GmvaeConfig, payload, arrays)
-
-
 def _vae_gmm_from_payload(payload, arrays):
     vae = _rebuild(VaeModel, VaeConfig, payload, arrays)
     pca, gmm = payload["pca"], payload["gmm"]
@@ -325,12 +279,12 @@ def _vae_gmm_from_payload(payload, arrays):
 
 
 _KINDS = {
-    FORMAT_GMVAE: ("gmvae", _gmvae_from_payload),
+    FORMAT_GMVAE: ("gmvae", functools.partial(_rebuild, GmvaeModel, GmvaeConfig)),
     FORMAT_VAE_GMM: ("vae-gmm", _vae_gmm_from_payload),
 }
 
 
-def _build(path, payload, versions, arrays):
+def _build(path, payload, arrays):
     """(kind, model, history) from a parsed envelope whose arrays come from
     `arrays`. Any malformed content, an envelope that is not a JSON object
     included, raises DataError."""
@@ -338,7 +292,7 @@ def _build(path, payload, versions, arrays):
     if not isinstance(fmt, str) or fmt not in _KINDS:
         raise DataError(f"{path}: unknown checkpoint format {fmt!r}")
     version = payload.get("format_version")
-    if version not in versions:
+    if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported {fmt} format_version {version!r}")
     kind, build = _KINDS[fmt]
     try:
@@ -360,24 +314,29 @@ def _read_blob_file(path, f):
         raise DataError(f"{path}: header length {length} exceeds the {size}-byte file")
     try:
         payload = json.loads(f.read(length).decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise DataError(f"{path}: checkpoint header is not JSON ({exc})") from None
     blobs = _BlobFile(f, _aligned(len(MAGIC) + HEADER_LENGTH.size + length), size)
-    return _build(path, payload, (FORMAT_VERSION,), blobs)
+    return _build(path, payload, blobs)
 
 
 def load_any(path):
     """(kind, model, history) for either checkpoint family, parsed once.
-    Any malformed content raises DataError."""
+    Any malformed content, and any file without the format-3 magic, raises
+    DataError, which names the format_version of a format 1 or 2 file."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) == MAGIC:
             return _read_blob_file(path, f)
-    with open(path) as f:
+        f.seek(0)
         try:
             payload = json.load(f)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise DataError(f"{path}: not a JSON checkpoint ({exc})") from None
-    return _build(path, payload, READABLE_VERSIONS, _InlineArrays)
+        except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
+            payload = None
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if isinstance(fmt, str) and fmt in _KINDS:
+        version = payload.get("format_version")
+        raise DataError(f"{path}: {fmt} format_version {version!r} is JSON text, no longer read")
+    raise DataError(f"{path}: not a levelmix checkpoint (no format-{FORMAT_VERSION} magic)")
 
 
 def history_to_csv(history):

@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest, train, train-baseline, generate, encode,
-eval-cluster, eval-disentangle, eval-playability, densities, chart, sweep.
+eval-cluster, eval-disentangle, eval-playability, densities, chart, sweep,
+compare.
 
 Every artifact records the resolved command, flags, seed and package version
 (JSON artifacts inline under "run_info", CSV/SVG artifacts via a sidecar
-<output>.run.json), so a run can be reproduced exactly. Exit codes: 0
+<output>.run.json), with the BLAS thread setting and the usable CPU count,
+so a run can be reproduced exactly. Exit codes: 0
 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -43,11 +45,18 @@ def _run_info(command, args):
         "flags": flags,
         "seed": flags.get("seed"),
         "version": __version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpus": len(os.sched_getaffinity(0)),
     }
 
 
 def _write_sidecar(out_path, info):
     experiments.save_json(out_path + ".run.json", info)
+
+
+def _save_report(args, report):
+    """The --out JSON artifact: the command's run_info and the report."""
+    experiments.save_json(args.out, {"run_info": _run_info(args.command, args), "report": report.to_dict()})
 
 
 def _load_corpus(args, heuristic_types=False):
@@ -58,7 +67,18 @@ def _load_corpus(args, heuristic_types=False):
     return manifest, levels, vocab, chunks
 
 
-def _vae_fields(args, d):
+def _int_list(text, flag):
+    """The integers of a comma-separated list flag, or a UsageError."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise UsageError(f"{flag} must be a non-empty comma-separated list of integers, got {text!r}")
+    return values
+
+
+def _vae_fields(args, d, seed):
     """The config fields both model families take from the flags."""
     return dict(
         d=d,
@@ -70,33 +90,33 @@ def _vae_fields(args, d):
         learning_rate=args.learning_rate,
         kl_weight=args.kl_weight,
         recon_weight=args.recon_weight,
-        rng_seed=args.seed,
+        rng_seed=seed,
         dtype=args.dtype,
     )
 
 
-def _gmvae_config(args, d, k):
+def _gmvae_config(args, d, k, seed):
     return gm.GmvaeConfig(
         k=k,
         label_balance_weight=args.label_balance_weight,
         tau_start=args.tau_start,
         tau_min=args.tau_min,
         tau_decay=args.tau_decay,
-        **_vae_fields(args, d),
+        **_vae_fields(args, d, seed),
     ).validate()
 
 
-def _vae_config(args, d):
-    return bl.VaeConfig(**_vae_fields(args, d)).validate()
+def _vae_config(args, d, seed):
+    return bl.VaeConfig(**_vae_fields(args, d, seed)).validate()
 
 
-def _training_data(args):
+def _training_data(args, labelled=False):
     """(vocab, data in --dtype, level_types) for a training command;
-    level_types is None unless the balanced sampler, which needs it, is
-    selected."""
-    balanced = args.sampler == "balanced"
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=balanced)
-    level_types = [c.level_type for c in chunks] if balanced else None
+    level_types is None unless labelled or the balanced sampler, which needs
+    it, is selected."""
+    labelled = labelled or args.sampler == "balanced"
+    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=labelled)
+    level_types = [c.level_type for c in chunks] if labelled else None
     return vocab, cp.encode_chunks(chunks, vocab, args.dtype), level_types
 
 
@@ -152,7 +172,7 @@ def cmd_ingest(args):
 
 def cmd_train(args):
     vocab, data, level_types = _training_data(args)
-    config = _gmvae_config(args, data.shape[1], args.k)
+    config = _gmvae_config(args, data.shape[1], args.k, args.seed)
     model = gm.build_model(config, vocab)
     history = gm.train(
         model,
@@ -171,7 +191,7 @@ def cmd_train(args):
 
 def cmd_train_baseline(args):
     vocab, data, level_types = _training_data(args)
-    config = _vae_config(args, data.shape[1])
+    config = _vae_config(args, data.shape[1], args.seed)
     model, history = bl.fit_vae_gmm(
         data,
         config,
@@ -223,8 +243,7 @@ def cmd_eval_cluster(args):
     model = _load_model(args)
     chunks, data = _model_corpus(args, model)
     report = ev.clustering_accuracy(model.predict(data), [c.level_type for c in chunks], model.k)
-    payload = {"run_info": _run_info("eval-cluster", args), "report": report.to_dict()}
-    experiments.save_json(args.out, payload)
+    _save_report(args, report)
     print(f"balanced accuracy {report.balanced_accuracy:.4f} -> {args.out}")
     return 0
 
@@ -239,8 +258,7 @@ def cmd_eval_disentangle(args):
         n_per_component=args.n_per_component,
         n_train=args.n_train,
     )
-    payload = {"run_info": _run_info("eval-disentangle", args), "report": report.to_dict()}
-    experiments.save_json(args.out, payload)
+    _save_report(args, report)
     print(
         f"p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f} -> {args.out}"
     )
@@ -263,8 +281,7 @@ def cmd_eval_playability(args):
         np.random.default_rng(args.seed),
         total_budget=args.budget,
     )
-    payload = {"run_info": _run_info("eval-playability", args), "report": result.to_dict()}
-    experiments.save_json(args.out, payload)
+    _save_report(args, result)
     print(f"playable {result.playable_count}/{result.total} = {result.fraction:.4f} -> {args.out}")
     return 0
 
@@ -306,21 +323,20 @@ def cmd_chart(args):
     matrix = _matrix_from_csv(args.densities)
     os.makedirs(args.out_dir, exist_ok=True)
     documents = charts.emit_radial_charts(matrix)
-    paths = []
     for i, doc in enumerate(documents):
-        path = os.path.join(args.out_dir, f"component_{i:02d}.svg")
-        with open(path, "w") as f:
-            f.write(doc)
-        paths.append(path)
+        if doc is not None:
+            with open(os.path.join(args.out_dir, f"component_{i:02d}.svg"), "w") as f:
+                f.write(doc)
     _write_sidecar(os.path.join(args.out_dir, "charts"), _run_info("chart", args))
-    print(f"wrote {len(paths)} charts to {args.out_dir}")
+    skipped = [i for i, doc in enumerate(documents) if doc is None]
+    print(f"wrote {len(documents) - len(skipped)} charts to {args.out_dir}")
+    if skipped:
+        print(f"skipped components {skipped}: their density rows are nan (no chunks)")
     return 0
 
 
 def cmd_sweep(args):
-    k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
-    if not k_list:
-        raise UsageError("empty k list")
+    k_list = _int_list(args.k_list, "--k-list")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families or any(f not in experiments.FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
@@ -330,8 +346,8 @@ def cmd_sweep(args):
         data,
         vocab,
         k_list,
-        _gmvae_config(args, d, k_list[0]) if "gmvae" in families else None,
-        _vae_config(args, d),
+        _gmvae_config(args, d, k_list[0], args.seed) if "gmvae" in families else None,
+        _vae_config(args, d, args.seed),
         level_types=level_types,
         sampler=args.sampler,
         n_per_component=args.n_per_component,
@@ -347,10 +363,28 @@ def cmd_sweep(args):
     return 0
 
 
+def cmd_compare(args):
+    seeds = _int_list(args.seeds, "--seeds")
+    _, data, level_types = _training_data(args, labelled=True)
+    d = data.shape[1]
+    # clustering_comparison replaces the templates' rng_seed by each seed in turn
+    gmvae, vae = _gmvae_config(args, d, args.k, seeds[0]), _vae_config(args, d, seeds[0])
+    result = experiments.clustering_comparison(
+        data, level_types, args.k, seeds, gmvae, vae, sampler=args.sampler, log=print
+    )
+    _save_report(args, result)
+    medians = f"gmvae {result.median('gmvae'):.3f}, vae-gmm {result.median('vae-gmm'):.3f}"
+    print(f"median balanced accuracy: {medians} -> {args.out}")
+    return 0
+
+
 def _add_vae_flags(p):
-    """Flags of the config fields both model families share."""
+    """The corpus and output flags of a command that trains, and the flags of
+    the config fields both model families share. Each command adds its own
+    seed flag: compare takes a list of seeds."""
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--latent-dim", type=int, default=64)
     p.add_argument("--hidden-width", type=int, default=512)
     p.add_argument("--hidden-depth", type=int, default=3)
@@ -372,11 +406,10 @@ def _add_gmvae_flags(p):
 
 def _add_training_run_flags(p):
     """Flags of a single training run: train and train-baseline."""
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, required=True, help="mixture component count")
     p.add_argument("--log-every", type=int, default=None)
     p.add_argument("--history-csv", default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_vae_flags(p)
 
 
@@ -456,15 +489,22 @@ def build_parser():
     p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("sweep", help="disentanglement proportions over a k grid")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--k-list", required=True, help="comma-separated component counts")
     p.add_argument("--families", default="gmvae,vae-gmm")
     p.add_argument("--n-per-component", type=int, default=500)
     p.add_argument("--n-train", type=int, default=300)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_vae_flags(p)
     _add_gmvae_flags(p)
     p.set_defaults(func=cmd_sweep)
+
+    # no abbreviations, or --seed would be read as --seeds
+    p = sub.add_parser("compare", help="Experiment 1: clustering accuracy of both families", allow_abbrev=False)
+    p.add_argument("--k", type=int, default=3, help="mixture component count")
+    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    _add_vae_flags(p)
+    _add_gmvae_flags(p)
+    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -483,10 +523,7 @@ def run(argv):
     except NumericError as exc:
         _report_error("numeric", exc)
         return 3
-    except (DataError, LevelMixError) as exc:
-        _report_error("data", exc)
-        return 2
-    except OSError as exc:
+    except (LevelMixError, OSError) as exc:  # DataError, and any other package error
         _report_error("data", exc)
         return 2
 

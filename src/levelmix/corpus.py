@@ -291,7 +291,7 @@ def load_manifest(path):
     with open(path) as f:
         try:
             raw = json.load(f)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
             raise DataError(f"{path}: manifest is not JSON ({exc})") from None
     try:
         return _manifest_from_json(raw, path)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,13 +32,7 @@ class ClusterReport:
     balanced_accuracy: float
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "type_names": list(self.type_names),
-            "confusion": self.confusion.tolist(),
-            "assignment": dict(self.assignment),
-            "balanced_accuracy": self.balanced_accuracy,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def clustering_accuracy(labels, level_types, k):
@@ -93,14 +87,7 @@ class DisentanglementReport:
     probe: str
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "per_component_accuracy": list(self.per_component_accuracy),
-            "p70": self.p70,
-            "p80": self.p80,
-            "p90": self.p90,
-            "probe": self.probe,
-        }
+        return asdict(self)
 
 
 PROBE_HIDDEN = 256
@@ -234,22 +221,26 @@ class TileDensityMatrix:
 
 def tile_densities(chunk_groups, vocab):
     """Mean per-chunk count of every tile, per component, normalized per tile
-    by its maximum over components; the background column is dropped.
+    by its maximum over the components that have chunks; the background
+    column is dropped. A component without chunks gets a row of nan;
+    EmptyComponent is raised only when no component has any.
 
     chunk_groups: list of chunk lists, index = component.
     """
     t = vocab.size
     k = len(chunk_groups)
+    empty = [not chunks for chunks in chunk_groups]
+    if all(empty):
+        raise EmptyComponent(f"none of the {k} components has chunks")
     raw = np.zeros((k, t), dtype=np.float64)
     for i, chunks in enumerate(chunk_groups):
-        if not chunks:
-            raise EmptyComponent(f"component {i} has no chunks")
         counts = np.zeros(t, dtype=np.float64)
         for chunk in chunks:
             counts += np.bincount(chunk.tiles.reshape(-1), minlength=t)
-        raw[i] = counts / len(chunks)
+        raw[i] = counts / max(len(chunks), 1)
     maxima = raw.max(axis=0)
     normalized = np.divide(raw, maxima, out=np.zeros_like(raw), where=maxima > 0)
+    normalized[empty] = np.nan
     keep = [i for i in range(t) if i != vocab.background_id]
     return TileDensityMatrix(
         values=normalized[:, keep],

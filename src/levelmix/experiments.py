@@ -1,8 +1,7 @@
 """Multi-run experiment drivers: the reduced clustering comparison between
 the mixture-prior model and the VAE+PCA+GMM baseline, and the component-count
-sweep of disentanglement proportions. The comparison runs behind
-scripts/run_experiment1.py, the sweep behind the sweep command; the
-acceptance suite runs both.
+sweep of disentanglement proportions. The comparison runs behind the compare
+command, the sweep behind the sweep command; the acceptance suite runs both.
 """
 
 from __future__ import annotations

@@ -21,6 +21,14 @@ def test_one_svg_per_component_and_well_formed():
         assert root.tag.endswith("svg")
 
 
+def test_nan_row_gets_no_chart():
+    m = matrix([[1.0, 0.2], [np.nan, np.nan], [0.0, 1.0]], ["X", "o"])
+    documents = charts.emit_radial_charts(m)
+    assert documents[1] is None
+    assert documents[0] == charts.radial_chart_svg(m.values[0], ["X", "o"], 0)
+    assert documents[2] == charts.radial_chart_svg(m.values[2], ["X", "o"], 2)
+
+
 def test_full_density_bar_spans_max_radius():
     doc = charts.radial_chart_svg([1.0], ["X"], 0)
     root = ET.fromstring(doc)

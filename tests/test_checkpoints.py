@@ -15,6 +15,7 @@ from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import gmvae as gm
 from levelmix import toygame
+from levelmix.errors import DataError
 
 
 def toy_model(family, dtype, toy_setup):
@@ -122,27 +123,38 @@ def has_float_list(node):
 FAMILIES = [("gmvae", "float64"), ("gmvae", "float32"), ("vae-gmm", "float64"), ("vae-gmm", "float32")]
 
 
-@pytest.mark.parametrize("family,dtype", FAMILIES)
-def test_v1_checkpoint_loads_bit_exact(family, dtype, toy_setup, tmp_path):
-    model, history = toy_model(family, dtype, toy_setup)
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(json_payload(family, model, history), sort_keys=True, separators=(",", ":")))
-    kind, loaded, loaded_history = ckpt.load_any(path)
-    assert kind == family
-    assert getattr(loaded, "vae", loaded).networks()["decoder"].dtype == np.dtype(dtype)
-    assert_same_params(model, loaded)
-    assert loaded_history.total_loss == history.total_loss
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_json_checkpoint_exits_2_naming_its_version(family, version, toy_setup, tmp_path):
+    # formats 1 and 2 are JSON text, which no longer loads
+    model, history = toy_model(family, "float64", toy_setup)
+    path = tmp_path / f"v{version}.json"
+    path.write_text(json.dumps(json_payload(family, model, history, version), sort_keys=True, separators=(",", ":")))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert f"format_version {version} " in error["message"] and str(path) in error["message"]
 
 
-@pytest.mark.parametrize("family,dtype", FAMILIES)
-def test_v2_checkpoint_loads_bit_exact(family, dtype, toy_setup, tmp_path):
-    model, history = toy_model(family, dtype, toy_setup)
-    path = tmp_path / "v2.json"
-    path.write_text(json.dumps(json_payload(family, model, history, 2), sort_keys=True, separators=(",", ":")))
-    kind, loaded, loaded_history = ckpt.load_any(path)
-    assert kind == family
-    assert_same_params(model, loaded)
-    assert loaded_history.total_loss == history.total_loss
+def test_file_without_the_magic_is_not_a_checkpoint(tmp_path):
+    cases = (("empty", b""), ("text", b"not json"), ("list", b"[1, 2]"), ("other", b'{"format": "x"}'))
+    for name, raw in cases + (("deep", b"[" * 100_000),):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="not a levelmix checkpoint"):
+            ckpt.load_any(path)
+
+
+def test_deeply_nested_header_is_data_error(tmp_path):
+    header = b"[" * 100_000
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<Q", len(header)) + header)
+    with pytest.raises(DataError, match="header is not JSON"):
+        ckpt.load_any(path)
 
 
 def blob_entries(node):
@@ -216,7 +228,9 @@ def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch)
 @pytest.fixture(scope="module")
 def fuzz_workspace(tmp_path_factory):
     """A tiny toy corpus and a model of each family, as format-3 and
-    format-2 bytes, with the length of the header part of each."""
+    format-2 bytes, with the length of the header part of each. Format 2
+    no longer loads, so its damaged copies test the exit-2 path of a file
+    without the magic."""
     root = tmp_path_factory.mktemp("fuzz")
     manifest = str(toygame.write_corpus(root / "corpus", levels_per_type=1, cols=20, seed=2))
     files = {}

@@ -98,6 +98,18 @@ def test_train_writes_checkpoint_and_history(workspace, trained_checkpoint):
     assert payload["config"]["hidden_width"] == 32
 
 
+def test_run_info_records_blas_threads_and_cpus(trained_checkpoint, monkeypatch):
+    # byte-identical training needs the same BLAS thread count
+    info = read_header(trained_checkpoint)["run_info"]
+    assert info["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert info["cpus"] == len(os.sched_getaffinity(0)) >= 1
+    args = cli.build_parser().parse_args(["generate", "--model", "m", "--component", "0"])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli._run_info("generate", args)["openblas_num_threads"] == "1"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert cli._run_info("generate", args)["openblas_num_threads"] is None
+
+
 def test_train_determinism_byte_identical(workspace, tmp_path):
     out = tmp_path / "model.json"
     args = ["train", "--manifest", workspace["manifest"], "--k", "2"] + FAST_TRAIN
@@ -318,22 +330,25 @@ def test_baseline_checkpoint_with_mismatched_pca_shape_is_data_error(baseline_ch
         '{"levels": ["a.txt"], "jump": 0}',
         '{"levels": ["a.txt"], "solidity": {"X": "solidd"}}',
         '{"levels": ["a.txt"], "solidity": {"XY": "solid"}}',
+        "[" * 100_000,
     ],
     ids=[
         "not-json", "not-object", "no-path", "levels-not-list", "pad-not-object",
         "pad-rows-to-string", "pad-side-left", "jump-height-string", "background-number",
         "background-two-chars", "solidity-list", "level-type-number", "game-number",
         "levels-string", "levels-object", "pad-false", "pad-empty-array", "jump-zero",
-        "solidity-misspelt-kind", "solidity-two-char-key",
+        "solidity-misspelt-kind", "solidity-two-char-key", "deep-nesting",
     ],
 )
-@pytest.mark.parametrize("command", ["ingest", "train"])
+@pytest.mark.parametrize("command", ["ingest", "train", "compare"])
 def test_malformed_manifest_is_data_error(tmp_path, capsys, command, text):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text)
     argv = [command, "--manifest", str(manifest)]
     if command == "train":
         argv += ["--k", "2", "--out", str(tmp_path / "m.json")] + FAST_TRAIN
+    if command == "compare":
+        argv += ["--out", str(tmp_path / "exp1.json"), "--seeds", "0", "--epochs", "1"]
     capsys.readouterr()
     assert cli.run(argv) == 2
     error = _single_error_line(capsys)
@@ -638,9 +653,31 @@ def test_densities_from_corpus_source(workspace, trained_checkpoint, tmp_path):
             "--manifest", workspace["manifest"], "--out", str(dens),
         ]
     )
-    # corpus labeling may leave a component empty on a tiny model: accept a
-    # clean data-error exit as well
-    assert code in (0, 2)
+    assert code == 0
+
+
+def test_densities_and_chart_with_an_empty_corpus_component(workspace, trained_checkpoint, tmp_path, capsys):
+    # without S, the toy corpus leaves a component of the toy model with no
+    # chunk: its row is nan, the others are finite and chart skips it
+    manifest = _retiled_manifest(workspace, tmp_path, "S", "-")
+    _, model, _ = ckpt.load_any(trained_checkpoint)
+    args = cli.build_parser().parse_args(["encode", "--model", "m", "--manifest", manifest, "--out", "o"])
+    _, data = cli._model_corpus(args, model)
+    empty = sorted(set(range(model.k)) - set(model.predict(data).tolist()))
+    assert empty and len(empty) < model.k
+    dens = tmp_path / "dens.csv"
+    argv = ["densities", "--model", trained_checkpoint, "--source", "corpus", "--manifest", manifest, "--out", str(dens)]
+    assert cli.run(argv) == 0
+    with open(dens) as f:
+        values = np.array([[float(v) for v in row[1:]] for row in list(csv.reader(f))[1:]])
+    assert len(values) == model.k
+    for i, row in enumerate(values):
+        assert np.isnan(row).all() if i in empty else np.isfinite(row).all()
+    capsys.readouterr()
+    assert cli.run(["chart", "--densities", str(dens), "--out-dir", str(tmp_path / "charts")]) == 0
+    written = sorted(p.name for p in (tmp_path / "charts").glob("*.svg"))
+    assert written == [f"component_{i:02d}.svg" for i in range(model.k) if i not in empty]
+    assert f"skipped components {empty}" in capsys.readouterr().out
 
 
 def test_baseline_checkpoint_and_eval(workspace, baseline_checkpoint, tmp_path):
@@ -688,6 +725,59 @@ def test_sweep_csv(workspace, tmp_path, monkeypatch):
         ("gmvae", "2"), ("gmvae", "3"), ("vae-gmm", "2"), ("vae-gmm", "3"),
     ]
     assert dtypes == ["float32", "float32"]
+
+
+def test_compare_writes_runs_in_seed_family_order(workspace, tmp_path, monkeypatch):
+    dtypes = []
+    compare = experiments.clustering_comparison
+
+    def recording_compare(data, *args, **kwargs):
+        dtypes.append(data.dtype)
+        return compare(data, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "clustering_comparison", recording_compare)
+    out = tmp_path / "exp1.json"
+    argv = ["compare", "--manifest", workspace["manifest"], "--out", str(out), "--k", "3", "--seeds", "0,1"]
+    argv += ["--dtype", "float32", "--epochs", "2", "--hidden-width", "16", "--latent-dim", "4"]
+    assert cli.run(argv) == 0
+    assert dtypes == [np.float32]
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"run_info", "report"}
+    assert payload["run_info"]["command"] == "compare"
+    assert payload["run_info"]["flags"]["seeds"] == "0,1"
+    report = payload["report"]
+    assert set(report) == {"runs", "median_gmvae", "median_vae_gmm"}
+    assert [(r["seed"], r["family"]) for r in report["runs"]] == [
+        (0, "gmvae"), (0, "vae-gmm"), (1, "gmvae"), (1, "vae-gmm"),
+    ]
+    assert all(0.0 <= r["balanced_accuracy"] <= 1.0 for r in report["runs"])
+    for family, key in (("gmvae", "median_gmvae"), ("vae-gmm", "median_vae_gmm")):
+        accuracies = [r["balanced_accuracy"] for r in report["runs"] if r["family"] == family]
+        assert report[key] == float(np.median(accuracies))
+
+
+@pytest.mark.parametrize("flags", [["--seeds", ""], ["--seeds", "a"], ["--seeds", "0,x"], ["--seed", "3"]])
+def test_compare_bad_seed_flags_are_usage_errors(workspace, tmp_path, capsys, monkeypatch, flags):
+    def no_training(*args, **kwargs):
+        raise AssertionError("compare trained before it checked its flags")
+
+    monkeypatch.setattr(experiments, "clustering_comparison", no_training)
+    out = tmp_path / "exp1.json"
+    argv = ["compare", "--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
+    capsys.readouterr()
+    assert cli.run(argv + flags) == 1
+    assert not out.exists()
+    if flags[0] == "--seeds":  # --seed is not a compare flag, which argparse rejects
+        error = _single_error_line(capsys)
+        assert error["error"] == "usage" and "--seeds" in error["message"]
+
+
+def test_sweep_non_integer_k_list_is_usage_error(workspace, tmp_path, capsys):
+    capsys.readouterr()
+    argv = ["sweep", "--manifest", workspace["manifest"], "--out", str(tmp_path / "s.csv"), "--k-list", "2,x"]
+    assert cli.run(argv) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and "--k-list" in error["message"]
 
 
 @pytest.mark.parametrize("n_train", ["0", "20", "25"])

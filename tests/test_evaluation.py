@@ -301,6 +301,15 @@ def test_empty_component_rejected():
         ev.tile_densities([[]], vocab)
 
 
+def test_empty_component_gets_a_nan_row(toy_setup):
+    # the per-tile maxima come from the components that have chunks
+    vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
+    full = ev.tile_densities([chunks[:40], chunks[40:80]], vocab)
+    matrix = ev.tile_densities([chunks[:40], [], chunks[40:80]], vocab)
+    assert matrix.k == 3 and np.isnan(matrix.values[1]).all()
+    assert np.array_equal(matrix.values[[0, 2]], full.values)
+
+
 def test_density_csv_roundtrip(toy_setup):
     vocab = toy_setup["vocab"]
     matrix = ev.tile_densities([toy_setup["chunks"][:20], toy_setup["chunks"][20:40]], vocab)
