@@ -413,8 +413,22 @@ def _add_training_run_flags(p):
     _add_vae_flags(p)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are UsageErrors, so they exit 1
+    with the one-line JSON error, and which takes no abbreviated flags (a
+    short flag would otherwise name whichever flag it prefixes, so compare's
+    --seed would be --seeds). Subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levelmix",
         description="mixture-prior VAEs over tile-grid level chunks",
     )
@@ -466,7 +480,9 @@ def build_parser():
     p.add_argument("--n-train", type=int, default=300)
     p.set_defaults(func=cmd_eval_disentangle)
 
-    p = sub.add_parser("eval-playability", help="A* playability of generated chunks")
+    p = sub.add_parser(
+        "eval-playability", help="playable fraction of generated chunks (a flood over the A* move model)"
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True, help="supplies solidity map and axis")
     p.add_argument("--out", required=True)
@@ -498,8 +514,7 @@ def build_parser():
     _add_gmvae_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    # no abbreviations, or --seed would be read as --seeds
-    p = sub.add_parser("compare", help="Experiment 1: clustering accuracy of both families", allow_abbrev=False)
+    p = sub.add_parser("compare", help="Experiment 1: clustering accuracy of both families")
     p.add_argument("--k", type=int, default=3, help="mixture component count")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     _add_vae_flags(p)
@@ -510,13 +525,11 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 1 if exc.code not in (0, None) else 0
     except UsageError as exc:
         _report_error("usage", exc)
         return 1

@@ -11,6 +11,12 @@ the grid or rising above its top row ends the attempt.
 A queue-based flood (bfs_crossable) over the same move set serves as an
 independent reachability oracle for the A* search; both read one move model
 (_moves) over flat passable/standable flags of the grid.
+
+playability_suite only counts playable chunks, so it reads no path: it
+answers each component's chunks at once with flood_crossable, a
+bit-parallel flood over the same move model whose answers equal those of
+bfs_crossable (and so of A*). crossable keeps A* for callers that need the
+path.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import SOLID, SOLIDITY_KINDS, chunk_to_lines
-from .errors import RaggedRows, UncoveredTile, UnsupportedGame
+from .corpus import CHUNK_SIZE, SOLID, SOLIDITY_KINDS, _check_ids, chunk_to_lines
+from .errors import LengthMismatch, RaggedRows, UncoveredTile, UnsupportedGame
 
 
 @dataclass
@@ -218,6 +224,148 @@ def playable(chunk, rules, vocab):
     return crossable(chunk_to_lines(chunk, vocab), rules)
 
 
+# The flood keeps each grid row of each chunk as one uint32 bitmask: bit c + 1
+# is column c, and bits 0 and width + 1 are the blocked frame of _moves, so a
+# shift by one column never wraps into a passable cell. Arrays are laid out
+# (row, chunk), or (row, drift left, chunk) for airborne states.
+_MAX_FLOOD_WIDTH = 30
+
+
+def _tile_bits(tiles, rules, vocab):
+    """(passable, solid) bit rows of each grid, each (height, n) uint32.
+
+    Raises what playable raises on the first grid, in stack order, that has
+    a bad tile: IdOutOfRange before UncoveredTile, each naming the first bad
+    tile in row-major order.
+    """
+    width = tiles.shape[2]
+    if width > _MAX_FLOOD_WIDTH:
+        raise LengthMismatch(f"the flood takes rows of at most {_MAX_FLOOD_WIDTH} tiles, got {width}")
+    kinds = [rules.solidity.get(char) for char in vocab.chars]
+    bad_id = (tiles < 0) | (tiles >= vocab.size)
+    # one extra entry for the ids that are out of range, which count as covered
+    covered = np.array([kind is not None for kind in kinds] + [True])
+    uncovered = ~covered[np.where(bad_id, vocab.size, tiles)]
+    bad = (bad_id | uncovered).any(axis=(1, 2))
+    if bad.any():
+        first = int(np.argmax(bad))
+        _check_ids(tiles[first], vocab.size)
+        char = vocab.chars[tiles[first].flat[np.argmax(uncovered[first])]]
+        raise UncoveredTile(f"tile {char!r} missing from the solidity map")
+    weights = np.left_shift(np.uint32(1), np.arange(1, width + 1, dtype=np.uint32))
+    rows = tiles.transpose(1, 0, 2)
+
+    def bits(flags):
+        return np.bitwise_or.reduce(np.array(flags)[rows] * weights, axis=-1)
+
+    return bits([kind not in (None, SOLID) for kind in kinds]), bits([kind == SOLID for kind in kinds])
+
+
+def _walk(seeds, ground):
+    """The seeds and every ground cell that a walk along its row from a seed
+    reaches over ground cells: two occluded fills, doubling the stride."""
+    right, left = seeds, seeds
+    ground_right, ground_left = ground, ground
+    stride = 1
+    while stride < _MAX_FLOOD_WIDTH:
+        right = right | (ground_right & (right << stride))
+        left = left | (ground_left & (left >> stride))
+        ground_right = ground_right & (ground_right << stride)
+        ground_left = ground_left & (ground_left >> stride)
+        stride *= 2
+    return right | left
+
+
+def _rise(launch, passable, jump, span):
+    """(falling, top) for jumps launched from the standing cells `launch`.
+
+    falling, (height, span + 1, n), holds every falling state that a jump
+    reaches, by cutting it short or by running out of ascent, indexed by the
+    drift it has left; top marks the chunks where a rising state reaches the
+    top row.
+    """
+    level = np.zeros((launch.shape[0], span + 1, launch.shape[1]), np.uint32)
+    level[:, span] = launch
+    falling = np.zeros_like(level)
+    top = np.zeros(launch.shape[1], bool)
+    open_cells = passable[:, None]
+    for _ in range(jump):
+        falling |= level  # cut the jump short
+        up = np.zeros_like(level)
+        up[:-1] = level[1:]
+        side = up[:, 1:]
+        level = up & open_cells
+        level[:, :-1] |= ((side << 1) | (side >> 1)) & open_cells
+        top |= level[0].any(axis=0)
+    falling |= level  # ascent spent: the state falls
+    return falling, top
+
+
+def _fall(falling, passable, standable):
+    """The standing cells where the falling states land, sweeping the rows
+    from the top; a falling state drops one row per step, with or without
+    one column of drift. `falling` is consumed."""
+    land = np.zeros_like(passable)
+    for r in range(len(passable)):
+        here = falling[r]
+        land[r] = np.bitwise_or.reduce(here, axis=0) & standable[r]
+        if r + 1 < len(passable):
+            drop = here & ~standable[r]
+            side = drop[1:]
+            below = passable[r + 1]
+            falling[r + 1] |= drop & below
+            falling[r + 1, :-1] |= ((side << 1) | (side >> 1)) & below
+    return land
+
+
+def flood_crossable(tiles, rules, vocab):
+    """Whether each grid of a stack of tile ids, (n, height, width), can be
+    crossed under `rules`: one bool per grid, equal to bfs_crossable's.
+
+    One bit-parallel flood answers every grid at once. Each round walks the
+    new standing cells along their ground, launches every jump and every
+    walk off a ledge from them, and lets all of it fall until it lands; a
+    grid leaves the batch at its goal or once a round finds no new standing
+    cell. A grid with no start never enters it.
+    """
+    tiles = np.asarray(tiles)
+    n, height, width = tiles.shape
+    passable, solid = _tile_bits(tiles, rules, vocab)
+    standable = np.zeros_like(passable)
+    standable[:-1] = passable[:-1] & solid[1:]
+    horizontal = rules.axis == "horizontal"
+    new = np.zeros_like(passable)
+    if horizontal:
+        # standing in the leftmost column, to stand in the rightmost
+        new = standable & np.uint32(2)
+        goal = np.uint32(1 << width)
+    else:
+        # standing on a bottom-row solid, or on the open bottom row itself,
+        # to occupy the top row in any movement phase
+        if height > 1:
+            new[-2] = standable[-2]
+        new[-1] = passable[-1]
+    crossed = np.zeros(n, bool)
+    live = np.flatnonzero(new.any(axis=0))
+    passable, standable, new = passable[:, live], standable[:, live], new[:, live]
+    standing = np.zeros_like(new)
+    while live.size:
+        new = _walk(new, standable)
+        standing |= new
+        falling, top = _rise(new, passable, rules.max_jump_height, rules.max_jump_span)
+        falling[:, -1] |= ((new << 1) | (new >> 1)) & passable & ~standable  # walk off a ledge
+        if horizontal:
+            done = (standing & goal).any(axis=0)
+        else:
+            done = standing[0].astype(bool) | top
+        crossed[live[done]] = True
+        new = _fall(falling, passable, standable) & ~standing
+        keep = ~done & new.any(axis=0)
+        live = live[keep]
+        passable, standable, new, standing = passable[:, keep], standable[:, keep], new[:, keep], standing[:, keep]
+    return crossed
+
+
 @dataclass
 class PlayabilityResult:
     total: int
@@ -242,14 +390,16 @@ class PlayabilityResult:
 
 def playability_suite(generate_fn, k, rules, vocab, rng, total_budget=10000):
     """Sample floor(total_budget / k) chunks from each component, aggregate,
-    and report the playable fraction."""
+    and report the playable fraction. Each component's chunks are answered
+    by one flood_crossable over their stacked tile ids."""
     per = total_budget // k
     per_component = []
     total = 0
     good = 0
     for component in range(k):
         chunks = generate_fn(component, per, rng)
-        ok = sum(1 for ch in chunks if playable(ch, rules, vocab)[0])
+        tiles = np.array([ch.tiles for ch in chunks], np.int64).reshape(-1, CHUNK_SIZE, CHUNK_SIZE)
+        ok = int(flood_crossable(tiles, rules, vocab).sum())
         per_component.append((ok, len(chunks)))
         good += ok
         total += len(chunks)

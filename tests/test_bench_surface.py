@@ -74,15 +74,16 @@ def test_both_families_train_through_training_step(toy_setup, monkeypatch, famil
     assert [type(model).__name__ for model in calls] == [{"gmvae": "GmvaeModel", "vae": "VaeModel"}[family]] * 4
 
 
-def test_playability_suite_runs_one_crossable_per_chunk(toy_setup, monkeypatch):
-    # the tracer times every A* search through the module global pl.crossable
+def test_playability_suite_makes_no_astar_search(toy_setup, monkeypatch):
+    # the tracer times each A* search through the module global pl.crossable;
+    # the suite answers with the flood, so only the astar_vs_bfs gate searches
     searched = counting(monkeypatch, pl, "crossable")
     vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame.SOLIDITY), axis="horizontal")
     result = pl.playability_suite(lambda component, n, rng: chunks[component * n : (component + 1) * n],
                                   3, rules, vocab, np.random.default_rng(0), total_budget=30)
-    assert result.total == 30
-    assert searched == [cp.chunk_to_lines(c, vocab) for c in chunks[:30]]
+    assert result.total == 30 and searched == []
+    assert pl.crossable(cp.chunk_to_lines(chunks[0], vocab), rules)[0] and len(searched) == 1
 
 
 def test_generate_decodes_each_chunk_through_the_decode_global(trained_gmvae, monkeypatch):

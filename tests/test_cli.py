@@ -88,6 +88,38 @@ def test_usage_error_exit_code():
     assert cli.run(["train", "--manifest", "x"]) == 1  # missing required flags
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compare", "--manifest", "m", "--out", "o", "--seed", "3"], "--seed 3"),  # unknown flag
+        (["train", "--manifest", "m", "--out", "o", "--k", "abc"], "'abc'"),  # not an integer
+        (["train", "--manifest", "m", "--k", "2"], "--out"),  # missing required flag
+        (["train", "--manifest", "m", "--out", "o", "--k", "2", "--hist", "f"], "--hist"),  # abbreviated
+        (["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--bud", "5"], "--bud"),
+        (["generate", "--model", "c", "--component", "0", "--n", "1.5"], "'1.5'"),
+        (["sweep", "--manifest", "m", "--out", "o", "--k-list", "2", "--fam", "gmvae"], "--fam"),
+        (["no-such-command"], "'no-such-command'"),
+        ([], "command"),
+    ],
+)
+def test_argparse_usage_errors_are_one_json_line(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)  # exactly one JSON document
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert error["error"] == "usage" and error["type"] == "UsageError" and named in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["compare", "-h"]])
+def test_help_exits_0(capsys, argv):
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: levelmix") and captured.err == ""
+
+
 def test_train_writes_checkpoint_and_history(workspace, trained_checkpoint):
     payload = read_header(trained_checkpoint)
     assert payload["format"] == "levelmix-gmvae"
@@ -616,6 +648,32 @@ def test_eval_playability_report_vae_gmm(workspace, baseline_checkpoint, tmp_pat
     _check_eval_playability_report(workspace, baseline_checkpoint, tmp_path)
 
 
+def test_eval_playability_bad_tiles_are_data_errors(workspace, trained_checkpoint, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "play.json"
+    argv = ["eval-playability", "--model", trained_checkpoint, "--out", str(out), "--budget", "30"]
+    # a solidity map without one of the model's tiles
+    with open(workspace["manifest"]) as f:
+        manifest = json.load(f)
+    manifest["levels"] = [dict(e, path=os.path.join(os.path.dirname(workspace["manifest"]), e["path"]))
+                          for e in manifest["levels"]]
+    del manifest["solidity"][toygame.COIN]
+    uncovered = tmp_path / "uncovered.json"
+    uncovered.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.run(argv + ["--manifest", str(uncovered)]) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and repr(toygame.COIN) in error["message"]
+    # generated chunks holding a tile id outside the vocab reach the flood
+    model = ckpt.load_any(trained_checkpoint)[1]
+    bad = cp.Chunk(tiles=np.full((16, 16), model.vocab.size))
+    monkeypatch.setattr(gm.GmvaeModel, "generate", lambda self, component, n, rng: [bad] * n)
+    assert cli.run(argv + ["--manifest", workspace["manifest"]]) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "IdOutOfRange"
+    assert f"tile id {model.vocab.size} out of range" in error["message"]
+    assert not out.exists()
+
+
 def _check_densities_and_chart_pipeline(checkpoint, tmp_path):
     dens = tmp_path / "dens.csv"
     code = cli.run(
@@ -767,9 +825,8 @@ def test_compare_bad_seed_flags_are_usage_errors(workspace, tmp_path, capsys, mo
     capsys.readouterr()
     assert cli.run(argv + flags) == 1
     assert not out.exists()
-    if flags[0] == "--seeds":  # --seed is not a compare flag, which argparse rejects
-        error = _single_error_line(capsys)
-        assert error["error"] == "usage" and "--seeds" in error["message"]
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and flags[0] in error["message"]
 
 
 def test_sweep_non_integer_k_list_is_usage_error(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FUZZ
 from levelmix import corpus as cp
 from levelmix import playability as pl
-from levelmix.errors import RaggedRows, UncoveredTile, UnsupportedGame
+from levelmix.errors import IdOutOfRange, LengthMismatch, LevelMixError, RaggedRows, UncoveredTile, UnsupportedGame
 
 SOLIDITY = {"-": "passable", "X": "solid", "E": "hazard"}
 
@@ -223,6 +224,66 @@ def test_jump_height_limit_respected():
     assert reachable_5 and not reachable_4
 
 
+GRID_VOCAB = cp.TileVocab(game="t", chars=("-", "E", "X"))
+
+
+def grid_ids(grids, vocab=GRID_VOCAB):
+    """The (n, height, width) tile ids of equal-shape row-string grids."""
+    lookup = vocab.char_to_id
+    return np.array([[[lookup[c] for c in row] for row in rows] for rows in grids])
+
+
+def flood_matches_bfs(grids, rules, vocab=GRID_VOCAB):
+    answers = pl.flood_crossable(grid_ids(grids, vocab), rules, vocab)
+    assert answers.dtype == bool and answers.shape == (len(grids),)
+    assert answers.tolist() == [pl.bfs_crossable(rows, rules) for rows in grids]
+    return answers
+
+
+def test_flood_equals_bfs_on_the_astar_cases(toy_setup):
+    # one stack per rule set and grid shape: both axes, both jumps, three
+    # shapes, and every toy-corpus chunk
+    stacks = defaultdict(list)
+    for rows, rules in astar_cases(toy_setup):
+        stacks[id(rules), len(rows), len(rows[0])].append((rows, rules))
+    assert len(stacks) == 2 * len(JUMPS) * 3 + 1
+    for cases in stacks.values():
+        rules = cases[0][1]
+        vocab = toy_setup["vocab"] if rules.game == "toy" else GRID_VOCAB
+        answers = flood_matches_bfs([rows for rows, _ in cases], rules, vocab)
+        assert 0 < answers.sum() < len(answers)
+
+
+@settings(FUZZ, max_examples=100)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=0.05, max_value=0.7),
+    st.sampled_from(["horizontal", "vertical"]),
+    st.sampled_from(JUMPS),
+)
+def test_flood_equals_bfs_property(seed, density, axis, jump):
+    # a stack of 16x16 grids with hazards
+    kinds = np.random.default_rng(seed).choice(3, size=(8, 16, 16), p=[0.95 - density, density, 0.05])
+    grids = [["".join("-XE"[k] for k in row) for row in grid] for grid in kinds]
+    flood_matches_bfs(grids, (horizontal_rules if axis == "horizontal" else vertical_rules)(**jump))
+
+
+def test_flood_edge_cases():
+    # no start anywhere; a start in the top row of a vertical game; one-row
+    # and one-column grids; no jump and no drift
+    flood_matches_bfs([["-" * 16] * 16, flat_ground_chunk()], horizontal_rules())
+    flood_matches_bfs([["-" * 16] * 16, ["X" * 16] * 16], vertical_rules())
+    assert flood_matches_bfs([["-X", "XX"], ["X-", "X-"]], vertical_rules()).all()
+    for shape in ((1, 5), (5, 1), (2, 30)):
+        grids = [random_grid(seed, *shape) for seed in range(40)]
+        for rules in (horizontal_rules(), vertical_rules(), horizontal_rules(max_jump_height=0, max_jump_span=0)):
+            flood_matches_bfs(grids, rules)
+    assert pl.flood_crossable(np.zeros((0, 16, 16), np.int64), horizontal_rules(), GRID_VOCAB).shape == (0,)
+    # a row and its frame fill the uint32 at 30 tiles
+    with pytest.raises(LengthMismatch):
+        pl.flood_crossable(np.zeros((1, 4, 31), np.int64), horizontal_rules(), GRID_VOCAB)
+
+
 def test_playability_suite_counts(toy_setup):
     vocab = toy_setup["vocab"]
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
@@ -261,3 +322,75 @@ def test_rules_from_manifest(tmp_path):
     assert rules.max_jump_height == 4
     assert rules.max_jump_span == 5
     assert rules.solidity["X"] == "solid"
+
+
+def walled_chunk(vocab):
+    # ground with a wall no jump clears
+    chunk = cp.Chunk(tiles=np.full((16, 16), vocab.id_of("-")))
+    chunk.tiles[14:] = vocab.id_of("X")
+    chunk.tiles[2:, 8] = vocab.id_of("X")
+    return chunk
+
+
+@pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+def test_playability_suite_counts_equal_per_chunk_astar(toy_setup, axis):
+    # components mix playable and unplayable chunks in different shares, so
+    # a suite that answers True (or False) everywhere fails
+    vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
+    rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis=axis)
+    walled = walled_chunk(vocab)
+
+    def gen(component, n, rng):
+        picks = rng.choice(len(chunks), size=n, replace=False)
+        return [walled if i % 3 < component else chunks[j] for i, j in enumerate(picks)]
+
+    result = pl.playability_suite(gen, 4, rules, vocab, np.random.default_rng(1), total_budget=240)
+    expected = []
+    rng = np.random.default_rng(1)
+    for component in range(4):
+        sample = gen(component, 60, rng)
+        expected.append((sum(pl.crossable(cp.chunk_to_lines(c, vocab), rules)[0] for c in sample), 60))
+    assert result.per_component == expected
+    assert result.playable_count == sum(p for p, _ in expected) and result.total == 240
+    assert len({p for p, _ in expected}) > 1 and 0 < result.playable_count < result.total
+
+
+def _first_error(chunks, rules, vocab):
+    for chunk in chunks:
+        try:
+            pl.playable(chunk, rules, vocab)
+        except LevelMixError as exc:
+            return exc
+    raise AssertionError("no chunk raised")
+
+
+@pytest.mark.parametrize(
+    "order, expected",
+    [
+        (["id"], IdOutOfRange),
+        (["uncovered"], UncoveredTile),
+        (["both"], IdOutOfRange),
+        (["uncovered", "id"], UncoveredTile),
+        (["id", "uncovered"], IdOutOfRange),
+    ],
+)
+def test_playability_suite_raises_what_playable_raises(toy_setup, order, expected):
+    # a tile id >= vocab.size, and a vocab tile missing from the solidity map
+    vocab = cp.TileVocab(game="toy", chars=toy_setup["vocab"].chars + ("~",))
+    rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
+    good = toy_setup["chunks"][:3]
+    broken = []
+    for fault in order:
+        chunk = cp.Chunk(tiles=good[0].tiles.copy())
+        if fault in ("uncovered", "both"):
+            chunk.tiles[9, 4] = chunk.tiles[5, 11] = vocab.id_of("~")
+        if fault in ("id", "both"):
+            chunk.tiles[12, 2], chunk.tiles[13, 1] = vocab.size + 3, vocab.size
+        broken.append(chunk)
+    chunks = good + broken
+    per_chunk = _first_error(chunks, rules, vocab)
+    assert type(per_chunk) is expected
+    with pytest.raises(expected) as suite:
+        pl.playability_suite(lambda component, n, rng: chunks, 1, rules, vocab, np.random.default_rng(0),
+                             total_budget=len(chunks))
+    assert str(suite.value) == str(per_chunk)
