@@ -60,7 +60,7 @@ def vae_loss(model, x, eps_noise):
 def vae_loss_and_grads(model, x, eps_noise):
     mu, var, x_hat, caches = model.encode_decode(x, eps_noise)
     recon, kl, grads, _, _, _ = model.recon_kl_backward(
-        x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches, input_grad=False
+        x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
     )
     return recon, kl, grads
 

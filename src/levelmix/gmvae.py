@@ -136,6 +136,11 @@ class EncoderDecoder:
     both model families share. Subclasses give their networks' shapes in
     architecture()."""
 
+    # the networks that read the raw input x as their first config.d input
+    # columns; fit trains copies of them that read only the columns the
+    # data sets
+    INPUT_NETS = ("encoder_trunk",)
+
     def _encoder_decoder_architecture(self, in_dim):
         cfg = self.config
         w, depth, ld = cfg.hidden_width, cfg.hidden_depth, cfg.latent_dim
@@ -168,12 +173,13 @@ class EncoderDecoder:
         x_hat, dec_cache = self.decoder.forward_cached(z, keep_cache=keep_caches)
         return mu_q, var_q, x_hat, (trunk_cache, mean_cache, var_cache, dec_cache)
 
-    def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches, input_grad=True):
+    def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches, input_tail=0):
         """Mean per-item BCE and KL(q || p), and the gradient of the weighted
         batch-mean objective back through the decoder, the reparameterized
         sample, both heads and the trunk: (recon, kl, grads, d_enc_in,
         d_mu_p, d_var_p), the last two already weighted for the prior.
-        d_enc_in is None with input_grad=False."""
+        d_enc_in is the gradient of the trunk input's last input_tail
+        columns, None with input_tail=0."""
         trunk_cache, mean_cache, var_cache, dec_cache = caches
         recon_vec, d_xhat = nn.bce_loss(x_hat, x, with_grad=True)
         kl_vec, (d_mu_q, d_var_q, d_mu_p, d_var_p) = nn.kl_diag(
@@ -188,7 +194,7 @@ class EncoderDecoder:
         d_var_q_total = kw * d_var_q + d_z * nn.reparam_grad_var(var_q, eps_noise)
         mean_grads, d_h_mean = self.enc_mean_head.backward(mean_cache, d_mu_q_total)
         var_grads, d_h_var = self.enc_var_head.backward(var_cache, d_var_q_total)
-        trunk_grads, d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var, input_grad)
+        trunk_grads, d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var, input_tail)
         grads = {
             "encoder_trunk": trunk_grads,
             "enc_mean_head": mean_grads,
@@ -203,6 +209,8 @@ class GmvaeModel(EncoderDecoder):
     """The mixture-prior model. Like baseline.VaeGmmModel it offers k,
     generate(component, n, rng), predict(data) and encode(data), so the CLI
     and the experiment drivers treat both families alike."""
+
+    INPUT_NETS = ("label_net", "encoder_trunk")
 
     def __init__(self, config, vocab=None):
         config.validate()
@@ -327,14 +335,15 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
     cfg = model.config
     batch = x.shape[0]
     t, caches = _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches=True)
-    recon, kl, grads, d_enc_in, d_mu_p, d_var_p = model.recon_kl_backward(
+    # the trunk's input gradient is needed only for its k label columns
+    recon, kl, grads, d_y_enc, d_mu_p, d_var_p = model.recon_kl_backward(
         x, eps_noise, t["mu_q"], t["var_q"], t["x_hat"], t["mu_p"], t["var_p"],
-        caches["encoder_decoder"],
+        caches["encoder_decoder"], input_tail=cfg.k,
     )
     grads["prior_mean_net"], d_y_mean = model.prior_mean_net.backward(caches["prior_mean"], d_mu_p)
     grads["prior_var_net"], d_y_var = model.prior_var_net.backward(caches["prior_var"], d_var_p)
 
-    d_y = d_enc_in[:, cfg.d :] + d_y_mean + d_y_var
+    d_y = d_y_enc + d_y_mean + d_y_var
     d_logits = nn.gumbel_softmax_backward(t["soft_y"], tau, d_y)
 
     balance, p, p_bar = _label_balance(t["logits"], cfg.k)
@@ -345,7 +354,7 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
         d_logits = d_logits + (cfg.label_balance_weight / batch) * (
             p * (g - (p @ g)[:, None])
         )
-    grads["label_net"], _ = model.label_net.backward(caches["label"], d_logits, input_grad=False)
+    grads["label_net"], _ = model.label_net.backward(caches["label"], d_logits, input_tail=0)
     return recon, kl, balance, grads
 
 
@@ -394,6 +403,14 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     level_types). on_epoch(epoch, history), if given, runs after each epoch
     is recorded. A NonFiniteLoss from a step is raised again naming the
     1-based epoch and step within it.
+
+    The networks that read the raw input (model.INPUT_NETS) train as copies
+    that read only the input columns data sets (DenseNet.input_subset): a
+    column that is zero in every row gives its weights a zero gradient and
+    so a zero Adam update, and the copies skip that work. While fit runs,
+    model.networks() gives the copies, except inside on_epoch; their values
+    are written back into the full networks before each on_epoch and at
+    every exit, and the weights of the unset columns keep their values.
     Returns the TrainingHistory; the model is updated in place.
     """
     cfg = model.config
@@ -409,44 +426,65 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     if n == 0:
         raise DimensionMismatch("no training data")
     rng = np.random.default_rng(cfg.rng_seed + 1)  # distinct from init stream
-    optimizers = make_optimizers(model)
     history = TrainingHistory()
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
     # the plain VAE has no balance term; its StepLosses carry label_balance 0.0
     balance_weight = getattr(cfg, "label_balance_weight", 0.0)
+    full = {name: getattr(model, name) for name in model.INPUT_NETS}
+    set_columns = np.flatnonzero(data.any(axis=0))
+    # a trunk's label columns, past d, are always read
+    read = {name: np.concatenate([set_columns, np.arange(cfg.d, net.in_dim)]) for name, net in full.items()}
 
-    for epoch in range(cfg.epochs):
-        tau, hard = model.schedule(epoch)
-        order = balanced.draw(n) if balanced is not None else rng.permutation(n)
-        recon_sum = kl_sum = balance_sum = 0.0
-        count = 0
-        for b in range(batches_per_epoch):
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            try:
-                losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
-            except NonFiniteLoss as exc:
-                raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
-            recon_sum += losses.recon * len(idx)
-            kl_sum += losses.kl * len(idx)
-            balance_sum += losses.label_balance * len(idx)
-            count += len(idx)
-        mean_recon = recon_sum / count
-        mean_kl = kl_sum / count
-        mean_balance = balance_sum / count
-        total = (
-            cfg.recon_weight * mean_recon
-            + cfg.kl_weight * mean_kl
-            + balance_weight * mean_balance
-        )
-        history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
-        if log_every is not None and (epoch + 1) % log_every == 0:
-            print(
-                f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
-                f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
+    def use_copies():
+        for name, net in full.items():
+            setattr(model, name, net.input_subset(read[name]))
+
+    def restore_full():
+        for name, net in full.items():
+            copy = getattr(model, name)
+            if copy is not net:
+                net.write_back(copy)
+                setattr(model, name, net)
+
+    try:
+        use_copies()
+        optimizers = make_optimizers(model)
+        for epoch in range(cfg.epochs):
+            tau, hard = model.schedule(epoch)
+            order = balanced.draw(n) if balanced is not None else rng.permutation(n)
+            recon_sum = kl_sum = balance_sum = 0.0
+            count = 0
+            for b in range(batches_per_epoch):
+                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                try:
+                    losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
+                except NonFiniteLoss as exc:
+                    raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
+                recon_sum += losses.recon * len(idx)
+                kl_sum += losses.kl * len(idx)
+                balance_sum += losses.label_balance * len(idx)
+                count += len(idx)
+            mean_recon = recon_sum / count
+            mean_kl = kl_sum / count
+            mean_balance = balance_sum / count
+            total = (
+                cfg.recon_weight * mean_recon
+                + cfg.kl_weight * mean_kl
+                + balance_weight * mean_balance
             )
-        if on_epoch is not None:
-            on_epoch(epoch, history)
+            history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
+            if log_every is not None and (epoch + 1) % log_every == 0:
+                print(
+                    f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
+                    f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
+                )
+            if on_epoch is not None:
+                restore_full()
+                on_epoch(epoch, history)
+                use_copies()
+    finally:
+        restore_full()
     return history
 
 

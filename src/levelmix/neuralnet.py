@@ -142,6 +142,10 @@ class DenseNet:
     All parameters live in one contiguous buffer, `params`, and all
     gradients in a same-shaped buffer, `grads`; each layer's weight and
     bias are views into `params`, layer by layer, weight before bias.
+
+    A training copy made by input_subset reads only some columns of its
+    input: `columns` holds them (sorted), and its first layer holds only
+    their weights. `columns` is None for a net that reads its whole input.
     """
 
     def __init__(self, sizes, activations, rng, dtype="float64"):
@@ -162,7 +166,9 @@ class DenseNet:
         net._allocate(sizes, activations, dtype)
         return net
 
-    def _allocate(self, sizes, activations, dtype):
+    def _allocate(self, sizes, activations, dtype, params=None, grads=None):
+        """Lay the layers out over params and grads, or over new zero
+        buffers."""
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ShapeMismatch(
                 f"need len(sizes) >= 2 and one activation per layer, "
@@ -172,10 +178,11 @@ class DenseNet:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.dtype = np.dtype(dtype)
+        self.columns = None
         total = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        self.params = np.zeros(total, dtype=self.dtype)
+        self.params = np.zeros(total, dtype=self.dtype) if params is None else params
         # zero pages are only touched by the first backward
-        self.grads = np.zeros(total, dtype=self.dtype)
+        self.grads = np.zeros(total, dtype=self.dtype) if grads is None else grads
         self.layers = []
         self._grad_views = []
         offset = 0
@@ -190,11 +197,54 @@ class DenseNet:
 
     @property
     def in_dim(self):
-        return self.layers[0].in_dim
+        """The width of the input the net reads; for a training copy, the
+        full net's."""
+        return self.layers[0].in_dim if self.columns is None else self._full_in_dim
 
     @property
     def out_dim(self):
         return self.layers[-1].out_dim
+
+    def input_subset(self, columns):
+        """A training copy that reads only the given input columns (sorted),
+        laid over the ends of this net's parameter and gradient buffers: its
+        first layer holds only those columns' weights and overwrites the end
+        of this net's first-layer weights, and its other layers are this
+        net's own. An input column that training never sets gets a zero
+        gradient, which Adam turns into a zero update, so the copy trains as
+        this net would. This net's first layer is not valid until
+        write_back(copy), and a copy's backward overwrites this net's
+        gradients. The copy cannot give the gradient of a column it does not
+        read."""
+        columns = np.asarray(columns, dtype=np.intp)
+        w0 = self.layers[0].weight
+        out, n_in = w0.shape
+        start = out * (n_in - len(columns))
+        copy = DenseNet.__new__(DenseNet)
+        copy._allocate(
+            [len(columns)] + [layer.out_dim for layer in self.layers],
+            [layer.activation for layer in self.layers],
+            self.dtype,
+            self.params[start:],
+            self.grads[start:],
+        )
+        # the rows from first_row on are overwritten: keep their unread weights
+        first_row = start // n_in
+        unread = np.setdiff1d(np.arange(n_in), columns, assume_unique=True)
+        copy._overwritten = (first_row, unread, w0[first_row:, unread])
+        copy.layers[0].weight[...] = w0[:, columns]
+        copy.columns, copy._full_in_dim = columns, n_in
+        return copy
+
+    def write_back(self, copy):
+        """Make this net's first layer valid again after input_subset, with
+        the copy's trained weights in the columns it reads and the others
+        as they were; the copy is not valid afterwards."""
+        trained = copy.layers[0].weight.copy()
+        first_row, unread, kept = copy._overwritten
+        w0 = self.layers[0].weight
+        w0[first_row:, unread] = kept
+        w0[:, copy.columns] = trained
 
     def forward(self, x):
         out, _ = self.forward_cached(x, keep_cache=False)
@@ -209,6 +259,8 @@ class DenseNet:
             raise DimensionMismatch(
                 f"input has {x.shape[-1]} features, net expects {self.in_dim}"
             )
+        if self.columns is not None:
+            x = np.take(x, self.columns, axis=-1)
         cache = [] if keep_cache else None
         a = x
         for layer in self.layers:
@@ -231,17 +283,22 @@ class DenseNet:
             a = a_next
         return a, cache
 
-    def backward(self, cache, grad_out, input_grad=True):
+    def backward(self, cache, grad_out, input_tail=None):
         """Gradients of a scalar loss given d(loss)/d(output).
 
         Returns ([(dW, db) per layer], d(loss)/d(input)). The (dW, db) are
         views of this net's gradient buffer: they stay valid until this
-        net's next backward, which overwrites them. With input_grad=False
-        the first layer's input gradient is not computed and None is
-        returned in its place.
+        net's next backward, which overwrites them. With input_tail=n only
+        the last n columns of the input gradient are computed, and with
+        input_tail=0 none, with None returned in its place.
         """
         if cache is None or len(cache) != len(self.layers):
             raise NoCache("forward cache missing or stale")
+        if input_tail != 0 and self.columns is not None:
+            # a copy holds the weights of the input tail only if it reads all of it
+            tail = self.in_dim if input_tail is None else input_tail
+            if tail > len(self.columns) or self.columns[-tail] != self.in_dim - tail:
+                raise DimensionMismatch("a training copy cannot give the gradient of input columns it does not read")
         g = np.asarray(grad_out, dtype=self.dtype)
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
@@ -254,7 +311,10 @@ class DenseNet:
             else:
                 np.matmul(gz.T, a_in, out=dw)
                 gz.sum(axis=0, out=db)
-            g = gz @ layer.weight if i or input_grad else None
+            if i or input_tail is None:
+                g = gz @ layer.weight
+            else:
+                g = gz @ layer.weight[:, -input_tail:] if input_tail else None
         return list(self._grad_views), g
 
     def param_arrays(self):

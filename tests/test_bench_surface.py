@@ -74,6 +74,25 @@ def test_both_families_train_through_training_step(toy_setup, monkeypatch, famil
     assert [type(model).__name__ for model in calls] == [{"gmvae": "GmvaeModel", "vae": "VaeModel"}[family]] * 4
 
 
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_tracer_names_the_networks_of_fits_training_copies(perfbench, toy_setup, family):
+    # fit trains copies of the networks that read the raw input; the tracer
+    # registers them at each step, so no forward, backward or Adam span of a
+    # training run falls in the "other" group
+    tracer, _ = perfbench
+    data = toy_setup["data"][:100]
+    fields = dict(d=data.shape[1], latent_dim=4, hidden_width=16, hidden_depth=1, batch_size=32, epochs=1)
+    with tracer.Tracer() as t:
+        if family == "gmvae":
+            gm.train(gm.build_model(gm.GmvaeConfig(k=2, **fields)), data)
+        else:
+            bl.train_vae(data, bl.VaeConfig(**fields))
+    groups = {s[tracer.ATTRS]["net"] for s in t.spans
+              if s[tracer.NAME] in ("neuralnet.forward", "neuralnet.backward", "neuralnet.adam")}
+    expected = {"encoder_trunk", "enc_heads", "decoder"}
+    assert groups == (expected | {"label_net", "prior_nets"} if family == "gmvae" else expected)
+
+
 def test_playability_suite_makes_no_astar_search(toy_setup, monkeypatch):
     # the tracer times each A* search through the module global pl.crossable;
     # the suite answers with the flood, so only the astar_vs_bfs gate searches

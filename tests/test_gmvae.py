@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from levelmix import checkpoints as ckpt
 from levelmix import evaluation as ev
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
+from levelmix.corpus import BalancedSampler
 from levelmix.errors import (
     ComponentOutOfRange,
     DimensionMismatch,
@@ -451,3 +453,160 @@ def test_float32_training_tracks_float64(family, request, toy_setup):
         return ev.clustering_accuracy(model.predict(data), types, model.k).balanced_accuracy
 
     assert accuracy(model32) == accuracy(model64)
+
+
+# -- training copies of the networks that read the raw input ----------------
+
+
+def _toy_model(family, d, vocab, **overrides):
+    if family == "gmvae":
+        return gm.build_model(small_gmvae_config(d, **overrides), vocab)
+    fields = dict(d=d, latent_dim=16, hidden_width=64, hidden_depth=3, batch_size=64, epochs=100, rng_seed=3)
+    return bl.VaeModel(bl.VaeConfig(**{**fields, **overrides}))
+
+
+def _full_network_fit(model, data, level_types, sampler):
+    """fit's loop written out over the full networks, with the same
+    permutations, balanced draws and noise: per-epoch total losses."""
+    cfg = model.config
+    data = np.asarray(data, dtype=cfg.dtype)
+    n = len(data)
+    rng = np.random.default_rng(cfg.rng_seed + 1)
+    optimizers = gm.make_optimizers(model)
+    balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
+    weights = np.array([cfg.recon_weight, cfg.kl_weight, getattr(cfg, "label_balance_weight", 0.0)])
+    totals = []
+    for epoch in range(cfg.epochs):
+        tau, hard = model.schedule(epoch)
+        order = balanced.draw(n) if balanced is not None else rng.permutation(n)
+        sums = np.zeros(3)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            sums += len(idx) * np.array(gm.training_step(model, data[idx], tau, optimizers, rng, hard=hard))
+        totals.append(float(weights @ (sums / n)))
+    return np.array(totals)
+
+
+# fit's copies sum their first layers' products over fewer terms, so results
+# differ from the full networks' by rounding. Tolerances: per-epoch total loss
+# (relative) and each network's parameters (relative L2 norm), for a run of
+# the given length. Measured over rng seeds 0-3 x both samplers x both
+# families: float64 at 30 epochs, at most 4e-16 and 3e-14, with equal
+# accuracy (1.0 at seed 3); float32 at 10 epochs (seeds 0-5), 9e-4 and 3e-2.
+# float32 training amplifies rounding differences as it goes on, as any
+# change in the order of its sums does: at 30 epochs the loss gap reached
+# 1.3e-2 and one of 8 GMVAE runs clustered differently (seed 3, uniform: 1.0
+# against 0.667), so float32 is checked over a short run.
+COPY_TOLERANCE = {"float64": (30, 1e-12, 1e-10), "float32": (10, 1e-2, 1e-1)}
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "balanced"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_fit_on_set_columns_tracks_the_full_networks(toy_setup, family, dtype, sampler):
+    data, types, vocab = toy_setup["data"], toy_setup["types"], toy_setup["vocab"]
+    unset = np.flatnonzero(~data.any(axis=0))
+    assert 0 < len(unset) < data.shape[1]
+    # soft labels for the first half of the epochs, then hard
+    epochs, loss_tol, param_tol = COPY_TOLERANCE[dtype]
+    fitted, reference = (_toy_model(family, data.shape[1], vocab, epochs=epochs, dtype=dtype) for _ in range(2))
+    initial = {name: fitted.networks()[name].layers[0].weight.copy() for name in fitted.INPUT_NETS}
+    history = gm.fit(fitted, data, level_types=types, sampler=sampler)
+    totals = _full_network_fit(reference, data, types, sampler)
+
+    for model in (fitted, reference):
+        for name in model.INPUT_NETS:
+            assert np.array_equal(model.networks()[name].layers[0].weight[:, unset], initial[name][:, unset])
+    assert np.max(np.abs(np.array(history.total_loss) - totals) / np.abs(totals)) < loss_tol
+    for name, net in reference.networks().items():
+        diff = fitted.networks()[name].params.astype(np.float64) - net.params
+        assert np.linalg.norm(diff) / np.linalg.norm(net.params.astype(np.float64)) < param_tol, name
+    if family == "gmvae":
+        accuracy = [ev.clustering_accuracy(m.predict(data), types, m.k).balanced_accuracy for m in (fitted, reference)]
+        assert accuracy[0] == accuracy[1]
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_non_finite_loss_leaves_the_full_networks_with_the_trained_values(toy_setup, family):
+    data, vocab = toy_setup["data"], toy_setup["vocab"]
+    model = _toy_model(family, data.shape[1], vocab, epochs=3)
+    full = dict(model.networks())
+    initial = {name: net.params.copy() for name, net in full.items()}
+    seen = {}
+    loss_and_grads, calls = model.loss_and_grads, itertools.count(1)
+
+    def failing_at_step_7(x, tau, hard, rng):
+        # 297 chunks make 5 steps an epoch: this is epoch 2, step 2
+        if next(calls) == 7:
+            seen.update({name: (net, net.params.copy()) for name, net in model.networks().items()})
+            return math.nan, 0.0, 0.0, None
+        return loss_and_grads(x, tau, hard, rng)
+
+    model.loss_and_grads = failing_at_step_7
+    with pytest.raises(NonFiniteLoss, match=r"^epoch 2 step 2: "):
+        gm.fit(model, data)
+    assert set(seen) == set(full)
+    for name, net in model.networks().items():
+        assert net is full[name]
+        copy, trained = seen[name]
+        if name not in model.INPUT_NETS:
+            assert copy is net and np.array_equal(net.params, trained)
+            continue
+        # the step ran on a training copy; its values are now in the full net
+        w = net.layers[0].weight
+        copy_w = copy.layers[0].weight
+        assert copy is not net and copy_w.shape[1] < w.shape[1]
+        assert np.array_equal(w[:, copy.columns], trained[: copy_w.size].reshape(copy_w.shape))
+        assert np.array_equal(np.delete(w, copy.columns, axis=1),
+                              np.delete(initial[name][: w.size].reshape(w.shape), copy.columns, axis=1))
+        assert np.array_equal(net.params[w.size :], trained[copy_w.size :])
+        assert not np.array_equal(net.params, initial[name])
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_an_error_in_on_epoch_leaves_the_networks_it_saw(toy_setup, family):
+    data, vocab = toy_setup["data"], toy_setup["vocab"]
+    model = _toy_model(family, data.shape[1], vocab, epochs=3)
+    full = dict(model.networks())
+    seen = []
+
+    def on_epoch(epoch, history):
+        seen.append({name: (net, net.params.copy()) for name, net in model.networks().items()})
+        if epoch == 1:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        gm.fit(model, data, on_epoch=on_epoch)
+    assert len(seen) == 2
+    for name, net in model.networks().items():
+        assert net is full[name] and seen[1][name][0] is net
+        assert np.array_equal(net.params, seen[1][name][1])
+        assert not np.array_equal(seen[0][name][1], seen[1][name][1])
+
+
+def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_path, monkeypatch):
+    data, vocab = toy_setup["data"], toy_setup["vocab"]
+    d, k = data.shape[1], 3
+    # with tau_decay set, tau does not depend on the run length, so a 2-epoch
+    # run is the first two epochs of a 3-epoch run
+    model = gm.build_model(small_gmvae_config(d, k=k, epochs=3, tau_decay=0.7), vocab)
+    full = dict(model.networks())
+    saved_nets = []
+    save_gmvae = ckpt.save_gmvae
+
+    def save(path, m, history=None):
+        saved_nets.append(dict(m.networks()))
+        save_gmvae(path, m, history)
+
+    monkeypatch.setattr(ckpt, "save_gmvae", save)
+    path = tmp_path / "every.ckpt"
+    gm.train(model, data, checkpoint_path=path, checkpoint_every=2)
+    assert saved_nets == [full]
+    _, saved, history = ckpt.load_any(path)
+    assert len(history) == 2
+    assert saved.label_net.layers[0].weight.shape[1] == d
+    assert saved.encoder_trunk.layers[0].weight.shape[1] == d + k
+    two = gm.build_model(small_gmvae_config(d, k=k, epochs=2, tau_decay=0.7), vocab)
+    gm.train(two, data)
+    for name, net in two.networks().items():
+        assert np.array_equal(saved.networks()[name].params, net.params), name

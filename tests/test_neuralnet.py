@@ -235,10 +235,66 @@ def test_backward_without_input_grad_gives_identical_parameter_gradients(dtype):
     grads, grad_in = net.backward(cache, upstream)
     expected = [(dw.copy(), db.copy()) for dw, db in grads]
     assert grad_in.shape == (7, 6)
-    grads, grad_in = net.backward(cache, upstream, input_grad=False)
+    full_in = grad_in.copy()
+    grads, grad_in = net.backward(cache, upstream, input_tail=0)
     assert grad_in is None
     for (dw, db), (ew, eb) in zip(grads, expected):
         assert np.array_equal(dw, ew) and np.array_equal(db, eb)
+    # the last two columns only: a shorter product, the same values up to
+    # the order of its sums
+    grads, grad_in = net.backward(cache, upstream, input_tail=2)
+    np.testing.assert_allclose(grad_in, full_in[:, -2:], rtol=1e-5 if dtype == "float32" else 1e-12)
+    for (dw, db), (ew, eb) in zip(grads, expected):
+        assert np.array_equal(dw, ew) and np.array_equal(db, eb)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_input_subset_trains_as_the_full_net_on_inputs_it_reads(dtype):
+    def build():
+        return nn.DenseNet([10, 6, 4], ["relu", "softplus"], np.random.default_rng(7), dtype)
+
+    net, reference = build(), build()
+    columns = np.array([1, 4, 5, 8, 9])
+    unread = np.array([0, 2, 3, 6, 7])
+    initial = net.params.copy()
+    copy = net.input_subset(columns)
+    assert copy.in_dim == reference.in_dim == 10 and copy.layers[0].in_dim == 5
+    assert np.array_equal(copy.layers[0].weight, reference.layers[0].weight[:, columns])
+    # laid over the ends of the full net's buffers: its later layers are the full net's
+    assert copy.params.base is net.params and copy.params.size == 30 + 34
+    assert copy.grads.base is net.grads and copy.layers[1].weight.base is net.params
+
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((7, 10))
+    x[:, unread] = 0.0
+    rtol = 1e-5 if dtype == "float32" else 1e-12
+    out, cache = reference.forward_cached(x)
+    copy_out, copy_cache = copy.forward_cached(x)
+    np.testing.assert_allclose(copy_out, out, rtol=rtol)
+    with pytest.raises(DimensionMismatch):
+        copy.forward(x[:, columns])
+    upstream = rng.standard_normal((7, 4))
+    grads, grad_in = reference.backward(cache, upstream)
+    copy_grads, copy_in = copy.backward(copy_cache, upstream, input_tail=2)
+    # an input column that is zero in every row gives its weights exactly zero
+    assert not np.any(grads[0][0][:, unread])
+    np.testing.assert_allclose(copy_grads[0][0], grads[0][0][:, columns], rtol=rtol, atol=1e-12)
+    for (dw, db), (ew, eb) in zip(copy_grads[1:], grads[1:]):
+        np.testing.assert_allclose(dw, ew, rtol=rtol)
+        np.testing.assert_allclose(db, eb, rtol=rtol)
+    np.testing.assert_allclose(copy_in, grad_in[:, -2:], rtol=rtol)
+    # column 7 is not read, so neither the last three input columns' gradient
+    # nor the whole input's can be given
+    for tail in (3, None):
+        with pytest.raises(DimensionMismatch):
+            copy.backward(copy_cache, upstream, input_tail=tail)
+
+    copy.params[...] = np.arange(copy.params.size)
+    trained = copy.params.copy()
+    net.write_back(copy)
+    assert np.array_equal(net.layers[0].weight[:, columns], trained[:30].reshape(6, 5))
+    assert np.array_equal(net.layers[0].weight[:, unread], initial[:60].reshape(6, 10)[:, unread])
+    assert np.array_equal(net.params[60:], trained[30:])
 
 
 def test_linear_weight_gradient_is_outer_product():
