@@ -51,6 +51,5 @@ from .playability import (
     bfs_crossable,
     crossable,
     playability_suite,
-    playable,
     rules_from_manifest,
 )

@@ -167,7 +167,7 @@ def _history_from_dict(data):
     return TrainingHistory(
         recon_loss=list(data["recon_loss"]),
         kl_loss=list(data["kl_loss"]),
-        label_balance_loss=list(data.get("label_balance_loss", [])),
+        label_balance_loss=list(data["label_balance_loss"]),
         total_loss=list(data["total_loss"]),
         temperature=list(data["temperature"]),
     )
@@ -341,10 +341,9 @@ def load_any(path):
 
 def history_to_csv(history):
     lines = ["epoch,recon_loss,kl_loss,label_balance_loss,total_loss,temperature"]
-    balance = history.label_balance_loss or [0.0] * len(history)
     for i in range(len(history)):
         lines.append(
-            f"{i},{history.recon_loss[i]!r},{history.kl_loss[i]!r},{balance[i]!r},"
+            f"{i},{history.recon_loss[i]!r},{history.kl_loss[i]!r},{history.label_balance_loss[i]!r},"
             f"{history.total_loss[i]!r},{history.temperature[i]!r}"
         )
     return "\n".join(lines) + "\n"

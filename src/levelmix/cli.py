@@ -1,6 +1,6 @@
-"""Command-line pipeline: ingest, train, train-baseline, generate, encode,
-eval-cluster, eval-disentangle, eval-playability, densities, chart, sweep,
-compare.
+"""Command-line pipeline: build-manifest, ingest, train, train-baseline,
+generate, encode, eval-cluster, eval-disentangle, eval-playability,
+densities, chart, sweep, compare.
 
 Every artifact records the resolved command, flags, seed and package version
 (JSON artifacts inline under "run_info", CSV/SVG artifacts via a sidecar
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from . import evaluation as ev
 from . import experiments
 from . import gmvae as gm
 from . import playability as pl
+from . import vglc
 from .errors import (
     DataError,
     LevelMixError,
@@ -60,11 +62,8 @@ def _save_report(args, report):
 
 
 def _load_corpus(args, heuristic_types=False):
-    manifest = cp.load_manifest(args.manifest)
-    levels, vocab, chunks = cp.load_corpus(
-        manifest, heuristic_types=heuristic_types or getattr(args, "heuristic_types", False)
-    )
-    return manifest, levels, vocab, chunks
+    """(levels, vocab, chunks) of the --manifest corpus."""
+    return cp.load_corpus(cp.load_manifest(args.manifest), heuristic_types=heuristic_types)
 
 
 def _int_list(text, flag):
@@ -78,36 +77,16 @@ def _int_list(text, flag):
     return values
 
 
-def _vae_fields(args, d, seed):
-    """The config fields both model families take from the flags."""
-    return dict(
-        d=d,
-        latent_dim=args.latent_dim,
-        hidden_width=args.hidden_width,
-        hidden_depth=args.hidden_depth,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        kl_weight=args.kl_weight,
-        recon_weight=args.recon_weight,
-        rng_seed=seed,
-        dtype=args.dtype,
-    )
+# the config fields a training command sets itself, not from a flag of
+# the same name: d from the corpus, k and rng_seed from its own flags
+_SET_BY_COMMAND = ("d", "k", "rng_seed")
 
 
-def _gmvae_config(args, d, k, seed):
-    return gm.GmvaeConfig(
-        k=k,
-        label_balance_weight=args.label_balance_weight,
-        tau_start=args.tau_start,
-        tau_min=args.tau_min,
-        tau_decay=args.tau_decay,
-        **_vae_fields(args, d, seed),
-    ).validate()
-
-
-def _vae_config(args, d, seed):
-    return bl.VaeConfig(**_vae_fields(args, d, seed)).validate()
+def _config(cls, args, **set_by_command):
+    """The validated config `cls`: each of its fields from the flag of the
+    same name, except the fields the command sets itself."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in set_by_command}
+    return cls(**flags, **set_by_command).validate()
 
 
 def _training_data(args, labelled=False):
@@ -115,7 +94,7 @@ def _training_data(args, labelled=False):
     level_types is None unless labelled or the balanced sampler, which needs
     it, is selected."""
     labelled = labelled or args.sampler == "balanced"
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=labelled)
+    _, vocab, chunks = _load_corpus(args, heuristic_types=labelled)
     level_types = [c.level_type for c in chunks] if labelled else None
     return vocab, cp.encode_chunks(chunks, vocab, args.dtype), level_types
 
@@ -145,34 +124,56 @@ def _model_corpus(args, model):
     """The manifest's chunks, their tile ids renumbered to the checkpoint's
     vocab, and their one-hot matrix in that vocab. A checkpoint without a
     vocab takes the manifest's own."""
-    manifest, levels, vocab, chunks = _load_corpus(args, heuristic_types=True)
+    _, vocab, chunks = _load_corpus(args, heuristic_types=True)
     if model.vocab is not None:
         chunks = cp.renumber_chunks(chunks, vocab, model.vocab)
         vocab = model.vocab
     return chunks, cp.encode_chunks(chunks, vocab)
 
 
-def cmd_ingest(args):
-    manifest, levels, vocab, chunks = _load_corpus(args)
-    d = cp.CHUNK_SIZE * cp.CHUNK_SIZE * vocab.size
+def _ingest(manifest_path, heuristic_types=False):
+    """Print the corpus summary of a manifest; returns (summary, vocab, chunks)."""
+    manifest = cp.load_manifest(manifest_path)
+    levels, vocab, chunks = cp.load_corpus(manifest, heuristic_types=heuristic_types)
     summary = {
         "game": manifest.game,
         "levels": len(levels),
         "vocab_size": vocab.size,
         "vocab": "".join(vocab.chars),
-        "d": d,
+        "d": cp.CHUNK_SIZE * cp.CHUNK_SIZE * vocab.size,
         "chunks": len(chunks),
     }
     print(json.dumps(summary, indent=2))
+    return summary, vocab, chunks
+
+
+def cmd_ingest(args):
+    _, vocab, chunks = _ingest(args.manifest, args.heuristic_types)
     if args.out:
         cp.write_chunk_dump(args.out, chunks, vocab)
         _write_sidecar(args.out, _run_info("ingest", args))
     return 0
 
 
+def cmd_build_manifest(args):
+    vglc.build_manifest(
+        args.corpus_root,
+        args.game,
+        args.out,
+        levels_dir=args.levels_dir,
+        heuristic_types=not args.no_heuristic_types,
+    )
+    _write_sidecar(args.out, _run_info("build-manifest", args))
+    summary, _, _ = _ingest(args.out)
+    # a corpus that differs from the published figures is reported, not refused
+    for delta in vglc.check_against_reference(args.game, summary["vocab_size"], summary["d"], summary["chunks"]):
+        print(f"warning: {delta}", file=sys.stderr)
+    return 0
+
+
 def cmd_train(args):
     vocab, data, level_types = _training_data(args)
-    config = _gmvae_config(args, data.shape[1], args.k, args.seed)
+    config = _config(gm.GmvaeConfig, args, d=data.shape[1], k=args.k, rng_seed=args.seed)
     model = gm.build_model(config, vocab)
     history = gm.train(
         model,
@@ -191,7 +192,7 @@ def cmd_train(args):
 
 def cmd_train_baseline(args):
     vocab, data, level_types = _training_data(args)
-    config = _vae_config(args, data.shape[1], args.seed)
+    config = _config(bl.VaeConfig, args, d=data.shape[1], rng_seed=args.seed)
     model, history = bl.fit_vae_gmm(
         data,
         config,
@@ -346,8 +347,8 @@ def cmd_sweep(args):
         data,
         vocab,
         k_list,
-        _gmvae_config(args, d, k_list[0], args.seed) if "gmvae" in families else None,
-        _vae_config(args, d, args.seed),
+        _config(gm.GmvaeConfig, args, d=d, k=k_list[0], rng_seed=args.seed) if "gmvae" in families else None,
+        _config(bl.VaeConfig, args, d=d, rng_seed=args.seed),
         level_types=level_types,
         sampler=args.sampler,
         n_per_component=args.n_per_component,
@@ -368,7 +369,8 @@ def cmd_compare(args):
     _, data, level_types = _training_data(args, labelled=True)
     d = data.shape[1]
     # clustering_comparison replaces the templates' rng_seed by each seed in turn
-    gmvae, vae = _gmvae_config(args, d, args.k, seeds[0]), _vae_config(args, d, seeds[0])
+    gmvae = _config(gm.GmvaeConfig, args, d=d, k=args.k, rng_seed=seeds[0])
+    vae = _config(bl.VaeConfig, args, d=d, rng_seed=seeds[0])
     result = experiments.clustering_comparison(
         data, level_types, args.k, seeds, gmvae, vae, sampler=args.sampler, log=print
     )
@@ -378,39 +380,33 @@ def cmd_compare(args):
     return 0
 
 
-def _add_vae_flags(p):
-    """The corpus and output flags of a command that trains, and the flags of
-    the config fields both model families share. Each command adds its own
-    seed flag: compare takes a list of seeds."""
+def _add_model_flags(p, cls):
+    """The corpus, output and sampler flags of a command that trains, and one
+    flag per field of the config `cls` (VaeConfig, or GmvaeConfig for the
+    mixture fields too) but those the command sets itself. A flag takes its
+    field's name, default and the default's type; a None default is a
+    float. Each command adds its own seed flag: compare takes a list of
+    seeds."""
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=10000)
-    p.add_argument("--latent-dim", type=int, default=64)
-    p.add_argument("--hidden-width", type=int, default=512)
-    p.add_argument("--hidden-depth", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--kl-weight", type=float, default=2.0)
-    p.add_argument("--recon-weight", type=float, default=1.0)
-    p.add_argument("--dtype", choices=("float64", "float32"), default="float64")
+    for f in dataclasses.fields(cls):
+        if f.name in _SET_BY_COMMAND:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "dtype":
+            p.add_argument(flag, choices=gm.DTYPES, default=f.default)
+        else:
+            p.add_argument(flag, type=float if f.default is None else type(f.default), default=f.default)
     p.add_argument("--sampler", choices=gm.SAMPLERS, default="uniform")
 
 
-def _add_gmvae_flags(p):
-    """Flags of the mixture model's own config fields."""
-    p.add_argument("--label-balance-weight", type=float, default=2.0)
-    p.add_argument("--tau-start", type=float, default=1.0)
-    p.add_argument("--tau-min", type=float, default=0.5)
-    p.add_argument("--tau-decay", type=float, default=None)
-
-
-def _add_training_run_flags(p):
+def _add_training_run_flags(p, cls):
     """Flags of a single training run: train and train-baseline."""
     p.add_argument("--k", type=int, required=True, help="mixture component count")
     p.add_argument("--log-every", type=int, default=None)
     p.add_argument("--history-csv", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_vae_flags(p)
+    _add_model_flags(p, cls)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -434,6 +430,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    p = sub.add_parser("build-manifest", help="write a manifest for one game of a level-corpus checkout")
+    p.add_argument("--corpus-root", required=True, help="checkout directory")
+    p.add_argument("--game", required=True, choices=sorted(vglc.GAME_DIRS))
+    p.add_argument("--out", required=True)
+    p.add_argument("--levels-dir", default=None, help="override the level directory")
+    p.add_argument("--no-heuristic-types", action="store_true")
+    p.set_defaults(func=cmd_build_manifest)
+
     p = sub.add_parser("ingest", help="parse a corpus and report chunk counts")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None, help="optional chunk dump (JSON lines)")
@@ -441,13 +445,12 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train a mixture-prior model")
-    _add_training_run_flags(p)
-    _add_gmvae_flags(p)
+    _add_training_run_flags(p, gm.GmvaeConfig)
     p.add_argument("--checkpoint-every", type=int, default=None, help="also save every N epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-baseline", help="train the VAE + PCA + GMM pipeline")
-    _add_training_run_flags(p)
+    _add_training_run_flags(p, bl.VaeConfig)
     p.set_defaults(func=cmd_train_baseline)
 
     p = sub.add_parser("generate", help="sample chunks from one component")
@@ -510,15 +513,13 @@ def build_parser():
     p.add_argument("--n-per-component", type=int, default=500)
     p.add_argument("--n-train", type=int, default=300)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_vae_flags(p)
-    _add_gmvae_flags(p)
+    _add_model_flags(p, gm.GmvaeConfig)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="Experiment 1: clustering accuracy of both families")
     p.add_argument("--k", type=int, default=3, help="mixture component count")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
-    _add_vae_flags(p)
-    _add_gmvae_flags(p)
+    _add_model_flags(p, gm.GmvaeConfig)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -195,27 +195,27 @@ def extract_chunks(level, vocab, axis="horizontal", window=CHUNK_SIZE, stride=1)
 
 
 def one_hot_encode(chunk, vocab):
-    """Flatten a chunk to a one-hot vector of length 256 * vocab size.
-
-    Layout is cell-major: entry [cell * T + tile_id] with cell = row * 16 + col.
-    This ordering is part of the checkpoint format and must not change.
-    """
-    t = vocab.size
-    ids = chunk.tiles.reshape(-1)
-    _check_ids(ids, t)
-    flat = np.zeros(ids.size * t, dtype=np.float64)
-    flat[np.arange(ids.size) * t + ids] = 1.0
-    return flat
+    """Flatten a chunk to a one-hot float64 vector of length 256 * vocab
+    size: the one row of _one_hot for this chunk."""
+    return _one_hot(chunk.tiles[None], vocab.size, np.float64)[0]
 
 
 def encode_chunks(chunks, vocab, dtype=np.float64):
     """The chunks' one-hot encodings as the rows of one (n, d) matrix in
     `dtype`: row i is one_hot_encode(chunks[i], vocab)."""
-    ids = np.stack([c.tiles for c in chunks]).reshape(len(chunks), -1, 1)
-    t = vocab.size
+    return _one_hot(np.stack([c.tiles for c in chunks]), vocab.size, dtype)
+
+
+def _one_hot(tiles, t, dtype):
+    """The (n, 256 * t) one-hot rows of n stacked tile-id grids.
+
+    Layout is cell-major: entry [cell * t + tile_id] with cell = row * 16 + col.
+    This ordering is part of the checkpoint format and must not change.
+    """
+    ids = tiles.reshape(-1)
     _check_ids(ids, t)
-    out = np.zeros((len(ids), ids.shape[1] * t), dtype=dtype)
-    np.put_along_axis(out.reshape(len(ids), -1, t), ids, 1, axis=2)
+    out = np.zeros((len(tiles), ids.size // len(tiles) * t), dtype=dtype)
+    out.reshape(-1)[np.arange(ids.size) * t + ids] = 1
     return out
 
 
@@ -367,6 +367,19 @@ def _manifest_from_json(raw, path):
     )
 
 
+def read_level(path, level_type=None):
+    """Parse one level file, named by its file name; a missing file, or one
+    that is not text, is a DataError."""
+    if not os.path.exists(path):
+        raise DataError(f"level file not found: {path}")
+    with open(path) as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: level file is not text ({exc})") from None
+    return parse_level(text, level_id=os.path.basename(path), level_type=level_type)
+
+
 def load_levels(manifest, heuristic_types=False):
     """Parse every level in the manifest; missing files are a DataError.
 
@@ -374,14 +387,7 @@ def load_levels(manifest, heuristic_types=False):
     """
     levels = []
     for lv_path, lv_type in zip(manifest.level_paths, manifest.level_types):
-        if not os.path.exists(lv_path):
-            raise DataError(f"level file not found: {lv_path}")
-        with open(lv_path) as f:
-            try:
-                text = f.read()
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{lv_path}: level file is not text ({exc})") from None
-        level = parse_level(text, level_id=os.path.basename(lv_path), level_type=lv_type)
+        level = read_level(lv_path, level_type=lv_type)
         if level.level_type is None and heuristic_types:
             # classify before padding: added background rows would hide a ceiling
             level.level_type = classify_level_type(level)

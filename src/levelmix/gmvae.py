@@ -42,6 +42,9 @@ from .errors import (
 from .neuralnet import DenseNet, AdamState
 
 
+DTYPES = ("float64", "float32")
+
+
 @dataclass
 class VaeConfig:
     """The fields of the encoder/decoder and its training run, which both
@@ -66,7 +69,7 @@ class VaeConfig:
             raise InvalidConfig("latent_dim, hidden_width, hidden_depth, batch_size must be >= 1")
         if self.epochs < 0 or self.learning_rate <= 0:
             raise InvalidConfig("epochs must be >= 0 and learning_rate > 0")
-        if self.dtype not in ("float64", "float32"):
+        if self.dtype not in DTYPES:
             raise InvalidConfig(f"dtype must be float64 or float32, got {self.dtype}")
         return self
 
@@ -120,7 +123,7 @@ class TrainingHistory:
     total_loss: list = field(default_factory=list)
     temperature: list = field(default_factory=list)
 
-    def record(self, recon, kl, total, tau, label_balance=0.0):
+    def record(self, recon, kl, total, tau, label_balance):
         self.recon_loss.append(float(recon))
         self.kl_loss.append(float(kl))
         self.label_balance_loss.append(float(label_balance))

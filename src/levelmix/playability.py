@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import CHUNK_SIZE, SOLID, SOLIDITY_KINDS, _check_ids, chunk_to_lines
+from .corpus import CHUNK_SIZE, SOLID, SOLIDITY_KINDS, _check_ids
 from .errors import LengthMismatch, RaggedRows, UncoveredTile, UnsupportedGame
 
 
@@ -219,11 +219,6 @@ def bfs_crossable(rows, rules):
     return False
 
 
-def playable(chunk, rules, vocab):
-    """(playable, path) for one chunk."""
-    return crossable(chunk_to_lines(chunk, vocab), rules)
-
-
 # The flood keeps each grid row of each chunk as one uint32 bitmask: bit c + 1
 # is column c, and bits 0 and width + 1 are the blocked frame of _moves, so a
 # shift by one column never wraps into a passable cell. Arrays are laid out
@@ -234,7 +229,7 @@ _MAX_FLOOD_WIDTH = 30
 def _tile_bits(tiles, rules, vocab):
     """(passable, solid) bit rows of each grid, each (height, n) uint32.
 
-    Raises what playable raises on the first grid, in stack order, that has
+    Raises what crossable raises on the first grid, in stack order, that has
     a bad tile: IdOutOfRange before UncoveredTile, each naming the first bad
     tile in row-major order.
     """

@@ -20,6 +20,7 @@ import glob
 import json
 import os
 
+from .corpus import classify_level_type, read_level
 from .errors import DataError
 
 EXPECTED_CHUNKS = {"smb": 2698, "ki": 1142, "mm": 3330}
@@ -80,12 +81,8 @@ def build_manifest(corpus_root, game, out_path, levels_dir=None, heuristic_types
         raise DataError(f"no .txt level files in {directory}")
     entries = [{"path": os.path.abspath(p)} for p in level_files]
     if heuristic_types and game == "smb":
-        from .corpus import classify_level_type, parse_level
-
         for entry in entries:
-            with open(entry["path"]) as f:
-                grid = parse_level(f.read(), level_id=os.path.basename(entry["path"]))
-            entry["type"] = classify_level_type(grid)
+            entry["type"] = classify_level_type(read_level(entry["path"]))
     manifest = {
         "game": game,
         "axis": GAME_AXIS[game],
@@ -99,15 +96,6 @@ def build_manifest(corpus_root, game, out_path, levels_dir=None, heuristic_types
     with open(out_path, "w") as f:
         json.dump(manifest, f, indent=2)
     return out_path
-
-
-def ingest_summary(manifest_path):
-    """(vocab size, d, chunk count) for a built manifest."""
-    from .corpus import CHUNK_SIZE, load_corpus, load_manifest
-
-    manifest = load_manifest(manifest_path)
-    _, vocab, chunks = load_corpus(manifest)
-    return vocab.size, CHUNK_SIZE * CHUNK_SIZE * vocab.size, len(chunks)
 
 
 def check_against_reference(game, vocab_size, d, chunk_count):

@@ -71,7 +71,8 @@ def test_criterion_1_ingestion_fidelity(corpus_manifests):
     deltas = []
     observed = {}
     for game, manifest_path in corpus_manifests.items():
-        size, d, count = vglc.ingest_summary(manifest_path)
+        _, vocab, chunks = cp.load_corpus(cp.load_manifest(manifest_path))
+        size, d, count = vocab.size, cp.CHUNK_SIZE**2 * vocab.size, len(chunks)
         observed[game] = (size, d, count)
         deltas.extend(vglc.check_against_reference(game, size, d, count))
     elapsed = time.time() - start

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -93,6 +95,8 @@ def test_usage_error_exit_code():
     [
         (["compare", "--manifest", "m", "--out", "o", "--seed", "3"], "--seed 3"),  # unknown flag
         (["train", "--manifest", "m", "--out", "o", "--k", "abc"], "'abc'"),  # not an integer
+        (["train", "--manifest", "m", "--out", "o", "--k", "2", "--dtype", "float16"], "'float16'"),  # before the corpus
+        (["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--epochs", "1.5"], "'1.5'"),
         (["train", "--manifest", "m", "--k", "2"], "--out"),  # missing required flag
         (["train", "--manifest", "m", "--out", "o", "--k", "2", "--hist", "f"], "--hist"),  # abbreviated
         (["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--bud", "5"], "--bud"),
@@ -408,6 +412,49 @@ def test_training_commands_reject_flags_they_ignore(workspace, tmp_path, command
     cli.build_parser().parse_args(argv)  # accepted without the flag
     assert cli.run(argv + [flag, "1"]) == 1
     assert not out.exists()
+
+
+def _command_parser(command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _flag_fields(cls):
+    """The config fields a training command takes a flag for: all but the
+    ones it sets itself."""
+    return [f for f in dataclasses.fields(cls) if f.name not in ("d", "k", "rng_seed")]
+
+
+@pytest.mark.parametrize(
+    "command, cls",
+    [("train", gm.GmvaeConfig), ("train-baseline", gm.VaeConfig), ("sweep", gm.GmvaeConfig), ("compare", gm.GmvaeConfig)],
+)
+def test_model_flags_are_the_config_fields(command, cls):
+    actions = {a.dest: a for a in _command_parser(command)._actions}
+    for f in _flag_fields(cls):
+        action = actions[f.name]
+        assert action.option_strings == ["--" + f.name.replace("_", "-")]
+        assert action.default == f.default and type(action.default) is type(f.default)
+        if f.name == "dtype":
+            assert action.choices == ("float64", "float32")
+        else:
+            assert action.type is (float if f.default is None else type(f.default))
+    mixture = {f.name for f in _flag_fields(gm.GmvaeConfig)} - {f.name for f in _flag_fields(gm.VaeConfig)}
+    assert mixture == {"label_balance_weight", "tau_start", "tau_min", "tau_decay"}
+    assert mixture & actions.keys() == (mixture if cls is gm.GmvaeConfig else set())
+
+
+def test_model_flags_reach_the_config(workspace, monkeypatch):
+    configs = []
+    monkeypatch.setattr(gm, "train", lambda model, *a, **k: configs.append(model.config) or gm.TrainingHistory())
+    monkeypatch.setattr(ckpt, "save_gmvae", lambda *a, **k: None)
+    argv = ["train", "--manifest", workspace["manifest"], "--out", "o", "--k", "4", "--seed", "9"]
+    argv += ["--epochs", "3", "--learning-rate", "0.01", "--tau-decay", "0.5", "--dtype", "float32"]
+    assert cli.run(argv) == 0
+    (config,) = configs
+    assert (config.k, config.rng_seed, config.epochs, config.learning_rate) == (4, 9, 3, 0.01)
+    assert (config.tau_decay, config.dtype, config.hidden_width) == (0.5, "float32", 512)
+    assert config.d == 256 * len(cp.load_corpus(cp.load_manifest(workspace["manifest"]))[1].chars)
 
 
 def _without_vocab(checkpoint, tmp_path):

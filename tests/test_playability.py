@@ -116,12 +116,12 @@ def test_mixed_axis_rules_rejected():
         pl.PlayabilityRules(game="mm", solidity=dict(SOLIDITY), axis="both")
 
 
-def test_playable_accepts_chunks(toy_setup):
+def test_crossable_accepts_rendered_chunks(toy_setup):
     vocab = toy_setup["vocab"]
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
     flat = cp.Chunk(tiles=np.zeros((16, 16), dtype=np.int64))
     flat.tiles[14:, :] = vocab.id_of("X")
-    ok, _ = pl.playable(flat, rules, vocab)
+    ok, _ = pl.crossable(cp.chunk_to_lines(flat, vocab), rules)
     assert ok
 
 
@@ -358,7 +358,7 @@ def test_playability_suite_counts_equal_per_chunk_astar(toy_setup, axis):
 def _first_error(chunks, rules, vocab):
     for chunk in chunks:
         try:
-            pl.playable(chunk, rules, vocab)
+            pl.crossable(cp.chunk_to_lines(chunk, vocab), rules)
         except LevelMixError as exc:
             return exc
     raise AssertionError("no chunk raised")
@@ -374,7 +374,7 @@ def _first_error(chunks, rules, vocab):
         (["id", "uncovered"], IdOutOfRange),
     ],
 )
-def test_playability_suite_raises_what_playable_raises(toy_setup, order, expected):
+def test_playability_suite_raises_what_crossable_raises(toy_setup, order, expected):
     # a tile id >= vocab.size, and a vocab tile missing from the solidity map
     vocab = cp.TileVocab(game="toy", chars=toy_setup["vocab"].chars + ("~",))
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
