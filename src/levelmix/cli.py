@@ -90,13 +90,14 @@ def _config(cls, args, **set_by_command):
 
 
 def _training_data(args, labelled=False):
-    """(vocab, data in --dtype, level_types) for a training command;
-    level_types is None unless labelled or the balanced sampler, which needs
-    it, is selected."""
+    """(vocab, data, level_types) for a training command: data is
+    encode_chunks' uint8 one-hot matrix whatever --dtype, which sets only
+    the model's dtype; level_types is None unless labelled or the balanced
+    sampler, which needs it, is selected."""
     labelled = labelled or args.sampler == "balanced"
     _, vocab, chunks = _load_corpus(args, heuristic_types=labelled)
     level_types = [c.level_type for c in chunks] if labelled else None
-    return vocab, cp.encode_chunks(chunks, vocab, args.dtype), level_types
+    return vocab, cp.encode_chunks(chunks, vocab), level_types
 
 
 def _write_history(args, command, history):
@@ -394,7 +395,8 @@ def _add_model_flags(p, cls):
             continue
         flag = "--" + f.name.replace("_", "-")
         if f.name == "dtype":
-            p.add_argument(flag, choices=gm.DTYPES, default=f.default)
+            p.add_argument(flag, choices=gm.DTYPES, default=f.default,
+                           help="the model's parameters and arithmetic; the corpus stays uint8")
         else:
             p.add_argument(flag, type=float if f.default is None else type(f.default), default=f.default)
     p.add_argument("--sampler", choices=gm.SAMPLERS, default="uniform")

@@ -266,12 +266,14 @@ class GmvaeModel(EncoderDecoder):
 
     def encode(self, data):
         """(latent means, hard labels) per row; the encoder sees each row's
-        hard label as a one-hot."""
-        data = np.asarray(data, dtype=self.config.dtype)
+        hard label as a one-hot. The rows, in any dtype, are written once
+        into the trunk's input in the model's dtype, beside that one-hot."""
         labels = hard_labels(self, data)
-        one_hot = np.zeros((data.shape[0], self.k), dtype=data.dtype)
-        one_hot[np.arange(data.shape[0]), labels] = 1.0
-        h = self.encoder_trunk.forward(np.concatenate([data, one_hot], axis=1))
+        n, d = len(labels), self.config.d
+        enc_in = np.zeros((n, d + self.k), dtype=self.config.dtype)
+        enc_in[:, :d] = data
+        enc_in[np.arange(n), d + labels] = 1.0
+        h = self.encoder_trunk.forward(enc_in)
         return self.enc_mean_head.forward(h), labels
 
 
@@ -401,7 +403,10 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     """The training loop both model families share: config.epochs epochs of
     ceil(n / batch_size) training_steps at model.schedule(epoch)'s (tau, hard).
 
-    data: (n, d) one-hot matrix. sampler: "uniform" shuffles each epoch;
+    data: (n, d) one-hot matrix in any dtype, uint8 as encode_chunks gives
+    it. fit holds no copy of it: training_step casts each batch of rows to
+    config.dtype, and 0 and 1 are exact in every dtype, so the dtype of
+    data changes no result. sampler: "uniform" shuffles each epoch;
     "balanced" draws indices weighted by 1 / level-type count (requires
     level_types). on_epoch(epoch, history), if given, runs after each epoch
     is recorded. A NonFiniteLoss from a step is raised again naming the
@@ -423,8 +428,7 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
         raise InvalidConfig(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if sampler == "balanced" and level_types is None:
         raise MissingLabels("the balanced sampler needs level_types")
-    # one-hot values are exact in either dtype
-    data = np.asarray(data, dtype=cfg.dtype)
+    data = np.asarray(data)
     n = data.shape[0]
     if n == 0:
         raise DimensionMismatch("no training data")

@@ -190,12 +190,13 @@ def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_training_data_is_in_the_training_dtype(workspace, tmp_path, dtype):
+def test_training_data_is_uint8_in_every_dtype(workspace, tmp_path, dtype):
+    # --dtype sets the model's dtype only; the corpus takes one byte per entry
     args = cli.build_parser().parse_args(
         ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(tmp_path / "m"), "--dtype", dtype]
     )
     _, data, _ = cli._training_data(args)
-    assert data.dtype == np.dtype(dtype)
+    assert data.dtype == np.uint8 and set(np.unique(data)) == {0, 1}
 
 
 def _truncate(raw):
@@ -836,16 +837,17 @@ def test_compare_writes_runs_in_seed_family_order(workspace, tmp_path, monkeypat
     dtypes = []
     compare = experiments.clustering_comparison
 
-    def recording_compare(data, *args, **kwargs):
-        dtypes.append(data.dtype)
-        return compare(data, *args, **kwargs)
+    def recording_compare(data, level_types, k, seeds, gmvae_config, vae_config, **kwargs):
+        dtypes.append((data.dtype, gmvae_config.dtype, vae_config.dtype))
+        return compare(data, level_types, k, seeds, gmvae_config, vae_config, **kwargs)
 
     monkeypatch.setattr(experiments, "clustering_comparison", recording_compare)
     out = tmp_path / "exp1.json"
     argv = ["compare", "--manifest", workspace["manifest"], "--out", str(out), "--k", "3", "--seeds", "0,1"]
     argv += ["--dtype", "float32", "--epochs", "2", "--hidden-width", "16", "--latent-dim", "4"]
     assert cli.run(argv) == 0
-    assert dtypes == [np.float32]
+    # --dtype sets the models' dtype; the corpus stays uint8
+    assert dtypes == [(np.uint8, "float32", "float32")]
     payload = json.loads(out.read_text())
     assert set(payload) == {"run_info", "report"}
     assert payload["run_info"]["command"] == "compare"

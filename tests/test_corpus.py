@@ -183,11 +183,13 @@ def test_roundtrip_random_chunks(seed, t):
     assert np.array_equal(cp.decode(cp.one_hot_encode(chunk, vocab), vocab).tiles, chunk.tiles)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+# None: the default, one byte per entry
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, None])
 def test_encode_chunks_equals_stacked_one_hot(toy_setup, dtype):
     vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
-    data = cp.encode_chunks(chunks, vocab, dtype)
-    assert data.dtype == dtype
+    data = cp.encode_chunks(chunks, vocab) if dtype is None else cp.encode_chunks(chunks, vocab, dtype)
+    assert data.dtype == (dtype or np.uint8)
+    # entry for entry, the float64 rows of one_hot_encode
     assert np.array_equal(data, np.stack([cp.one_hot_encode(c, vocab) for c in chunks]))
 
 

@@ -253,10 +253,21 @@ def test_train_rejects_unknown_or_unlabeled_sampler(toy_setup, train, kwargs, er
 
 @pytest.mark.parametrize("train", [_train_gmvae, _train_vae])
 def test_non_finite_loss_names_epoch_and_step(toy_setup, train):
-    data = toy_setup["data"][:16].copy()
+    # a float corpus, as a uint8 one cannot hold a NaN
+    data = toy_setup["data"][:16].astype(np.float64)
     data[5, 7] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss, match=r"^epoch 1 step 1: non-finite loss"):
         train(data, toy_setup["vocab"])
+
+
+def _peak(fn, *args):
+    """tracemalloc peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _traced_peak(model, batch):
@@ -264,13 +275,7 @@ def _traced_peak(model, batch):
     optimizers = gm.make_optimizers(model)
     rng = np.random.default_rng(0)
     gm.training_step(model, batch, 1.0, optimizers, rng)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        gm.training_step(model, batch, 1.0, optimizers, rng)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _peak(gm.training_step, model, batch, 1.0, optimizers, rng)
 
 
 def test_training_step_allocates_far_less_than_parameters():
@@ -284,6 +289,41 @@ def test_training_step_allocates_far_less_than_parameters():
         param_bytes = sum(p.nbytes for net in model.networks().values() for p in net.param_arrays())
         ratio = _traced_peak(model, batch) / param_bytes
         assert ratio < 0.5, f"{type(model).__name__}: peak {ratio:.2f}x the parameter bytes"
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_fit_holds_no_float_copy_of_the_corpus(toy_setup, family, dtype):
+    # the toy corpus tiled until a float copy of it dwarfs the model and
+    # its Adam state; fit casts one batch of rows at a time
+    data = np.tile(toy_setup["data"], (20, 1))
+    model = _toy_model(family, data.shape[1], toy_setup["vocab"], epochs=1, dtype=dtype)
+    copy_bytes = data.size * np.dtype(dtype).itemsize
+    param_bytes = sum(net.params.nbytes for net in model.networks().values())
+    assert copy_bytes > 10 * param_bytes
+    peak = _peak(gm.fit, model, data)
+    assert peak < copy_bytes / 2, f"peak {peak / copy_bytes:.2f}x a {dtype} copy of the corpus"
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_encode_writes_the_trunk_input_once(toy_setup, dtype):
+    data = np.tile(toy_setup["data"], (10, 1))
+    model = _toy_model("gmvae", data.shape[1], toy_setup["vocab"], dtype=dtype)
+    # a label head that tells the chunks apart, in place of the zero one
+    head = model.label_net.layers[-1].weight
+    head[...] = np.random.default_rng(0).standard_normal(head.shape)
+    # the rows in the model's dtype, concatenated with their labels' one-hots
+    rows = data.astype(dtype)
+    labels = np.argmax(model.label_net.forward(rows), axis=1)
+    assert len(set(labels)) > 1
+    enc_in = np.concatenate([rows, np.eye(model.k, dtype=dtype)[labels]], axis=1)
+    expected = model.enc_mean_head.forward(model.encoder_trunk.forward(enc_in))
+    for corpus in (data, rows, data.astype(np.float64)):
+        latents, got = model.encode(corpus)
+        assert np.array_equal(got, labels)
+        assert latents.dtype == expected.dtype and latents.tobytes() == expected.tobytes()
+    peak = _peak(model.encode, data)
+    assert peak < 1.5 * enc_in.nbytes, f"peak {peak / enc_in.nbytes:.2f}x the trunk input"
 
 
 def test_train_loss_decreases(trained_gmvae):
@@ -524,6 +564,24 @@ def test_fit_on_set_columns_tracks_the_full_networks(toy_setup, family, dtype, s
     if family == "gmvae":
         accuracy = [ev.clustering_accuracy(m.predict(data), types, m.k).balanced_accuracy for m in (fitted, reference)]
         assert accuracy[0] == accuracy[1]
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "balanced"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_fit_on_the_uint8_corpus_equals_fit_on_a_float_copy(toy_setup, family, dtype, sampler):
+    # 0 and 1 are exact in every dtype, so the corpus dtype changes no batch
+    data, types, vocab = toy_setup["data"], toy_setup["types"], toy_setup["vocab"]
+    assert data.dtype == np.uint8
+    runs = []
+    for corpus in (data, data.astype(np.float64), data.astype(np.float32)):
+        # 4 epochs: soft labels for two, then hard
+        model = _toy_model(family, data.shape[1], vocab, epochs=4, dtype=dtype)
+        history = gm.fit(model, corpus, level_types=types, sampler=sampler)
+        runs.append((history, {name: net.params.tobytes() for name, net in model.networks().items()}))
+    for history, params in runs[1:]:
+        assert history == runs[0][0]
+        assert params == runs[0][1]
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
