@@ -49,7 +49,6 @@ from .evaluation import (
 from .playability import (
     PlayabilityRules,
     bfs_crossable,
-    crossable,
     playability_suite,
     rules_from_manifest,
 )

@@ -16,6 +16,7 @@ from .errors import (
     ComponentOutOfRange,
     DegenerateData,
     DimensionMismatch,
+    InvalidConfig,
     NumericError,
     SingularCovariance,
 )
@@ -91,10 +92,10 @@ class PcaProjection:
     m: int
 
 
-def pca_fit(data, variance_target=0.95):
-    """Center, factorize, keep the smallest axis count reaching the variance
-    target. SVD of the centered data is used; axis signs are fixed so the
-    largest-magnitude loading is positive, keeping fits deterministic."""
+def pca_fit(data):
+    """Center, factorize, keep the smallest axis count reaching 95% of the
+    variance. SVD of the centered data is used; axis signs are fixed so
+    the largest-magnitude loading is positive, keeping fits deterministic."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DegenerateData("need at least 2 vectors")
@@ -106,7 +107,7 @@ def pca_fit(data, variance_target=0.95):
     if total <= 0.0:
         raise DegenerateData("data has zero variance")
     cumulative = np.cumsum(variances) / total
-    m = int(np.searchsorted(cumulative, variance_target - 1e-12) + 1)
+    m = int(np.searchsorted(cumulative, 0.95 - 1e-12) + 1)
     m = min(m, len(variances))
     axes = vt[:m].copy()
     for i in range(m):
@@ -145,7 +146,7 @@ def pca_inverse(projection, projected):
 class GmmModel:
     weights: np.ndarray  # (k,), sums to 1
     means: np.ndarray  # (k, m)
-    covariances: np.ndarray  # (k, m, m), SPD after ridge
+    covariances: np.ndarray  # (k, m, m), SPD after EM_RIDGE
     log_likelihood_trace: list = field(default_factory=list)  # mean LL per iteration
 
     @property
@@ -195,13 +196,18 @@ def _kmeans_pp_means(points, k, rng):
     return means
 
 
-def _em_run(points, k, rng, max_iters, tol, ridge):
+# EM stops once an iteration gains less than EM_TOL in mean log-likelihood;
+# EM_RIDGE is added to every covariance's diagonal
+EM_TOL, EM_RIDGE = 1e-4, 1e-6
+
+
+def _em_run(points, k, rng, max_iters):
     n, m = points.shape
     means = _kmeans_pp_means(points, k, rng)
     if n >= 2:
-        shared = np.cov(points.T).reshape(m, m) + ridge * np.eye(m)
+        shared = np.cov(points.T).reshape(m, m) + EM_RIDGE * np.eye(m)
     else:
-        shared = ridge * np.eye(m)
+        shared = EM_RIDGE * np.eye(m)
     covariances = np.repeat(shared[None], k, axis=0)
     weights = np.full(k, 1.0 / k)
     trace = []
@@ -221,16 +227,19 @@ def _em_run(points, k, rng, max_iters, tol, ridge):
         means = (resp.T @ points) / nk[:, None]
         for j in range(k):
             diff = points - means[j]
-            covariances[j] = (resp[:, j, None] * diff).T @ diff / nk[j] + ridge * np.eye(m)
-        if improved < tol:
+            covariances[j] = (resp[:, j, None] * diff).T @ diff / nk[j] + EM_RIDGE * np.eye(m)
+        if improved < EM_TOL:
             break
     return GmmModel(weights=weights, means=means, covariances=covariances, log_likelihood_trace=trace)
 
 
-def gmm_fit(points, k, rng_seed=0, max_iters=200, tol=1e-4, ridge=1e-6, restarts=10):
+def gmm_fit(points, k, rng_seed=0, max_iters=200, restarts=10):
     """EM with k-means++ restarts; the best final mean log-likelihood wins,
     ties broken by lowest restart index. A restart that hits a singular
-    covariance or a decreasing log-likelihood is discarded."""
+    covariance or a decreasing log-likelihood is discarded. restarts and
+    max_iters stay settable so that tests can keep fits small."""
+    if k < 1:
+        raise InvalidConfig(f"a mixture needs k >= 1 components, got {k}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
@@ -242,7 +251,7 @@ def gmm_fit(points, k, rng_seed=0, max_iters=200, tol=1e-4, ridge=1e-6, restarts
     for r in range(restarts):
         rng = np.random.default_rng(rng_seed + r)
         try:
-            model = _em_run(points, k, rng, max_iters, tol, ridge)
+            model = _em_run(points, k, rng, max_iters)
         except NumericError as exc:
             failures.append(str(exc))
             continue
@@ -325,6 +334,6 @@ def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, s
     )
     vae.vocab = vocab
     latents = vae_encode(vae, data)
-    projection = pca_fit(latents, variance_target=0.95)
+    projection = pca_fit(latents)
     gmm = gmm_fit(pca_project(projection, latents), k, rng_seed=gmm_seed)
     return VaeGmmModel(vae=vae, pca=projection, gmm=gmm, vocab=vocab), history

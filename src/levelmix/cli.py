@@ -32,6 +32,7 @@ from . import playability as pl
 from . import vglc
 from .errors import (
     DataError,
+    InvalidConfig,
     LevelMixError,
     NumericError,
     UsageError,
@@ -75,6 +76,13 @@ def _int_list(text, flag):
     if not values:
         raise UsageError(f"{flag} must be a non-empty comma-separated list of integers, got {text!r}")
     return values
+
+
+def _component_counts(ks, flag):
+    """ks, or an InvalidConfig if one of them is below 1."""
+    if min(ks) < 1:
+        raise InvalidConfig(f"{flag} takes component counts of at least 1, got {min(ks)}")
+    return ks
 
 
 # the config fields a training command sets itself, not from a flag of
@@ -192,6 +200,7 @@ def cmd_train(args):
 
 
 def cmd_train_baseline(args):
+    _component_counts([args.k], "--k")
     vocab, data, level_types = _training_data(args)
     config = _config(bl.VaeConfig, args, d=data.shape[1], rng_seed=args.seed)
     model, history = bl.fit_vae_gmm(
@@ -313,12 +322,18 @@ def cmd_densities(args):
 
 
 def _matrix_from_csv(path):
-    with open(path) as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        tile_chars = header[1:]
-        values = [[float(v) for v in row[1:]] for row in reader]
-    return ev.TileDensityMatrix(values=np.array(values), tile_chars=tile_chars, k=len(values))
+    """The TileDensityMatrix of a densities CSV: a header row, then one row
+    per component of a number per tile. A file it cannot read is a
+    DataError that names it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        values = [[float(v) for v in row[1:]] for row in rows]
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise DataError(f"{path}: not a densities CSV: {exc}") from None
+    if any(len(row) != len(header) for row in rows):
+        raise DataError(f"{path}: not a densities CSV: a row's length differs from the header's")
+    return ev.TileDensityMatrix(values=np.array(values), tile_chars=header[1:], k=len(values))
 
 
 def cmd_chart(args):
@@ -338,7 +353,7 @@ def cmd_chart(args):
 
 
 def cmd_sweep(args):
-    k_list = _int_list(args.k_list, "--k-list")
+    k_list = _component_counts(_int_list(args.k_list, "--k-list"), "--k-list")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families or any(f not in experiments.FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
@@ -486,7 +501,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval_disentangle)
 
     p = sub.add_parser(
-        "eval-playability", help="playable fraction of generated chunks (a flood over the A* move model)"
+        "eval-playability", help="playable fraction of generated chunks (a flood over the platformer move model)"
     )
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True, help="supplies solidity map and axis")

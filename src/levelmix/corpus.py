@@ -30,7 +30,7 @@ from .errors import (
 CHUNK_SIZE = 16
 AXES = ("horizontal", "vertical", "both")
 PAD_SIDES = ("top", "bottom")
-# what a manifest's solidity map may call a tile, for the A* agent
+# what a manifest's solidity map may call a tile, for the playability agent
 SOLID, PASSABLE, HAZARD = "solid", "passable", "hazard"
 SOLIDITY_KINDS = (SOLID, PASSABLE, HAZARD)
 # padding only has to make a 16-row window fit; every row past that is a row
@@ -97,11 +97,6 @@ class TileVocab:
         except ValueError:
             raise IdOutOfRange(f"character {char!r} not in vocab for {self.game}") from None
 
-    def char_of(self, tile_id):
-        if not 0 <= tile_id < len(self.chars):
-            raise IdOutOfRange(f"tile id {tile_id} out of range [0, {len(self.chars)})")
-        return self.chars[tile_id]
-
     @property
     def background_id(self):
         return self.id_of(self.background_char)
@@ -159,8 +154,8 @@ def level_to_ids(level, vocab):
         raise IdOutOfRange(f"{level.level_id}: character {exc.args[0]!r} not in vocab") from None
 
 
-def extract_chunks(level, vocab, axis="horizontal", window=CHUNK_SIZE, stride=1):
-    """All window x window chunks of a level, advancing `stride` tiles at a time.
+def extract_chunks(level, vocab, axis="horizontal"):
+    """All 16x16 chunks of a level, one at each tile offset.
 
     The traversal axis orders the sweep (columns first for horizontal levels,
     rows first for vertical ones); every anchor position where the window
@@ -170,13 +165,13 @@ def extract_chunks(level, vocab, axis="horizontal", window=CHUNK_SIZE, stride=1)
     """
     if axis not in AXES:
         raise DataError(f"unknown traversal axis {axis!r}")
-    if level.rows < window or level.cols < window:
+    if level.rows < CHUNK_SIZE or level.cols < CHUNK_SIZE:
         raise LevelTooSmall(
-            f"{level.level_id}: {level.rows}x{level.cols} cannot fit a {window}x{window} window"
+            f"{level.level_id}: {level.rows}x{level.cols} cannot fit a {CHUNK_SIZE}x{CHUNK_SIZE} window"
         )
     ids = level_to_ids(level, vocab)
-    row_anchors = range(0, level.rows - window + 1, stride)
-    col_anchors = range(0, level.cols - window + 1, stride)
+    row_anchors = range(level.rows - CHUNK_SIZE + 1)
+    col_anchors = range(level.cols - CHUNK_SIZE + 1)
     if axis == "vertical":
         anchors = [(r, c) for c in col_anchors for r in row_anchors]
     else:
@@ -185,7 +180,7 @@ def extract_chunks(level, vocab, axis="horizontal", window=CHUNK_SIZE, stride=1)
         anchors = [(r, c) for r in row_anchors for c in col_anchors]
     return [
         Chunk(
-            tiles=ids[r : r + window, c : c + window].copy(),
+            tiles=ids[r : r + CHUNK_SIZE, c : c + CHUNK_SIZE].copy(),
             level_id=level.level_id,
             offset=(r, c),
             level_type=level.level_type,
@@ -222,7 +217,7 @@ def _one_hot(tiles, t, dtype):
     return out
 
 
-def decode(values, vocab, level_id="", offset=(0, 0), level_type=None):
+def decode(values, vocab, level_id="", offset=(0, 0)):
     """Per-cell argmax of a flat vector back to a 16x16 integer chunk.
 
     Ties break toward the lowest tile id.
@@ -237,16 +232,16 @@ def decode(values, vocab, level_id="", offset=(0, 0), level_type=None):
         tiles=ids.reshape(CHUNK_SIZE, CHUNK_SIZE),
         level_id=level_id,
         offset=offset,
-        level_type=level_type,
     )
 
 
-def classify_level_type(level, ground_char="X"):
-    """Heuristic level-type label: ground in the top row means underworld,
-    no ground in the bottom row means jumpy, anything else overworld."""
-    if ground_char in level.tiles[0]:
+def classify_level_type(level):
+    """Heuristic level-type label: ground (X) in the top row means
+    underworld, no ground in the bottom row means jumpy, anything else
+    overworld."""
+    if "X" in level.tiles[0]:
         return "underworld"
-    if ground_char not in level.tiles[-1]:
+    if "X" not in level.tiles[-1]:
         return "jumpy"
     return "overworld"
 

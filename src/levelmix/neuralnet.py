@@ -99,10 +99,6 @@ def _sigmoid(z):
     return apply_activation("sigmoid", z)
 
 
-def _softplus(z):
-    return apply_activation("softplus", z)
-
-
 def activation_grad(name, z, a):
     """d(activation)/dz given output a; only softplus reads the
     pre-activation z (the others take None). relu's mask comes from the
@@ -330,17 +326,16 @@ class DenseNet:
 # Xeon with 2 MB of L2 per core, a 2.1M-parameter float64 update took
 # 18-19 ms with 16k-64k blocks, 23-26 ms with 4k and 21-25 ms with 128k.
 ADAM_BLOCK = 1 << 15
+# Adam's moment decay rates and the floor added to the root of the second
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class AdamState:
     """Bias-corrected Adam over a DenseNet's parameters, updated in place
     over the net's flat parameter and gradient buffers."""
 
-    def __init__(self, net, learning_rate=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, net, learning_rate=0.001):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
@@ -367,11 +362,11 @@ class AdamState:
         self.step_count += 1
         t = self.step_count
         # a scalar of the net's dtype, so a float32 update runs in float32
-        lr_t = net.dtype.type(self.learning_rate * np.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t))
+        lr_t = net.dtype.type(self.learning_rate * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t))
         # the per-array update m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
         # p -= lr_t m / (sqrt(v) + eps), op for op and dtype for dtype, so
         # results are bit-identical to it
-        b1, b2, c1, c2, eps = self.beta1, self.beta2, 1.0 - self.beta1, 1.0 - self.beta2, self.epsilon
+        b1, b2, c1, c2, eps = ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPSILON
         p, g, m, v = net.params, net.grads, self.m, self.v
         block = self._update.size
         for start in range(0, p.size, block):

@@ -1,4 +1,4 @@
-"""Chunk playability via A* under a discrete platformer movement model.
+"""Chunk playability under a discrete platformer movement model.
 
 The agent walks on supported cells, jumps up to max_jump_height tiles, and
 drifts horizontally at most one tile per vertical step while airborne, with
@@ -8,27 +8,21 @@ standable cell in the leftmost column to one in the rightmost column;
 vertical games from the bottom row to the top row. Falling off the bottom of
 the grid or rising above its top row ends the attempt.
 
-A queue-based flood (bfs_crossable) over the same move set serves as an
-independent reachability oracle for the A* search; both read one move model
-(_moves) over flat passable/standable flags of the grid.
-
-playability_suite only counts playable chunks, so it reads no path: it
-answers each component's chunks at once with flood_crossable, a
-bit-parallel flood over the same move model whose answers equal those of
-bfs_crossable (and so of A*). crossable keeps A* for callers that need the
-path.
+flood_crossable answers a stack of grids at once with a bit-parallel flood
+over that move model, and playability_suite counts playable chunks with it.
+bfs_crossable, a queue-based flood over the move set of _moves, is its
+independent oracle. crossable answers one grid of character rows with
+flood_crossable.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import CHUNK_SIZE, SOLID, SOLIDITY_KINDS, _check_ids
+from .corpus import CHUNK_SIZE, SOLID, SOLIDITY_KINDS, TileVocab, _check_ids
 from .errors import LengthMismatch, RaggedRows, UncoveredTile, UnsupportedGame
 
 
@@ -61,39 +55,29 @@ def rules_from_manifest(manifest):
     )
 
 
-class _Moves(NamedTuple):
-    """The movement model on one grid, shared by A* and the BFS oracle.
-
-    Cells are indices into the grid flattened row-major inside a frame of
-    blocked cells: (r, c) is (r + 1) * width + c + 1, where width is the
-    grid's plus 2, so no move needs a bounds check. A state is (cell,
-    ascent_left, drift_left); grounded states carry ascent -1 and full drift
-    so landing always reaches one canonical state. cost[cell] is the A*
-    heuristic, 0 exactly on the goal cells.
-    """
-
-    width: int
-    starts: list
-    successors: Callable
-    cost: list
-    is_goal: Callable
-
-    def cell(self, state):
-        r, c = divmod(state[0], self.width)
-        return r - 1, c - 1
+def _check_rows(rows):
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
+        raise RaggedRows(f"playability needs rows of one length, got lengths {sorted(lengths)}")
 
 
 def _moves(rows, rules):
-    """The _Moves of equal-length character rows under `rules`."""
+    """(starts, successors, is_goal): the movement model on one grid of
+    equal-length character rows under `rules`, for the BFS oracle.
+
+    Cells are indices into the grid flattened row-major inside a frame of
+    blocked cells: (r, c) is (r + 1) * w + c + 1, where w is the grid's
+    width plus 2, so no move needs a bounds check. A state is (cell,
+    ascent_left, drift_left); grounded states carry ascent -1 and full drift
+    so landing always reaches one canonical state.
+    """
     text = "".join(rows)
     missing = set(text).difference(rules.solidity)
     if missing:
         char = next(c for c in text if c in missing)
         raise UncoveredTile(f"tile {char!r} missing from the solidity map")
+    _check_rows(rows)
     height, width = len(rows), len(rows[0])
-    lengths = set(map(len, rows))
-    if lengths != {width}:
-        raise RaggedRows(f"playability needs rows of one length, got lengths {sorted(lengths)}")
     # cell codes: 1 solid, 2 open (passable or hazard), 0 the blocked frame
     w = width + 2
     table = {ord(char): "\1" if kind == SOLID else "\2" for char, kind in rules.solidity.items() if len(char) == 1}
@@ -107,23 +91,21 @@ def _moves(rows, rules):
     n = len(cells)
     if rules.axis == "horizontal":
         # stand somewhere in the rightmost column, having entered at the left
-        cost = list(range(width, width - w, -1)) * (height + 2)
         starts = [(i, -1, span) for i in range(w + 1, n - w, w) if standable[i]]
 
         def is_goal(state):
-            return state[1] < 0 and cost[state[0]] == 0
+            return state[1] < 0 and state[0] % w == width
 
     else:
         # occupy the top row in any movement phase, having entered from the
         # bottom edge: standing on any bottom-row solid, or on the window
         # boundary itself where the bottom row is open
-        cost = [i // w - 1 for i in range(n)]
         bottom = height * w + 1
         starts = [(i, -1, span) for i in range(bottom - w, bottom - w + width) if standable[i]]
         starts += [(i, -1, span) for i in range(bottom, bottom + width) if passable[i]]
 
         def is_goal(state):
-            return cost[state[0]] == 0
+            return w <= state[0] < 2 * w
 
     def successors(state):
         i, ascent, drift = state
@@ -157,62 +139,19 @@ def _moves(rows, rules):
                     out.append((k, -1, span) if standable[k] else (k, 0, drift - 1))
         return out
 
-    return _Moves(w, starts, successors, cost, is_goal)
-
-
-def crossable(rows, rules):
-    """A* over the movement model; returns (reachable, path of (row, col)).
-
-    Every move costs 1 and changes the heuristic by at most 1, so f = g + h
-    never drops along a move. The open set is therefore one FIFO list per f,
-    taken in ascending f: that pops states in the order of a binary heap on
-    (f, push count), without the heap.
-    """
-    moves = _moves(rows, rules)
-    successors, cost, is_goal = moves.successors, moves.cost, moves.is_goal
-    if not moves.starts:
-        return False, None
-    open_by_f = defaultdict(list)
-    best_g = {}
-    parent = {}
-    for s in moves.starts:
-        open_by_f[cost[s[0]]].append(s)
-        best_g[s] = 0
-        parent[s] = None
-    f = min(open_by_f)
-    while open_by_f:
-        # states pushed at this f while it is scanned are scanned too
-        for state in open_by_f.get(f, ()):
-            g = f - cost[state[0]]
-            if g > best_g[state]:
-                continue
-            if is_goal(state):
-                path = []
-                while state is not None:
-                    path.append(moves.cell(state))
-                    state = parent[state]
-                return True, path[::-1]
-            ng = g + 1
-            for nxt in successors(state):
-                if ng < best_g.get(nxt, math.inf):
-                    best_g[nxt] = ng
-                    parent[nxt] = state
-                    open_by_f[ng + cost[nxt[0]]].append(nxt)
-        open_by_f.pop(f, None)
-        f += 1
-    return False, None
+    return starts, successors, is_goal
 
 
 def bfs_crossable(rows, rules):
     """Plain breadth-first flood over the same move set; reachability oracle."""
-    moves = _moves(rows, rules)
-    seen = set(moves.starts)
-    queue = deque(moves.starts)
+    starts, successors, is_goal = _moves(rows, rules)
+    seen = set(starts)
+    queue = deque(starts)
     while queue:
         state = queue.popleft()
-        if moves.is_goal(state):
+        if is_goal(state):
             return True
-        for nxt in moves.successors(state):
+        for nxt in successors(state):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -229,9 +168,9 @@ _MAX_FLOOD_WIDTH = 30
 def _tile_bits(tiles, rules, vocab):
     """(passable, solid) bit rows of each grid, each (height, n) uint32.
 
-    Raises what crossable raises on the first grid, in stack order, that has
-    a bad tile: IdOutOfRange before UncoveredTile, each naming the first bad
-    tile in row-major order.
+    On the first grid, in stack order, that has a bad tile, raises what
+    chunk_to_lines and then bfs_crossable raise on it: IdOutOfRange before
+    UncoveredTile, each naming the first bad tile in row-major order.
     """
     width = tiles.shape[2]
     if width > _MAX_FLOOD_WIDTH:
@@ -359,6 +298,17 @@ def flood_crossable(tiles, rules, vocab):
         live = live[keep]
         passable, standable, new, standing = passable[:, keep], standable[:, keep], new[:, keep], standing[:, keep]
     return crossed
+
+
+def crossable(rows, rules):
+    """(whether one grid of character rows can be crossed, None):
+    flood_crossable on that grid alone. The benchmark's astar_vs_bfs gate
+    compares it with bfs_crossable."""
+    _check_rows(rows)
+    vocab = TileVocab(game=rules.game, chars=tuple(sorted(set("".join(rows)))))
+    lookup = vocab.char_to_id
+    ids = np.array([[[lookup[c] for c in row] for row in rows]])
+    return bool(flood_crossable(ids, rules, vocab)[0]), None
 
 
 @dataclass

@@ -36,7 +36,7 @@ GAME_DIRS = {
 
 GAME_AXIS = {"smb": "horizontal", "ki": "vertical", "mm": "both"}
 
-# movement solidity; enemies and hazards are passable for the A* agent
+# movement solidity; enemies and hazards are passable for the playability agent
 SOLIDITY = {
     "smb": {
         "X": "solid", "S": "solid", "Q": "solid", "?": "solid",

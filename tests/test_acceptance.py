@@ -157,7 +157,7 @@ def test_criterion_2_numerics():
 
     # PCA retains >= 95% variance by construction
     data = rng.standard_normal((300, 40)) * np.linspace(3, 0.1, 40)
-    projection = bl.pca_fit(data, variance_target=0.95)
+    projection = bl.pca_fit(data)
     assert projection.explained_variance.sum() / projection.total_variance >= 0.95
 
     elapsed = time.time() - start
@@ -258,24 +258,28 @@ def test_criterion_5_checker_validity():
     rules = pl.PlayabilityRules(
         game="t", solidity={"-": "passable", "X": "solid"}, axis="horizontal"
     )
-    flat = ["-" * 16] * 14 + ["X" * 16] * 2
-    assert pl.crossable(flat, rules)[0]
-
-    walled = ["-" * 8 + "X" + "-" * 7] * 14 + ["X" * 16] * 2
-    assert not pl.crossable(walled, rules)[0]
+    vocab = cp.TileVocab(game="t", chars=("-", "X"))
+    flat = np.zeros((16, 16), np.int64)
+    flat[14:] = 1
+    walled = flat.copy()
+    walled[:14, 8] = 1
+    assert pl.flood_crossable(np.stack([flat, walled]), rules, vocab).tolist() == [True, False]
 
     # brute-force flood equivalence on exhaustively seeded 8x8 toy grids
     vertical = pl.PlayabilityRules(
         game="t", solidity={"-": "passable", "X": "solid"}, axis="vertical"
     )
-    checked = 0
+    grids = []
     for seed in range(500):
         r = np.random.default_rng(seed)
         density = float(r.uniform(0.05, 0.7))
-        cells = r.random((8, 8)) < density
-        rows = ["".join("X" if cells[i, j] else "-" for j in range(8)) for i in range(8)]
-        for rule_set in (rules, vertical):
-            assert pl.crossable(rows, rule_set)[0] == pl.bfs_crossable(rows, rule_set), (
+        grids.append(r.random((8, 8)) < density)
+    checked = 0
+    for rule_set in (rules, vertical):
+        answers = pl.flood_crossable(np.array(grids, np.int64), rule_set, vocab)
+        for seed, (cells, answer) in enumerate(zip(grids, answers)):
+            rows = ["".join("X" if cells[i, j] else "-" for j in range(8)) for i in range(8)]
+            assert answer == pl.bfs_crossable(rows, rule_set), (
                 f"disagreement on seed {seed} axis {rule_set.axis}"
             )
             checked += 1

@@ -15,6 +15,7 @@ from levelmix.errors import (
     ComponentOutOfRange,
     DegenerateData,
     DimensionMismatch,
+    InvalidConfig,
     NumericError,
 )
 
@@ -121,7 +122,7 @@ def test_pca_exact_low_rank():
 def test_pca_threshold_by_construction():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((500, 64))
-    projection = bl.pca_fit(data, variance_target=0.95)
+    projection = bl.pca_fit(data)
     kept = projection.explained_variance.sum()
     assert kept / projection.total_variance >= 0.95
     # removing the last axis must drop below the target (minimality)
@@ -250,6 +251,12 @@ def test_gmm_needs_enough_points():
         bl.gmm_fit(np.zeros((2, 2)), 3)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_gmm_needs_a_component(k):
+    with pytest.raises(InvalidConfig, match=f"got {k}"):
+        bl.gmm_fit(np.random.default_rng(0).standard_normal((10, 2)), k)
+
+
 def test_gmm_dimension_mismatch():
     points, _ = two_blobs()
     model = bl.gmm_fit(points, 2, rng_seed=1)
@@ -285,7 +292,7 @@ def test_gmm_fit_discards_non_monotone_restart(tmp_path):
     latents = bl.vae_encode(vae, data)
     points = bl.pca_project(bl.pca_fit(latents), latents)
     with pytest.raises(NumericError, match="decreased"):
-        bl._em_run(points, 3, np.random.default_rng(11), 200, 1e-4, 1e-6)
+        bl._em_run(points, 3, np.random.default_rng(11), 200)
     model = bl.gmm_fit(points, 3, rng_seed=4)
     assert model.k == 3
     assert np.isfinite(model.log_likelihood_trace[-1])

@@ -93,9 +93,9 @@ def test_tracer_names_the_networks_of_fits_training_copies(perfbench, toy_setup,
     assert groups == (expected | {"label_net", "prior_nets"} if family == "gmvae" else expected)
 
 
-def test_playability_suite_makes_no_astar_search(toy_setup, monkeypatch):
-    # the tracer times each A* search through the module global pl.crossable;
-    # the suite answers with the flood, so only the astar_vs_bfs gate searches
+def test_playability_suite_calls_no_crossable(toy_setup, monkeypatch):
+    # the tracer times each call of the module global pl.crossable; the suite
+    # answers with flood_crossable, so only the astar_vs_bfs gate calls it
     searched = counting(monkeypatch, pl, "crossable")
     vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame.SOLIDITY), axis="horizontal")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import join_checkpoint, read_header, split_checkpoint
+from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import corpus as cp
@@ -915,6 +916,51 @@ def test_sweep_empty_k_list_usage_error(workspace, tmp_path):
         ["sweep", "--manifest", workspace["manifest"], "--out", str(tmp_path / "s.csv"), "--k-list", ""]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-baseline", "--k", "0"],
+        ["train-baseline", "--k", "-1"],
+        ["sweep", "--k-list", "0", "--families", "vae-gmm"],
+        ["sweep", "--k-list", "2,-3", "--families", "vae-gmm"],
+    ],
+)
+def test_component_count_below_one_is_invalid_config_before_training(workspace, tmp_path, capsys, monkeypatch, argv):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model before checking the component count")
+
+    monkeypatch.setattr(bl, "fit_vae_gmm", no_training)
+    out, history = tmp_path / "out", tmp_path / "history.csv"
+    argv = argv + ["--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
+    if argv[0] == "train-baseline":
+        argv += ["--history-csv", str(history)]
+    capsys.readouterr()
+    assert cli.run(argv) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "InvalidConfig" and argv[1] in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"",
+        b"component,X,o\n0,1.0,abc\n",
+        b"component,X,o\n0,1.0,0.5\n1,0.5\n",
+        b"component,X,o\n0,1.0,\xff\n",
+    ],
+    ids=["empty", "not-a-number", "unequal-rows", "not-utf-8"],
+)
+def test_chart_of_a_malformed_densities_csv_is_data_error(tmp_path, capsys, content):
+    dens = tmp_path / "dens.csv"
+    dens.write_bytes(content)
+    capsys.readouterr()
+    assert cli.run(["chart", "--densities", str(dens), "--out-dir", str(tmp_path / "charts")]) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "DataError" and str(dens) in error["message"]
+    assert os.listdir(tmp_path) == ["dens.csv"]
 
 
 def test_render_chunk_ascii_roundtrip(toy_setup):

@@ -55,21 +55,19 @@ def test_vocab_deterministic_order():
     vocab = cp.build_vocab([g1])
     assert vocab.chars == ("-", "X", "Z", "a")
     assert vocab.id_of("-") == 0
-    assert vocab.char_of(3) == "a"
+    assert vocab.chars[3] == "a"
 
 
 def test_vocab_bijective(toy_setup):
     vocab = toy_setup["vocab"]
     for char in vocab.chars:
-        assert vocab.char_of(vocab.id_of(char)) == char
+        assert vocab.chars[vocab.id_of(char)] == char
     for i in range(vocab.size):
-        assert vocab.id_of(vocab.char_of(i)) == i
+        assert vocab.id_of(vocab.chars[i]) == i
 
 
 def test_vocab_id_out_of_range(toy_setup):
     vocab = toy_setup["vocab"]
-    with pytest.raises(IdOutOfRange):
-        vocab.char_of(vocab.size)
     with pytest.raises(IdOutOfRange):
         vocab.id_of("@")
 
@@ -212,7 +210,7 @@ def test_chunk_to_lines_renders_every_vocab_char():
     vocab = cp.TileVocab(game="t", chars=("\0", "-", "X", "\ud800", "\U0001f344"))
     tiles = np.random.default_rng(0).integers(0, vocab.size, size=(16, 16))
     lines = cp.chunk_to_lines(cp.Chunk(tiles=tiles), vocab)
-    assert lines == ["".join(vocab.char_of(int(t)) for t in row) for row in tiles]
+    assert lines == ["".join(vocab.chars[t] for t in row) for row in tiles]
 
 
 def test_balanced_sampler_uniform_when_balanced():

@@ -1,4 +1,3 @@
-import hashlib
 from collections import defaultdict
 
 import numpy as np
@@ -25,8 +24,26 @@ def vertical_rules(**overrides):
     return pl.PlayabilityRules(**kw)
 
 
-def grid(rows):
-    return list(rows)
+GRID_VOCAB = cp.TileVocab(game="t", chars=("-", "E", "X"))
+
+
+def grid_ids(grids, vocab=GRID_VOCAB):
+    """The (n, height, width) tile ids of equal-shape row-string grids."""
+    lookup = vocab.char_to_id
+    return np.array([[[lookup[c] for c in row] for row in rows] for rows in grids])
+
+
+def flood_matches_bfs(grids, rules, vocab=GRID_VOCAB):
+    answers = pl.flood_crossable(grid_ids(grids, vocab), rules, vocab)
+    assert answers.dtype == bool and answers.shape == (len(grids),)
+    assert answers.tolist() == [pl.bfs_crossable(rows, rules) for rows in grids]
+    return answers
+
+
+def crosses(rows, rules):
+    """flood_crossable's answer on one grid of '-', 'E' and 'X' rows, which
+    must equal bfs_crossable's."""
+    return bool(flood_matches_bfs([rows], rules)[0])
 
 
 def flat_ground_chunk():
@@ -35,15 +52,12 @@ def flat_ground_chunk():
 
 
 def test_flat_ground_playable():
-    ok, path = pl.crossable(flat_ground_chunk(), horizontal_rules())
-    assert ok
-    assert path[0][1] == 0 and path[-1][1] == 15
+    assert crosses(flat_ground_chunk(), horizontal_rules())
 
 
 def test_solid_wall_unplayable():
     rows = ["-" * 8 + "X" + "-" * 7] * 14 + ["X" * 16] * 2
-    ok, path = pl.crossable(rows, horizontal_rules())
-    assert not ok and path is None
+    assert not crosses(rows, horizontal_rules())
 
 
 def test_wall_with_gap_playable():
@@ -57,28 +71,28 @@ def test_wall_with_gap_playable():
             rows.append("X" * 16)
         else:
             rows.append("-" * 16)
-    assert pl.crossable(rows, horizontal_rules())[0]
+    assert crosses(rows, horizontal_rules())
 
 
 def test_pit_too_wide_unplayable():
     # a 12-wide pit exceeds the maximal airborne span
     rows = ["-" * 16] * 14 + ["XX" + "-" * 12 + "XX"] * 2
-    assert not pl.crossable(rows, horizontal_rules())[0]
+    assert not crosses(rows, horizontal_rules())
 
 
 def test_small_pit_playable():
     rows = ["-" * 16] * 14 + ["XXXXX" + "--" + "XXXXXXXXX"] * 2
-    assert pl.crossable(rows, horizontal_rules())[0]
+    assert crosses(rows, horizontal_rules())
 
 
 def test_hazard_is_passable_for_movement():
     rows = ["-" * 16] * 14 + ["E" * 16] + ["X" * 16]
-    assert pl.crossable(rows, horizontal_rules())[0]
+    assert crosses(rows, horizontal_rules())
 
 
 def test_no_start_unplayable():
     rows = ["-" * 16] * 16  # nothing to stand on anywhere
-    assert not pl.crossable(rows, horizontal_rules())[0]
+    assert not crosses(rows, horizontal_rules())
 
 
 def test_vertical_ladder_of_platforms_playable():
@@ -86,15 +100,13 @@ def test_vertical_ladder_of_platforms_playable():
     # platforms every 3 rows, wide enough to hop between
     for r in (1, 4, 7, 10, 13):
         rows[r] = "--XXXX----XXXX--"
-    ok, path = pl.crossable(rows, vertical_rules())
-    assert ok
-    assert path[-1][0] == 0
+    assert crosses(rows, vertical_rules())
 
 
 def test_vertical_unreachable_top():
     rows = ["-" * 16 for _ in range(16)]
     rows[13] = "XXXXXXXXXXXXXXXX"  # one low platform, gap of 13 rows above
-    assert not pl.crossable(rows, vertical_rules())[0]
+    assert not crosses(rows, vertical_rules())
 
 
 def test_uncovered_tile_raises():
@@ -146,17 +158,11 @@ def random_grid(seed, height=8, width=8, density=None):
     return ["".join("X" if cells[r, c] else "-" for c in range(width)) for r in range(height)]
 
 
-def test_astar_equals_bfs_on_many_random_grids():
+def test_flood_equals_bfs_on_many_random_grids():
     # exhaustive sweep of seeded 8x8 grids across densities, both axes
-    mismatches = []
-    for seed in range(300):
-        rows = random_grid(seed)
-        for rules in (horizontal_rules(), vertical_rules()):
-            astar = pl.crossable(rows, rules)[0]
-            bfs = pl.bfs_crossable(rows, rules)
-            if astar != bfs:
-                mismatches.append((seed, rules.axis))
-    assert mismatches == []
+    grids = [random_grid(seed) for seed in range(300)]
+    for rules in (horizontal_rules(), vertical_rules()):
+        flood_matches_bfs(grids, rules)
 
 
 @settings(FUZZ, max_examples=200)
@@ -165,16 +171,11 @@ def test_astar_equals_bfs_on_many_random_grids():
     st.floats(min_value=0.05, max_value=0.7),
     st.sampled_from(["horizontal", "vertical"]),
 )
-def test_astar_equals_bfs_property(seed, density, axis):
+def test_flood_equals_bfs_on_one_random_grid_property(seed, density, axis):
     rows = random_grid(seed, density=density)
-    rules = horizontal_rules() if axis == "horizontal" else vertical_rules()
-    assert pl.crossable(rows, rules)[0] == pl.bfs_crossable(rows, rules)
+    crosses(rows, horizontal_rules() if axis == "horizontal" else vertical_rules())
 
 
-# sha256 over repr((reachable, path)) of every astar_cases() search, as the
-# per-cell search computed it before the flat-grid rewrite: results and paths
-# must stay byte-identical
-ASTAR_SHA256 = "93e142eead3b4df21eb02f814c9d888a2687924939fd02c8d74d3044b18c0804"
 JUMPS = ({}, {"max_jump_height": 6, "max_jump_span": 2})
 
 
@@ -196,48 +197,31 @@ def astar_cases(toy_setup):
     return cases
 
 
-def test_astar_results_and_paths_are_pinned(toy_setup):
-    h = hashlib.sha256()
-    for rows, rules in astar_cases(toy_setup):
-        h.update(repr(pl.crossable(rows, rules)).encode())
-    assert h.hexdigest() == ASTAR_SHA256
-
-
-def test_astar_path_is_valid_when_found():
-    # every returned path hop moves at most one cell in each direction
-    for seed in range(60):
-        rows = random_grid(seed, density=0.35)
-        ok, path = pl.crossable(rows, horizontal_rules())
-        if not ok:
-            continue
-        for (r0, c0), (r1, c1) in zip(path, path[1:]):
-            assert abs(r0 - r1) <= 1 and abs(c0 - c1) <= 1
-
-
 def test_jump_height_limit_respected():
     # a ledge 5 tiles up is unreachable with max_jump_height 4
     rows = ["-" * 16 for _ in range(16)]
     rows[15] = "X" * 8 + "-" * 8
     rows[9] = "-" * 8 + "X" * 8  # ledge top at row 9, standing row 8
-    reachable_5 = pl.crossable(rows, horizontal_rules(max_jump_height=6))[0]
-    reachable_4 = pl.crossable(rows, horizontal_rules(max_jump_height=4))[0]
+    reachable_5 = crosses(rows, horizontal_rules(max_jump_height=6))
+    reachable_4 = crosses(rows, horizontal_rules(max_jump_height=4))
     assert reachable_5 and not reachable_4
 
 
-GRID_VOCAB = cp.TileVocab(game="t", chars=("-", "E", "X"))
-
-
-def grid_ids(grids, vocab=GRID_VOCAB):
-    """The (n, height, width) tile ids of equal-shape row-string grids."""
-    lookup = vocab.char_to_id
-    return np.array([[[lookup[c] for c in row] for row in rows] for rows in grids])
-
-
-def flood_matches_bfs(grids, rules, vocab=GRID_VOCAB):
-    answers = pl.flood_crossable(grid_ids(grids, vocab), rules, vocab)
-    assert answers.dtype == bool and answers.shape == (len(grids),)
-    assert answers.tolist() == [pl.bfs_crossable(rows, rules) for rows in grids]
-    return answers
+def test_crossable_is_the_flood_on_one_grid_of_rows(toy_setup):
+    # crossable, the flood on one grid of rows: ragged rows, the first
+    # uncovered tile in row-major order, more columns than the flood takes,
+    # and bfs_crossable's answer on every grid
+    with pytest.raises(RaggedRows):
+        pl.crossable(["-" * 16] * 15 + ["X" * 15], horizontal_rules())
+    # '?' comes first in row-major order, '!' in column-major and vocab order
+    rows = ["-" * 16] * 14 + ["X?" + "X" * 14, "!" + "X" * 15]
+    with pytest.raises(UncoveredTile, match="tile '\\?'"):
+        pl.crossable(rows, horizontal_rules())
+    assert pl.crossable(["-" * 30, "X" * 30], horizontal_rules()) == (True, None)
+    with pytest.raises(LengthMismatch):
+        pl.crossable(["-" * 31, "X" * 31], horizontal_rules())
+    for rows, rules in astar_cases(toy_setup):
+        assert pl.crossable(rows, rules) == (pl.bfs_crossable(rows, rules), None)
 
 
 def test_flood_equals_bfs_on_the_astar_cases(toy_setup):
@@ -333,7 +317,7 @@ def walled_chunk(vocab):
 
 
 @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
-def test_playability_suite_counts_equal_per_chunk_astar(toy_setup, axis):
+def test_playability_suite_counts_equal_per_chunk_bfs(toy_setup, axis):
     # components mix playable and unplayable chunks in different shares, so
     # a suite that answers True (or False) everywhere fails
     vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
@@ -349,7 +333,7 @@ def test_playability_suite_counts_equal_per_chunk_astar(toy_setup, axis):
     rng = np.random.default_rng(1)
     for component in range(4):
         sample = gen(component, 60, rng)
-        expected.append((sum(pl.crossable(cp.chunk_to_lines(c, vocab), rules)[0] for c in sample), 60))
+        expected.append((sum(pl.bfs_crossable(cp.chunk_to_lines(c, vocab), rules) for c in sample), 60))
     assert result.per_component == expected
     assert result.playable_count == sum(p for p, _ in expected) and result.total == 240
     assert len({p for p, _ in expected}) > 1 and 0 < result.playable_count < result.total
@@ -358,7 +342,7 @@ def test_playability_suite_counts_equal_per_chunk_astar(toy_setup, axis):
 def _first_error(chunks, rules, vocab):
     for chunk in chunks:
         try:
-            pl.crossable(cp.chunk_to_lines(chunk, vocab), rules)
+            pl.bfs_crossable(cp.chunk_to_lines(chunk, vocab), rules)
         except LevelMixError as exc:
             return exc
     raise AssertionError("no chunk raised")
@@ -374,7 +358,7 @@ def _first_error(chunks, rules, vocab):
         (["id", "uncovered"], IdOutOfRange),
     ],
 )
-def test_playability_suite_raises_what_crossable_raises(toy_setup, order, expected):
+def test_playability_suite_raises_what_bfs_crossable_raises(toy_setup, order, expected):
     # a tile id >= vocab.size, and a vocab tile missing from the solidity map
     vocab = cp.TileVocab(game="toy", chars=toy_setup["vocab"].chars + ("~",))
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
