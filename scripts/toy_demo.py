@@ -21,7 +21,7 @@ def main():
 
     os.makedirs(args.workdir, exist_ok=True)
     manifest = toygame.write_corpus(os.path.join(args.workdir, "corpus"), levels_per_type=3, cols=48, seed=1)
-    model = os.path.join(args.workdir, "model.json")
+    model = os.path.join(args.workdir, "model.ckpt")
     small = ["--hidden-width", "64", "--latent-dim", "16", "--epochs", str(args.epochs), "--seed", str(args.seed)]
 
     steps = [

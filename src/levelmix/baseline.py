@@ -44,10 +44,10 @@ class VaeModel(EncoderDecoder):
 
     def loss_and_grads(self, x, tau, hard, rng):
         """Draw the latent noise from rng and backprop the batch: (recon, kl,
-        0.0, grads); there is no balance term, and tau and hard are unused."""
+        0.0); there is no balance term, and tau and hard are unused."""
         eps = rng.standard_normal((x.shape[0], self.config.latent_dim))
-        recon, kl, grads = vae_loss_and_grads(self, x, eps)
-        return recon, kl, 0.0, grads
+        recon, kl = vae_loss_and_grads(self, x, eps)
+        return recon, kl, 0.0
 
 
 def vae_loss(model, x, eps_noise):
@@ -59,11 +59,13 @@ def vae_loss(model, x, eps_noise):
 
 
 def vae_loss_and_grads(model, x, eps_noise):
+    """Mean per-item (recon, kl), with the gradients backpropagated into the
+    four nets' `grads`."""
     mu, var, x_hat, caches = model.encode_decode(x, eps_noise)
-    recon, kl, grads, _, _, _ = model.recon_kl_backward(
+    recon, kl, _, _, _ = model.recon_kl_backward(
         x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
     )
-    return recon, kl, grads
+    return recon, kl
 
 
 def train_vae(data, config, level_types=None, sampler="uniform", log_every=None):
@@ -328,7 +330,10 @@ class VaeGmmModel:
 
 def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform", log_every=None):
     """Train the VAE, project its latent means by PCA (95% variance), fit a
-    k-component mixture on the projection."""
+    k-component mixture on the projection. A k below 1 is rejected before
+    training."""
+    if k < 1:
+        raise InvalidConfig(f"a mixture needs k >= 1 components, got {k}")
     vae, history = train_vae(
         data, vae_config, level_types=level_types, sampler=sampler, log_every=log_every
     )

@@ -179,10 +179,10 @@ class EncoderDecoder:
     def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches, input_tail=0):
         """Mean per-item BCE and KL(q || p), and the gradient of the weighted
         batch-mean objective back through the decoder, the reparameterized
-        sample, both heads and the trunk: (recon, kl, grads, d_enc_in,
-        d_mu_p, d_var_p), the last two already weighted for the prior.
-        d_enc_in is the gradient of the trunk input's last input_tail
-        columns, None with input_tail=0."""
+        sample, both heads and the trunk, written into each of those nets'
+        `grads`: (recon, kl, d_enc_in, d_mu_p, d_var_p), the last two already
+        weighted for the prior. d_enc_in is the gradient of the trunk input's
+        last input_tail columns, None with input_tail=0."""
         trunk_cache, mean_cache, var_cache, dec_cache = caches
         recon_vec, d_xhat = nn.bce_loss(x_hat, x, with_grad=True)
         kl_vec, (d_mu_q, d_var_q, d_mu_p, d_var_p) = nn.kl_diag(
@@ -192,20 +192,14 @@ class EncoderDecoder:
         rw = self.config.recon_weight / x.shape[0]
         kw = self.config.kl_weight / x.shape[0]
 
-        dec_grads, d_z = self.decoder.backward(dec_cache, rw * d_xhat)
+        d_z = self.decoder.backward(dec_cache, rw * d_xhat)
         d_mu_q_total = kw * d_mu_q + d_z
         d_var_q_total = kw * d_var_q + d_z * nn.reparam_grad_var(var_q, eps_noise)
-        mean_grads, d_h_mean = self.enc_mean_head.backward(mean_cache, d_mu_q_total)
-        var_grads, d_h_var = self.enc_var_head.backward(var_cache, d_var_q_total)
-        trunk_grads, d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var, input_tail)
-        grads = {
-            "encoder_trunk": trunk_grads,
-            "enc_mean_head": mean_grads,
-            "enc_var_head": var_grads,
-            "decoder": dec_grads,
-        }
+        d_h_mean = self.enc_mean_head.backward(mean_cache, d_mu_q_total)
+        d_h_var = self.enc_var_head.backward(var_cache, d_var_q_total)
+        d_enc_in = self.encoder_trunk.backward(trunk_cache, d_h_mean + d_h_var, input_tail)
         recon, kl = float(np.mean(recon_vec)), float(np.mean(kl_vec))
-        return recon, kl, grads, d_enc_in, kw * d_mu_p, kw * d_var_p
+        return recon, kl, d_enc_in, kw * d_mu_p, kw * d_var_p
 
 
 class GmvaeModel(EncoderDecoder):
@@ -252,7 +246,7 @@ class GmvaeModel(EncoderDecoder):
 
     def loss_and_grads(self, x, tau, hard, rng):
         """gmvae_loss_and_grads with Gumbel noise, then latent noise, drawn
-        from rng: (recon, kl, balance, grads)."""
+        from rng: (recon, kl, balance)."""
         gumbel_noise = nn.sample_gumbel((x.shape[0], self.k), rng)
         eps_noise = rng.standard_normal((x.shape[0], self.config.latent_dim))
         return gmvae_loss_and_grads(self, x, tau, hard, gumbel_noise, eps_noise)
@@ -285,7 +279,7 @@ def build_model(config, vocab=None):
 def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
     """Shared forward for loss evaluation and backprop."""
     logits, label_cache = model.label_net.forward_cached(x, keep_cache=keep_caches)
-    y, soft_y, _ = nn.gumbel_softmax(logits, tau, rng=None, hard=hard, noise=gumbel_noise)
+    y, soft_y = nn.gumbel_softmax(logits, tau, gumbel_noise, hard=hard)
     mu_p, pmean_cache = model.prior_mean_net.forward_cached(y, keep_cache=keep_caches)
     var_p, pvar_cache = model.prior_var_net.forward_cached(y, keep_cache=keep_caches)
     mu_q, var_q, x_hat, enc_caches = model.encode_decode(
@@ -329,10 +323,10 @@ def gmvae_loss(model, x, tau, hard, gumbel_noise, eps_noise):
 
 
 def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
-    """Backprop the weighted mean loss to all seven networks.
+    """Backprop the weighted mean loss into the `grads` of all seven
+    networks, where their AdamStates read it.
 
-    Returns (recon, kl, balance, grads) where grads maps network name to the
-    gradient list its AdamState expects. Gradients flow through the decoder,
+    Returns (recon, kl, balance). Gradients flow through the decoder,
     the reparameterized sample, both prior nets and (straight-through when
     hard) the Gumbel-Softmax back into the label net; the balance term adds a
     second, noiseless path into the label net.
@@ -341,12 +335,12 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
     batch = x.shape[0]
     t, caches = _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches=True)
     # the trunk's input gradient is needed only for its k label columns
-    recon, kl, grads, d_y_enc, d_mu_p, d_var_p = model.recon_kl_backward(
+    recon, kl, d_y_enc, d_mu_p, d_var_p = model.recon_kl_backward(
         x, eps_noise, t["mu_q"], t["var_q"], t["x_hat"], t["mu_p"], t["var_p"],
         caches["encoder_decoder"], input_tail=cfg.k,
     )
-    grads["prior_mean_net"], d_y_mean = model.prior_mean_net.backward(caches["prior_mean"], d_mu_p)
-    grads["prior_var_net"], d_y_var = model.prior_var_net.backward(caches["prior_var"], d_var_p)
+    d_y_mean = model.prior_mean_net.backward(caches["prior_mean"], d_mu_p)
+    d_y_var = model.prior_var_net.backward(caches["prior_var"], d_var_p)
 
     d_y = d_y_enc + d_y_mean + d_y_var
     d_logits = nn.gumbel_softmax_backward(t["soft_y"], tau, d_y)
@@ -359,8 +353,8 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
         d_logits = d_logits + (cfg.label_balance_weight / batch) * (
             p * (g - (p @ g)[:, None])
         )
-    grads["label_net"], _ = model.label_net.backward(caches["label"], d_logits, input_tail=0)
-    return recon, kl, balance, grads
+    model.label_net.backward(caches["label"], d_logits, input_tail=0)
+    return recon, kl, balance
 
 
 def make_optimizers(model):
@@ -374,7 +368,7 @@ StepLosses = namedtuple("StepLosses", ["recon", "kl", "label_balance"])
 
 def training_step(model, batch, tau, optimizers, rng, hard=False):
     """One gradient step of either model family on a batch of flat vectors,
-    from the gradients of model.loss_and_grads.
+    from the gradients model.loss_and_grads writes into each net's `grads`.
 
     Returns StepLosses(recon, kl, label_balance); recon and kl are the two
     weighted objective terms, label_balance the anti-collapse regularizer.
@@ -387,12 +381,12 @@ def training_step(model, batch, tau, optimizers, rng, hard=False):
         raise DimensionMismatch(
             f"batch of {x.shape[0]} exceeds configured batch_size {cfg.batch_size}"
         )
-    recon, kl, balance, grads = model.loss_and_grads(x, tau, hard, rng)
+    recon, kl, balance = model.loss_and_grads(x, tau, hard, rng)
     if not (math.isfinite(recon) and math.isfinite(kl) and math.isfinite(balance)):
         raise NonFiniteLoss(f"non-finite loss: recon={recon} kl={kl} balance={balance} tau={tau}")
     nets = model.networks()
     for name, opt in optimizers.items():
-        opt.step(nets[name], grads[name])
+        opt.step(nets[name])
     return StepLosses(recon, kl, balance)
 
 

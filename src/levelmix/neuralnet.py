@@ -197,10 +197,6 @@ class DenseNet:
         full net's."""
         return self.layers[0].in_dim if self.columns is None else self._full_in_dim
 
-    @property
-    def out_dim(self):
-        return self.layers[-1].out_dim
-
     def input_subset(self, columns):
         """A training copy that reads only the given input columns (sorted),
         laid over the ends of this net's parameter and gradient buffers: its
@@ -280,13 +276,11 @@ class DenseNet:
         return a, cache
 
     def backward(self, cache, grad_out, input_tail=None):
-        """Gradients of a scalar loss given d(loss)/d(output).
-
-        Returns ([(dW, db) per layer], d(loss)/d(input)). The (dW, db) are
-        views of this net's gradient buffer: they stay valid until this
-        net's next backward, which overwrites them. With input_tail=n only
-        the last n columns of the input gradient are computed, and with
-        input_tail=0 none, with None returned in its place.
+        """Write the parameter gradients of a scalar loss, given
+        d(loss)/d(output), into this net's gradient buffer `grads`, and
+        return d(loss)/d(input). With input_tail=n only the last n columns
+        of the input gradient are computed, and with input_tail=0 none, with
+        None returned.
         """
         if cache is None or len(cache) != len(self.layers):
             raise NoCache("forward cache missing or stale")
@@ -311,7 +305,7 @@ class DenseNet:
                 g = gz @ layer.weight
             else:
                 g = gz @ layer.weight[:, -input_tail:] if input_tail else None
-        return list(self._grad_views), g
+        return g
 
     def param_arrays(self):
         out = []
@@ -331,8 +325,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Bias-corrected Adam over a DenseNet's parameters, updated in place
-    over the net's flat parameter and gradient buffers."""
+    """Bias-corrected Adam over a DenseNet's parameters: each step reads
+    the net's gradient buffer `grads` and updates its parameter buffer
+    `params` in place."""
 
     def __init__(self, net, learning_rate=0.001):
         self.learning_rate = learning_rate
@@ -344,21 +339,11 @@ class AdamState:
         self._denom = np.empty(block, dtype=net.dtype)
         self._update = np.empty(block, dtype=net.dtype)
 
-    def step(self, net, grads):
-        """One update in place. `grads` is the list returned by backward(),
-        or any list of (dW, db) arrays of the parameters' shapes."""
-        flat_grads = [g for dw, db in grads for g in (dw, db)]
-        own_grads = [g for dw, db in net._grad_views for g in (dw, db)]
-        if len(flat_grads) != len(own_grads):
-            raise ShapeMismatch("gradient list does not match parameter list")
+    def step(self, net):
+        """One update in place, from the gradients the net's last backward
+        wrote into net.grads."""
         if net.params.shape != self.m.shape:
             raise ShapeMismatch(f"optimizer holds {self.m.size} parameters, net has {net.params.size}")
-        for g, own in zip(flat_grads, own_grads):
-            if g.shape != own.shape:
-                raise ShapeMismatch(f"param {own.shape} vs grad {g.shape}")
-        for g, own in zip(flat_grads, own_grads):
-            if g is not own:
-                own[...] = g
         self.step_count += 1
         t = self.step_count
         # a scalar of the net's dtype, so a float32 update runs in float32
@@ -463,28 +448,27 @@ def sample_gumbel(shape, rng):
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(logits, temperature, rng, hard=False, noise=None):
-    """Sample from the Gumbel-Softmax relaxation of Categorical(softmax(logits)).
+def gumbel_softmax(logits, temperature, noise, hard=False):
+    """Sample from the Gumbel-Softmax relaxation of Categorical(softmax(logits)),
+    given Gumbel noise of the logits' shape (see sample_gumbel).
 
-    Soft mode returns y = softmax((logits + g) / tau). Hard mode returns the
-    one-hot argmax of y; callers keep gradients flowing through the soft y
-    (straight through), see gumbel_softmax_backward.
-    Computed in the logits' floating dtype; the noise is drawn in float64
-    and cast to it. Returns (sample, soft_y, noise).
+    Soft mode returns y = softmax((logits + noise) / tau). Hard mode returns
+    the one-hot argmax of y; callers keep gradients flowing through the soft
+    y (straight through), see gumbel_softmax_backward.
+    Computed in the logits' floating dtype, to which the noise is cast.
+    Returns (sample, soft_y).
     """
     if temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
     logits = _floating(logits)
-    if noise is None:
-        noise = sample_gumbel(logits.shape, rng)
     noise = np.asarray(noise, dtype=logits.dtype)
     y = softmax((logits + noise) / temperature, axis=-1)
     if not hard:
-        return y, y, noise
+        return y, y
     idx = np.argmax(y, axis=-1)
     one_hot = np.zeros_like(y)
     np.put_along_axis(one_hot, np.expand_dims(idx, -1), 1.0, axis=-1)
-    return one_hot, y, noise
+    return one_hot, y
 
 
 def gumbel_softmax_backward(soft_y, temperature, grad_out):

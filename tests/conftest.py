@@ -79,6 +79,16 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def grad_arrays(net):
+    """net.grads laid out as net.param_arrays() lays out net.params: views
+    of each layer's weight gradient, then its bias gradient."""
+    out, offset = [], 0
+    for p in net.param_arrays():
+        out.append(net.grads[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
+    return out
+
+
 def split_checkpoint(raw):
     """(header, data section) of a format-3 checkpoint's bytes."""
     assert raw[:8] == ckpt.MAGIC

@@ -26,6 +26,8 @@ from levelmix import playability as pl
 from levelmix import toygame
 from levelmix import vglc
 
+from conftest import grad_arrays
+
 VGLC_ROOT = os.environ.get("VGLC_ROOT")
 RUN_FULL = os.environ.get("LEVELMIX_RUN_FULL") == "1"
 
@@ -112,15 +114,11 @@ def test_criterion_2_numerics():
             r, k, b = gm.gmvae_loss(model, x, tau, False, gnoise, eps)
             return cfg.recon_weight * r + cfg.kl_weight * k + cfg.label_balance_weight * b
 
-        _, _, _, grads = gm.gmvae_loss_and_grads(model, x, tau, False, gnoise, eps)
-        for name, net in model.networks().items():
-            for li, layer in enumerate(net.layers):
-                for arr, analytic in (
-                    (layer.weight, grads[name][li][0]),
-                    (layer.bias, grads[name][li][1]),
-                ):
-                    numeric = nn.finite_difference_gradient(total, arr, h=1e-5)
-                    worst = max(worst, nn.max_relative_error(analytic, numeric, floor=1e-6))
+        gm.gmvae_loss_and_grads(model, x, tau, False, gnoise, eps)
+        for net in model.networks().values():
+            for arr, analytic in zip(net.param_arrays(), grad_arrays(net)):
+                numeric = nn.finite_difference_gradient(total, arr, h=1e-5)
+                worst = max(worst, nn.max_relative_error(analytic, numeric, floor=1e-6))
     assert worst < 1e-4, f"worst gradient relative error {worst:.2e}"
 
     # kl against a 10^6-sample Monte-Carlo estimate, within 1%
@@ -138,7 +136,7 @@ def test_criterion_2_numerics():
     # argmax frequencies over 10^5 draws within 0.02 per class
     logits = np.array([0.8, -0.4, 0.1, 0.5, -1.0])
     expected = nn.softmax(logits)
-    y, _, _ = nn.gumbel_softmax(np.tile(logits, (100_000, 1)), 0.7, rng)
+    y, _ = nn.gumbel_softmax(np.tile(logits, (100_000, 1)), 0.7, nn.sample_gumbel((100_000, 5), rng))
     frequencies = np.bincount(np.argmax(y, axis=1), minlength=5) / 100_000
     assert np.all(np.abs(frequencies - expected) < 0.02)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FUZZ
+from conftest import FUZZ, grad_arrays
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import corpus as cp
@@ -65,12 +65,11 @@ def test_vae_gradients_match_finite_differences(rng):
         r, k = bl.vae_loss(model, x, eps)
         return cfg.recon_weight * r + cfg.kl_weight * k
 
-    _, _, grads = bl.vae_loss_and_grads(model, x, eps)
-    for name, net in model.networks().items():
-        for li, layer in enumerate(net.layers):
-            for arr, analytic in ((layer.weight, grads[name][li][0]), (layer.bias, grads[name][li][1])):
-                numeric = nn.finite_difference_gradient(total, arr, h=1e-5)
-                assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
+    bl.vae_loss_and_grads(model, x, eps)
+    for net in model.networks().values():
+        for arr, analytic in zip(net.param_arrays(), grad_arrays(net)):
+            numeric = nn.finite_difference_gradient(total, arr, h=1e-5)
+            assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
 
 
 def test_vae_single_batch_overfit(toy_setup):
@@ -255,6 +254,22 @@ def test_gmm_needs_enough_points():
 def test_gmm_needs_a_component(k):
     with pytest.raises(InvalidConfig, match=f"got {k}"):
         bl.gmm_fit(np.random.default_rng(0).standard_normal((10, 2)), k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_vae_gmm_rejects_k_before_training(monkeypatch, k):
+    from levelmix import experiments
+
+    def train_vae(*args, **kwargs):
+        raise AssertionError("the VAE was trained")
+
+    monkeypatch.setattr(bl, "train_vae", train_vae)
+    data = np.zeros((4, 12), dtype=np.uint8)
+    config = small_vae_config(12)
+    with pytest.raises(InvalidConfig, match=f"got {k}"):
+        bl.fit_vae_gmm(data, config, k)
+    with pytest.raises(InvalidConfig, match=f"got {k}"):
+        experiments.train_family("vae-gmm", config, k, data)
 
 
 def test_gmm_dimension_mismatch():

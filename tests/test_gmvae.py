@@ -20,7 +20,7 @@ from levelmix.errors import (
     NonFiniteLoss,
 )
 
-from conftest import small_gmvae_config
+from conftest import grad_arrays, small_gmvae_config
 
 
 def reference_config(d, k):
@@ -189,14 +189,13 @@ def test_gradients_match_finite_differences_full_model(rng):
         r, k, b = gm.gmvae_loss(model, x, tau, False, gumbel_noise, eps)
         return cfg.recon_weight * r + cfg.kl_weight * k + cfg.label_balance_weight * b
 
-    _, _, _, grads = gm.gmvae_loss_and_grads(model, x, tau, False, gumbel_noise, eps)
+    gm.gmvae_loss_and_grads(model, x, tau, False, gumbel_noise, eps)
     for name, net in model.networks().items():
-        for li, layer in enumerate(net.layers):
-            for arr, analytic in ((layer.weight, grads[name][li][0]), (layer.bias, grads[name][li][1])):
-                numeric = nn.finite_difference_gradient(total, arr, h=1e-5)
-                assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4, (
-                    f"{name} layer {li}"
-                )
+        for i, (arr, analytic) in enumerate(zip(net.param_arrays(), grad_arrays(net))):
+            numeric = nn.finite_difference_gradient(total, arr, h=1e-5)
+            assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4, (
+                f"{name} layer {i // 2}"
+            )
 
 
 def test_single_batch_overfit(toy_setup):
@@ -461,7 +460,8 @@ def test_hard_label_stability_after_training(trained_gmvae, toy_setup):
     agree = 0
     draws = 40
     for _ in range(draws):
-        y, _, _ = nn.gumbel_softmax(model.label_net.forward(x), 0.01, rng)
+        logits = model.label_net.forward(x)
+        y, _ = nn.gumbel_softmax(logits, 0.01, nn.sample_gumbel(logits.shape, rng))
         agree += np.sum(np.argmax(y, axis=1) == hard)
     assert agree / (draws * len(x)) >= 0.95
 
@@ -584,6 +584,21 @@ def test_fit_on_the_uint8_corpus_equals_fit_on_a_float_copy(toy_setup, family, d
         assert params == runs[0][1]
 
 
+@pytest.mark.parametrize("dtype", gm.DTYPES)
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_loss_and_grads_writes_every_gradient(toy_setup, family, dtype):
+    # training_step steps every net from its grads buffer: one backward must
+    # overwrite all of each buffer
+    data = toy_setup["data"]
+    model = _toy_model(family, data.shape[1], toy_setup["vocab"], dtype=dtype)
+    for net in model.networks().values():
+        net.grads[...] = np.nan
+    x = np.asarray(data[: model.config.batch_size], dtype=dtype)
+    model.loss_and_grads(x, 0.7, False, np.random.default_rng(0))
+    for name, net in model.networks().items():
+        assert np.all(np.isfinite(net.grads)), name
+
+
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
 def test_non_finite_loss_leaves_the_full_networks_with_the_trained_values(toy_setup, family):
     data, vocab = toy_setup["data"], toy_setup["vocab"]
@@ -597,7 +612,7 @@ def test_non_finite_loss_leaves_the_full_networks_with_the_trained_values(toy_se
         # 297 chunks make 5 steps an epoch: this is epoch 2, step 2
         if next(calls) == 7:
             seen.update({name: (net, net.params.copy()) for name, net in model.networks().items()})
-            return math.nan, 0.0, 0.0, None
+            return math.nan, 0.0, 0.0
         return loss_and_grads(x, tau, hard, rng)
 
     model.loss_and_grads = failing_at_step_7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FUZZ
+from conftest import FUZZ, grad_arrays
 from levelmix import neuralnet as nn
 from levelmix.errors import (
     DimensionMismatch,
@@ -200,8 +200,8 @@ def test_in_place_forward_is_the_textbook_forward_byte_for_byte(monkeypatch, blo
     out, cache = net.forward_cached(x)
     assert out.tobytes() == ref_out.tobytes() and cache[0][0] is x
     assert not np.shares_memory(out, x) and not np.shares_memory(out, net.params)
-    grads, grad_in = net.backward(cache, g)
-    assert [a.tobytes() for pair in grads for a in pair] == [a.tobytes() for a in ref_grads]
+    grad_in = net.backward(cache, g)
+    assert [a.tobytes() for a in grad_arrays(net)] == [a.tobytes() for a in ref_grads]
     assert grad_in.tobytes() == ref_in.tobytes()
     assert x.tobytes() == x_bytes and np.array_equal(net.params, params)
 
@@ -232,20 +232,19 @@ def test_backward_without_input_grad_gives_identical_parameter_gradients(dtype):
     rng = np.random.default_rng(6)
     _, cache = net.forward_cached(rng.standard_normal((7, 6)))
     upstream = rng.standard_normal((7, 3))
-    grads, grad_in = net.backward(cache, upstream)
-    expected = [(dw.copy(), db.copy()) for dw, db in grads]
+    grad_in = net.backward(cache, upstream)
+    expected = net.grads.copy()
     assert grad_in.shape == (7, 6)
     full_in = grad_in.copy()
-    grads, grad_in = net.backward(cache, upstream, input_tail=0)
-    assert grad_in is None
-    for (dw, db), (ew, eb) in zip(grads, expected):
-        assert np.array_equal(dw, ew) and np.array_equal(db, eb)
+    net.grads[...] = np.nan
+    assert net.backward(cache, upstream, input_tail=0) is None
+    assert np.array_equal(net.grads, expected)
     # the last two columns only: a shorter product, the same values up to
     # the order of its sums
-    grads, grad_in = net.backward(cache, upstream, input_tail=2)
+    net.grads[...] = np.nan
+    grad_in = net.backward(cache, upstream, input_tail=2)
     np.testing.assert_allclose(grad_in, full_in[:, -2:], rtol=1e-5 if dtype == "float32" else 1e-12)
-    for (dw, db), (ew, eb) in zip(grads, expected):
-        assert np.array_equal(dw, ew) and np.array_equal(db, eb)
+    assert np.array_equal(net.grads, expected)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -274,14 +273,14 @@ def test_input_subset_trains_as_the_full_net_on_inputs_it_reads(dtype):
     with pytest.raises(DimensionMismatch):
         copy.forward(x[:, columns])
     upstream = rng.standard_normal((7, 4))
-    grads, grad_in = reference.backward(cache, upstream)
-    copy_grads, copy_in = copy.backward(copy_cache, upstream, input_tail=2)
+    grad_in = reference.backward(cache, upstream)
+    copy_in = copy.backward(copy_cache, upstream, input_tail=2)
+    grads, copy_grads = grad_arrays(reference), grad_arrays(copy)
     # an input column that is zero in every row gives its weights exactly zero
-    assert not np.any(grads[0][0][:, unread])
-    np.testing.assert_allclose(copy_grads[0][0], grads[0][0][:, columns], rtol=rtol, atol=1e-12)
-    for (dw, db), (ew, eb) in zip(copy_grads[1:], grads[1:]):
-        np.testing.assert_allclose(dw, ew, rtol=rtol)
-        np.testing.assert_allclose(db, eb, rtol=rtol)
+    assert not np.any(grads[0][:, unread])
+    np.testing.assert_allclose(copy_grads[0], grads[0][:, columns], rtol=rtol, atol=1e-12)
+    for g, expected in zip(copy_grads[1:], grads[1:]):
+        np.testing.assert_allclose(g, expected, rtol=rtol)
     np.testing.assert_allclose(copy_in, grad_in[:, -2:], rtol=rtol)
     # column 7 is not read, so neither the last three input columns' gradient
     # nor the whole input's can be given
@@ -302,16 +301,18 @@ def test_linear_weight_gradient_is_outer_product():
     x = np.array([1.0, -2.0, 0.5])
     upstream = np.array([0.3, -0.7])
     _, cache = net.forward_cached(x)
-    grads, _ = net.backward(cache, upstream)
-    assert np.allclose(grads[0][0], np.outer(upstream, x))
-    assert np.allclose(grads[0][1], upstream)
+    net.backward(cache, upstream)
+    dw, db = grad_arrays(net)
+    assert np.allclose(dw, np.outer(upstream, x))
+    assert np.allclose(db, upstream)
 
 
 def test_zero_upstream_zero_gradients():
     net = make_net([3, 4, 2], ["relu", "sigmoid"], seed=2)
     _, cache = net.forward_cached(np.ones(3))
-    grads, gin = net.backward(cache, np.zeros(2))
-    assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
+    net.grads[...] = np.nan
+    gin = net.backward(cache, np.zeros(2))
+    assert np.all(net.grads == 0)
     assert np.all(gin == 0)
 
 
@@ -333,11 +334,10 @@ def test_backward_matches_finite_differences(activations):
         return float(np.sum((net.forward(x) - target) ** 2))
 
     out, cache = net.forward_cached(x)
-    grads, grad_in = net.backward(cache, 2.0 * (out - target))
-    for li, layer in enumerate(net.layers):
-        for arr, analytic in ((layer.weight, grads[li][0]), (layer.bias, grads[li][1])):
-            numeric = nn.finite_difference_gradient(loss, arr, h=1e-5)
-            assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
+    grad_in = net.backward(cache, 2.0 * (out - target))
+    for arr, analytic in zip(net.param_arrays(), grad_arrays(net)):
+        numeric = nn.finite_difference_gradient(loss, arr, h=1e-5)
+        assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
 
     def loss_x(xv):
         return float(np.sum((net.forward(xv) - target) ** 2))
@@ -355,7 +355,8 @@ def test_adam_first_step_is_signed_lr():
     before = net.layers[0].weight.copy()
     opt = nn.AdamState(net, learning_rate=0.01)
     g = np.array([[0.5, -3.0], [0.0, 1e-4]])
-    opt.step(net, [(g, np.zeros(2))])
+    grad_arrays(net)[0][...] = g
+    opt.step(net)
     delta = net.layers[0].weight - before
     # bias-corrected first step is -lr * g / (|g| + eps'), i.e. ~ -lr * sign(g)
     expected = -0.01 * np.sign(g)
@@ -368,7 +369,7 @@ def test_adam_zero_gradient_no_change():
     net = make_net([3, 3], ["linear"], seed=1)
     before = [p.copy() for p in net.param_arrays()]
     opt = nn.AdamState(net)
-    opt.step(net, [(np.zeros((3, 3)), np.zeros(3))])
+    opt.step(net)
     for a, b in zip(net.param_arrays(), before):
         assert np.array_equal(a, b)
 
@@ -391,8 +392,8 @@ def test_adam_quadratic_convergence_matches_scalar_recurrence():
     net.layers[0].bias[...] = 0.0
     opt = nn.AdamState(net, learning_rate=lr)
     for _ in range(200):
-        w = net.layers[0].weight[0, 0]
-        opt.step(net, [(np.array([[2.0 * w]]), np.zeros(1))])
+        net.grads[...] = [2.0 * net.layers[0].weight[0, 0], 0.0]
+        opt.step(net)
     # mathematically identical recurrences up to float noise, but the oracle
     # uses its own arithmetic path
     assert abs(net.layers[0].weight[0, 0] - w_ref) < 1e-8
@@ -400,17 +401,19 @@ def test_adam_quadratic_convergence_matches_scalar_recurrence():
 
 
 def test_adam_shape_mismatch():
-    net = make_net([2, 2], ["linear"])
+    # an optimizer built for the full net cannot step its training copy
+    net = make_net([4, 3, 2], ["relu", "linear"])
     opt = nn.AdamState(net)
-    with pytest.raises(ShapeMismatch):
-        opt.step(net, [(np.zeros((3, 3)), np.zeros(2))])
+    copy = net.input_subset([1, 3])
+    with pytest.raises(ShapeMismatch, match="optimizer holds 23 parameters, net has 17"):
+        opt.step(copy)
 
 
 def test_adam_rejects_another_nets_parameters():
     opt = nn.AdamState(make_net([2, 2], ["linear"]))
     other = make_net([3, 3], ["linear"])
     with pytest.raises(ShapeMismatch, match="optimizer holds 6 parameters, net has 12"):
-        opt.step(other, [(np.zeros((3, 3)), np.zeros(3))])
+        opt.step(other)
 
 
 def per_array_adam(params, grads, m, v, t, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
@@ -439,16 +442,12 @@ def test_blocked_adam_bit_identical_to_per_array_update(dtype, source):
     for t in range(1, 4):
         if source == "backward":
             out, cache = net.forward_cached(rng.standard_normal((8, 300)))
-            grads, _ = net.backward(cache, rng.standard_normal(out.shape))
-            for dw, db in grads:
-                assert np.shares_memory(dw, net.grads) and np.shares_memory(db, net.grads)
+            net.backward(cache, rng.standard_normal(out.shape))
         else:
-            grads = [
-                (rng.standard_normal(layer.weight.shape).astype(dtype), rng.standard_normal(layer.bias.shape).astype(dtype))
-                for layer in net.layers
-            ]
-        flat = [g.copy() for pair in grads for g in pair]
-        opt.step(net, grads)
+            for g in grad_arrays(net):
+                g[...] = rng.standard_normal(g.shape).astype(dtype)
+        flat = [g.copy() for g in grad_arrays(net)]
+        opt.step(net)
         per_array_adam(ref_params, flat, ref_m, ref_v, t)
         for p, ref in zip(net.param_arrays(), ref_params):
             assert p.dtype == np.dtype(dtype) and np.array_equal(p, ref)
@@ -469,8 +468,9 @@ def test_parameters_and_gradients_are_views_of_flat_buffers():
     for p in net.param_arrays():
         assert np.shares_memory(p, net.params)
     _, cache = net.forward_cached(np.ones((2, 4)))
-    grads, _ = net.backward(cache, np.ones((2, 3)))
-    assert np.array_equal(np.concatenate([g.ravel() for pair in grads for g in pair]), net.grads)
+    net.grads[...] = np.nan
+    net.backward(cache, np.ones((2, 3)))
+    assert np.all(np.isfinite(net.grads))
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +626,22 @@ def test_reparam_seeded_reproducible():
 def test_gumbel_on_simplex():
     rng = np.random.default_rng(1)
     for tau in (0.1, 0.5, 1.0, 5.0):
-        y, _, _ = nn.gumbel_softmax(rng.standard_normal(7), tau, rng)
+        logits = rng.standard_normal(7)
+        y, _ = nn.gumbel_softmax(logits, tau, nn.sample_gumbel(logits.shape, rng))
         assert np.all(y >= 0.0)
         assert math.isclose(y.sum(), 1.0, rel_tol=1e-9)
 
 
 def test_gumbel_low_temperature_concentrates():
     rng = np.random.default_rng(2)
-    y, _, _ = nn.gumbel_softmax(np.array([0.3, -0.1, 0.2]), 0.01, rng)
+    y, _ = nn.gumbel_softmax(np.array([0.3, -0.1, 0.2]), 0.01, nn.sample_gumbel(3, rng))
     assert y.max() > 0.99
 
 
 def test_gumbel_hard_one_hot_matches_soft_argmax():
     rng = np.random.default_rng(3)
     logits = rng.standard_normal((20, 5))
-    hard, soft, _ = nn.gumbel_softmax(logits, 0.7, rng, hard=True)
+    hard, soft = nn.gumbel_softmax(logits, 0.7, nn.sample_gumbel(logits.shape, rng), hard=True)
     assert np.all(hard.sum(axis=1) == 1.0)
     assert np.all((hard == 0) | (hard == 1))
     assert np.array_equal(np.argmax(hard, axis=1), np.argmax(soft, axis=1))
@@ -652,14 +653,14 @@ def test_gumbel_argmax_frequencies_match_softmax():
     expected = nn.softmax(logits)
     rng = np.random.default_rng(4)
     n = 100_000
-    y, _, _ = nn.gumbel_softmax(np.tile(logits, (n, 1)), 0.8, rng)
+    y, _ = nn.gumbel_softmax(np.tile(logits, (n, 1)), 0.8, nn.sample_gumbel((n, 4), rng))
     counts = np.bincount(np.argmax(y, axis=1), minlength=4) / n
     assert np.all(np.abs(counts - expected) < 0.02)
 
 
 def test_gumbel_rejects_nonpositive_temperature():
     with pytest.raises(NonPositiveTemperature):
-        nn.gumbel_softmax(np.zeros(3), 0.0, np.random.default_rng(0))
+        nn.gumbel_softmax(np.zeros(3), 0.0, nn.sample_gumbel(3, np.random.default_rng(0)))
 
 
 def test_gumbel_soft_gradient_matches_finite_differences():
@@ -670,10 +671,10 @@ def test_gumbel_soft_gradient_matches_finite_differences():
     tau = 0.9
 
     def f(lv):
-        y, _, _ = nn.gumbel_softmax(lv, tau, None, hard=False, noise=noise)
+        y, _ = nn.gumbel_softmax(lv, tau, noise)
         return float(np.sum(weights * y))
 
-    y, soft, _ = nn.gumbel_softmax(logits, tau, None, hard=False, noise=noise)
+    y, soft = nn.gumbel_softmax(logits, tau, noise)
     analytic = nn.gumbel_softmax_backward(soft, tau, weights)
     numeric = nn.finite_difference_gradient(f, logits.copy(), h=1e-6)
     assert nn.max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
@@ -685,7 +686,8 @@ def test_gumbel_simplex_property(seed):
     r = np.random.default_rng(seed)
     k = int(r.integers(2, 12))
     tau = float(r.uniform(0.05, 4.0))
-    y, _, _ = nn.gumbel_softmax(r.standard_normal(k) * 5, tau, r, hard=bool(r.integers(2)))
+    logits, hard = r.standard_normal(k) * 5, bool(r.integers(2))
+    y, _ = nn.gumbel_softmax(logits, tau, nn.sample_gumbel(k, r), hard=hard)
     assert np.all(y >= 0.0)
     assert abs(float(y.sum()) - 1.0) < 1e-9
 
@@ -703,8 +705,9 @@ def test_loss_terms_keep_the_input_dtype(dtype):
     eps = rng.standard_normal((4, 5))
     loss, grad = nn.bce_loss(out, target, with_grad=True)
     kl, kl_grads = nn.kl_diag(mu, var, np.zeros(5), np.ones(5), with_grad=True)
-    y, soft, noise = nn.gumbel_softmax(rng.standard_normal((4, 3)).astype(dtype), 0.7, rng, hard=True)
-    for a in (loss, grad, kl, *kl_grads, nn.reparam_grad_var(var, eps), y, soft, noise):
+    logits = rng.standard_normal((4, 3)).astype(dtype)
+    y, soft = nn.gumbel_softmax(logits, 0.7, nn.sample_gumbel(logits.shape, rng), hard=True)
+    for a in (loss, grad, kl, *kl_grads, nn.reparam_grad_var(var, eps), y, soft):
         assert a.dtype == np.dtype(dtype)
 
 
@@ -713,18 +716,20 @@ def test_loss_terms_compute_non_float_inputs_in_float64():
     assert nn.bce_loss([0, 1, 1], ones).dtype == np.float64
     assert nn.kl_diag(np.zeros(3, dtype=np.int64), ones, ones, ones).dtype == np.float64
     assert nn.reparam_grad_var(ones, ones).dtype == np.float64
-    y, _, _ = nn.gumbel_softmax([0, 1, 2], 1.0, np.random.default_rng(0))
+    y, _ = nn.gumbel_softmax([0, 1, 2], 1.0, nn.sample_gumbel(3, np.random.default_rng(0)))
     assert y.dtype == np.float64
 
 
 def test_float32_gumbel_noise_is_the_float64_draw_cast():
-    # the draw (and so the RNG stream) is the float64 one in either dtype
+    # the draw (and so the RNG stream) is the float64 one in either dtype,
+    # and a float32 sample adds it cast to float32
     logits = np.zeros((50, 4), dtype=np.float32)
-    _, _, noise = nn.gumbel_softmax(logits, 1.0, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    assert np.array_equal(noise, nn.sample_gumbel(logits.shape, rng).astype(np.float32))
+    noise = nn.sample_gumbel(logits.shape, rng)
     assert rng.random() == np.random.default_rng(9).random(201)[-1]
-    assert np.all(np.isfinite(noise))
+    assert noise.dtype == np.float64 and np.all(np.isfinite(noise))
+    y, _ = nn.gumbel_softmax(logits, 1.0, noise)
+    assert y.dtype == np.float32 and np.array_equal(y, nn.softmax(noise.astype(np.float32)))
 
 
 def test_positive_floor_is_normal_in_float32_and_1e_300_in_float64():

@@ -17,6 +17,6 @@ def _run_script(name, argv, monkeypatch):
 
 def test_toy_demo_runs_every_step(tmp_path, monkeypatch):
     _run_script("toy_demo", ["--workdir", str(tmp_path), "--epochs", "2"], monkeypatch)
-    for name in ("model.json", "cluster.json", "latents.csv", "densities.csv", "playability.json"):
+    for name in ("model.ckpt", "cluster.json", "latents.csv", "densities.csv", "playability.json"):
         assert (tmp_path / name).exists(), name
     assert len(list((tmp_path / "charts").glob("*.svg"))) == 3
