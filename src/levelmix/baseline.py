@@ -76,7 +76,9 @@ def train_vae(data, config, level_types=None, sampler="uniform", log_every=None)
 
 
 def vae_encode(model, data):
-    """Deterministic latent means (no sampling), in the model's dtype."""
+    """Deterministic latent means (no sampling), in the model's dtype. Over
+    the uint8 corpus the trunk reads only the columns the rows set
+    (DenseNet.forward_cached), so no float copy of the corpus is made."""
     h = model.encoder_trunk.forward(data)
     return model.enc_mean_head.forward(h)
 
@@ -314,9 +316,10 @@ class VaeGmmModel:
         return self.gmm.k
 
     def generate(self, component, n, rng):
-        """Sample a GMM component, back-project through PCA, decode."""
+        """Sample a GMM component, back-project through PCA, decode through
+        gmvae.decode_generated as the mixture model does."""
         latents = pca_inverse(self.pca, gmm_sample(self.gmm, component, n, rng))
-        return decode_generated(self.vae.decoder.forward(latents), self.vocab, component)
+        return decode_generated(self.vae.decoder, latents, self.vocab, component)
 
     def predict(self, data):
         """Hard cluster per flat input vector."""

@@ -220,14 +220,18 @@ def _one_hot(tiles, t, dtype):
 def decode(values, vocab, level_id="", offset=(0, 0)):
     """Per-cell argmax of a flat vector back to a 16x16 integer chunk.
 
-    Ties break toward the lowest tile id.
+    Ties break toward the lowest tile id. Floating values keep their dtype
+    (a float32 decoder's output is not copied to float64, which would not
+    change its argmax); other values are read as float64.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        values = values.astype(np.float64)
     t = vocab.size
     d = CHUNK_SIZE * CHUNK_SIZE * t
     if values.shape != (d,):
         raise LengthMismatch(f"expected length {d}, got {values.shape}")
-    ids = np.argmax(values.reshape(CHUNK_SIZE * CHUNK_SIZE, t), axis=1)
+    ids = values.reshape(CHUNK_SIZE * CHUNK_SIZE, t).argmax(axis=1)
     return Chunk(
         tiles=ids.reshape(CHUNK_SIZE, CHUNK_SIZE),
         level_id=level_id,

@@ -172,7 +172,7 @@ class EncoderDecoder:
         h, trunk_cache = self.encoder_trunk.forward_cached(enc_in, keep_cache=keep_caches)
         mu_q, mean_cache = self.enc_mean_head.forward_cached(h, keep_cache=keep_caches)
         var_q, var_cache = self.enc_var_head.forward_cached(h, keep_cache=keep_caches)
-        z = mu_q + np.sqrt(var_q) * np.asarray(eps_noise, dtype=mu_q.dtype)
+        z, _ = nn.reparam_sample(mu_q, var_q, None, eps=eps_noise)
         x_hat, dec_cache = self.decoder.forward_cached(z, keep_cache=keep_caches)
         return mu_q, var_q, x_hat, (trunk_cache, mean_cache, var_cache, dec_cache)
 
@@ -260,11 +260,15 @@ class GmvaeModel(EncoderDecoder):
 
     def encode(self, data):
         """(latent means, hard labels) per row; the encoder sees each row's
-        hard label as a one-hot. The rows, in any dtype, are written once
-        into the trunk's input in the model's dtype, beside that one-hot."""
+        hard label as a one-hot. The rows are written once into the trunk's
+        input, beside that one-hot: in their own dtype if it is an integer
+        one (the uint8 corpus), so the trunk reads only the set columns,
+        and in the model's dtype otherwise."""
+        data = np.asarray(data)
         labels = hard_labels(self, data)
         n, d = len(labels), self.config.d
-        enc_in = np.zeros((n, d + self.k), dtype=self.config.dtype)
+        dtype = data.dtype if data.dtype.kind in "biu" else self.config.dtype
+        enc_in = np.zeros((n, d + self.k), dtype=dtype)
         enc_in[:, :d] = data
         enc_in[np.arange(n), d + labels] = 1.0
         h = self.encoder_trunk.forward(enc_in)
@@ -510,7 +514,10 @@ def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None
 
 
 def generate(model, component, n, rng):
-    """Sample n latents from one mixture component and decode to chunks."""
+    """Sample n latents from one mixture component and decode them to
+    chunks through decode_generated: each cell's tile is the argmax of the
+    decoder's pre-sigmoid output, which the sigmoid would not change
+    except where it rounds two tiles to the same float."""
     cfg = model.config
     if not 0 <= component < cfg.k:
         raise ComponentOutOfRange(f"component {component} out of range [0, {cfg.k})")
@@ -522,20 +529,31 @@ def generate(model, component, n, rng):
     var = model.prior_var_net.forward(one_hot)[0]
     eps = rng.standard_normal((n, cfg.latent_dim))
     z = mu + np.sqrt(var) * eps
-    return decode_generated(model.decoder.forward(z), model.vocab, component)
+    return decode_generated(model.decoder, z, model.vocab, component)
 
 
-def decode_generated(x_hat, vocab, component):
-    """Decoder outputs (n, d) of one component as chunks; both model families
-    label them gen-c<component> at offsets (0, i)."""
+def decode_generated(decoder, latents, vocab, component):
+    """The chunks the decoder makes of latents (n, latent_dim), which both
+    model families label gen-c<component> at offsets (0, i).
+
+    Each cell's tile is the argmax of the decoder's last pre-activation,
+    which is the argmax of its sigmoid output, as the sigmoid is
+    increasing; the sigmoid is never computed. Where the sigmoid would
+    round two tiles' outputs to the same float (1.0 above a pre-activation
+    of about 37 in float64 and 17 in float32), the larger pre-activation
+    wins, not the lower tile id; equal pre-activations break toward the
+    lowest tile id."""
+    logits, _ = decoder.forward_cached(latents, keep_cache=False, pre_activation=True)
     return [
-        decode(x_hat[i], vocab, level_id=f"gen-c{component}", offset=(0, i))
-        for i in range(len(x_hat))
+        decode(logits[i], vocab, level_id=f"gen-c{component}", offset=(0, i))
+        for i in range(len(logits))
     ]
 
 
 def hard_labels(model, data):
     """Deterministic component labels: argmax of the label-net logits
-    (the zero-temperature, no-noise limit)."""
+    (the zero-temperature, no-noise limit). Over the uint8 corpus the
+    label net reads only the columns the rows set (DenseNet.forward_cached),
+    so no float copy of the corpus is made."""
     logits = model.label_net.forward(data)
     return np.argmax(logits, axis=1)

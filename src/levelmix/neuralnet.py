@@ -141,7 +141,10 @@ class DenseNet:
 
     A training copy made by input_subset reads only some columns of its
     input: `columns` holds them (sorted), and its first layer holds only
-    their weights. `columns` is None for a net that reads its whole input.
+    their weights. `columns` is None for a full net. An inference forward
+    of a full net over integer input (the uint8 one-hot corpus) reads
+    only the columns its rows set, in the same gather step, so no pass
+    over the corpus makes an (n, d) float copy of it.
     """
 
     def __init__(self, sizes, activations, rng, dtype="float64"):
@@ -242,26 +245,47 @@ class DenseNet:
         out, _ = self.forward_cached(x, keep_cache=False)
         return out
 
-    def forward_cached(self, x, keep_cache=True):
+    def forward_cached(self, x, keep_cache=True, pre_activation=False):
         """(output, cache). The cache holds one (input, z, output) per layer
         for backward, with the pre-activation z kept only by softplus
-        layers (None elsewhere); with keep_cache=False it is None."""
-        x = np.asarray(x, dtype=self.dtype)
+        layers (None elsewhere); with keep_cache=False it is None.
+
+        The first layer reads only the input columns its answer needs: a
+        training copy's `columns`, or, for integer input to a full net that
+        keeps no cache (the uint8 one-hot corpus), the columns some row
+        sets. Only those columns are cast to the net's dtype, and they are
+        multiplied by the matching first-layer weight columns; an unset
+        column adds 0 to every sum. The one GEMM sums fewer terms than over
+        the whole row, so its output can differ from a float copy's in the
+        last bits.
+
+        With pre_activation=True the last layer stops at z = a @ W.T + b,
+        without its activation, and no cache is kept: an increasing
+        activation such as the sigmoid keeps each row's argmax, so a caller
+        that needs only the argmax skips it."""
+        if keep_cache and pre_activation:
+            raise ValueError("a forward that stops before the last activation keeps no cache")
+        x = np.asarray(x)
         if x.shape[-1] != self.in_dim:
             raise DimensionMismatch(
                 f"input has {x.shape[-1]} features, net expects {self.in_dim}"
             )
-        if self.columns is not None:
-            x = np.take(x, self.columns, axis=-1)
+        columns, w0 = self.columns, self.layers[0].weight
+        if columns is None and not keep_cache and x.dtype.kind in "biu":
+            columns = np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0))
+            w0 = w0[:, columns]
+        # the gathered integer columns are freed once cast
+        a = np.asarray(x if columns is None else np.take(x, columns, axis=-1), dtype=self.dtype)
         cache = [] if keep_cache else None
-        a = x
-        for layer in self.layers:
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
             # a @ W.T + b and the activation, computed in the buffer the
             # matmul returns, one cache-sized block of rows at a time; a
             # softplus layer that trains writes its output beside z, as its
             # gradient is sigmoid(z)
-            z = a @ layer.weight.T
-            keep_z = keep_cache and layer.activation == "softplus"
+            z = a @ (w0 if i == 0 else layer.weight).T
+            activation = "linear" if pre_activation and i == last else layer.activation
+            keep_z = keep_cache and activation == "softplus"
             a_next = np.empty_like(z) if keep_z else z
             # views, as the matmul's output is C-contiguous
             z_rows, out_rows = z.reshape(-1, layer.out_dim), a_next.reshape(-1, layer.out_dim)
@@ -269,7 +293,7 @@ class DenseNet:
             for start in range(0, len(z_rows), step):
                 block = z_rows[start : start + step]
                 block += layer.bias
-                _activate(layer.activation, block, out_rows[start : start + step] if keep_z else block)
+                _activate(activation, block, out_rows[start : start + step] if keep_z else block)
             if keep_cache:
                 cache.append((a, z if keep_z else None, a_next))
             a = a_next
@@ -424,13 +448,16 @@ def reparam_sample(mu, var, rng, eps=None):
     """z = mu + sqrt(var) * eps with eps ~ N(0, I).
 
     Returns (z, eps); gradients are dz/dmu = 1 and dz/dvar = eps / (2 sqrt(var)).
+    Computed in mu's floating dtype, to which var and eps are cast; eps is
+    drawn in float64 when not given, so both dtypes read the same stream.
     """
-    mu = np.asarray(mu, dtype=float)
-    var = np.asarray(var, dtype=float)
+    mu = _floating(mu)
+    var = np.asarray(var, dtype=mu.dtype)
     if np.any(var < 0.0):
         raise NonPositiveVariance("variances must be non-negative")
     if eps is None:
         eps = rng.standard_normal(mu.shape)
+    eps = np.asarray(eps, dtype=mu.dtype)
     return mu + np.sqrt(var) * eps, eps
 
 

@@ -317,10 +317,15 @@ def test_encode_writes_the_trunk_input_once(toy_setup, dtype):
     assert len(set(labels)) > 1
     enc_in = np.concatenate([rows, np.eye(model.k, dtype=dtype)[labels]], axis=1)
     expected = model.enc_mean_head.forward(model.encoder_trunk.forward(enc_in))
-    for corpus in (data, rows, data.astype(np.float64)):
+    for corpus in (rows, data.astype(np.float64)):
         latents, got = model.encode(corpus)
         assert np.array_equal(got, labels)
         assert latents.dtype == expected.dtype and latents.tobytes() == expected.tobytes()
+    # the uint8 trunk input is read over its set columns only, a GEMM over
+    # fewer terms
+    latents, got = model.encode(data)
+    assert np.array_equal(got, labels)
+    assert latents.dtype == expected.dtype and _relative_gap(latents, expected) < CORPUS_TOLERANCE[dtype]
     peak = _peak(model.encode, data)
     assert peak < 1.5 * enc_in.nbytes, f"peak {peak / enc_in.nbytes:.2f}x the trunk input"
 
@@ -683,3 +688,105 @@ def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_p
     gm.train(two, data)
     for name, net in two.networks().items():
         assert np.array_equal(saved.networks()[name].params, net.params), name
+
+
+# ---------------------------------------------------------------------------
+# eval passes: corpus forwards over the set columns of the uint8 matrix, and
+# generated tiles from the decoder's pre-sigmoid output
+
+# a forward over the uint8 corpus reads only its set columns, so its GEMM
+# sums fewer terms than over a float copy's whole rows: the largest gap,
+# relative to the largest value
+CORPUS_TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
+
+
+def _relative_gap(got, expected):
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+def _as_dtype(model, dtype):
+    """A copy of a model of either family with its parameters cast to dtype."""
+    if isinstance(model, bl.VaeGmmModel):
+        return dataclasses.replace(model, vae=_as_dtype(model.vae, dtype))
+    config = dataclasses.replace(model.config, dtype=dtype)
+    copy = type(model)(config, model.vocab)
+    for name, net in copy.networks().items():
+        net.params[...] = model.networks()[name].params
+    return copy
+
+
+def _decoder(model):
+    return model.vae.decoder if isinstance(model, bl.VaeGmmModel) else model.decoder
+
+
+@pytest.mark.parametrize("dtype", gm.DTYPES)
+@pytest.mark.parametrize("family", ["trained_gmvae", "trained_vae_gmm"])
+def test_generated_chunks_are_the_argmax_of_the_sigmoid_outputs(request, monkeypatch, family, dtype):
+    model = _as_dtype(request.getfixturevalue(family)[0], dtype)
+    decoder, t = _decoder(model), model.vocab.size
+    latents = []
+    forward_cached = nn.DenseNet.forward_cached
+
+    def recording(net, x, *args, **kwargs):
+        if net is decoder:
+            latents.append(x)
+        return forward_cached(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn.DenseNet, "forward_cached", recording)
+    for component in range(model.k):
+        chunks = model.generate(component, 200, np.random.default_rng(component))
+        (z,) = latents
+        outputs = decoder.forward(z)
+        latents.clear()
+        expected = np.argmax(outputs.reshape(len(chunks), 256, t), axis=2)
+        assert np.array_equal(np.stack([c.tiles.reshape(-1) for c in chunks]), expected)
+
+
+@pytest.mark.parametrize("dtype", gm.DTYPES)
+def test_a_cell_whose_sigmoid_outputs_tie_takes_the_larger_pre_activation(toy_setup, dtype):
+    vocab = toy_setup["vocab"]
+    model = _toy_model("gmvae", toy_setup["data"].shape[1], vocab, dtype=dtype)
+    last = model.decoder.layers[-1]
+    last.weight[...] = 0.0
+    last.bias[...] = -5.0
+    # cell 0: tile 0 at 40 and tile 1 at 41, whose sigmoids are both 1.0
+    last.bias[:2] = 40.0, 41.0
+    outputs = model.decoder.forward(np.zeros((1, model.config.latent_dim)))
+    assert outputs[0, 0] == outputs[0, 1] == 1.0
+    (chunk,) = model.generate(0, 1, np.random.default_rng(0))
+    assert chunk.tiles[0, 0] == 1
+    assert np.all(chunk.tiles.reshape(-1)[1:] == 0)
+
+
+@pytest.mark.parametrize("dtype", gm.DTYPES)
+@pytest.mark.parametrize("family", ["trained_gmvae", "trained_vae_gmm"])
+def test_the_uint8_corpus_answers_as_its_float64_copy(request, toy_setup, family, dtype):
+    model = _as_dtype(request.getfixturevalue(family)[0], dtype)
+    data = toy_setup["data"]
+    assert data.dtype == np.uint8
+    copy = data.astype(np.float64)
+    tolerance = CORPUS_TOLERANCE[dtype]
+    assert np.array_equal(model.predict(data), model.predict(copy))
+    (latents, labels), (copy_latents, copy_labels) = model.encode(data), model.encode(copy)
+    assert np.array_equal(labels, copy_labels)
+    assert latents.dtype == np.dtype(dtype) and _relative_gap(latents, copy_latents) < tolerance
+    if family == "trained_gmvae":
+        assert np.array_equal(gm.hard_labels(model, data), gm.hard_labels(model, copy))
+        logits = model.label_net.forward(data)
+        assert _relative_gap(logits, model.label_net.forward(copy)) < tolerance
+    else:
+        assert _relative_gap(bl.vae_encode(model.vae, data), bl.vae_encode(model.vae, copy)) < tolerance
+
+
+@pytest.mark.parametrize("dtype", gm.DTYPES)
+def test_hard_labels_makes_no_float_copy_of_the_corpus(trained_gmvae, toy_setup, dtype):
+    # the toy corpus tiled until a float copy of it dwarfs the model. The
+    # label net casts only the columns the rows set, 59% of them, so the
+    # pass holds their float copy, the uint8 gather it is cast from and
+    # the hidden layers' outputs, well below a full float copy
+    model = _as_dtype(trained_gmvae[0], dtype)
+    data = np.tile(toy_setup["data"], (10, 1))
+    copy_bytes = data.size * np.dtype(dtype).itemsize
+    set_share = float(data.any(axis=0).mean())
+    peak = _peak(gm.hard_labels, model, data)
+    assert peak < (set_share + 0.2) * copy_bytes, f"peak {peak / copy_bytes:.2f}x a {dtype} copy of the corpus"

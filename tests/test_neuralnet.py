@@ -197,6 +197,9 @@ def test_in_place_forward_is_the_textbook_forward_byte_for_byte(monkeypatch, blo
     for out in (net.forward(x), net.forward_cached(x, keep_cache=False)[0]):
         assert out.dtype == np.dtype(dtype) and out.tobytes() == ref_out.tobytes()
         assert not np.shares_memory(out, x) and not np.shares_memory(out, net.params)
+    # the forward that stops before the last activation, then that activation
+    pre, no_cache = net.forward_cached(x, keep_cache=False, pre_activation=True)
+    assert no_cache is None and nn.apply_activation(activations[-1], pre).tobytes() == ref_out.tobytes()
     out, cache = net.forward_cached(x)
     assert out.tobytes() == ref_out.tobytes() and cache[0][0] is x
     assert not np.shares_memory(out, x) and not np.shares_memory(out, net.params)
@@ -204,6 +207,28 @@ def test_in_place_forward_is_the_textbook_forward_byte_for_byte(monkeypatch, blo
     assert [a.tobytes() for a in grad_arrays(net)] == [a.tobytes() for a in ref_grads]
     assert grad_in.tobytes() == ref_in.tobytes()
     assert x.tobytes() == x_bytes and np.array_equal(net.params, params)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_integer_input_reads_only_its_set_columns(dtype):
+    # one-hot rows over 8 cells of 5 tiles that never use tiles 3 and 4
+    rng = np.random.default_rng(5)
+    net = nn.DenseNet([40, 16, 3], ["relu", "linear"], rng, dtype)
+    x = np.zeros((30, 40), dtype=np.uint8)
+    x.reshape(30, 8, 5)[np.arange(30)[:, None], np.arange(8), rng.integers(3, size=(30, 8))] = 1
+    assert not x.any(axis=0).all()
+    as_float = net.forward(x.astype(dtype))
+    out = net.forward(x)
+    assert out.dtype == np.dtype(dtype)
+    assert np.max(np.abs(out - as_float)) <= {"float64": 1e-12, "float32": 1e-5}[dtype] * np.max(np.abs(as_float))
+    # unset columns are not read: a NaN weight there changes nothing
+    net.layers[0].weight[:, ~x.any(axis=0)] = np.nan
+    assert np.array_equal(net.forward(x), out)
+    # a training forward keeps the whole cast input for backward
+    _, cache = net.forward_cached(x)
+    assert cache[0][0].shape == (30, 40) and cache[0][0].dtype == np.dtype(dtype)
+    with pytest.raises(ValueError):
+        net.forward_cached(x, keep_cache=True, pre_activation=True)
 
 
 def test_decoder_shaped_forward_peaks_below_one_and_a_half_outputs():
@@ -707,8 +732,13 @@ def test_loss_terms_keep_the_input_dtype(dtype):
     kl, kl_grads = nn.kl_diag(mu, var, np.zeros(5), np.ones(5), with_grad=True)
     logits = rng.standard_normal((4, 3)).astype(dtype)
     y, soft = nn.gumbel_softmax(logits, 0.7, nn.sample_gumbel(logits.shape, rng), hard=True)
-    for a in (loss, grad, kl, *kl_grads, nn.reparam_grad_var(var, eps), y, soft):
+    z, z_eps = nn.reparam_sample(mu, var, None, eps=eps)
+    drawn, drawn_eps = nn.reparam_sample(mu, var, np.random.default_rng(0))
+    for a in (loss, grad, kl, *kl_grads, nn.reparam_grad_var(var, eps), y, soft, z, z_eps, drawn, drawn_eps):
         assert a.dtype == np.dtype(dtype)
+    # the float64 noise cast, as the training step's latent sample takes it
+    assert np.array_equal(z, mu + np.sqrt(var) * eps.astype(dtype))
+    assert np.array_equal(drawn_eps, np.random.default_rng(0).standard_normal(mu.shape).astype(dtype))
 
 
 def test_loss_terms_compute_non_float_inputs_in_float64():
@@ -716,6 +746,7 @@ def test_loss_terms_compute_non_float_inputs_in_float64():
     assert nn.bce_loss([0, 1, 1], ones).dtype == np.float64
     assert nn.kl_diag(np.zeros(3, dtype=np.int64), ones, ones, ones).dtype == np.float64
     assert nn.reparam_grad_var(ones, ones).dtype == np.float64
+    assert nn.reparam_sample(np.zeros(3, dtype=np.int64), ones, None, eps=ones)[0].dtype == np.float64
     y, _ = nn.gumbel_softmax([0, 1, 2], 1.0, nn.sample_gumbel(3, np.random.default_rng(0)))
     assert y.dtype == np.float64
 
