@@ -36,7 +36,7 @@ class VaeModel(EncoderDecoder):
     def architecture(self):
         """{network name: (layer sizes, activations)} from the config, in
         the order the networks draw their initial weights."""
-        return self._encoder_decoder_architecture(self.config.d)
+        return self._encoder_decoder_architecture(len(self.support))
 
     def schedule(self, epoch):
         """The plain VAE has no temperature: (0.0, False) every epoch."""
@@ -52,7 +52,7 @@ class VaeModel(EncoderDecoder):
 
 def vae_loss(model, x, eps_noise):
     """Mean per-item (recon, kl) against the standard-normal prior."""
-    mu, var, x_hat, _ = model.encode_decode(x, eps_noise, keep_caches=False)
+    mu, var, x_hat, _ = model.encode_decode(model.gather(x), eps_noise, keep_caches=False)
     recon = nn.bce_loss(x_hat, x)
     kl = nn.kl_diag(mu, var, np.zeros_like(mu), np.ones_like(var))
     return float(np.mean(recon)), float(np.mean(kl))
@@ -61,7 +61,7 @@ def vae_loss(model, x, eps_noise):
 def vae_loss_and_grads(model, x, eps_noise):
     """Mean per-item (recon, kl), with the gradients backpropagated into the
     four nets' `grads`."""
-    mu, var, x_hat, caches = model.encode_decode(x, eps_noise)
+    mu, var, x_hat, caches = model.encode_decode(model.gather(x), eps_noise)
     recon, kl, _, _, _ = model.recon_kl_backward(
         x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
     )
@@ -77,9 +77,10 @@ def train_vae(data, config, level_types=None, sampler="uniform", log_every=None)
 
 def vae_encode(model, data):
     """Deterministic latent means (no sampling), in the model's dtype. Over
-    the uint8 corpus the trunk reads only the columns the rows set
-    (DenseNet.forward_cached), so no float copy of the corpus is made."""
-    h = model.encoder_trunk.forward(data)
+    the uint8 corpus the trunk reads only the support's columns (gather),
+    and as built only the ones the rows set, so no float copy of all d
+    columns is made."""
+    h = model.encoder_trunk.forward(model.gather(data))
     return model.enc_mean_head.forward(h)
 
 
@@ -314,6 +315,10 @@ class VaeGmmModel:
     @property
     def k(self):
         return self.gmm.k
+
+    @property
+    def support(self):
+        return self.vae.support
 
     def generate(self, component, n, rng):
         """Sample a GMM component, back-project through PCA, decode through

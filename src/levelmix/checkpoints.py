@@ -1,9 +1,12 @@
 """Checkpoint formats for trained models.
 
 A checkpoint holds one envelope: format, format_version, config, vocab,
-networks, history and run_info (plus pca and gmm for the baseline).
+support, networks, history and run_info (plus pca and gmm for the
+baseline). The support is the sorted list of input columns the model reads,
+as JSON integers; the label net's and the encoder trunk's first layers are
+as wide as it (plus k for the trunk).
 
-Format version 3, the only one written, is binary. It starts with the 8-byte
+Format version 4, the only one written, is binary. It starts with the 8-byte
 MAGIC, then the envelope's length as a little-endian uint64, then the
 envelope as UTF-8 JSON. A data section follows at the first 64-byte boundary
 after the envelope. Every numpy array in the envelope is a blob
@@ -15,9 +18,10 @@ their views of the net's parameter buffer), so parameters survive save/load
 bit-exactly with no decoding step. Scalars and plain lists (history,
 total_variance, m, the EM trace) stay JSON numbers.
 
-Only version 3 is read. Versions 1 and 2, the JSON text that levelmix wrote
-before format 3, no longer load: such a file is a DataError that names its
-format_version. Loading rejects a network with a NaN or infinite parameter.
+Only version 4 is read. Version 3, the same layout without a support and
+with d-wide input nets, and versions 1 and 2, JSON text, no longer load:
+such a file is a DataError that names its format_version. Loading rejects
+a network with a NaN or infinite parameter.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -44,7 +48,7 @@ from .neuralnet import DenseNet
 
 FORMAT_GMVAE = "levelmix-gmvae"
 FORMAT_VAE_GMM = "levelmix-vae-gmm"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 BLOB_DTYPES = ("<f8", "<f4")
 # neither JSON nor UTF-8, so a file damaged in text mode is told apart
 MAGIC = b"\x89LVLMIX\n"
@@ -73,7 +77,7 @@ class _BlobWriter:
 
 
 class _BlobFile:
-    """The data section of an open format-3 file: each blob is checked
+    """The data section of an open checkpoint file: each blob is checked
     against the file's size, then read straight into the array it fills."""
 
     def __init__(self, f, start, size):
@@ -133,10 +137,10 @@ def _net_from_dict(data, sizes, activations, dtype, arrays):
     expected = [((n_out, n_in), (n_out,)) for n_in, n_out in zip(sizes, sizes[1:])]
     # checked before the buffer is allocated, so a forged config cannot size it
     if shapes != expected:
-        raise DataError(f"layer shapes {shapes} where the config gives {expected}")
+        raise DataError(f"layer shapes {shapes} where the config and the support give {expected}")
     if [entry["activation"] for entry in entries] != activations:
         raise DataError(f"layer activations are not the config's {activations}")
-    net = DenseNet.zeros(sizes, activations, dtype)
+    net = DenseNet(sizes, activations, None, dtype)
     for entry, layer in zip(entries, net.layers):
         arrays.read(entry["weight"], net.dtype, out=layer.weight)
         arrays.read(entry["bias"], net.dtype, out=layer.bias)
@@ -174,7 +178,7 @@ def _history_from_dict(data):
 
 
 def _dump(path, payload, blobs):
-    """Write the format-3 file to <path>.tmp, sync it, then rename it over
+    """Write the checkpoint file to <path>.tmp, sync it, then rename it over
     path, so a failed save leaves the previous file as it was."""
     header = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     start = _aligned(len(MAGIC) + HEADER_LENGTH.size + len(header))
@@ -196,14 +200,17 @@ def _dump(path, payload, blobs):
         raise
 
 
-def _envelope(fmt, vocab, config, nets, history, run_info, blobs):
+def _envelope(fmt, vocab, model, history, run_info, blobs):
+    """The envelope of the config, support and networks of a GmvaeModel or
+    VaeModel, without a baseline's PCA and GMM."""
     return {
         "format": fmt,
         "format_version": FORMAT_VERSION,
         "game": vocab.game if vocab else "",
-        "config": vars(config),
+        "config": vars(model.config),
         "vocab": _vocab_to_dict(vocab),
-        "networks": {name: _net_to_dict(net, blobs) for name, net in nets.items()},
+        "support": model.support.tolist(),
+        "networks": {name: _net_to_dict(net, blobs) for name, net in model.networks().items()},
         "history": None if history is None else vars(history),
         "run_info": run_info,
     }
@@ -211,15 +218,13 @@ def _envelope(fmt, vocab, config, nets, history, run_info, blobs):
 
 def save_gmvae(path, model, history=None, run_info=None):
     blobs = _BlobWriter()
-    payload = _envelope(FORMAT_GMVAE, model.vocab, model.config, model.networks(), history, run_info, blobs)
+    payload = _envelope(FORMAT_GMVAE, model.vocab, model, history, run_info, blobs)
     _dump(path, payload, blobs)
 
 
 def save_vae_gmm(path, model, history=None, run_info=None):
     blobs = _BlobWriter()
-    payload = _envelope(
-        FORMAT_VAE_GMM, model.vocab, model.vae.config, model.vae.networks(), history, run_info, blobs
-    )
+    payload = _envelope(FORMAT_VAE_GMM, model.vocab, model.vae, history, run_info, blobs)
     payload["pca"] = {
         "mean": blobs.add(model.pca.mean),
         "axes": blobs.add(model.pca.axes),
@@ -236,12 +241,25 @@ def save_vae_gmm(path, model, history=None, run_info=None):
     _dump(path, payload, blobs)
 
 
+def _support(value, d):
+    """The support as an index array, once it is a strictly increasing list
+    of integers in [0, d)."""
+    if not (isinstance(value, list) and all(type(c) is int and 0 <= c < d for c in value)):
+        raise DataError(f"support is not a list of integers in [0, {d})")
+    support = np.array(value, dtype=np.intp)
+    if np.any(np.diff(support) <= 0):
+        raise DataError("support is not strictly increasing")
+    return support
+
+
 def _rebuild(model_cls, config_cls, payload, arrays):
-    """A model_cls with the payload's validated config and vocab, and the
-    networks of the shapes that config gives."""
+    """A model_cls with the payload's validated config, vocab and support,
+    and the networks of the shapes they give."""
     model = model_cls.__new__(model_cls)
     model.config = config_cls(**payload["config"]).validate()
     model.vocab = _vocab_from_dict(payload["vocab"])
+    # checked before architecture() sizes any buffer from it
+    model.support = _support(payload["support"], model.config.d)
     for name, (sizes, activations) in model.architecture().items():
         net = _net_from_dict(payload["networks"][name], sizes, activations, model.config.dtype, arrays)
         if not np.isfinite(net.params).all():
@@ -302,7 +320,7 @@ def _build(path, payload, arrays):
 
 
 def _read_blob_file(path, f):
-    """(kind, model, history) from the format-3 file open as f, just past
+    """(kind, model, history) from the checkpoint file open as f, just past
     its magic."""
     size = os.fstat(f.fileno()).st_size
     raw = f.read(HEADER_LENGTH.size)
@@ -322,8 +340,8 @@ def _read_blob_file(path, f):
 
 def load_any(path):
     """(kind, model, history) for either checkpoint family, parsed once.
-    Any malformed content, and any file without the format-3 magic, raises
-    DataError, which names the format_version of a format 1 or 2 file."""
+    Any malformed content, and any file without the magic, raises
+    DataError, which names the format_version of a format 1, 2 or 3 file."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) == MAGIC:
             return _read_blob_file(path, f)
@@ -336,7 +354,7 @@ def load_any(path):
     if isinstance(fmt, str) and fmt in _KINDS:
         version = payload.get("format_version")
         raise DataError(f"{path}: {fmt} format_version {version!r} is JSON text, no longer read")
-    raise DataError(f"{path}: not a levelmix checkpoint (no format-{FORMAT_VERSION} magic)")
+    raise DataError(f"{path}: not a levelmix checkpoint (no checkpoint magic)")
 
 
 def history_to_csv(history):

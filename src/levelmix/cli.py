@@ -132,12 +132,17 @@ def _vocab(args, model):
 def _model_corpus(args, model):
     """The manifest's chunks, their tile ids renumbered to the checkpoint's
     vocab, and their one-hot matrix in that vocab. A checkpoint without a
-    vocab takes the manifest's own."""
+    vocab takes the manifest's own. The model ignores set columns outside
+    its support, and a warning on stderr counts them."""
     _, vocab, chunks = _load_corpus(args, heuristic_types=True)
     if model.vocab is not None:
         chunks = cp.renumber_chunks(chunks, vocab, model.vocab)
         vocab = model.vocab
-    return chunks, cp.encode_chunks(chunks, vocab)
+    data = cp.encode_chunks(chunks, vocab)
+    outside = np.setdiff1d(np.flatnonzero(data.any(axis=0)), model.support).size
+    if outside:
+        print(f"warning: {outside} set one-hot columns are outside the model's support and are ignored", file=sys.stderr)
+    return chunks, data
 
 
 def _ingest(manifest_path, heuristic_types=False):

@@ -2,12 +2,16 @@
 decoder networks, the two-term loss, the training loop and per-component
 generation.
 
-Network layout (default widths, all configurable):
-  label net    d -> 512 -> 512 -> 512 (relu) -> k logits, Gumbel-Softmax sample
+Network layout (default widths, all configurable), with s = len(support):
+  label net    s -> 512 -> 512 -> 512 (relu) -> k logits, Gumbel-Softmax sample
   prior means  k -> 64 linear
   prior vars   k -> 64 softplus
-  encoder      (d + k) -> 512 -> 512 -> 512 (relu) -> {64 linear, 64 softplus}
+  encoder      (s + k) -> 512 -> 512 -> 512 (relu) -> {64 linear, 64 softplus}
   decoder      64 -> 512 -> 512 -> 512 (relu) -> d sigmoid
+
+The support is the sorted list of input columns the model reads: all d as
+built, and after fit the ones its training data sets. The label net and
+the encoder read only the support's columns of x; the decoder outputs all d.
 
 Loss per item: recon_weight * BCE(decoder(z), x) + kl_weight * KL(q(z|x,y) || p(z|y))
 with y the sampled label, z the reparameterized latent.
@@ -139,9 +143,8 @@ class EncoderDecoder:
     both model families share. Subclasses give their networks' shapes in
     architecture()."""
 
-    # the networks that read the raw input x as their first config.d input
-    # columns; fit trains copies of them that read only the columns the
-    # data sets
+    # the networks that read the support's columns of x as their first
+    # len(support) input columns
     INPUT_NETS = ("encoder_trunk",)
 
     def _encoder_decoder_architecture(self, in_dim):
@@ -155,11 +158,41 @@ class EncoderDecoder:
         }
 
     def _build_networks(self):
-        """Every network, each drawing its initial weights in turn from one
-        generator seeded with config.rng_seed."""
+        """Every network over the full support, each drawing its initial
+        weights in turn from one generator seeded with config.rng_seed."""
+        self.support = np.arange(self.config.d)
         rng = np.random.default_rng(self.config.rng_seed)
         for name, (sizes, activations) in self.architecture().items():
             setattr(self, name, DenseNet(sizes, activations, rng, self.config.dtype))
+
+    def gather(self, x, tail=0):
+        """The support's columns of x (..., d) in the model's dtype, then
+        `tail` zero columns; a set column outside the support is dropped.
+        With the full support an integer x keeps its dtype, and with no
+        tail x itself is returned, so the input nets read only the set
+        columns of an integer corpus (DenseNet.forward_cached), not a float
+        copy of all d."""
+        x = np.asarray(x)
+        if x.shape[-1] != self.config.d:
+            raise DimensionMismatch(f"input has {x.shape[-1]} features, the model expects {self.config.d}")
+        s, full = len(self.support), len(self.support) == self.config.d
+        if full and not tail:
+            return x
+        out = np.zeros(x.shape[:-1] + (s + tail,), x.dtype if full and x.dtype.kind in "biu" else self.config.dtype)
+        # np.take's copy is freed once written, so only out stays
+        out[..., :s] = x if full else np.take(x, self.support, axis=-1)
+        return out
+
+    def narrow(self, support):
+        """Make the input nets read only the given columns, a sorted subset
+        of the support: their first layers keep those columns' weights."""
+        keep = np.searchsorted(self.support, support)
+        for name in self.INPUT_NETS:
+            net = getattr(self, name)
+            # a trunk's label columns, past the support, are always read
+            tail = np.arange(len(self.support), net.layers[0].in_dim)
+            setattr(self, name, net.keep_inputs(np.concatenate([keep, tail])))
+        self.support = np.asarray(support, dtype=np.intp)
 
     def networks(self):
         """{name: net} in architecture order, which is also the optimizer
@@ -230,10 +263,10 @@ class GmvaeModel(EncoderDecoder):
         cfg = self.config
         w, depth, ld, k = cfg.hidden_width, cfg.hidden_depth, cfg.latent_dim, cfg.k
         return {
-            "label_net": ([cfg.d] + [w] * depth + [k], ["relu"] * depth + ["linear"]),
+            "label_net": ([len(self.support)] + [w] * depth + [k], ["relu"] * depth + ["linear"]),
             "prior_mean_net": ([k, ld], ["linear"]),
             "prior_var_net": ([k, ld], ["softplus"]),
-            **self._encoder_decoder_architecture(cfg.d + k),
+            **self._encoder_decoder_architecture(len(self.support) + k),
         }
 
     @property
@@ -260,17 +293,11 @@ class GmvaeModel(EncoderDecoder):
 
     def encode(self, data):
         """(latent means, hard labels) per row; the encoder sees each row's
-        hard label as a one-hot. The rows are written once into the trunk's
-        input, beside that one-hot: in their own dtype if it is an integer
-        one (the uint8 corpus), so the trunk reads only the set columns,
-        and in the model's dtype otherwise."""
-        data = np.asarray(data)
+        hard label as a one-hot. The rows are gathered once into the
+        trunk's input, beside that one-hot (see gather for its dtype)."""
         labels = hard_labels(self, data)
-        n, d = len(labels), self.config.d
-        dtype = data.dtype if data.dtype.kind in "biu" else self.config.dtype
-        enc_in = np.zeros((n, d + self.k), dtype=dtype)
-        enc_in[:, :d] = data
-        enc_in[np.arange(n), d + labels] = 1.0
+        enc_in = self.gather(data, tail=self.k)
+        enc_in[np.arange(len(labels)), len(self.support) + labels] = 1
         h = self.encoder_trunk.forward(enc_in)
         return self.enc_mean_head.forward(h), labels
 
@@ -282,12 +309,13 @@ def build_model(config, vocab=None):
 
 def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
     """Shared forward for loss evaluation and backprop."""
-    logits, label_cache = model.label_net.forward_cached(x, keep_cache=keep_caches)
+    x_s = model.gather(x)
+    logits, label_cache = model.label_net.forward_cached(x_s, keep_cache=keep_caches)
     y, soft_y = nn.gumbel_softmax(logits, tau, gumbel_noise, hard=hard)
     mu_p, pmean_cache = model.prior_mean_net.forward_cached(y, keep_cache=keep_caches)
     var_p, pvar_cache = model.prior_var_net.forward_cached(y, keep_cache=keep_caches)
     mu_q, var_q, x_hat, enc_caches = model.encode_decode(
-        np.concatenate([x, y], axis=1), eps_noise, keep_caches
+        np.concatenate([x_s, y], axis=1), eps_noise, keep_caches
     )
     caches = {
         "label": label_cache,
@@ -410,14 +438,12 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     is recorded. A NonFiniteLoss from a step is raised again naming the
     1-based epoch and step within it.
 
-    The networks that read the raw input (model.INPUT_NETS) train as copies
-    that read only the input columns data sets (DenseNet.input_subset): a
-    column that is zero in every row gives its weights a zero gradient and
-    so a zero Adam update, and the copies skip that work. While fit runs,
-    model.networks() gives the copies, except inside on_epoch; their values
-    are written back into the full networks before each on_epoch and at
-    every exit, and the weights of the unset columns keep their values.
-    Returns the TrainingHistory; the model is updated in place.
+    Before the first step fit narrows the model (model.narrow) to the
+    support columns data sets: a column that is zero in every row would
+    give its weights a zero gradient and so a zero Adam update, so the
+    input nets drop it. Data of the wrong shape is rejected before the
+    model is touched. Returns the TrainingHistory; the model is updated
+    in place.
     """
     cfg = model.config
     if log_every is not None and log_every < 1:
@@ -427,6 +453,8 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     if sampler == "balanced" and level_types is None:
         raise MissingLabels("the balanced sampler needs level_types")
     data = np.asarray(data)
+    if data.ndim != 2 or data.shape[1] != cfg.d:
+        raise DimensionMismatch(f"data must be (n, {cfg.d}), got {data.shape}")
     n = data.shape[0]
     if n == 0:
         raise DimensionMismatch("no training data")
@@ -436,60 +464,39 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
     # the plain VAE has no balance term; its StepLosses carry label_balance 0.0
     balance_weight = getattr(cfg, "label_balance_weight", 0.0)
-    full = {name: getattr(model, name) for name in model.INPUT_NETS}
-    set_columns = np.flatnonzero(data.any(axis=0))
-    # a trunk's label columns, past d, are always read
-    read = {name: np.concatenate([set_columns, np.arange(cfg.d, net.in_dim)]) for name, net in full.items()}
-
-    def use_copies():
-        for name, net in full.items():
-            setattr(model, name, net.input_subset(read[name]))
-
-    def restore_full():
-        for name, net in full.items():
-            copy = getattr(model, name)
-            if copy is not net:
-                net.write_back(copy)
-                setattr(model, name, net)
-
-    try:
-        use_copies()
-        optimizers = make_optimizers(model)
-        for epoch in range(cfg.epochs):
-            tau, hard = model.schedule(epoch)
-            order = balanced.draw(n) if balanced is not None else rng.permutation(n)
-            recon_sum = kl_sum = balance_sum = 0.0
-            count = 0
-            for b in range(batches_per_epoch):
-                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                try:
-                    losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
-                except NonFiniteLoss as exc:
-                    raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
-                recon_sum += losses.recon * len(idx)
-                kl_sum += losses.kl * len(idx)
-                balance_sum += losses.label_balance * len(idx)
-                count += len(idx)
-            mean_recon = recon_sum / count
-            mean_kl = kl_sum / count
-            mean_balance = balance_sum / count
-            total = (
-                cfg.recon_weight * mean_recon
-                + cfg.kl_weight * mean_kl
-                + balance_weight * mean_balance
+    model.narrow(model.support[data.any(axis=0)[model.support]])
+    optimizers = make_optimizers(model)
+    for epoch in range(cfg.epochs):
+        tau, hard = model.schedule(epoch)
+        order = balanced.draw(n) if balanced is not None else rng.permutation(n)
+        recon_sum = kl_sum = balance_sum = 0.0
+        count = 0
+        for b in range(batches_per_epoch):
+            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            try:
+                losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
+            recon_sum += losses.recon * len(idx)
+            kl_sum += losses.kl * len(idx)
+            balance_sum += losses.label_balance * len(idx)
+            count += len(idx)
+        mean_recon = recon_sum / count
+        mean_kl = kl_sum / count
+        mean_balance = balance_sum / count
+        total = (
+            cfg.recon_weight * mean_recon
+            + cfg.kl_weight * mean_kl
+            + balance_weight * mean_balance
+        )
+        history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
+        if log_every is not None and (epoch + 1) % log_every == 0:
+            print(
+                f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
+                f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
             )
-            history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
-            if log_every is not None and (epoch + 1) % log_every == 0:
-                print(
-                    f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
-                    f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
-                )
-            if on_epoch is not None:
-                restore_full()
-                on_epoch(epoch, history)
-                use_copies()
-    finally:
-        restore_full()
+        if on_epoch is not None:
+            on_epoch(epoch, history)
     return history
 
 
@@ -553,7 +560,7 @@ def decode_generated(decoder, latents, vocab, component):
 def hard_labels(model, data):
     """Deterministic component labels: argmax of the label-net logits
     (the zero-temperature, no-noise limit). Over the uint8 corpus the
-    label net reads only the columns the rows set (DenseNet.forward_cached),
-    so no float copy of the corpus is made."""
-    logits = model.label_net.forward(data)
+    label net reads only the support's columns (gather), and as built only
+    the ones the rows set, so no float copy of all d columns is made."""
+    logits = model.label_net.forward(model.gather(data))
     return np.argmax(logits, axis=1)

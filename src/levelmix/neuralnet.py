@@ -139,35 +139,15 @@ class DenseNet:
     gradients in a same-shaped buffer, `grads`; each layer's weight and
     bias are views into `params`, layer by layer, weight before bias.
 
-    A training copy made by input_subset reads only some columns of its
-    input: `columns` holds them (sorted), and its first layer holds only
-    their weights. `columns` is None for a full net. An inference forward
-    of a full net over integer input (the uint8 one-hot corpus) reads
-    only the columns its rows set, in the same gather step, so no pass
-    over the corpus makes an (n, d) float copy of it.
+    An inference forward over integer input (the uint8 one-hot corpus)
+    reads only the columns its rows set, so no pass over the corpus makes
+    an (n, d) float copy of it.
     """
 
     def __init__(self, sizes, activations, rng, dtype="float64"):
-        self._allocate(sizes, activations, dtype)
-        for layer in self.layers:
-            fan_in, fan_out = layer.in_dim, layer.out_dim
-            if layer.activation == "relu":
-                bound = np.sqrt(6.0 / fan_in)
-            else:
-                bound = np.sqrt(6.0 / (fan_in + fan_out))
-            layer.weight[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-    @classmethod
-    def zeros(cls, sizes, activations, dtype="float64"):
-        """A net with every parameter zero, for callers that write the
-        parameters in place (the checkpoint loader decodes into the views)."""
-        net = cls.__new__(cls)
-        net._allocate(sizes, activations, dtype)
-        return net
-
-    def _allocate(self, sizes, activations, dtype, params=None, grads=None):
-        """Lay the layers out over params and grads, or over new zero
-        buffers."""
+        """With rng None every parameter stays zero, for callers that write
+        the parameters in place (the checkpoint loader decodes into the
+        views)."""
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ShapeMismatch(
                 f"need len(sizes) >= 2 and one activation per layer, "
@@ -177,11 +157,10 @@ class DenseNet:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.dtype = np.dtype(dtype)
-        self.columns = None
         total = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        self.params = np.zeros(total, dtype=self.dtype) if params is None else params
+        self.params = np.zeros(total, dtype=self.dtype)
         # zero pages are only touched by the first backward
-        self.grads = np.zeros(total, dtype=self.dtype) if grads is None else grads
+        self.grads = np.zeros(total, dtype=self.dtype)
         self.layers = []
         self._grad_views = []
         offset = 0
@@ -193,53 +172,30 @@ class DenseNet:
             )
             self._grad_views.append((self.grads[offset:w_end].reshape(fan_out, fan_in), self.grads[w_end:b_end]))
             offset = b_end
+        if rng is None:
+            return
+        for layer in self.layers:
+            fan_in, fan_out = layer.in_dim, layer.out_dim
+            if layer.activation == "relu":
+                bound = np.sqrt(6.0 / fan_in)
+            else:
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+            layer.weight[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
-    @property
-    def in_dim(self):
-        """The width of the input the net reads; for a training copy, the
-        full net's."""
-        return self.layers[0].in_dim if self.columns is None else self._full_in_dim
-
-    def input_subset(self, columns):
-        """A training copy that reads only the given input columns (sorted),
-        laid over the ends of this net's parameter and gradient buffers: its
-        first layer holds only those columns' weights and overwrites the end
-        of this net's first-layer weights, and its other layers are this
-        net's own. An input column that training never sets gets a zero
-        gradient, which Adam turns into a zero update, so the copy trains as
-        this net would. This net's first layer is not valid until
-        write_back(copy), and a copy's backward overwrites this net's
-        gradients. The copy cannot give the gradient of a column it does not
-        read."""
-        columns = np.asarray(columns, dtype=np.intp)
-        w0 = self.layers[0].weight
-        out, n_in = w0.shape
-        start = out * (n_in - len(columns))
-        copy = DenseNet.__new__(DenseNet)
-        copy._allocate(
+    def keep_inputs(self, columns):
+        """A new net that reads only the given columns of this net's input:
+        its first layer holds their weights, and its other parameters are
+        copies of this net's."""
+        net = DenseNet(
             [len(columns)] + [layer.out_dim for layer in self.layers],
             [layer.activation for layer in self.layers],
+            None,
             self.dtype,
-            self.params[start:],
-            self.grads[start:],
         )
-        # the rows from first_row on are overwritten: keep their unread weights
-        first_row = start // n_in
-        unread = np.setdiff1d(np.arange(n_in), columns, assume_unique=True)
-        copy._overwritten = (first_row, unread, w0[first_row:, unread])
-        copy.layers[0].weight[...] = w0[:, columns]
-        copy.columns, copy._full_in_dim = columns, n_in
-        return copy
-
-    def write_back(self, copy):
-        """Make this net's first layer valid again after input_subset, with
-        the copy's trained weights in the columns it reads and the others
-        as they were; the copy is not valid afterwards."""
-        trained = copy.layers[0].weight.copy()
-        first_row, unread, kept = copy._overwritten
-        w0 = self.layers[0].weight
-        w0[first_row:, unread] = kept
-        w0[:, copy.columns] = trained
+        w0 = net.layers[0].weight
+        w0[...] = self.layers[0].weight[:, columns]
+        net.params[w0.size :] = self.params[self.layers[0].weight.size :]
+        return net
 
     def forward(self, x):
         out, _ = self.forward_cached(x, keep_cache=False)
@@ -250,14 +206,12 @@ class DenseNet:
         for backward, with the pre-activation z kept only by softplus
         layers (None elsewhere); with keep_cache=False it is None.
 
-        The first layer reads only the input columns its answer needs: a
-        training copy's `columns`, or, for integer input to a full net that
-        keeps no cache (the uint8 one-hot corpus), the columns some row
-        sets. Only those columns are cast to the net's dtype, and they are
-        multiplied by the matching first-layer weight columns; an unset
-        column adds 0 to every sum. The one GEMM sums fewer terms than over
-        the whole row, so its output can differ from a float copy's in the
-        last bits.
+        For integer input without a cache (the uint8 one-hot corpus), the
+        first layer reads only the columns some row sets: only those are
+        cast to the net's dtype, and they are multiplied by the matching
+        first-layer weight columns; an unset column adds 0 to every sum.
+        The one GEMM sums fewer terms than over the whole row, so its
+        output can differ from a float copy's in the last bits.
 
         With pre_activation=True the last layer stops at z = a @ W.T + b,
         without its activation, and no cache is kept: an increasing
@@ -266,12 +220,12 @@ class DenseNet:
         if keep_cache and pre_activation:
             raise ValueError("a forward that stops before the last activation keeps no cache")
         x = np.asarray(x)
-        if x.shape[-1] != self.in_dim:
+        if x.shape[-1] != self.layers[0].in_dim:
             raise DimensionMismatch(
-                f"input has {x.shape[-1]} features, net expects {self.in_dim}"
+                f"input has {x.shape[-1]} features, net expects {self.layers[0].in_dim}"
             )
-        columns, w0 = self.columns, self.layers[0].weight
-        if columns is None and not keep_cache and x.dtype.kind in "biu":
+        columns, w0 = None, self.layers[0].weight
+        if not keep_cache and x.dtype.kind in "biu":
             columns = np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0))
             w0 = w0[:, columns]
         # the gathered integer columns are freed once cast
@@ -308,11 +262,6 @@ class DenseNet:
         """
         if cache is None or len(cache) != len(self.layers):
             raise NoCache("forward cache missing or stale")
-        if input_tail != 0 and self.columns is not None:
-            # a copy holds the weights of the input tail only if it reads all of it
-            tail = self.in_dim if input_tail is None else input_tail
-            if tail > len(self.columns) or self.columns[-tail] != self.in_dim - tail:
-                raise DimensionMismatch("a training copy cannot give the gradient of input columns it does not read")
         g = np.asarray(grad_out, dtype=self.dtype)
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]

@@ -90,7 +90,7 @@ def grad_arrays(net):
 
 
 def split_checkpoint(raw):
-    """(header, data section) of a format-3 checkpoint's bytes."""
+    """(header, data section) of a checkpoint's bytes."""
     assert raw[:8] == ckpt.MAGIC
     (length,) = struct.unpack_from("<Q", raw, 8)
     end = 16 + length
@@ -98,7 +98,7 @@ def split_checkpoint(raw):
 
 
 def join_checkpoint(header, data):
-    """A format-3 checkpoint of header and an unchanged data section, which
+    """A checkpoint of header and an unchanged data section, which
     starts at the first 64-byte boundary after the header."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return ckpt.MAGIC + struct.pack("<Q", len(head)) + head + bytes(-(16 + len(head)) % 64) + data

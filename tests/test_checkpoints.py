@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FUZZ, small_gmvae_config, split_checkpoint
+from conftest import FUZZ, join_checkpoint, small_gmvae_config, split_checkpoint
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import cli
@@ -169,13 +169,14 @@ def blob_entries(node):
 
 
 @pytest.mark.parametrize("family,dtype", FAMILIES)
-def test_v3_save_writes_aligned_blobs_and_loads_writable(family, dtype, toy_setup, tmp_path):
+def test_save_writes_aligned_blobs_and_loads_writable(family, dtype, toy_setup, tmp_path):
     model, history = toy_model(family, dtype, toy_setup)
     path = tmp_path / "model.ckpt"
     save(family, path, model, history)
     raw = path.read_bytes()
     header, data = split_checkpoint(raw)
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
+    assert header["support"] == model.support.tolist()
     assert not has_float_list(header["networks"])
     assert header["networks"]["decoder"]["layers"][0]["weight"]["dtype"] == np.dtype(dtype).newbyteorder("<").str
     assert (len(raw) - len(data)) % 64 == 0
@@ -209,6 +210,26 @@ def test_v3_save_writes_aligned_blobs_and_loads_writable(family, dtype, toy_setu
         gm.train(loaded, toy_setup["data"][:64])
 
 
+@pytest.mark.parametrize("family,dtype", FAMILIES)
+def test_a_trained_narrowed_model_round_trips(family, dtype, toy_setup, tmp_path):
+    model, history = toy_model(family, dtype, toy_setup)
+    data = toy_setup["data"]
+    # trained on the first 96 chunks, so the whole corpus sets columns
+    # outside the support
+    assert 0 < len(model.support) < np.count_nonzero(data.any(axis=0))
+    path = tmp_path / "model.ckpt"
+    save(family, path, model, history)
+    _, loaded, _ = ckpt.load_any(path)
+    assert_same_params(model, loaded)
+    assert loaded.support.dtype == np.intp and np.array_equal(loaded.support, model.support)
+    assert np.array_equal(loaded.predict(data), model.predict(data))
+    (latents, labels), (loaded_latents, loaded_labels) = model.encode(data), loaded.encode(data)
+    assert np.array_equal(loaded_labels, labels) and loaded_latents.tobytes() == latents.tobytes()
+    for component in range(model.k):
+        chunks, loaded_chunks = (m.generate(component, 5, np.random.default_rng(component)) for m in (model, loaded))
+        assert all(np.array_equal(a.tiles, b.tiles) for a, b in zip(chunks, loaded_chunks))
+
+
 def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch):
     model, history = toy_model("gmvae", "float64", toy_setup)
     path = tmp_path / "model.json"
@@ -227,7 +248,7 @@ def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch)
 
 @pytest.fixture(scope="module")
 def fuzz_workspace(tmp_path_factory):
-    """A tiny toy corpus and a model of each family, as format-3 and
+    """A tiny toy corpus and a model of each family, as format-4 and
     format-2 bytes, with the length of the header part of each. Format 2
     no longer loads, so its damaged copies test the exit-2 path of a file
     without the magic."""
@@ -239,18 +260,20 @@ def fuzz_workspace(tmp_path_factory):
         argv = [command, "--manifest", manifest, "--k", "2", "--out", str(path), "--epochs", "1"]
         argv += ["--hidden-width", "8", "--hidden-depth", "1", "--latent-dim", "2", "--seed", "1"]
         assert cli.run(argv) == 0
-        v3 = path.read_bytes()
+        v4 = path.read_bytes()
         _, model, history = ckpt.load_any(path)
         v2 = json.dumps(json_payload(family, model, history, 2), sort_keys=True, separators=(",", ":")).encode()
-        # format 2 is all header; format 3's header ends where its data section starts
+        # format 2 is all header; format 4's header ends where its data section starts
         files[family, 2] = (v2, len(v2))
-        files[family, 3] = (v3, len(v3) - len(split_checkpoint(v3)[1]))
+        files[family, 4] = (v4, len(v4) - len(split_checkpoint(v4)[1]))
     return {"root": root, "manifest": manifest, "files": files}
 
 
 def assert_clean_exit(workspace, raw):
     """generate and eval-cluster on a damaged checkpoint exit 0, 2 or 3,
-    each with at most one JSON error line and never an uncaught exception."""
+    each with at most one JSON error line and never an uncaught exception.
+    A damaged support may still load, and eval-cluster then counts the
+    corpus columns outside it in one warning line, with exit 0."""
     path = workspace["root"] / "damaged.ckpt"
     path.write_bytes(raw)
     for argv in (
@@ -262,6 +285,8 @@ def assert_clean_exit(workspace, raw):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.run(argv)
         lines = err.getvalue().splitlines()
+        if code == 0 and lines and argv[0] == "eval-cluster":
+            assert lines.pop(0).endswith("set one-hot columns are outside the model's support and are ignored")
         assert code in (0, 2, 3), (argv[0], code, lines)
         assert len(lines) == (code != 0), (argv[0], code, lines)
         if lines:
@@ -269,7 +294,7 @@ def assert_clean_exit(workspace, raw):
 
 
 FUZZ_FILES = pytest.mark.parametrize(
-    "family,version", [("gmvae", 3), ("gmvae", 2), ("vae-gmm", 3), ("vae-gmm", 2)]
+    "family,version", [("gmvae", 4), ("gmvae", 2), ("vae-gmm", 4), ("vae-gmm", 2)]
 )
 # damaged weights may be inf or nan, and numpy warns about the arithmetic
 QUIET = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -303,15 +328,39 @@ def test_checkpoint_with_a_flipped_byte_exits_cleanly(fuzz_workspace, family, ve
 @FUZZ
 @given(length=st.integers(0, 2**64 - 1))
 def test_checkpoint_with_any_header_length_exits_cleanly(fuzz_workspace, family, version, length):
-    # bytes 8-16 are format 3's header length; in format 2 they are JSON text
+    # bytes 8-16 are format 4's header length; in format 2 they are JSON text
     raw, _ = fuzz_workspace["files"][family, version]
     assert_clean_exit(fuzz_workspace, raw[:8] + struct.pack("<Q", length) + raw[16:])
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=3))
+
+
+@QUIET
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_with_any_support_exits_cleanly(fuzz_workspace, family, data):
+    raw, _ = fuzz_workspace["files"][family, 4]
+    header, blobs = split_checkpoint(raw)
+    support, d = header["support"], header["config"]["d"]
+    header["support"] = data.draw(st.one_of(
+        # valid supports of the stored length, which load with other columns
+        st.lists(st.integers(0, d - 1), min_size=len(support), max_size=len(support), unique=True).map(sorted),
+        # the stored support with one entry replaced
+        st.tuples(st.integers(0, len(support) - 1), JSON_SCALARS).map(
+            lambda edit: support[: edit[0]] + [edit[1]] + support[edit[0] + 1 :]
+        ),
+        st.lists(JSON_SCALARS, max_size=len(support) + 2),
+        JSON_SCALARS,
+    ))
+    assert_clean_exit(fuzz_workspace, join_checkpoint(header, blobs))
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 def test_non_finite_parameter_exits_2_naming_the_network(fuzz_workspace, family, value):
-    raw, _ = fuzz_workspace["files"][family, 3]
+    raw, _ = fuzz_workspace["files"][family, 4]
     header, data = split_checkpoint(raw)
     blob = header["networks"]["decoder"]["layers"][-1]["bias"]
     at = len(raw) - len(data) + blob["offset"]

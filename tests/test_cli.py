@@ -246,7 +246,7 @@ def _unknown_format(header):
 
 @_edit_header
 def _future_version(header):
-    header["format_version"] = 4
+    header["format_version"] = 5
 
 
 @_edit_header
@@ -271,6 +271,72 @@ def _latent_dim_config(header):
     header["config"]["latent_dim"] += 1
 
 
+@_edit_header
+def _no_support(header):
+    del header["support"]
+
+
+@_edit_header
+def _unsorted_support(header):
+    support = header["support"]
+    support[0], support[1] = support[1], support[0]
+
+
+@_edit_header
+def _duplicate_support(header):
+    # the length still matches the first layers
+    header["support"][1] = header["support"][0]
+
+
+@_edit_header
+def _negative_support(header):
+    header["support"][0] = -1
+
+
+@_edit_header
+def _support_past_d(header):
+    header["support"][-1] = header["config"]["d"]
+
+
+@_edit_header
+def _non_int_support(header):
+    header["support"][0] = float(header["support"][0])
+
+
+@_edit_header
+def _bool_support(header):
+    header["support"] = [True] + header["support"][1:]
+
+
+@_edit_header
+def _support_not_a_list(header):
+    header["support"] = {"0": 0}
+
+
+@_edit_header
+def _short_support(header):
+    # sorted and within d, but one column fewer than the first layers hold
+    header["support"].pop()
+
+
+SUPPORT_CORRUPTIONS = [
+    _no_support, _unsorted_support, _duplicate_support, _negative_support, _support_past_d,
+    _non_int_support, _bool_support, _support_not_a_list, _short_support,
+]
+
+
+def _assert_data_error(path, capsys):
+    capsys.readouterr()
+    code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert str(path) in error["message"]
+    return error
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -282,14 +348,65 @@ def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys
     bad = tmp_path / "bad.json"
     with open(trained_checkpoint, "rb") as f:
         bad.write_bytes(corrupt(f.read()))
+    _assert_data_error(bad, capsys)
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize("corrupt", SUPPORT_CORRUPTIONS)
+def test_malformed_support_is_data_error(checkpoints, tmp_path, capsys, family, corrupt):
+    bad = tmp_path / "bad.ckpt"
+    with open(checkpoints[family], "rb") as f:
+        bad.write_bytes(corrupt(f.read()))
+    error = _assert_data_error(bad, capsys)
+    assert "support" in error["message"]
+
+
+def test_format_3_checkpoint_is_data_error_naming_its_version(trained_checkpoint, tmp_path, capsys):
+    # format 3 had the same layout without a support, and d-wide input nets
+    @_edit_header
+    def as_format_3(header):
+        header["format_version"] = 3
+        del header["support"]
+
+    bad = tmp_path / "v3.ckpt"
+    with open(trained_checkpoint, "rb") as f:
+        bad.write_bytes(as_format_3(f.read()))
+    error = _assert_data_error(bad, capsys)
+    assert "format_version 3" in error["message"]
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_corpus_columns_outside_the_support_are_counted_on_stderr(workspace, checkpoints, tmp_path, capsys, family):
+    # a model trained on one level type, read over the whole corpus
+    _, vocab, chunks = cp.load_corpus(cp.load_manifest(workspace["manifest"]))
+    data = cp.encode_chunks(chunks, vocab)
+    one_type = data[[c.level_type == "overworld" for c in chunks]]
+    fields = dict(d=data.shape[1], latent_dim=2, hidden_width=8, hidden_depth=1, epochs=1, rng_seed=1)
+    path = tmp_path / "one_type.ckpt"
+    if family == "gmvae":
+        model = gm.build_model(gm.GmvaeConfig(k=2, **fields), vocab)
+        gm.fit(model, one_type)
+        ckpt.save_gmvae(path, model)
+    else:
+        model, _ = bl.fit_vae_gmm(one_type, bl.VaeConfig(**fields), 2, vocab=vocab)
+        ckpt.save_vae_gmm(path, model)
+    outside = np.setdiff1d(np.flatnonzero(data.any(axis=0)), model.support).size
+    assert outside > 0 and len(model.support) == np.count_nonzero(one_type.any(axis=0))
+    out = str(tmp_path / "out")
+    for argv in (
+        ["eval-cluster", "--out", out],
+        ["encode", "--out", out],
+        ["densities", "--source", "corpus", "--out", out],
+    ):
+        capsys.readouterr()
+        assert cli.run(argv + ["--model", str(path), "--manifest", workspace["manifest"]]) == 0, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {outside} set one-hot columns are outside the model's support and are ignored"
+        ]
+    # a model's own training corpus sets no column outside its support
     capsys.readouterr()
-    code = cli.run(["generate", "--model", str(bad), "--component", "0", "--n", "1"])
-    assert code == 2
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    error = json.loads(lines[0])
-    assert error["error"] == "data" and error["type"] == "DataError"
-    assert str(bad) in error["message"]
+    assert cli.run(["eval-cluster", "--out", out, "--model", checkpoints[family], "--manifest", workspace["manifest"]]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _single_error_line(capsys):

@@ -219,14 +219,16 @@ def test_single_batch_overfit(toy_setup):
 
 
 def test_train_epochs_zero_is_noop(toy_setup):
+    # a run of no epochs only narrows the model to the columns its data sets
     data = toy_setup["data"][:16]
     cfg = small_gmvae_config(data.shape[1], epochs=0)
-    model = gm.build_model(cfg, toy_setup["vocab"])
-    before = [p.copy() for net in model.networks().values() for p in net.param_arrays()]
+    model, reference = (gm.build_model(cfg, toy_setup["vocab"]) for _ in range(2))
     history = gm.train(model, data)
     assert len(history) == 0
-    after = [p for net in model.networks().values() for p in net.param_arrays()]
-    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert np.array_equal(model.support, np.flatnonzero(data.any(axis=0)))
+    reference.narrow(model.support)
+    for name, net in reference.networks().items():
+        assert model.networks()[name].params.tobytes() == net.params.tobytes(), name
 
 
 def _train_gmvae(data, vocab, **kwargs):
@@ -465,7 +467,7 @@ def test_hard_label_stability_after_training(trained_gmvae, toy_setup):
     agree = 0
     draws = 40
     for _ in range(draws):
-        logits = model.label_net.forward(x)
+        logits = model.label_net.forward(model.gather(x))
         y, _ = nn.gumbel_softmax(logits, 0.01, nn.sample_gumbel(logits.shape, rng))
         agree += np.sum(np.argmax(y, axis=1) == hard)
     assert agree / (draws * len(x)) >= 0.95
@@ -500,7 +502,7 @@ def test_float32_training_tracks_float64(family, request, toy_setup):
     assert accuracy(model32) == accuracy(model64)
 
 
-# -- training copies of the networks that read the raw input ----------------
+# -- the support: the input columns the model reads ---------------------------
 
 
 def _toy_model(family, d, vocab, **overrides):
@@ -512,7 +514,8 @@ def _toy_model(family, d, vocab, **overrides):
 
 def _full_network_fit(model, data, level_types, sampler):
     """fit's loop written out over the full networks, with the same
-    permutations, balanced draws and noise: per-epoch total losses."""
+    permutations, balanced draws and noise, and no narrowing: per-epoch
+    total losses."""
     cfg = model.config
     data = np.asarray(data, dtype=cfg.dtype)
     n = len(data)
@@ -532,10 +535,10 @@ def _full_network_fit(model, data, level_types, sampler):
     return np.array(totals)
 
 
-# fit's copies sum their first layers' products over fewer terms, so results
-# differ from the full networks' by rounding. Tolerances: per-epoch total loss
-# (relative) and each network's parameters (relative L2 norm), for a run of
-# the given length. Measured over rng seeds 0-3 x both samplers x both
+# fit's narrowed input nets sum their first layers' products over fewer
+# terms, so results differ from the full networks' by rounding. Tolerances:
+# per-epoch total loss (relative) and each network's parameters (relative L2
+# norm), for a run of the given length. Measured over rng seeds 0-3 x both samplers x both
 # families: float64 at 30 epochs, at most 4e-16 and 3e-14, with equal
 # accuracy (1.0 at seed 3); float32 at 10 epochs (seeds 0-5), 9e-4 and 3e-2.
 # float32 training amplifies rounding differences as it goes on, as any
@@ -543,6 +546,25 @@ def _full_network_fit(model, data, level_types, sampler):
 # 1.3e-2 and one of 8 GMVAE runs clustered differently (seed 3, uniform: 1.0
 # against 0.667), so float32 is checked over a short run.
 COPY_TOLERANCE = {"float64": (30, 1e-12, 1e-10), "float32": (10, 1e-2, 1e-1)}
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_fit_rejects_data_of_another_width_before_touching_the_model(toy_setup, family):
+    data = toy_setup["data"]
+    d = data.shape[1]
+    model = _toy_model(family, d, toy_setup["vocab"], epochs=1)
+    nets = model.networks()
+    params = {name: net.params.copy() for name, net in nets.items()}
+    # one tile more in the vocabulary: 256 more columns, one of them set
+    wide = np.zeros((len(data), d + 256), dtype=data.dtype)
+    wide[:, :d] = data
+    wide[0, d + 5] = 1
+    for bad in (wide, data[:, :-256], data[0]):
+        with pytest.raises(DimensionMismatch, match=f"must be \\(n, {d}\\)"):
+            gm.fit(model, bad)
+    assert np.array_equal(model.support, np.arange(d)) and model.networks() == nets
+    for name, net in nets.items():
+        assert net.params.tobytes() == params[name].tobytes(), name
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "balanced"])
@@ -555,14 +577,18 @@ def test_fit_on_set_columns_tracks_the_full_networks(toy_setup, family, dtype, s
     # soft labels for the first half of the epochs, then hard
     epochs, loss_tol, param_tol = COPY_TOLERANCE[dtype]
     fitted, reference = (_toy_model(family, data.shape[1], vocab, epochs=epochs, dtype=dtype) for _ in range(2))
-    initial = {name: fitted.networks()[name].layers[0].weight.copy() for name in fitted.INPUT_NETS}
+    initial = {name: reference.networks()[name].layers[0].weight.copy() for name in reference.INPUT_NETS}
     history = gm.fit(fitted, data, level_types=types, sampler=sampler)
     totals = _full_network_fit(reference, data, types, sampler)
 
-    for model in (fitted, reference):
-        for name in model.INPUT_NETS:
-            assert np.array_equal(model.networks()[name].layers[0].weight[:, unset], initial[name][:, unset])
+    assert np.array_equal(fitted.support, np.setdiff1d(np.arange(data.shape[1]), unset))
+    assert np.array_equal(reference.support, np.arange(data.shape[1]))
+    # the full networks never change the weights of the unset columns
+    for name in reference.INPUT_NETS:
+        assert np.array_equal(reference.networks()[name].layers[0].weight[:, unset], initial[name][:, unset])
     assert np.max(np.abs(np.array(history.total_loss) - totals) / np.abs(totals)) < loss_tol
+    # the full networks over the support
+    reference.narrow(fitted.support)
     for name, net in reference.networks().items():
         diff = fitted.networks()[name].params.astype(np.float64) - net.params
         assert np.linalg.norm(diff) / np.linalg.norm(net.params.astype(np.float64)) < param_tol, name
@@ -608,8 +634,7 @@ def test_loss_and_grads_writes_every_gradient(toy_setup, family, dtype):
 def test_non_finite_loss_leaves_the_full_networks_with_the_trained_values(toy_setup, family):
     data, vocab = toy_setup["data"], toy_setup["vocab"]
     model = _toy_model(family, data.shape[1], vocab, epochs=3)
-    full = dict(model.networks())
-    initial = {name: net.params.copy() for name, net in full.items()}
+    initial = {name: net.params.copy() for name, net in model.networks().items()}
     seen = {}
     loss_and_grads, calls = model.loss_and_grads, itertools.count(1)
 
@@ -623,29 +648,19 @@ def test_non_finite_loss_leaves_the_full_networks_with_the_trained_values(toy_se
     model.loss_and_grads = failing_at_step_7
     with pytest.raises(NonFiniteLoss, match=r"^epoch 2 step 2: "):
         gm.fit(model, data)
-    assert set(seen) == set(full)
+    # the model holds the values of the last good step, in the nets it trained
+    assert set(seen) == set(initial)
     for name, net in model.networks().items():
-        assert net is full[name]
-        copy, trained = seen[name]
+        trained_net, trained = seen[name]
+        assert net is trained_net and np.array_equal(net.params, trained)
         if name not in model.INPUT_NETS:
-            assert copy is net and np.array_equal(net.params, trained)
-            continue
-        # the step ran on a training copy; its values are now in the full net
-        w = net.layers[0].weight
-        copy_w = copy.layers[0].weight
-        assert copy is not net and copy_w.shape[1] < w.shape[1]
-        assert np.array_equal(w[:, copy.columns], trained[: copy_w.size].reshape(copy_w.shape))
-        assert np.array_equal(np.delete(w, copy.columns, axis=1),
-                              np.delete(initial[name][: w.size].reshape(w.shape), copy.columns, axis=1))
-        assert np.array_equal(net.params[w.size :], trained[copy_w.size :])
-        assert not np.array_equal(net.params, initial[name])
+            assert not np.array_equal(net.params, initial[name])
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
 def test_an_error_in_on_epoch_leaves_the_networks_it_saw(toy_setup, family):
     data, vocab = toy_setup["data"], toy_setup["vocab"]
     model = _toy_model(family, data.shape[1], vocab, epochs=3)
-    full = dict(model.networks())
     seen = []
 
     def on_epoch(epoch, history):
@@ -657,7 +672,8 @@ def test_an_error_in_on_epoch_leaves_the_networks_it_saw(toy_setup, family):
         gm.fit(model, data, on_epoch=on_epoch)
     assert len(seen) == 2
     for name, net in model.networks().items():
-        assert net is full[name] and seen[1][name][0] is net
+        # on_epoch sees the model's own nets
+        assert seen[0][name][0] is net and seen[1][name][0] is net
         assert np.array_equal(net.params, seen[1][name][1])
         assert not np.array_equal(seen[0][name][1], seen[1][name][1])
 
@@ -668,7 +684,6 @@ def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_p
     # with tau_decay set, tau does not depend on the run length, so a 2-epoch
     # run is the first two epochs of a 3-epoch run
     model = gm.build_model(small_gmvae_config(d, k=k, epochs=3, tau_decay=0.7), vocab)
-    full = dict(model.networks())
     saved_nets = []
     save_gmvae = ckpt.save_gmvae
 
@@ -679,11 +694,13 @@ def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_p
     monkeypatch.setattr(ckpt, "save_gmvae", save)
     path = tmp_path / "every.ckpt"
     gm.train(model, data, checkpoint_path=path, checkpoint_every=2)
-    assert saved_nets == [full]
+    assert saved_nets == [model.networks()]
     _, saved, history = ckpt.load_any(path)
     assert len(history) == 2
-    assert saved.label_net.layers[0].weight.shape[1] == d
-    assert saved.encoder_trunk.layers[0].weight.shape[1] == d + k
+    s = len(model.support)
+    assert s < d and np.array_equal(saved.support, model.support)
+    assert saved.label_net.layers[0].weight.shape[1] == s
+    assert saved.encoder_trunk.layers[0].weight.shape[1] == s + k
     two = gm.build_model(small_gmvae_config(d, k=k, epochs=2, tau_decay=0.7), vocab)
     gm.train(two, data)
     for name, net in two.networks().items():
@@ -710,6 +727,7 @@ def _as_dtype(model, dtype):
         return dataclasses.replace(model, vae=_as_dtype(model.vae, dtype))
     config = dataclasses.replace(model.config, dtype=dtype)
     copy = type(model)(config, model.vocab)
+    copy.narrow(model.support)
     for name, net in copy.networks().items():
         net.params[...] = model.networks()[name].params
     return copy
@@ -772,8 +790,8 @@ def test_the_uint8_corpus_answers_as_its_float64_copy(request, toy_setup, family
     assert latents.dtype == np.dtype(dtype) and _relative_gap(latents, copy_latents) < tolerance
     if family == "trained_gmvae":
         assert np.array_equal(gm.hard_labels(model, data), gm.hard_labels(model, copy))
-        logits = model.label_net.forward(data)
-        assert _relative_gap(logits, model.label_net.forward(copy)) < tolerance
+        logits = model.label_net.forward(model.gather(data))
+        assert _relative_gap(logits, model.label_net.forward(model.gather(copy))) < tolerance
     else:
         assert _relative_gap(bl.vae_encode(model.vae, data), bl.vae_encode(model.vae, copy)) < tolerance
 

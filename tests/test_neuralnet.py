@@ -273,52 +273,23 @@ def test_backward_without_input_grad_gives_identical_parameter_gradients(dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_input_subset_trains_as_the_full_net_on_inputs_it_reads(dtype):
-    def build():
-        return nn.DenseNet([10, 6, 4], ["relu", "softplus"], np.random.default_rng(7), dtype)
-
-    net, reference = build(), build()
-    columns = np.array([1, 4, 5, 8, 9])
-    unread = np.array([0, 2, 3, 6, 7])
+def test_keep_inputs_reads_only_the_given_columns(dtype):
+    net = nn.DenseNet([10, 6, 4], ["relu", "softplus"], np.random.default_rng(7), dtype)
     initial = net.params.copy()
-    copy = net.input_subset(columns)
-    assert copy.in_dim == reference.in_dim == 10 and copy.layers[0].in_dim == 5
-    assert np.array_equal(copy.layers[0].weight, reference.layers[0].weight[:, columns])
-    # laid over the ends of the full net's buffers: its later layers are the full net's
-    assert copy.params.base is net.params and copy.params.size == 30 + 34
-    assert copy.grads.base is net.grads and copy.layers[1].weight.base is net.params
-
+    columns = np.array([1, 4, 5, 8, 9])
+    narrow = net.keep_inputs(columns)
+    assert [layer.weight.shape for layer in narrow.layers] == [(6, 5), (4, 6)]
+    assert narrow.params.dtype == net.params.dtype and not np.shares_memory(narrow.params, net.params)
+    assert narrow.layers[0].weight.tobytes() == net.layers[0].weight[:, columns].tobytes()
+    assert narrow.params[30:].tobytes() == net.params[60:].tobytes()
+    assert np.array_equal(net.params, initial)
+    # on input whose other columns are zero it answers as the whole net
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((7, 10))
-    x[:, unread] = 0.0
-    rtol = 1e-5 if dtype == "float32" else 1e-12
-    out, cache = reference.forward_cached(x)
-    copy_out, copy_cache = copy.forward_cached(x)
-    np.testing.assert_allclose(copy_out, out, rtol=rtol)
+    x = np.zeros((7, 10), dtype=dtype)
+    x[:, columns] = rng.standard_normal((7, 5))
+    np.testing.assert_allclose(narrow.forward(x[:, columns]), net.forward(x), rtol=1e-5 if dtype == "float32" else 1e-12)
     with pytest.raises(DimensionMismatch):
-        copy.forward(x[:, columns])
-    upstream = rng.standard_normal((7, 4))
-    grad_in = reference.backward(cache, upstream)
-    copy_in = copy.backward(copy_cache, upstream, input_tail=2)
-    grads, copy_grads = grad_arrays(reference), grad_arrays(copy)
-    # an input column that is zero in every row gives its weights exactly zero
-    assert not np.any(grads[0][:, unread])
-    np.testing.assert_allclose(copy_grads[0], grads[0][:, columns], rtol=rtol, atol=1e-12)
-    for g, expected in zip(copy_grads[1:], grads[1:]):
-        np.testing.assert_allclose(g, expected, rtol=rtol)
-    np.testing.assert_allclose(copy_in, grad_in[:, -2:], rtol=rtol)
-    # column 7 is not read, so neither the last three input columns' gradient
-    # nor the whole input's can be given
-    for tail in (3, None):
-        with pytest.raises(DimensionMismatch):
-            copy.backward(copy_cache, upstream, input_tail=tail)
-
-    copy.params[...] = np.arange(copy.params.size)
-    trained = copy.params.copy()
-    net.write_back(copy)
-    assert np.array_equal(net.layers[0].weight[:, columns], trained[:30].reshape(6, 5))
-    assert np.array_equal(net.layers[0].weight[:, unread], initial[:60].reshape(6, 10)[:, unread])
-    assert np.array_equal(net.params[60:], trained[30:])
+        narrow.forward(x)
 
 
 def test_linear_weight_gradient_is_outer_product():
@@ -426,12 +397,13 @@ def test_adam_quadratic_convergence_matches_scalar_recurrence():
 
 
 def test_adam_shape_mismatch():
-    # an optimizer built for the full net cannot step its training copy
+    # an optimizer built for the full net cannot step a net that keeps
+    # fewer of its inputs
     net = make_net([4, 3, 2], ["relu", "linear"])
     opt = nn.AdamState(net)
-    copy = net.input_subset([1, 3])
+    narrow = net.keep_inputs([1, 3])
     with pytest.raises(ShapeMismatch, match="optimizer holds 23 parameters, net has 17"):
-        opt.step(copy)
+        opt.step(narrow)
 
 
 def test_adam_rejects_another_nets_parameters():
