@@ -6,22 +6,26 @@ baseline). The support is the sorted list of input columns the model reads,
 as JSON integers; the label net's and the encoder trunk's first layers are
 as wide as it (plus k for the trunk).
 
-Format version 4, the only one written, is binary. It starts with the 8-byte
+Format version 5, the only one written, is binary. It starts with the 8-byte
 MAGIC, then the envelope's length as a little-endian uint64, then the
 envelope as UTF-8 JSON. A data section follows at the first 64-byte boundary
 after the envelope. Every numpy array in the envelope is a blob
 {"dtype": "<f8" | "<f4", "shape": [...], "offset": n}: its little-endian
 bytes in the model's dtype start n bytes into the data section. Blobs follow
-in write order, each 64-byte aligned, with zero bytes between them. Loading
-reads each blob straight into the array it fills (a network's blobs into
-their views of the net's parameter buffer), so parameters survive save/load
-bit-exactly with no decoding step. Scalars and plain lists (history,
-total_variance, m, the EM trace) stay JSON numbers.
+in write order, each 64-byte aligned, with zero bytes between them.
+`networks` maps each name to one blob of its flat parameters, laid out as
+DenseNet.params: layer by layer, the row-major (out, in) weight, then the
+bias. The layer shapes and activations come from the config and the support.
+Loading checks a blob's shape against the parameter count they give before
+any buffer is allocated, then reads it straight into the net's params, so
+parameters survive save/load bit-exactly with no decoding step. Scalars and
+plain lists (history, total_variance, m, the EM trace) stay JSON numbers.
 
-Only version 4 is read. Version 3, the same layout without a support and
-with d-wide input nets, and versions 1 and 2, JSON text, no longer load:
-such a file is a DataError that names its format_version. Loading rejects
-a network with a NaN or infinite parameter.
+Only version 5 is read. Version 4 stored a weight blob, a bias blob and an
+activation per layer; version 3 had that layout without a support and with
+d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
+more: such a file is a DataError that names its format_version. Loading
+rejects a network with a NaN or infinite parameter.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -44,11 +48,11 @@ from .baseline import GmmModel, PcaProjection, VaeGmmModel, VaeModel
 from .corpus import TileVocab
 from .errors import DataError, InvalidConfig
 from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig
-from .neuralnet import DenseNet
+from .neuralnet import DenseNet, param_count
 
 FORMAT_GMVAE = "levelmix-gmvae"
 FORMAT_VAE_GMM = "levelmix-vae-gmm"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 BLOB_DTYPES = ("<f8", "<f4")
 # neither JSON nor UTF-8, so a file damaged in text mode is told apart
 MAGIC = b"\x89LVLMIX\n"
@@ -116,37 +120,6 @@ class _BlobFile:
         return out
 
 
-def _net_to_dict(net, blobs):
-    return {
-        "layers": [
-            {
-                "activation": layer.activation,
-                "weight": blobs.add(layer.weight, net.dtype),
-                "bias": blobs.add(layer.bias, net.dtype),
-            }
-            for layer in net.layers
-        ]
-    }
-
-
-def _net_from_dict(data, sizes, activations, dtype, arrays):
-    """The net of the given layer sizes and activations, each array read
-    into its view of the net's parameter buffer."""
-    entries = data["layers"]
-    shapes = [(arrays.shape(entry["weight"]), arrays.shape(entry["bias"])) for entry in entries]
-    expected = [((n_out, n_in), (n_out,)) for n_in, n_out in zip(sizes, sizes[1:])]
-    # checked before the buffer is allocated, so a forged config cannot size it
-    if shapes != expected:
-        raise DataError(f"layer shapes {shapes} where the config and the support give {expected}")
-    if [entry["activation"] for entry in entries] != activations:
-        raise DataError(f"layer activations are not the config's {activations}")
-    net = DenseNet(sizes, activations, None, dtype)
-    for entry, layer in zip(entries, net.layers):
-        arrays.read(entry["weight"], net.dtype, out=layer.weight)
-        arrays.read(entry["bias"], net.dtype, out=layer.bias)
-    return net
-
-
 def _vocab_to_dict(vocab):
     if vocab is None:
         return None
@@ -206,11 +179,10 @@ def _envelope(fmt, vocab, model, history, run_info, blobs):
     return {
         "format": fmt,
         "format_version": FORMAT_VERSION,
-        "game": vocab.game if vocab else "",
         "config": vars(model.config),
         "vocab": _vocab_to_dict(vocab),
         "support": model.support.tolist(),
-        "networks": {name: _net_to_dict(net, blobs) for name, net in model.networks().items()},
+        "networks": {name: blobs.add(net.params, net.dtype) for name, net in model.networks().items()},
         "history": None if history is None else vars(history),
         "run_info": run_info,
     }
@@ -254,14 +226,21 @@ def _support(value, d):
 
 def _rebuild(model_cls, config_cls, payload, arrays):
     """A model_cls with the payload's validated config, vocab and support,
-    and the networks of the shapes they give."""
+    and the networks of the shapes they give, each read from its blob."""
     model = model_cls.__new__(model_cls)
     model.config = config_cls(**payload["config"]).validate()
     model.vocab = _vocab_from_dict(payload["vocab"])
     # checked before architecture() sizes any buffer from it
     model.support = _support(payload["support"], model.config.d)
     for name, (sizes, activations) in model.architecture().items():
-        net = _net_from_dict(payload["networks"][name], sizes, activations, model.config.dtype, arrays)
+        blob, n = payload["networks"][name], param_count(sizes)
+        # checked before the buffer is allocated, so a forged config cannot size it
+        if arrays.shape(blob) != (n,):
+            raise DataError(
+                f"network {name} has a blob of shape {blob['shape']} where the config and the support give [{n}]"
+            )
+        net = DenseNet(sizes, activations, None, model.config.dtype)
+        arrays.read(blob, net.dtype, out=net.params)
         if not np.isfinite(net.params).all():
             raise DataError(f"network {name} has non-finite parameters")
         setattr(model, name, net)
@@ -341,7 +320,7 @@ def _read_blob_file(path, f):
 def load_any(path):
     """(kind, model, history) for either checkpoint family, parsed once.
     Any malformed content, and any file without the magic, raises
-    DataError, which names the format_version of a format 1, 2 or 3 file."""
+    DataError, which names the format_version of a file of an older format."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) == MAGIC:
             return _read_blob_file(path, f)

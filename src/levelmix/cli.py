@@ -49,7 +49,8 @@ def _run_info(command, args):
         "seed": flags.get("seed"),
         "version": __version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "cpus": len(os.sched_getaffinity(0)),
+        # macOS and Windows have no sched_getaffinity: there, the machine's CPUs
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
     }
 
 

@@ -195,13 +195,12 @@ def one_hot_encode(chunk, vocab):
     return _one_hot(chunk.tiles[None], vocab.size, np.float64)[0]
 
 
-def encode_chunks(chunks, vocab, dtype=np.uint8):
-    """The chunks' one-hot encodings as the rows of one (n, d) matrix in
-    `dtype`: row i is one_hot_encode(chunks[i], vocab). The default, uint8,
-    takes one byte per entry; 0 and 1 are exact in every dtype, so the
-    networks cast the rows they read to their own dtype with no change in
-    value."""
-    return _one_hot(np.stack([c.tiles for c in chunks]), vocab.size, dtype)
+def encode_chunks(chunks, vocab):
+    """The chunks' one-hot encodings as the rows of one (n, d) uint8 matrix,
+    one byte per entry: row i is one_hot_encode(chunks[i], vocab). 0 and 1
+    are exact in every dtype, so the networks cast the rows they read to
+    their own dtype with no change in value."""
+    return _one_hot(np.stack([c.tiles for c in chunks]), vocab.size, np.uint8)
 
 
 def _one_hot(tiles, t, dtype):

@@ -294,10 +294,12 @@ class GmvaeModel(EncoderDecoder):
     def encode(self, data):
         """(latent means, hard labels) per row; the encoder sees each row's
         hard label as a one-hot. The rows are gathered once into the
-        trunk's input, beside that one-hot (see gather for its dtype)."""
-        labels = hard_labels(self, data)
+        trunk's input, and the label net reads its support columns, a view,
+        before the one-hots are written beside them (see hard_labels)."""
         enc_in = self.gather(data, tail=self.k)
-        enc_in[np.arange(len(labels)), len(self.support) + labels] = 1
+        s = len(self.support)
+        labels = np.argmax(self.label_net.forward(enc_in[:, :s]), axis=1)
+        enc_in[np.arange(len(labels)), s + labels] = 1
         h = self.encoder_trunk.forward(enc_in)
         return self.enc_mean_head.forward(h), labels
 

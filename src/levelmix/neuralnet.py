@@ -114,6 +114,12 @@ def activation_grad(name, z, a):
     raise ValueError(f"unknown activation {name!r}")
 
 
+def param_count(sizes):
+    """The parameters of a DenseNet of the given layer sizes: each layer's
+    (out, in) weight and its out biases."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 @dataclass
 class Layer:
     weight: np.ndarray  # (out, in)
@@ -146,8 +152,7 @@ class DenseNet:
 
     def __init__(self, sizes, activations, rng, dtype="float64"):
         """With rng None every parameter stays zero, for callers that write
-        the parameters in place (the checkpoint loader decodes into the
-        views)."""
+        the parameters in place (the checkpoint loader reads into params)."""
         if len(sizes) < 2 or len(activations) != len(sizes) - 1:
             raise ShapeMismatch(
                 f"need len(sizes) >= 2 and one activation per layer, "
@@ -157,7 +162,7 @@ class DenseNet:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.dtype = np.dtype(dtype)
-        total = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        total = param_count(sizes)
         self.params = np.zeros(total, dtype=self.dtype)
         # zero pages are only touched by the first backward
         self.grads = np.zeros(total, dtype=self.dtype)

@@ -61,9 +61,11 @@ def v2_array(array, dtype=np.float64):
     return {"dtype": a.dtype.str, "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def json_payload(family, model, history, version=1):
-    """The model as format 1 or 2 wrote it, as one JSON object."""
-    array = v1_array if version == 1 else v2_array
+def old_payload(family, model, history, version, array=None):
+    """The model's envelope as format 1, 2 or 4 wrote it: a weight, a bias
+    and an activation per layer. Formats 1 and 2 put each array in the JSON
+    text; format 4 takes array=_BlobWriter.add, and stores the support."""
+    array = array or (v1_array if version == 1 else v2_array)
 
     def net(n):
         return {
@@ -95,6 +97,8 @@ def json_payload(family, model, history, version=1):
         },
         "run_info": None,
     }
+    if version == 4:
+        payload["support"] = vae.support.tolist()
     if family == "vae-gmm":
         payload["pca"] = {
             "mean": array(model.pca.mean),
@@ -112,14 +116,6 @@ def json_payload(family, model, history, version=1):
     return payload
 
 
-def has_float_list(node):
-    if isinstance(node, dict):
-        return any(has_float_list(v) for v in node.values())
-    if isinstance(node, list):
-        return any(isinstance(v, float) or has_float_list(v) for v in node)
-    return False
-
-
 FAMILIES = [("gmvae", "float64"), ("gmvae", "float32"), ("vae-gmm", "float64"), ("vae-gmm", "float32")]
 
 
@@ -129,7 +125,7 @@ def test_json_checkpoint_exits_2_naming_its_version(family, version, toy_setup, 
     # formats 1 and 2 are JSON text, which no longer loads
     model, history = toy_model(family, "float64", toy_setup)
     path = tmp_path / f"v{version}.json"
-    path.write_text(json.dumps(json_payload(family, model, history, version), sort_keys=True, separators=(",", ":")))
+    path.write_text(json.dumps(old_payload(family, model, history, version), sort_keys=True, separators=(",", ":")))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
@@ -175,14 +171,18 @@ def test_save_writes_aligned_blobs_and_loads_writable(family, dtype, toy_setup, 
     save(family, path, model, history)
     raw = path.read_bytes()
     header, data = split_checkpoint(raw)
-    assert header["format_version"] == 4
+    assert header["format_version"] == 5
     assert header["support"] == model.support.tolist()
-    assert not has_float_list(header["networks"])
-    assert header["networks"]["decoder"]["layers"][0]["weight"]["dtype"] == np.dtype(dtype).newbyteorder("<").str
+    # one blob per network: its flat parameters, in the model's dtype
+    nets = getattr(model, "vae", model).networks()
+    assert list(header["networks"]) == sorted(nets)
+    for name, net in nets.items():
+        blob = header["networks"][name]
+        assert blob["shape"] == [net.params.size] and blob["dtype"] == np.dtype(dtype).newbyteorder("<").str
     assert (len(raw) - len(data)) % 64 == 0
     # blobs are 64-byte aligned, in write order, with zero bytes between them
     blobs = sorted(blob_entries(header), key=lambda b: b["offset"])
-    assert len(blobs) == len(params(model))
+    assert len(blobs) == len(nets) + (6 if family == "vae-gmm" else 0)
     end = 0
     for blob in blobs:
         assert blob["offset"] % 64 == 0 and blob["offset"] >= end
@@ -248,10 +248,10 @@ def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch)
 
 @pytest.fixture(scope="module")
 def fuzz_workspace(tmp_path_factory):
-    """A tiny toy corpus and a model of each family, as format-4 and
-    format-2 bytes, with the length of the header part of each. Format 2
-    no longer loads, so its damaged copies test the exit-2 path of a file
-    without the magic."""
+    """A tiny toy corpus and a model of each family, as format-5, format-4
+    and format-2 bytes, with the length of the header part of each. Formats
+    4 and 2 no longer load, so their damaged copies test the exit-2 paths of
+    an old version behind the magic and of a file without the magic."""
     root = tmp_path_factory.mktemp("fuzz")
     manifest = str(toygame.write_corpus(root / "corpus", levels_per_type=1, cols=20, seed=2))
     files = {}
@@ -260,12 +260,14 @@ def fuzz_workspace(tmp_path_factory):
         argv = [command, "--manifest", manifest, "--k", "2", "--out", str(path), "--epochs", "1"]
         argv += ["--hidden-width", "8", "--hidden-depth", "1", "--latent-dim", "2", "--seed", "1"]
         assert cli.run(argv) == 0
-        v4 = path.read_bytes()
         _, model, history = ckpt.load_any(path)
-        v2 = json.dumps(json_payload(family, model, history, 2), sort_keys=True, separators=(",", ":")).encode()
-        # format 2 is all header; format 4's header ends where its data section starts
+        v4, blobs = root / f"{family}.v4.ckpt", ckpt._BlobWriter()
+        ckpt._dump(v4, old_payload(family, model, history, 4, blobs.add), blobs)
+        v2 = json.dumps(old_payload(family, model, history, 2), sort_keys=True, separators=(",", ":")).encode()
+        # format 2 is all header; a binary header ends where its data section starts
         files[family, 2] = (v2, len(v2))
-        files[family, 4] = (v4, len(v4) - len(split_checkpoint(v4)[1]))
+        for version, raw in ((5, path.read_bytes()), (4, v4.read_bytes())):
+            files[family, version] = (raw, len(raw) - len(split_checkpoint(raw)[1]))
     return {"root": root, "manifest": manifest, "files": files}
 
 
@@ -294,7 +296,7 @@ def assert_clean_exit(workspace, raw):
 
 
 FUZZ_FILES = pytest.mark.parametrize(
-    "family,version", [("gmvae", 4), ("gmvae", 2), ("vae-gmm", 4), ("vae-gmm", 2)]
+    "family,version", [(family, version) for family in ("gmvae", "vae-gmm") for version in (5, 4, 2)]
 )
 # damaged weights may be inf or nan, and numpy warns about the arithmetic
 QUIET = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -328,7 +330,7 @@ def test_checkpoint_with_a_flipped_byte_exits_cleanly(fuzz_workspace, family, ve
 @FUZZ
 @given(length=st.integers(0, 2**64 - 1))
 def test_checkpoint_with_any_header_length_exits_cleanly(fuzz_workspace, family, version, length):
-    # bytes 8-16 are format 4's header length; in format 2 they are JSON text
+    # bytes 8-16 are a binary format's header length; in format 2 they are JSON text
     raw, _ = fuzz_workspace["files"][family, version]
     assert_clean_exit(fuzz_workspace, raw[:8] + struct.pack("<Q", length) + raw[16:])
 
@@ -341,7 +343,7 @@ JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), s
 @FUZZ
 @given(data=st.data())
 def test_checkpoint_with_any_support_exits_cleanly(fuzz_workspace, family, data):
-    raw, _ = fuzz_workspace["files"][family, 4]
+    raw, _ = fuzz_workspace["files"][family, 5]
     header, blobs = split_checkpoint(raw)
     support, d = header["support"], header["config"]["d"]
     header["support"] = data.draw(st.one_of(
@@ -360,11 +362,12 @@ def test_checkpoint_with_any_support_exits_cleanly(fuzz_workspace, family, data)
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 def test_non_finite_parameter_exits_2_naming_the_network(fuzz_workspace, family, value):
-    raw, _ = fuzz_workspace["files"][family, 4]
+    raw, _ = fuzz_workspace["files"][family, 5]
     header, data = split_checkpoint(raw)
-    blob = header["networks"]["decoder"]["layers"][-1]["bias"]
-    at = len(raw) - len(data) + blob["offset"]
+    # the decoder's last parameter: its last layer's last bias
+    blob = header["networks"]["decoder"]
     value = np.array([value], dtype=blob["dtype"]).tobytes()
+    at = len(raw) - len(data) + blob["offset"] + (blob["shape"][0] - 1) * len(value)
     damaged = bytearray(raw)
     damaged[at : at + len(value)] = value
     path = fuzz_workspace["root"] / "non-finite.ckpt"

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -147,6 +148,15 @@ def test_run_info_records_blas_threads_and_cpus(trained_checkpoint, monkeypatch)
     assert cli._run_info("generate", args)["openblas_num_threads"] is None
 
 
+def test_train_without_sched_getaffinity_records_the_cpu_count(workspace, tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    out = tmp_path / "model.ckpt"
+    argv = ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
+    assert cli.run(argv + ["--epochs", "1"]) == 0
+    assert read_header(out)["run_info"]["cpus"] == os.cpu_count()
+
+
 def test_train_determinism_byte_identical(workspace, tmp_path):
     out = tmp_path / "model.json"
     args = ["train", "--manifest", workspace["manifest"], "--k", "2"] + FAST_TRAIN
@@ -223,14 +233,13 @@ def _drop_config(header):
 
 @_edit_header
 def _short_blob(header):
-    # the last blob's shape claims a row more than the file holds
-    blobs = [layer[part] for net in header["networks"].values() for layer in net["layers"] for part in ("weight", "bias")]
-    max(blobs, key=lambda blob: blob["offset"])["shape"][0] += 1
+    # the last network's blob claims a parameter more than the file holds
+    max(header["networks"].values(), key=lambda blob: blob["offset"])["shape"][0] += 1
 
 
 @_edit_header
 def _int_blob(header):
-    header["networks"]["decoder"]["layers"][0]["bias"]["dtype"] = "<i8"
+    header["networks"]["decoder"]["dtype"] = "<i8"
 
 
 @_edit_header
@@ -246,7 +255,7 @@ def _unknown_format(header):
 
 @_edit_header
 def _future_version(header):
-    header["format_version"] = 5
+    header["format_version"] = 6
 
 
 @_edit_header
@@ -257,12 +266,6 @@ def _float16_config(header):
 @_edit_header
 def _one_component_config(header):
     header["config"]["k"] = 1
-
-
-@_edit_header
-def _unchained_layers(header):
-    layers = header["networks"]["decoder"]["layers"]
-    layers[1] = layers[-1]  # its input width is not the previous layer's output width
 
 
 @_edit_header
@@ -341,7 +344,7 @@ def _assert_data_error(path, capsys):
     "corrupt",
     [
         _truncate, _drop_config, _short_blob, _int_blob, _no_version, _unknown_format,
-        _future_version, _float16_config, _one_component_config, _unchained_layers, _latent_dim_config,
+        _future_version, _float16_config, _one_component_config, _latent_dim_config,
     ],
 )
 def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys, corrupt):
@@ -361,18 +364,50 @@ def test_malformed_support_is_data_error(checkpoints, tmp_path, capsys, family, 
     assert "support" in error["message"]
 
 
-def test_format_3_checkpoint_is_data_error_naming_its_version(trained_checkpoint, tmp_path, capsys):
-    # format 3 had the same layout without a support, and d-wide input nets
-    @_edit_header
-    def as_format_3(header):
-        header["format_version"] = 3
-        del header["support"]
+@_edit_header
+def _one_parameter_short(header):
+    # within the file, but the config and the support give one more
+    header["networks"]["decoder"]["shape"][0] -= 1
 
-    bad = tmp_path / "v3.ckpt"
+
+@_edit_header
+def _huge_hidden_width(header):
+    # nets this wide would not fit in any memory
+    header["config"]["hidden_width"] = 10**9
+
+
+@pytest.mark.parametrize("corrupt, network", [(_one_parameter_short, "decoder"), (_huge_hidden_width, "label_net")])
+def test_network_blob_of_the_wrong_size_is_data_error_naming_it(trained_checkpoint, tmp_path, capsys, corrupt, network):
+    bad = tmp_path / "bad.ckpt"
     with open(trained_checkpoint, "rb") as f:
-        bad.write_bytes(as_format_3(f.read()))
+        bad.write_bytes(corrupt(f.read()))
+    tracemalloc.start()
+    try:
+        error = _assert_data_error(bad, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"network {network} has a blob of shape" in error["message"]
+    # the blob's shape is checked before any buffer is sized from the config
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("version", [3, 4])
+def test_format_3_checkpoint_is_data_error_naming_its_version(trained_checkpoint, tmp_path, capsys, version):
+    # format 4 stored a weight blob, a bias blob and an activation per layer,
+    # and format 3 had that layout without a support, with d-wide input nets;
+    # the loader rejects the version before it reads any layout
+    @_edit_header
+    def as_old_format(header):
+        header["format_version"] = version
+        if version == 3:
+            del header["support"]
+
+    bad = tmp_path / f"v{version}.ckpt"
+    with open(trained_checkpoint, "rb") as f:
+        bad.write_bytes(as_old_format(f.read()))
     error = _assert_data_error(bad, capsys)
-    assert "format_version 3" in error["message"]
+    assert f"format_version {version}" in error["message"]
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])

@@ -181,12 +181,11 @@ def test_roundtrip_random_chunks(seed, t):
     assert np.array_equal(cp.decode(cp.one_hot_encode(chunk, vocab), vocab).tiles, chunk.tiles)
 
 
-# None: the default, one byte per entry
-@pytest.mark.parametrize("dtype", [np.float64, np.float32, None])
-def test_encode_chunks_equals_stacked_one_hot(toy_setup, dtype):
+def test_encode_chunks_equals_stacked_one_hot(toy_setup):
     vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
-    data = cp.encode_chunks(chunks, vocab) if dtype is None else cp.encode_chunks(chunks, vocab, dtype)
-    assert data.dtype == (dtype or np.uint8)
+    data = cp.encode_chunks(chunks, vocab)
+    # one byte per entry
+    assert data.dtype == np.uint8
     # entry for entry, the float64 rows of one_hot_encode
     assert np.array_equal(data, np.stack([cp.one_hot_encode(c, vocab) for c in chunks]))
 
@@ -199,8 +198,6 @@ def test_out_of_range_ids_raise(toy_setup, bad):
     chunks = [toy_setup["chunks"][0], chunk]
     with pytest.raises(IdOutOfRange, match=f"tile id {chunk.tiles[3, 7]} out of range"):
         cp.encode_chunks(chunks, vocab)
-    with pytest.raises(IdOutOfRange):
-        cp.encode_chunks(chunks, vocab, np.float32)
     with pytest.raises(IdOutOfRange, match=f"tile id {chunk.tiles[3, 7]} out of range"):
         cp.chunk_to_lines(chunk, vocab)
 

@@ -417,6 +417,23 @@ def test_model_encode_outputs(trained_gmvae, toy_setup):
     assert np.array_equal(labels, labels2)
 
 
+def test_encode_gathers_the_corpus_once(trained_gmvae, toy_setup, monkeypatch):
+    model, _ = trained_gmvae
+    data = toy_setup["data"]
+    labels = gm.hard_labels(model, data)
+    calls = []
+    gather = gm.GmvaeModel.gather
+
+    def counting_gather(self, x, tail=0):
+        calls.append(tail)
+        return gather(self, x, tail)
+
+    monkeypatch.setattr(gm.GmvaeModel, "gather", counting_gather)
+    _, got = model.encode(data)
+    # one gather, with the one-hots' tail; the label net reads a view of it
+    assert calls == [model.k] and np.array_equal(got, labels)
+
+
 def test_checkpoint_roundtrip_bit_exact(trained_gmvae, tmp_path):
     model, history = trained_gmvae
     path = tmp_path / "model.json"
