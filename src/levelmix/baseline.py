@@ -51,9 +51,11 @@ class VaeModel(EncoderDecoder):
 
 
 def vae_loss(model, x, eps_noise):
-    """Mean per-item (recon, kl) against the standard-normal prior."""
-    mu, var, x_hat, _ = model.encode_decode(model.gather(x), eps_noise, keep_caches=False)
-    recon = nn.bce_loss(x_hat, x)
+    """Mean per-item (recon, kl) against the standard-normal prior; the BCE
+    reads the support's columns of x, as the decoder writes only those."""
+    x_s = model.gather(x)
+    mu, var, x_hat, _ = model.encode_decode(x_s, eps_noise, keep_caches=False)
+    recon = nn.bce_loss(x_hat, x_s)
     kl = nn.kl_diag(mu, var, np.zeros_like(mu), np.ones_like(var))
     return float(np.mean(recon)), float(np.mean(kl))
 
@@ -61,9 +63,10 @@ def vae_loss(model, x, eps_noise):
 def vae_loss_and_grads(model, x, eps_noise):
     """Mean per-item (recon, kl), with the gradients backpropagated into the
     four nets' `grads`."""
-    mu, var, x_hat, caches = model.encode_decode(model.gather(x), eps_noise)
+    x_s = model.gather(x)
+    mu, var, x_hat, caches = model.encode_decode(x_s, eps_noise)
     recon, kl, _, _, _ = model.recon_kl_backward(
-        x, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
+        x_s, eps_noise, mu, var, x_hat, np.zeros_like(mu), np.ones_like(var), caches
     )
     return recon, kl
 
@@ -324,7 +327,7 @@ class VaeGmmModel:
         """Sample a GMM component, back-project through PCA, decode through
         gmvae.decode_generated as the mixture model does."""
         latents = pca_inverse(self.pca, gmm_sample(self.gmm, component, n, rng))
-        return decode_generated(self.vae.decoder, latents, self.vocab, component)
+        return decode_generated(self.vae, latents, component)
 
     def predict(self, data):
         """Hard cluster per flat input vector."""

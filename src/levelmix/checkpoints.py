@@ -2,11 +2,12 @@
 
 A checkpoint holds one envelope: format, format_version, config, vocab,
 support, networks, history and run_info (plus pca and gmm for the
-baseline). The support is the sorted list of input columns the model reads,
-as JSON integers; the label net's and the encoder trunk's first layers are
-as wide as it (plus k for the trunk).
+baseline). The support is the sorted list of one-hot columns the model reads
+and writes, as JSON integers; the label net's and the encoder trunk's first
+layers are as wide as it (plus k for the trunk), and so is the decoder's
+last layer.
 
-Format version 5, the only one written, is binary. It starts with the 8-byte
+Format version 6, the only one written, is binary. It starts with the 8-byte
 MAGIC, then the envelope's length as a little-endian uint64, then the
 envelope as UTF-8 JSON. A data section follows at the first 64-byte boundary
 after the envelope. Every numpy array in the envelope is a blob
@@ -21,7 +22,8 @@ any buffer is allocated, then reads it straight into the net's params, so
 parameters survive save/load bit-exactly with no decoding step. Scalars and
 plain lists (history, total_variance, m, the EM trace) stay JSON numbers.
 
-Only version 5 is read. Version 4 stored a weight blob, a bias blob and an
+Only version 6 is read. Version 5 had this layout with a decoder that wrote
+all d columns; version 4 stored a weight blob, a bias blob and an
 activation per layer; version 3 had that layout without a support and with
 d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
 more: such a file is a DataError that names its format_version. Loading
@@ -52,7 +54,7 @@ from .neuralnet import DenseNet, param_count
 
 FORMAT_GMVAE = "levelmix-gmvae"
 FORMAT_VAE_GMM = "levelmix-vae-gmm"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 BLOB_DTYPES = ("<f8", "<f4")
 # neither JSON nor UTF-8, so a file damaged in text mode is told apart
 MAGIC = b"\x89LVLMIX\n"

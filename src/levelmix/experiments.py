@@ -10,12 +10,14 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from . import baseline as bl
 from . import evaluation as ev
 from . import gmvae as gm
+from . import neuralnet as nn
 
 
 FAMILIES = ("gmvae", "vae-gmm")
@@ -23,9 +25,16 @@ FAMILIES = ("gmvae", "vae-gmm")
 
 @dataclass
 class ComparisonRun:
+    """One trained model's clustering of the corpus. largest_share is the
+    share of chunks in its largest component (1.0: all in one), and
+    mean_max_p, for a GMVAE only, the mean over chunks of q(y|x)'s largest
+    probability (1/k: a uniform posterior)."""
+
     seed: int
     family: str
     balanced_accuracy: float
+    largest_share: float
+    mean_max_p: Optional[float]
     minutes: float
 
 
@@ -37,11 +46,24 @@ class ComparisonResult:
         values = [r.balanced_accuracy for r in self.runs if r.family == family]
         return float(np.median(values)) if values else float("nan")
 
+    def summary(self, family):
+        """The family's mean accuracy, its runs at accuracy 1.0 and its
+        runs with every chunk in one component: a median hides the runs
+        that fail."""
+        runs = [r for r in self.runs if r.family == family]
+        return {
+            "runs": len(runs),
+            "mean_accuracy": float(np.mean([r.balanced_accuracy for r in runs])) if runs else float("nan"),
+            "at_one": sum(r.balanced_accuracy == 1.0 for r in runs),
+            "one_component": sum(r.largest_share == 1.0 for r in runs),
+        }
+
     def to_dict(self):
         return {
             "runs": [vars(r) for r in self.runs],
             "median_gmvae": self.median("gmvae"),
             "median_vae_gmm": self.median("vae-gmm"),
+            "families": {family: self.summary(family) for family in FAMILIES},
         }
 
 
@@ -73,8 +95,10 @@ def clustering_comparison(
     log=None,
 ):
     """Train both model families per seed and score balanced clustering
-    accuracy against the level-type labels. gmvae_config and vae_config are
-    templates whose rng_seed is replaced by each seed."""
+    accuracy against the level-type labels, with each run's largest
+    component share and a GMVAE's mean max q(y|x) (ComparisonRun).
+    gmvae_config and vae_config are templates whose rng_seed is replaced by
+    each seed."""
     result = ComparisonResult()
     templates = {"gmvae": gmvae_config, "vae-gmm": vae_config}
     for seed in seeds:
@@ -82,10 +106,19 @@ def clustering_comparison(
             t0 = time.time()
             config = dataclasses.replace(template, rng_seed=seed)
             model = train_family(family, config, k, data, level_types=level_types, sampler=sampler)
-            acc = ev.clustering_accuracy(model.predict(data), level_types, k).balanced_accuracy
-            result.runs.append(ComparisonRun(seed, family, acc, (time.time() - t0) / 60))
+            mean_max_p = None
+            if family == "gmvae":
+                # the one label-net forward that hard_labels makes
+                logits = gm.label_logits(model, data)
+                labels = np.argmax(logits, axis=1)
+                mean_max_p = float(np.mean(np.max(nn.softmax(logits), axis=1)))
+            else:
+                labels = model.predict(data)
+            acc = ev.clustering_accuracy(labels, level_types, k).balanced_accuracy
+            share = float(np.max(np.bincount(labels, minlength=k)) / len(labels))
+            result.runs.append(ComparisonRun(seed, family, acc, share, mean_max_p, (time.time() - t0) / 60))
             if log:
-                log(f"{family} seed={seed}: balanced accuracy {acc:.3f}")
+                log(f"{family} seed={seed}: balanced accuracy {acc:.3f}, largest share {share:.3f}")
     return result
 
 

@@ -7,14 +7,17 @@ Network layout (default widths, all configurable), with s = len(support):
   prior means  k -> 64 linear
   prior vars   k -> 64 softplus
   encoder      (s + k) -> 512 -> 512 -> 512 (relu) -> {64 linear, 64 softplus}
-  decoder      64 -> 512 -> 512 -> 512 (relu) -> d sigmoid
+  decoder      64 -> 512 -> 512 -> 512 (relu) -> s sigmoid
 
-The support is the sorted list of input columns the model reads: all d as
-built, and after fit the ones its training data sets. The label net and
-the encoder read only the support's columns of x; the decoder outputs all d.
+The support is the sorted list of one-hot columns the model reads and
+writes: all d as built, and after fit the ones its training data sets. The
+label net and the encoder read only the support's columns of x, and the
+decoder outputs only those columns.
 
-Loss per item: recon_weight * BCE(decoder(z), x) + kl_weight * KL(q(z|x,y) || p(z|y))
-with y the sampled label, z the reparameterized latent.
+Loss per item: recon_weight * BCE(decoder(z), x_s) + kl_weight * KL(q(z|x,y) || p(z|y))
+with x_s the support's columns of x, y the sampled label, z the
+reparameterized latent. A column no training chunk sets has a BCE target of
+0 throughout, so fit drops its term with its decoder output.
 
 A third, batch-level term keeps the mixture from collapsing onto a single
 component: label_balance_weight * KL(mean_batch softmax(logits) || uniform).
@@ -154,7 +157,7 @@ class EncoderDecoder:
             "encoder_trunk": ([in_dim] + [w] * depth, ["relu"] * depth),
             "enc_mean_head": ([w, ld], ["linear"]),
             "enc_var_head": ([w, ld], ["softplus"]),
-            "decoder": ([ld] + [w] * depth + [cfg.d], ["relu"] * depth + ["sigmoid"]),
+            "decoder": ([ld] + [w] * depth + [len(self.support)], ["relu"] * depth + ["sigmoid"]),
         }
 
     def _build_networks(self):
@@ -184,14 +187,16 @@ class EncoderDecoder:
         return out
 
     def narrow(self, support):
-        """Make the input nets read only the given columns, a sorted subset
-        of the support: their first layers keep those columns' weights."""
+        """Make the input nets read, and the decoder write, only the given
+        columns, a sorted subset of the support: the input nets' first
+        layers and the decoder's last layer keep those columns' parameters."""
         keep = np.searchsorted(self.support, support)
         for name in self.INPUT_NETS:
             net = getattr(self, name)
             # a trunk's label columns, past the support, are always read
             tail = np.arange(len(self.support), net.layers[0].in_dim)
-            setattr(self, name, net.keep_inputs(np.concatenate([keep, tail])))
+            setattr(self, name, net.keep(inputs=np.concatenate([keep, tail])))
+        self.decoder = self.decoder.keep(outputs=keep)
         self.support = np.asarray(support, dtype=np.intp)
 
     def networks(self):
@@ -209,21 +214,22 @@ class EncoderDecoder:
         x_hat, dec_cache = self.decoder.forward_cached(z, keep_cache=keep_caches)
         return mu_q, var_q, x_hat, (trunk_cache, mean_cache, var_cache, dec_cache)
 
-    def recon_kl_backward(self, x, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches, input_tail=0):
-        """Mean per-item BCE and KL(q || p), and the gradient of the weighted
+    def recon_kl_backward(self, x_s, eps_noise, mu_q, var_q, x_hat, mu_p, var_p, caches, input_tail=0):
+        """Mean per-item BCE against x_s, the support's columns of the batch
+        (gather), and KL(q || p), and the gradient of the weighted
         batch-mean objective back through the decoder, the reparameterized
         sample, both heads and the trunk, written into each of those nets'
         `grads`: (recon, kl, d_enc_in, d_mu_p, d_var_p), the last two already
         weighted for the prior. d_enc_in is the gradient of the trunk input's
         last input_tail columns, None with input_tail=0."""
         trunk_cache, mean_cache, var_cache, dec_cache = caches
-        recon_vec, d_xhat = nn.bce_loss(x_hat, x, with_grad=True)
+        recon_vec, d_xhat = nn.bce_loss(x_hat, x_s, with_grad=True)
         kl_vec, (d_mu_q, d_var_q, d_mu_p, d_var_p) = nn.kl_diag(
             mu_q, var_q, mu_p, var_p, with_grad=True
         )
         # scale per-item gradients for the weighted batch-mean objective
-        rw = self.config.recon_weight / x.shape[0]
-        kw = self.config.kl_weight / x.shape[0]
+        rw = self.config.recon_weight / x_s.shape[0]
+        kw = self.config.kl_weight / x_s.shape[0]
 
         d_z = self.decoder.backward(dec_cache, rw * d_xhat)
         d_mu_q_total = kw * d_mu_q + d_z
@@ -326,6 +332,7 @@ def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
         "encoder_decoder": enc_caches,
     }
     tensors = {
+        "x_s": x_s,
         "logits": logits,
         "y": y,
         "soft_y": soft_y,
@@ -350,7 +357,7 @@ def _label_balance(logits, k):
 def gmvae_loss(model, x, tau, hard, gumbel_noise, eps_noise):
     """Mean per-item (recon, kl, label_balance) for a batch with frozen noise."""
     t, _ = _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches=False)
-    recon = nn.bce_loss(t["x_hat"], x)
+    recon = nn.bce_loss(t["x_hat"], t["x_s"])
     kl = nn.kl_diag(t["mu_q"], t["var_q"], t["mu_p"], t["var_p"])
     balance, _, _ = _label_balance(t["logits"], model.config.k)
     return float(np.mean(recon)), float(np.mean(kl)), balance
@@ -370,7 +377,7 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
     t, caches = _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches=True)
     # the trunk's input gradient is needed only for its k label columns
     recon, kl, d_y_enc, d_mu_p, d_var_p = model.recon_kl_backward(
-        x, eps_noise, t["mu_q"], t["var_q"], t["x_hat"], t["mu_p"], t["var_p"],
+        t["x_s"], eps_noise, t["mu_q"], t["var_q"], t["x_hat"], t["mu_p"], t["var_p"],
         caches["encoder_decoder"], input_tail=cfg.k,
     )
     d_y_mean = model.prior_mean_net.backward(caches["prior_mean"], d_mu_p)
@@ -441,11 +448,12 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     1-based epoch and step within it.
 
     Before the first step fit narrows the model (model.narrow) to the
-    support columns data sets: a column that is zero in every row would
-    give its weights a zero gradient and so a zero Adam update, so the
-    input nets drop it. Data of the wrong shape is rejected before the
-    model is touched. Returns the TrainingHistory; the model is updated
-    in place.
+    support columns data sets. A column that is zero in every row would
+    give its input weights a zero gradient and so a zero Adam update, so
+    the input nets drop it; its BCE target is 0 in every batch, so the
+    decoder drops its output and the BCE its term. Data of the wrong shape
+    is rejected before the model is touched. Returns the TrainingHistory;
+    the model is updated in place.
     """
     cfg = model.config
     if log_every is not None and log_every < 1:
@@ -538,11 +546,12 @@ def generate(model, component, n, rng):
     var = model.prior_var_net.forward(one_hot)[0]
     eps = rng.standard_normal((n, cfg.latent_dim))
     z = mu + np.sqrt(var) * eps
-    return decode_generated(model.decoder, z, model.vocab, component)
+    return decode_generated(model, z, component)
 
 
-def decode_generated(decoder, latents, vocab, component):
-    """The chunks the decoder makes of latents (n, latent_dim), which both
+def decode_generated(model, latents, component):
+    """The chunks, in model.vocab's tiles, that the decoder of model (either
+    family's encoder/decoder) makes of latents (n, latent_dim), which both
     model families label gen-c<component> at offsets (0, i).
 
     Each cell's tile is the argmax of the decoder's last pre-activation,
@@ -551,18 +560,29 @@ def decode_generated(decoder, latents, vocab, component):
     round two tiles' outputs to the same float (1.0 above a pre-activation
     of about 37 in float64 and 17 in float32), the larger pre-activation
     wins, not the lower tile id; equal pre-activations break toward the
-    lowest tile id."""
-    logits, _ = decoder.forward_cached(latents, keep_cache=False, pre_activation=True)
+    lowest tile id. A narrowed decoder writes only the support's columns,
+    so each cell's argmax runs over its support columns, and a (cell, tile)
+    pair no training chunk set is never generated; every cell has one, as
+    every chunk sets one tile per cell."""
+    logits, _ = model.decoder.forward_cached(latents, keep_cache=False, pre_activation=True)
+    if len(model.support) < model.config.d:
+        full = np.full((len(logits), model.config.d), -np.inf, dtype=logits.dtype)
+        full[:, model.support] = logits
+        logits = full
     return [
-        decode(logits[i], vocab, level_id=f"gen-c{component}", offset=(0, i))
+        decode(logits[i], model.vocab, level_id=f"gen-c{component}", offset=(0, i))
         for i in range(len(logits))
     ]
 
 
+def label_logits(model, data):
+    """The label net's logits per row. Over the uint8 corpus the label net
+    reads only the support's columns (gather), and as built only the ones
+    the rows set, so no float copy of all d columns is made."""
+    return model.label_net.forward(model.gather(data))
+
+
 def hard_labels(model, data):
     """Deterministic component labels: argmax of the label-net logits
-    (the zero-temperature, no-noise limit). Over the uint8 corpus the
-    label net reads only the support's columns (gather), and as built only
-    the ones the rows set, so no float copy of all d columns is made."""
-    logits = model.label_net.forward(model.gather(data))
-    return np.argmax(logits, axis=1)
+    (the zero-temperature, no-noise limit)."""
+    return np.argmax(label_logits(model, data), axis=1)

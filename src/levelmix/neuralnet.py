@@ -187,19 +187,21 @@ class DenseNet:
                 bound = np.sqrt(6.0 / (fan_in + fan_out))
             layer.weight[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
-    def keep_inputs(self, columns):
-        """A new net that reads only the given columns of this net's input:
-        its first layer holds their weights, and its other parameters are
-        copies of this net's."""
-        net = DenseNet(
-            [len(columns)] + [layer.out_dim for layer in self.layers],
-            [layer.activation for layer in self.layers],
-            None,
-            self.dtype,
-        )
-        w0 = net.layers[0].weight
-        w0[...] = self.layers[0].weight[:, columns]
-        net.params[w0.size :] = self.params[self.layers[0].weight.size :]
+    def keep(self, inputs=None, outputs=None):
+        """A new net that reads only the given columns of this net's input
+        and writes only the given columns of its output (all of them where
+        None): its first layer holds the kept inputs' weights, its last
+        layer the kept outputs' weights and biases, and its other
+        parameters are copies of this net's."""
+        inputs = np.arange(self.layers[0].in_dim) if inputs is None else inputs
+        outputs = np.arange(self.layers[-1].out_dim) if outputs is None else outputs
+        last = len(self.layers) - 1
+        sizes = [len(inputs)] + [layer.out_dim for layer in self.layers[:-1]] + [len(outputs)]
+        net = DenseNet(sizes, [layer.activation for layer in self.layers], None, self.dtype)
+        for i, (old, new) in enumerate(zip(self.layers, net.layers)):
+            rows = outputs if i == last else slice(None)
+            new.weight[...] = old.weight[rows][:, inputs if i == 0 else slice(None)]
+            new.bias[...] = old.bias[rows]
         return net
 
     def forward(self, x):

@@ -14,6 +14,7 @@ from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import gmvae as gm
+from levelmix import neuralnet as nn
 from levelmix import toygame
 from levelmix.errors import DataError
 
@@ -116,6 +117,27 @@ def old_payload(family, model, history, version, array=None):
     return payload
 
 
+def format_5_bytes(family, model, history, path):
+    """The model as format 5 saved it: format 6's layout under version 5,
+    with a decoder that writes all d columns (zero outside the support)."""
+    vae = getattr(model, "vae", model)
+    narrow, last = vae.decoder, vae.decoder.layers[-1]
+    sizes = [layer.in_dim for layer in narrow.layers] + [vae.config.d]
+    wide = nn.DenseNet(sizes, [layer.activation for layer in narrow.layers], None, narrow.dtype)
+    hidden = narrow.params.size - last.weight.size - last.bias.size
+    wide.params[:hidden] = narrow.params[:hidden]
+    wide.layers[-1].weight[vae.support] = last.weight
+    wide.layers[-1].bias[vae.support] = last.bias
+    vae.decoder = wide
+    try:
+        save(family, path, model, history)
+    finally:
+        vae.decoder = narrow
+    header, data = split_checkpoint(path.read_bytes())
+    header["format_version"] = 5
+    return join_checkpoint(header, data)
+
+
 FAMILIES = [("gmvae", "float64"), ("gmvae", "float32"), ("vae-gmm", "float64"), ("vae-gmm", "float32")]
 
 
@@ -171,7 +193,7 @@ def test_save_writes_aligned_blobs_and_loads_writable(family, dtype, toy_setup, 
     save(family, path, model, history)
     raw = path.read_bytes()
     header, data = split_checkpoint(raw)
-    assert header["format_version"] == 5
+    assert header["format_version"] == 6
     assert header["support"] == model.support.tolist()
     # one blob per network: its flat parameters, in the model's dtype
     nets = getattr(model, "vae", model).networks()
@@ -219,9 +241,13 @@ def test_a_trained_narrowed_model_round_trips(family, dtype, toy_setup, tmp_path
     assert 0 < len(model.support) < np.count_nonzero(data.any(axis=0))
     path = tmp_path / "model.ckpt"
     save(family, path, model, history)
-    _, loaded, _ = ckpt.load_any(path)
+    _, loaded, loaded_history = ckpt.load_any(path)
     assert_same_params(model, loaded)
     assert loaded.support.dtype == np.intp and np.array_equal(loaded.support, model.support)
+    # the decoder writes the support's columns only, and is stored so
+    assert getattr(loaded, "vae", loaded).decoder.layers[-1].out_dim == len(model.support)
+    save(family, tmp_path / "again.ckpt", loaded, loaded_history)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
     assert np.array_equal(loaded.predict(data), model.predict(data))
     (latents, labels), (loaded_latents, loaded_labels) = model.encode(data), loaded.encode(data)
     assert np.array_equal(loaded_labels, labels) and loaded_latents.tobytes() == latents.tobytes()
@@ -248,10 +274,11 @@ def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch)
 
 @pytest.fixture(scope="module")
 def fuzz_workspace(tmp_path_factory):
-    """A tiny toy corpus and a model of each family, as format-5, format-4
-    and format-2 bytes, with the length of the header part of each. Formats
-    4 and 2 no longer load, so their damaged copies test the exit-2 paths of
-    an old version behind the magic and of a file without the magic."""
+    """A tiny toy corpus and a trained model of each family, as format-6,
+    format-5, format-4 and format-2 bytes, with the length of the header
+    part of each. Formats 5, 4 and 2 no longer load, so their damaged copies
+    test the exit-2 paths of an old version behind the magic and of a file
+    without the magic."""
     root = tmp_path_factory.mktemp("fuzz")
     manifest = str(toygame.write_corpus(root / "corpus", levels_per_type=1, cols=20, seed=2))
     files = {}
@@ -264,9 +291,10 @@ def fuzz_workspace(tmp_path_factory):
         v4, blobs = root / f"{family}.v4.ckpt", ckpt._BlobWriter()
         ckpt._dump(v4, old_payload(family, model, history, 4, blobs.add), blobs)
         v2 = json.dumps(old_payload(family, model, history, 2), sort_keys=True, separators=(",", ":")).encode()
+        v5 = format_5_bytes(family, model, history, root / f"{family}.v5.ckpt")
         # format 2 is all header; a binary header ends where its data section starts
         files[family, 2] = (v2, len(v2))
-        for version, raw in ((5, path.read_bytes()), (4, v4.read_bytes())):
+        for version, raw in ((6, path.read_bytes()), (5, v5), (4, v4.read_bytes())):
             files[family, version] = (raw, len(raw) - len(split_checkpoint(raw)[1]))
     return {"root": root, "manifest": manifest, "files": files}
 
@@ -296,10 +324,25 @@ def assert_clean_exit(workspace, raw):
 
 
 FUZZ_FILES = pytest.mark.parametrize(
-    "family,version", [(family, version) for family in ("gmvae", "vae-gmm") for version in (5, 4, 2)]
+    "family,version", [(family, version) for family in ("gmvae", "vae-gmm") for version in (6, 5, 4, 2)]
 )
 # damaged weights may be inf or nan, and numpy warns about the arithmetic
 QUIET = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_a_trained_format_5_file_exits_2_naming_its_version(fuzz_workspace, family):
+    # its d-wide decoder no longer matches the support, but the version is
+    # checked first, so the error names it and not a blob's shape
+    path = fuzz_workspace["root"] / "v5.ckpt"
+    path.write_bytes(fuzz_workspace["files"][family, 5][0])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["type"] == "DataError" and "format_version 5" in error["message"]
 
 
 @QUIET
@@ -343,7 +386,7 @@ JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), s
 @FUZZ
 @given(data=st.data())
 def test_checkpoint_with_any_support_exits_cleanly(fuzz_workspace, family, data):
-    raw, _ = fuzz_workspace["files"][family, 5]
+    raw, _ = fuzz_workspace["files"][family, 6]
     header, blobs = split_checkpoint(raw)
     support, d = header["support"], header["config"]["d"]
     header["support"] = data.draw(st.one_of(
@@ -362,7 +405,7 @@ def test_checkpoint_with_any_support_exits_cleanly(fuzz_workspace, family, data)
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 def test_non_finite_parameter_exits_2_naming_the_network(fuzz_workspace, family, value):
-    raw, _ = fuzz_workspace["files"][family, 5]
+    raw, _ = fuzz_workspace["files"][family, 6]
     header, data = split_checkpoint(raw)
     # the decoder's last parameter: its last layer's last bias
     blob = header["networks"]["decoder"]

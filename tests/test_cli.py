@@ -255,7 +255,7 @@ def _unknown_format(header):
 
 @_edit_header
 def _future_version(header):
-    header["format_version"] = 6
+    header["format_version"] = 7
 
 
 @_edit_header
@@ -392,10 +392,11 @@ def test_network_blob_of_the_wrong_size_is_data_error_naming_it(trained_checkpoi
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [3, 4, 5])
 def test_format_3_checkpoint_is_data_error_naming_its_version(trained_checkpoint, tmp_path, capsys, version):
-    # format 4 stored a weight blob, a bias blob and an activation per layer,
-    # and format 3 had that layout without a support, with d-wide input nets;
+    # format 5 had a d-wide decoder beside the narrowed input nets, format 4
+    # stored a weight blob, a bias blob and an activation per layer, and
+    # format 3 had that layout without a support, with d-wide input nets;
     # the loader rejects the version before it reads any layout
     @_edit_header
     def as_old_format(header):
@@ -1006,14 +1007,25 @@ def test_compare_writes_runs_in_seed_family_order(workspace, tmp_path, monkeypat
     assert payload["run_info"]["command"] == "compare"
     assert payload["run_info"]["flags"]["seeds"] == "0,1"
     report = payload["report"]
-    assert set(report) == {"runs", "median_gmvae", "median_vae_gmm"}
+    assert set(report) == {"runs", "median_gmvae", "median_vae_gmm", "families"}
     assert [(r["seed"], r["family"]) for r in report["runs"]] == [
         (0, "gmvae"), (0, "vae-gmm"), (1, "gmvae"), (1, "vae-gmm"),
     ]
     assert all(0.0 <= r["balanced_accuracy"] <= 1.0 for r in report["runs"])
+    # the largest of 3 shares, and the largest of 3 softmax entries, for the GMVAE only
+    for r in report["runs"]:
+        assert 1 / 3 <= r["largest_share"] <= 1.0
+        assert (1 / 3 <= r["mean_max_p"] <= 1.0) if r["family"] == "gmvae" else r["mean_max_p"] is None
     for family, key in (("gmvae", "median_gmvae"), ("vae-gmm", "median_vae_gmm")):
-        accuracies = [r["balanced_accuracy"] for r in report["runs"] if r["family"] == family]
+        runs = [r for r in report["runs"] if r["family"] == family]
+        accuracies = [r["balanced_accuracy"] for r in runs]
         assert report[key] == float(np.median(accuracies))
+        assert report["families"][family] == {
+            "runs": 2,
+            "mean_accuracy": float(np.mean(accuracies)),
+            "at_one": sum(a == 1.0 for a in accuracies),
+            "one_component": sum(r["largest_share"] == 1.0 for r in runs),
+        }
 
 
 @pytest.mark.parametrize("flags", [["--seeds", ""], ["--seeds", "a"], ["--seeds", "0,x"], ["--seed", "3"]])

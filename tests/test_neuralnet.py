@@ -277,7 +277,7 @@ def test_keep_inputs_reads_only_the_given_columns(dtype):
     net = nn.DenseNet([10, 6, 4], ["relu", "softplus"], np.random.default_rng(7), dtype)
     initial = net.params.copy()
     columns = np.array([1, 4, 5, 8, 9])
-    narrow = net.keep_inputs(columns)
+    narrow = net.keep(inputs=columns)
     assert [layer.weight.shape for layer in narrow.layers] == [(6, 5), (4, 6)]
     assert narrow.params.dtype == net.params.dtype and not np.shares_memory(narrow.params, net.params)
     assert narrow.layers[0].weight.tobytes() == net.layers[0].weight[:, columns].tobytes()
@@ -290,6 +290,31 @@ def test_keep_inputs_reads_only_the_given_columns(dtype):
     np.testing.assert_allclose(narrow.forward(x[:, columns]), net.forward(x), rtol=1e-5 if dtype == "float32" else 1e-12)
     with pytest.raises(DimensionMismatch):
         narrow.forward(x)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_keep_outputs_writes_only_the_given_columns(dtype):
+    net = nn.DenseNet([5, 6, 10], ["relu", "sigmoid"], np.random.default_rng(7), dtype)
+    net.layers[-1].bias[...] = np.arange(10)
+    initial = net.params.copy()
+    outputs = np.array([0, 2, 3, 7])
+    narrow = net.keep(outputs=outputs)
+    assert [layer.weight.shape for layer in narrow.layers] == [(6, 5), (4, 6)]
+    assert narrow.params.dtype == net.params.dtype and not np.shares_memory(narrow.params, net.params)
+    assert narrow.params[:36].tobytes() == net.params[:36].tobytes()
+    assert narrow.layers[-1].weight.tobytes() == net.layers[-1].weight[outputs].tobytes()
+    assert narrow.layers[-1].bias.tobytes() == net.layers[-1].bias[outputs].tobytes()
+    assert np.array_equal(net.params, initial)
+    # the same rows give the same products, so the kept columns are equal
+    x = np.random.default_rng(8).standard_normal((7, 5)).astype(dtype)
+    np.testing.assert_allclose(narrow.forward(x), net.forward(x)[:, outputs], rtol=1e-5 if dtype == "float32" else 1e-12)
+
+
+def test_keep_narrows_both_ends_of_a_one_layer_net():
+    net = make_net([4, 3], ["linear"], seed=5)
+    narrow = net.keep(inputs=[0, 3], outputs=[2])
+    assert narrow.layers[0].weight.tolist() == net.layers[0].weight[[2]][:, [0, 3]].tolist()
+    assert narrow.layers[0].bias.tolist() == net.layers[0].bias[[2]].tolist()
 
 
 def test_linear_weight_gradient_is_outer_product():
@@ -401,7 +426,7 @@ def test_adam_shape_mismatch():
     # fewer of its inputs
     net = make_net([4, 3, 2], ["relu", "linear"])
     opt = nn.AdamState(net)
-    narrow = net.keep_inputs([1, 3])
+    narrow = net.keep(inputs=[1, 3])
     with pytest.raises(ShapeMismatch, match="optimizer holds 23 parameters, net has 17"):
         opt.step(narrow)
 
