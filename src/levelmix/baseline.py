@@ -107,6 +107,8 @@ def pca_fit(data):
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DegenerateData("need at least 2 vectors")
+    if not np.isfinite(data).all():
+        raise NumericError("PCA input has NaN or infinite values")
     mean = data.mean(axis=0)
     centered = data - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)

@@ -27,7 +27,8 @@ all d columns; version 4 stored a weight blob, a bias blob and an
 activation per layer; version 3 had that layout without a support and with
 d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
 more: such a file is a DataError that names its format_version. Loading
-rejects a network with a NaN or infinite parameter.
+rejects a network with a NaN or infinite parameter, and saving refuses one
+(a NumericError) before it opens any file.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -48,7 +49,7 @@ import numpy as np
 
 from .baseline import GmmModel, PcaProjection, VaeGmmModel, VaeModel
 from .corpus import TileVocab
-from .errors import DataError, InvalidConfig
+from .errors import DataError, InvalidConfig, NumericError
 from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig
 from .neuralnet import DenseNet, param_count
 
@@ -175,6 +176,16 @@ def _dump(path, payload, blobs):
         raise
 
 
+def _finite_networks(model):
+    """The model's networks by name, once every parameter is finite: a save
+    refuses what a load refuses, before any file is opened."""
+    networks = model.networks()
+    for name, net in networks.items():
+        if not np.isfinite(net.params).all():
+            raise NumericError(f"network {name} has non-finite parameters; nothing was saved")
+    return networks
+
+
 def _envelope(fmt, vocab, model, history, run_info, blobs):
     """The envelope of the config, support and networks of a GmvaeModel or
     VaeModel, without a baseline's PCA and GMM."""
@@ -184,7 +195,7 @@ def _envelope(fmt, vocab, model, history, run_info, blobs):
         "config": vars(model.config),
         "vocab": _vocab_to_dict(vocab),
         "support": model.support.tolist(),
-        "networks": {name: blobs.add(net.params, net.dtype) for name, net in model.networks().items()},
+        "networks": {name: blobs.add(net.params, net.dtype) for name, net in _finite_networks(model).items()},
         "history": None if history is None else vars(history),
         "run_info": run_info,
     }

@@ -93,9 +93,16 @@ _SET_BY_COMMAND = ("d", "k", "rng_seed")
 
 def _config(cls, args, **set_by_command):
     """The validated config `cls`: each of its fields from the flag of the
-    same name, except the fields the command sets itself."""
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in set_by_command}
-    return cls(**flags, **set_by_command).validate()
+    same name, except the fields the command sets itself. d, which the
+    corpus gives, is 1 until _sized sets it, so a flag no run can train
+    with is refused before the corpus is read."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in _SET_BY_COMMAND}
+    return cls(**flags, d=1, **set_by_command).validate()
+
+
+def _sized(config, data):
+    """config with d set to the training data's one-hot width."""
+    return dataclasses.replace(config, d=data.shape[1]).validate()
 
 
 def _training_data(args, labelled=False):
@@ -187,9 +194,9 @@ def cmd_build_manifest(args):
 
 
 def cmd_train(args):
+    config = _config(gm.GmvaeConfig, args, k=args.k, rng_seed=args.seed)
     vocab, data, level_types = _training_data(args)
-    config = _config(gm.GmvaeConfig, args, d=data.shape[1], k=args.k, rng_seed=args.seed)
-    model = gm.build_model(config, vocab)
+    model = gm.build_model(_sized(config, data), vocab)
     history = gm.train(
         model,
         data,
@@ -207,11 +214,11 @@ def cmd_train(args):
 
 def cmd_train_baseline(args):
     _component_counts([args.k], "--k")
+    config = _config(bl.VaeConfig, args, rng_seed=args.seed)
     vocab, data, level_types = _training_data(args)
-    config = _config(bl.VaeConfig, args, d=data.shape[1], rng_seed=args.seed)
     model, history = bl.fit_vae_gmm(
         data,
-        config,
+        _sized(config, data),
         args.k,
         gmm_seed=args.seed,
         vocab=vocab,
@@ -363,14 +370,15 @@ def cmd_sweep(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families or any(f not in experiments.FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
+    gmvae = _config(gm.GmvaeConfig, args, k=k_list[0], rng_seed=args.seed) if "gmvae" in families else None
+    vae = _config(bl.VaeConfig, args, rng_seed=args.seed)
     vocab, data, level_types = _training_data(args)
-    d = data.shape[1]
     rows = experiments.disentanglement_sweep(
         data,
         vocab,
         k_list,
-        _config(gm.GmvaeConfig, args, d=d, k=k_list[0], rng_seed=args.seed) if "gmvae" in families else None,
-        _config(bl.VaeConfig, args, d=d, rng_seed=args.seed),
+        _sized(gmvae, data) if gmvae else None,
+        _sized(vae, data),
         level_types=level_types,
         sampler=args.sampler,
         n_per_component=args.n_per_component,
@@ -388,13 +396,12 @@ def cmd_sweep(args):
 
 def cmd_compare(args):
     seeds = _int_list(args.seeds, "--seeds")
-    _, data, level_types = _training_data(args, labelled=True)
-    d = data.shape[1]
     # clustering_comparison replaces the templates' rng_seed by each seed in turn
-    gmvae = _config(gm.GmvaeConfig, args, d=d, k=args.k, rng_seed=seeds[0])
-    vae = _config(bl.VaeConfig, args, d=d, rng_seed=seeds[0])
+    gmvae = _config(gm.GmvaeConfig, args, k=args.k, rng_seed=seeds[0])
+    vae = _config(bl.VaeConfig, args, rng_seed=seeds[0])
+    _, data, level_types = _training_data(args, labelled=True)
     result = experiments.clustering_comparison(
-        data, level_types, args.k, seeds, gmvae, vae, sampler=args.sampler, log=print
+        data, level_types, args.k, seeds, _sized(gmvae, data), _sized(vae, data), sampler=args.sampler, log=print
     )
     _save_report(args, result)
     medians = f"gmvae {result.median('gmvae'):.3f}, vae-gmm {result.median('vae-gmm'):.3f}"

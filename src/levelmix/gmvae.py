@@ -52,6 +52,15 @@ from .neuralnet import DenseNet, AdamState
 DTYPES = ("float64", "float32")
 
 
+def _check_float(config, name, positive=False):
+    """An InvalidConfig naming the field unless its value is finite and
+    > 0 (positive) or >= 0: no run trains with NaN, inf or a negative
+    weight."""
+    value = getattr(config, name)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise InvalidConfig(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
+
+
 @dataclass
 class VaeConfig:
     """The fields of the encoder/decoder and its training run, which both
@@ -74,8 +83,11 @@ class VaeConfig:
             raise InvalidConfig(f"d must be positive, got {self.d}")
         if min(self.latent_dim, self.hidden_width, self.hidden_depth, self.batch_size) < 1:
             raise InvalidConfig("latent_dim, hidden_width, hidden_depth, batch_size must be >= 1")
-        if self.epochs < 0 or self.learning_rate <= 0:
-            raise InvalidConfig("epochs must be >= 0 and learning_rate > 0")
+        if self.epochs < 0:
+            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
+        _check_float(self, "learning_rate", positive=True)
+        _check_float(self, "kl_weight")
+        _check_float(self, "recon_weight")
         if self.dtype not in DTYPES:
             raise InvalidConfig(f"dtype must be float64 or float32, got {self.dtype}")
         return self
@@ -92,14 +104,13 @@ class GmvaeConfig(VaeConfig):
     def validate(self):
         if self.k < 2:
             raise InvalidConfig(f"k must be >= 2, got {self.k}")
-        if self.tau_start <= 0 or self.tau_min <= 0:
-            raise InvalidConfig("temperatures must be > 0")
-        if self.label_balance_weight < 0:
-            raise InvalidConfig("label_balance_weight must be >= 0")
+        _check_float(self, "tau_start", positive=True)
+        _check_float(self, "tau_min", positive=True)
+        _check_float(self, "label_balance_weight")
         if self.tau_min > self.tau_start:
             raise InvalidConfig("tau_min must not exceed tau_start")
         if self.tau_decay is not None and not 0 < self.tau_decay <= 1:
-            raise InvalidConfig("tau_decay must be in (0, 1]")
+            raise InvalidConfig(f"tau_decay must be in (0, 1], got {self.tau_decay}")
         return super().validate()
 
 

@@ -11,6 +11,7 @@ floating inputs (or parameters), so a float32 network trains in float32.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,18 @@ def param_count(sizes):
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
 
+def _layer_views(buffer, shapes):
+    """One (weight, bias) pair of views of the flat buffer per (out, in)
+    weight shape: layer by layer, the row-major weight, then its out biases."""
+    views, offset = [], 0
+    for fan_out, fan_in in shapes:
+        w_end = offset + fan_out * fan_in
+        b_end = w_end + fan_out
+        views.append((buffer[offset:w_end].reshape(fan_out, fan_in), buffer[w_end:b_end]))
+        offset = b_end
+    return views
+
+
 @dataclass
 class Layer:
     weight: np.ndarray  # (out, in)
@@ -144,6 +157,8 @@ class DenseNet:
     All parameters live in one contiguous buffer, `params`, and all
     gradients in a same-shaped buffer, `grads`; each layer's weight and
     bias are views into `params`, layer by layer, weight before bias.
+    `grads` is made on first use (the first backward, Adam step or read),
+    so a net that only evaluates holds its parameters alone.
 
     An inference forward over integer input (the uint8 one-hot corpus)
     reads only the columns its rows set, so no pass over the corpus makes
@@ -162,21 +177,9 @@ class DenseNet:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.dtype = np.dtype(dtype)
-        total = param_count(sizes)
-        self.params = np.zeros(total, dtype=self.dtype)
-        # zero pages are only touched by the first backward
-        self.grads = np.zeros(total, dtype=self.dtype)
-        self.layers = []
-        self._grad_views = []
-        offset = 0
-        for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
-            w_end = offset + fan_out * fan_in
-            b_end = w_end + fan_out
-            self.layers.append(
-                Layer(self.params[offset:w_end].reshape(fan_out, fan_in), self.params[w_end:b_end], act)
-            )
-            self._grad_views.append((self.grads[offset:w_end].reshape(fan_out, fan_in), self.grads[w_end:b_end]))
-            offset = b_end
+        self.params = np.zeros(param_count(sizes), dtype=self.dtype)
+        views = _layer_views(self.params, zip(sizes[1:], sizes[:-1]))
+        self.layers = [Layer(weight, bias, act) for (weight, bias), act in zip(views, activations)]
         if rng is None:
             return
         for layer in self.layers:
@@ -186,6 +189,20 @@ class DenseNet:
             else:
                 bound = np.sqrt(6.0 / (fan_in + fan_out))
             layer.weight[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+
+    @functools.cached_property
+    def grads(self):
+        """The gradient buffer, laid out as params, made on first use. Made
+        with the net, it would cost an evaluating process its pages: once a
+        freed model's memory is reused, calloc zeroes, and so makes
+        resident, a buffer no forward reads. np.zeros takes zeroed pages,
+        which a backward touches first."""
+        return np.zeros(self.params.size, dtype=self.dtype)
+
+    @functools.cached_property
+    def _grad_views(self):
+        """Each layer's (weight, bias) gradient views into grads."""
+        return _layer_views(self.grads, [layer.weight.shape for layer in self.layers])
 
     def keep(self, inputs=None, outputs=None):
         """A new net that reads only the given columns of this net's input

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CHUNK_SIZE, SOLID, SOLIDITY_KINDS, TileVocab, _check_ids
-from .errors import LengthMismatch, RaggedRows, UncoveredTile, UnsupportedGame
+from .errors import LengthMismatch, RaggedRows, UncoveredTile, UnsupportedGame, UsageError
 
 
 @dataclass
@@ -336,7 +336,11 @@ class PlayabilityResult:
 def playability_suite(generate_fn, k, rules, vocab, rng, total_budget=10000):
     """Sample floor(total_budget / k) chunks from each component, aggregate,
     and report the playable fraction. Each component's chunks are answered
-    by one flood_crossable over their stacked tile ids."""
+    by one flood_crossable over their stacked tile ids. A budget below k,
+    which leaves a component no chunk, is a UsageError before any chunk is
+    generated."""
+    if total_budget < k:
+        raise UsageError(f"budget {total_budget} is below k = {k}: each component needs at least one chunk")
     per = total_budget // k
     per_component = []
     total = 0

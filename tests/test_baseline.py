@@ -159,6 +159,15 @@ def test_pca_degenerate_data():
         bl.pca_fit(np.ones((1, 8)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pca_of_non_finite_data_is_numeric_error(value):
+    # numpy's SVD would raise LinAlgError, which the CLI maps to no exit code
+    data = np.random.default_rng(4).standard_normal((20, 6))
+    data[3, 2] = value
+    with pytest.raises(NumericError, match="NaN or infinite"):
+        bl.pca_fit(data)
+
+
 def test_pca_deterministic():
     rng = np.random.default_rng(4)
     data = rng.standard_normal((100, 8))

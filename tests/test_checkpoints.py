@@ -4,6 +4,7 @@ import io
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from levelmix import cli
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
 from levelmix import toygame
-from levelmix.errors import DataError
+from levelmix.errors import DataError, NumericError
 
 
 def toy_model(family, dtype, toy_setup):
@@ -270,6 +271,56 @@ def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch)
         ckpt.save_gmvae(path, model, history, run_info={"command": "train"})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_save_refuses_a_non_finite_parameter_naming_the_network(toy_setup, tmp_path, family):
+    # a load refuses such a network, so a save must not write one
+    model, history = toy_model(family, "float64", toy_setup)
+    decoder = getattr(model, "vae", model).decoder
+    kept, fresh = tmp_path / "kept.ckpt", tmp_path / "fresh.ckpt"
+    save(family, kept, model, history)
+    before = kept.read_bytes()
+    decoder.params[-1] = np.nan
+    for path in (kept, fresh):
+        with pytest.raises(NumericError, match="network decoder has non-finite parameters"):
+            save(family, path, model, history)
+    assert kept.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kept.ckpt"]
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_a_loaded_model_makes_its_gradient_buffers_only_when_it_trains(toy_setup, tmp_path, family):
+    model, history = toy_model(family, "float64", toy_setup)
+    path = tmp_path / "model.ckpt"
+    save(family, path, model, history)
+    tracemalloc.start()
+    try:
+        _, loaded, _ = ckpt.load_any(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    networks = getattr(loaded, "vae", loaded).networks()
+    param_bytes = sum(net.params.nbytes for net in networks.values())
+    # one parameter buffer per network and little else, not a gradient
+    # buffer beside each
+    assert param_bytes <= held < 1.25 * param_bytes
+    loaded.generate(0, 5, np.random.default_rng(0))
+    loaded.predict(toy_setup["data"])
+    # grads is a cached property: made on first use, then kept on the net
+    assert not any("grads" in vars(net) for net in networks.values())
+    decoder = networks["decoder"]
+    _, cache = decoder.forward_cached(np.ones((2, decoder.layers[0].in_dim)))
+    decoder.backward(cache, np.ones((2, decoder.layers[-1].out_dim)), input_tail=0)
+    assert [name for name, net in networks.items() if "grads" in vars(net)] == ["decoder"]
+    grads = decoder.grads
+    assert grads is decoder.grads and grads.flags.owndata
+    assert grads.dtype == decoder.params.dtype and grads.shape == decoder.params.shape
+    # each layer's gradients lie where its parameters lie in params
+    for layer, (dw, db) in zip(decoder.layers, decoder._grad_views):
+        for grad, param in ((dw, layer.weight), (db, layer.bias)):
+            assert grad.shape == param.shape and np.shares_memory(grad, grads)
+            assert grad.ctypes.data - grads.ctypes.data == param.ctypes.data - decoder.params.ctypes.data
 
 
 @pytest.fixture(scope="module")

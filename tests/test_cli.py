@@ -200,6 +200,35 @@ def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, co
     assert not out.exists()
 
 
+# each float field a flag sets, with the values no run can train with:
+# NaN and inf everywhere, and a negative weight
+_WEIGHTS = ("kl_weight", "recon_weight", "label_balance_weight")
+_UNTRAINABLE = [
+    (command, field, value)
+    for command, cls in (("train", gm.GmvaeConfig), ("train-baseline", gm.VaeConfig))
+    for field in ("learning_rate", "tau_start", "tau_min") + _WEIGHTS
+    if field in {f.name for f in dataclasses.fields(cls)}
+    for value in ("nan", "inf") + (("-1",) if field in _WEIGHTS else ())
+]
+
+
+@pytest.mark.parametrize("command, field, value", _UNTRAINABLE)
+def test_untrainable_config_value_is_invalid_config_before_the_corpus_is_read(
+    workspace, tmp_path, capsys, monkeypatch, command, field, value
+):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("read the corpus before checking the config")
+
+    monkeypatch.setattr(cp, "load_manifest", no_corpus)
+    out = tmp_path / "model.ckpt"
+    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(out), "--epochs", "1"]
+    capsys.readouterr()
+    assert cli.run(argv + ["--" + field.replace("_", "-"), value]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "InvalidConfig" and field in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_training_data_is_uint8_in_every_dtype(workspace, tmp_path, dtype):
     # --dtype sets the model's dtype only; the corpus takes one byte per entry
@@ -848,6 +877,22 @@ def test_eval_playability_report(workspace, trained_checkpoint, tmp_path):
 
 def test_eval_playability_report_vae_gmm(workspace, baseline_checkpoint, tmp_path):
     _check_eval_playability_report(workspace, baseline_checkpoint, tmp_path)
+
+
+@pytest.mark.parametrize("budget", ["2", "0", "-4"])
+def test_eval_playability_budget_below_k_is_usage_error(workspace, trained_checkpoint, tmp_path, capsys, monkeypatch, budget):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated chunks before checking the budget")
+
+    monkeypatch.setattr(gm, "generate", no_generation)
+    out = tmp_path / "play.json"
+    argv = ["eval-playability", "--model", trained_checkpoint, "--manifest", workspace["manifest"]]
+    capsys.readouterr()
+    assert cli.run(argv + ["--out", str(out), "--budget", budget]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "UsageError"
+    assert f"budget {budget} is below k = 3" in error["message"]
+    assert not out.exists()
 
 
 def test_eval_playability_bad_tiles_are_data_errors(workspace, trained_checkpoint, tmp_path, capsys, monkeypatch):
