@@ -421,12 +421,13 @@ StepLosses = namedtuple("StepLosses", ["recon", "kl", "label_balance"])
 def training_step(model, batch, tau, optimizers, rng, hard=False):
     """One gradient step of either model family on a batch of flat vectors,
     from the gradients model.loss_and_grads writes into each net's `grads`.
+    The batch keeps its dtype: the model casts only the columns it reads.
 
     Returns StepLosses(recon, kl, label_balance); recon and kl are the two
     weighted objective terms, label_balance the anti-collapse regularizer.
     """
     cfg = model.config
-    x = np.asarray(batch, dtype=cfg.dtype)
+    x = np.asarray(batch)
     if x.ndim != 2 or x.shape[1] != cfg.d:
         raise DimensionMismatch(f"batch must be (n, {cfg.d}), got {x.shape}")
     if x.shape[0] > cfg.batch_size:
@@ -450,9 +451,9 @@ def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epo
     ceil(n / batch_size) training_steps at model.schedule(epoch)'s (tau, hard).
 
     data: (n, d) one-hot matrix in any dtype, uint8 as encode_chunks gives
-    it. fit holds no copy of it: training_step casts each batch of rows to
-    config.dtype, and 0 and 1 are exact in every dtype, so the dtype of
-    data changes no result. sampler: "uniform" shuffles each epoch;
+    it. fit holds no copy of it: each step's gather casts the batch's support
+    columns to config.dtype, and 0 and 1 are exact in every dtype, so the
+    dtype of data changes no result. sampler: "uniform" shuffles each epoch;
     "balanced" draws indices weighted by 1 / level-type count (requires
     level_types). on_epoch(epoch, history), if given, runs after each epoch
     is recorded. A NonFiniteLoss from a step is raised again naming the

@@ -27,12 +27,11 @@ from .errors import (
 
 ACTIVATIONS = ("relu", "softplus", "sigmoid", "linear")
 
-# the forward pass adds each layer's bias and applies its activation over
-# blocks of about this many elements, so a block and the sigmoid's scratch
-# stay in a core's L2 cache. On a 2-vCPU Xeon with 2 MB of L2 per core, the
-# bias and sigmoid of a 500-row 512->3072 float64 layer took 22 ms unblocked,
-# 11 ms with 16k-64k element blocks and 13-15 ms with 128k-256k.
-ACTIVATION_BLOCK = 1 << 15
+# the sigmoid runs over blocks of rows of about this many elements, so its
+# exp(-|z|) and sign mask hold one block: in place on a 500x3072 float64
+# output it peaks at 1.2 outputs, not 2.3, and takes 5.8 ms, not 11.5, on a
+# 2-vCPU Xeon with 2 MB of L2 per core (16k blocks 7.6 ms, 64k 5.1 ms)
+SIGMOID_BLOCK = 1 << 15
 
 # sigmoid outputs (and BCE inputs) are clamped away from {0, 1} so log() is safe
 CLAMP_EPS = 1e-7
@@ -58,13 +57,18 @@ def _activate(name, z, out):
         # NaN's sign), and max(e, z >= 0) is 1 where z >= 0 and e below, so
         # this is 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) bit for bit,
         # with no boolean gathers
-        positive = z >= 0
-        e = np.negative(z)
-        np.minimum(z, e, out=e)
-        np.exp(e, out=e)
-        np.maximum(e, positive, out=out)
-        e += 1.0
-        return np.divide(out, e, out=out)
+        z_rows, out_rows = np.atleast_1d(z, out)
+        step = max(1, SIGMOID_BLOCK // max(1, z_rows[:1].size))
+        for start in range(0, len(z_rows), step):
+            zb, ob = z_rows[start : start + step], out_rows[start : start + step]
+            positive = zb >= 0
+            e = np.negative(zb)
+            np.minimum(zb, e, out=e)
+            np.exp(e, out=e)
+            np.maximum(e, positive, out=ob)
+            e += 1.0
+            np.divide(ob, e, out=ob)
+        return out
     if name == "linear":
         if out is not z:
             out[...] = z
@@ -228,14 +232,16 @@ class DenseNet:
     def forward_cached(self, x, keep_cache=True, pre_activation=False):
         """(output, cache). The cache holds one (input, z, output) per layer
         for backward, with the pre-activation z kept only by softplus
-        layers (None elsewhere); with keep_cache=False it is None.
+        layers (None elsewhere); with keep_cache=False it is None. Each
+        layer's bias and activation run in place on its whole GEMM output.
 
         For integer input without a cache (the uint8 one-hot corpus), the
         first layer reads only the columns some row sets: only those are
         cast to the net's dtype, and they are multiplied by the matching
         first-layer weight columns; an unset column adds 0 to every sum.
         The one GEMM sums fewer terms than over the whole row, so its
-        output can differ from a float copy's in the last bits.
+        output can differ from a float copy's in the last bits. Any other
+        input is cast whole (a one-hot batch's 0 and 1 exactly).
 
         With pre_activation=True the last layer stops at z = a @ W.T + b,
         without its activation, and no cache is kept: an increasing
@@ -258,20 +264,13 @@ class DenseNet:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             # a @ W.T + b and the activation, computed in the buffer the
-            # matmul returns, one cache-sized block of rows at a time; a
-            # softplus layer that trains writes its output beside z, as its
-            # gradient is sigmoid(z)
+            # matmul returns; a softplus layer that trains writes its output
+            # beside z, as its gradient is sigmoid(z)
             z = a @ (w0 if i == 0 else layer.weight).T
+            z += layer.bias
             activation = "linear" if pre_activation and i == last else layer.activation
             keep_z = keep_cache and activation == "softplus"
-            a_next = np.empty_like(z) if keep_z else z
-            # views, as the matmul's output is C-contiguous
-            z_rows, out_rows = z.reshape(-1, layer.out_dim), a_next.reshape(-1, layer.out_dim)
-            step = max(1, ACTIVATION_BLOCK // layer.out_dim)
-            for start in range(0, len(z_rows), step):
-                block = z_rows[start : start + step]
-                block += layer.bias
-                _activate(activation, block, out_rows[start : start + step] if keep_z else block)
+            a_next = _activate(activation, z, np.empty_like(z) if keep_z else z)
             if keep_cache:
                 cache.append((a, z if keep_z else None, a_next))
             a = a_next
@@ -317,6 +316,10 @@ class DenseNet:
 # Xeon with 2 MB of L2 per core, a 2.1M-parameter float64 update took
 # 18-19 ms with 16k-64k blocks, 23-26 ms with 4k and 21-25 ms with 128k.
 ADAM_BLOCK = 1 << 15
+# every this many steps Adam zeroes each moment that one more gradient-free
+# step than that could carry below the smallest normal: a subnormal moment
+# stays (0.9 or 0.999 times a few ulps rounds back) and slows every step
+ADAM_FLUSH_EVERY = 64
 # Adam's moment decay rates and the floor added to the root of the second
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
@@ -324,7 +327,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 class AdamState:
     """Bias-corrected Adam over a DenseNet's parameters: each step reads
     the net's gradient buffer `grads` and updates its parameter buffer
-    `params` in place."""
+    `params` in place; every ADAM_FLUSH_EVERY steps it zeroes near-subnormal moments."""
 
     def __init__(self, net, learning_rate=0.001):
         self.learning_rate = learning_rate
@@ -347,15 +350,20 @@ class AdamState:
         lr_t = net.dtype.type(self.learning_rate * np.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t))
         # the per-array update m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
         # p -= lr_t m / (sqrt(v) + eps), op for op and dtype for dtype, so
-        # results are bit-identical to it
+        # results are bit-identical to it, flushes aside
         b1, b2, c1, c2, eps = ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPSILON
         p, g, m, v = net.params, net.grads, self.m, self.v
+        tiny, flush = np.finfo(net.dtype).tiny, (t - 1) % ADAM_FLUSH_EVERY == 0
         block = self._update.size
         for start in range(0, p.size, block):
             end = min(start + block, p.size)
             n = end - start
             gb, mb, vb = g[start:end], m[start:end], v[start:end]
             s, d, u = self._scaled_grad[:n], self._denom[:n], self._update[:n]
+            if flush:
+                # times 1.0 where a moment reaches its floor, else times 0.0
+                mb *= np.greater_equal(np.abs(mb, out=s), tiny / b1 ** (ADAM_FLUSH_EVERY + 1), out=s)
+                vb *= np.greater_equal(vb, tiny / b2 ** (ADAM_FLUSH_EVERY + 1), out=s)
             mb *= b1
             np.multiply(gb, c1, out=s)
             mb += s

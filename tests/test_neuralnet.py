@@ -121,6 +121,7 @@ def masked_sigmoid(z):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_sigmoid_bytes_equal_masked_expression(dtype):
+    # 1,720 rows of 64: three whole sigmoid blocks and a partial one
     z = np.concatenate([
         special_values(dtype),
         np.random.default_rng(0).standard_normal(100_059).astype(dtype) * 20,
@@ -177,19 +178,18 @@ def reference_backward(net, layers, g):
     return grads, g
 
 
-@pytest.mark.parametrize("block", [nn.ACTIVATION_BLOCK, 100], ids=["one-block", "partial-blocks"])
+@pytest.mark.parametrize("rows", [1, 33], ids=["one-row", "33-rows"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("activations", STACKS, ids="-".join)
-def test_in_place_forward_is_the_textbook_forward_byte_for_byte(monkeypatch, block, dtype, activations):
-    # 33 rows are one block at the default size; at 100 elements they are 17
-    # blocks of 2 rows (40 wide) or 7 of 5 (17 wide), the last one partial
-    monkeypatch.setattr(nn, "ACTIVATION_BLOCK", block)
+def test_in_place_forward_is_the_textbook_forward_byte_for_byte(rows, dtype, activations):
+    # one row and a batch of 33: each layer adds its bias to, and runs its
+    # activation over, the whole GEMM output either way
     sizes = [24] + [40] * (len(activations) - 1) + [17]
     net = nn.DenseNet(sizes, activations, np.random.default_rng(7), dtype)
     rng = np.random.default_rng(8)
     for layer in net.layers:
         layer.bias[...] = rng.standard_normal(layer.bias.shape) * 3
-    x = (rng.standard_normal((33, 24)) * 6).astype(dtype)
+    x = (rng.standard_normal((rows, 24)) * 6).astype(dtype)
     x_bytes, params = x.tobytes(), net.params.copy()
     ref_out, ref_layers = reference_forward(net, x)
     g = rng.standard_normal(ref_out.shape).astype(dtype)
@@ -475,6 +475,54 @@ def test_blocked_adam_bit_identical_to_per_array_update(dtype, source):
             assert p.dtype == np.dtype(dtype) and np.array_equal(p, ref)
     assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m]))
     assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v]))
+
+
+def subnormal_count(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+@pytest.mark.parametrize("dtype, idle_steps", [("float64", 7000), ("float32", 800)])
+def test_adam_moments_of_a_stopped_gradient_leave_no_subnormal(dtype, idle_steps):
+    # one step at a gradient of 1e-4, then none: m decays by 0.9 a step and
+    # is subnormal from about step 6,640 (float64) or 700 (float32), where
+    # 0.9 times a few ulps rounds back to itself, so unflushed it stays
+    net = nn.DenseNet([6, 5, 3], ["relu", "linear"], np.random.default_rng(2), dtype)
+    ref_params = [p.copy() for p in net.param_arrays()]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    opt = nn.AdamState(net)
+    for t in range(1, idle_steps + 2):
+        net.grads[...] = 1e-4 if t == 1 else 0.0
+        flat = [g.copy() for g in grad_arrays(net)]
+        opt.step(net)
+        per_array_adam(ref_params, flat, ref_m, ref_v, t)
+    assert subnormal_count(np.concatenate([a.ravel() for a in ref_m])) > 0
+    assert subnormal_count(opt.m) == subnormal_count(opt.v) == 0
+    # a zeroed moment's update lies below half an ulp of its parameter
+    for p, ref in zip(net.param_arrays(), ref_params):
+        assert np.array_equal(p, ref)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_adam_moments_near_the_smallest_normal_never_go_subnormal(dtype):
+    # with no gradient, moments from just above tiny to past the flush
+    # floors decay 0.9 (m) and 0.999 (v) a step; each is zeroed or stays
+    # normal, across three flushes and the steps between them. Half of
+    # them lie within 3e-5 above tiny / beta^ADAM_FLUSH_EVERY, where the
+    # rounding of the decays would carry some below tiny.
+    net = nn.DenseNet([30, 20], ["linear"], np.random.default_rng(3), dtype)
+    opt = nn.AdamState(net)
+    tiny, half = np.finfo(dtype).tiny, net.params.size // 2
+    ramp = tiny * np.geomspace(1.0 + 1e-6, 2.0 / nn.ADAM_BETA1 ** (nn.ADAM_FLUSH_EVERY + 1), half)
+    band = 1.0 + np.arange(half) * 1e-7
+    for moment, beta, sign in ((opt.m, nn.ADAM_BETA1, -1.0), (opt.v, nn.ADAM_BETA2, 1.0)):
+        moment[:half] = ramp * sign
+        moment[half:] = tiny / beta**nn.ADAM_FLUSH_EVERY * band
+    net.grads[...] = 0.0
+    for _ in range(3 * nn.ADAM_FLUSH_EVERY + 1):
+        opt.step(net)
+        assert subnormal_count(opt.m) == subnormal_count(opt.v) == 0
+    assert np.count_nonzero(opt.v) > 0
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
