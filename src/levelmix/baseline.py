@@ -71,10 +71,10 @@ def vae_loss_and_grads(model, x, eps_noise):
     return recon, kl
 
 
-def train_vae(data, config, level_types=None, sampler="uniform", log_every=None):
-    """fit() a new VaeModel of config; returns (model, history)."""
+def train_vae(data, config, level_types=None, sampler="uniform"):
+    """fit() a new VaeModel of config, with nothing run between its epochs; returns (model, history)."""
     model = VaeModel(config)
-    history = fit(model, data, level_types=level_types, sampler=sampler, log_every=log_every)
+    history = fit(model, data, level_types=level_types, sampler=sampler)
     return model, history
 
 
@@ -341,17 +341,20 @@ class VaeGmmModel:
         return latents, gmm_predict(self.gmm, pca_project(self.pca, latents))
 
 
-def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform", log_every=None):
-    """Train the VAE, project its latent means by PCA (95% variance), fit a
-    k-component mixture on the projection. A k below 1 is rejected before
-    training."""
+def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform"):
+    """Train a VAE of vae_config (train_vae), then fit_pca_gmm on it: (VaeGmmModel, the VAE's
+    history). A k below 1 is rejected before training."""
     if k < 1:
         raise InvalidConfig(f"a mixture needs k >= 1 components, got {k}")
-    vae, history = train_vae(
-        data, vae_config, level_types=level_types, sampler=sampler, log_every=log_every
-    )
+    vae, history = train_vae(data, vae_config, level_types=level_types, sampler=sampler)
+    return fit_pca_gmm(vae, data, k, gmm_seed=gmm_seed, vocab=vocab), history
+
+
+def fit_pca_gmm(vae, data, k, gmm_seed=0, vocab=None):
+    """The VaeGmmModel of a trained vae: PCA (95% variance) of its latent means of data, then a
+    k-component mixture fit on the projection (gmm_fit, seeded with gmm_seed)."""
     vae.vocab = vocab
     latents = vae_encode(vae, data)
     projection = pca_fit(latents)
     gmm = gmm_fit(pca_project(projection, latents), k, rng_seed=gmm_seed)
-    return VaeGmmModel(vae=vae, pca=projection, gmm=gmm, vocab=vocab), history
+    return VaeGmmModel(vae=vae, pca=projection, gmm=gmm, vocab=vocab)

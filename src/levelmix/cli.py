@@ -79,6 +79,13 @@ def _int_list(text, flag):
     return values
 
 
+def period(text):
+    """The epochs of --log-every or --checkpoint-every, refused below 1 as the flags are parsed."""
+    if int(text) < 1:
+        raise InvalidConfig(f"--log-every and --checkpoint-every take at least 1 epoch, got {text}")
+    return int(text)
+
+
 def _component_counts(ks, flag):
     """ks, or an InvalidConfig if one of them is below 1."""
     if min(ks) < 1:
@@ -193,19 +200,24 @@ def cmd_build_manifest(args):
     return 0
 
 
+def _train_epochs(args, run, save=None):
+    """Train run to its config's epochs, printing the --log-every line and, given save,
+    saving to --out without run_info every --checkpoint-every epochs; returns the history."""
+    epochs = run.model.config.epochs
+    while run.epoch < epochs:
+        recon, kl, total, tau = run.train_epoch()
+        if args.log_every and run.epoch % args.log_every == 0:
+            print(f"epoch {run.epoch}/{epochs} recon={recon:.4f} kl={kl:.4f} total={total:.4f} tau={tau:.3f}")
+        if save and args.checkpoint_every and run.epoch % args.checkpoint_every == 0:
+            save(args.out, run.model, run.history)
+    return run.history
+
+
 def cmd_train(args):
     config = _config(gm.GmvaeConfig, args, k=args.k, rng_seed=args.seed)
     vocab, data, level_types = _training_data(args)
     model = gm.build_model(_sized(config, data), vocab)
-    history = gm.train(
-        model,
-        data,
-        level_types=level_types,
-        sampler=args.sampler,
-        checkpoint_path=args.out,
-        checkpoint_every=args.checkpoint_every,
-        log_every=args.log_every,
-    )
+    history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler), ckpt.save_gmvae)
     ckpt.save_gmvae(args.out, model, history, run_info=_run_info("train", args))
     _write_history(args, "train", history)
     print(f"saved {args.out} ({len(history)} epochs)")
@@ -216,16 +228,9 @@ def cmd_train_baseline(args):
     _component_counts([args.k], "--k")
     config = _config(bl.VaeConfig, args, rng_seed=args.seed)
     vocab, data, level_types = _training_data(args)
-    model, history = bl.fit_vae_gmm(
-        data,
-        _sized(config, data),
-        args.k,
-        gmm_seed=args.seed,
-        vocab=vocab,
-        level_types=level_types,
-        sampler=args.sampler,
-        log_every=args.log_every,
-    )
+    vae = bl.VaeModel(_sized(config, data))
+    history = _train_epochs(args, gm.TrainingRun(vae, data, level_types, args.sampler))
+    model = bl.fit_pca_gmm(vae, data, args.k, gmm_seed=args.seed, vocab=vocab)
     ckpt.save_vae_gmm(args.out, model, history, run_info=_run_info("train-baseline", args))
     _write_history(args, "train-baseline", history)
     print(f"saved {args.out} (pca kept {model.pca.m} axes)")
@@ -370,7 +375,8 @@ def cmd_sweep(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families or any(f not in experiments.FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
-    gmvae = _config(gm.GmvaeConfig, args, k=k_list[0], rng_seed=args.seed) if "gmvae" in families else None
+    # train_family sets each row's k; the smallest is checked against the GMVAE's k >= 2
+    gmvae = _config(gm.GmvaeConfig, args, k=min(k_list), rng_seed=args.seed) if "gmvae" in families else None
     vae = _config(bl.VaeConfig, args, rng_seed=args.seed)
     vocab, data, level_types = _training_data(args)
     rows = experiments.disentanglement_sweep(
@@ -433,7 +439,7 @@ def _add_model_flags(p, cls):
 def _add_training_run_flags(p, cls):
     """Flags of a single training run: train and train-baseline."""
     p.add_argument("--k", type=int, required=True, help="mixture component count")
-    p.add_argument("--log-every", type=int, default=None)
+    p.add_argument("--log-every", type=period, default=None)
     p.add_argument("--history-csv", default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_model_flags(p, cls)
@@ -476,7 +482,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a mixture-prior model")
     _add_training_run_flags(p, gm.GmvaeConfig)
-    p.add_argument("--checkpoint-every", type=int, default=None, help="also save every N epochs")
+    p.add_argument("--checkpoint-every", type=period, default=None, help="also save every N epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-baseline", help="train the VAE + PCA + GMM pipeline")

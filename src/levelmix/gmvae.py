@@ -446,100 +446,92 @@ def training_step(model, batch, tau, optimizers, rng, hard=False):
 SAMPLERS = ("uniform", "balanced")
 
 
-def fit(model, data, level_types=None, sampler="uniform", log_every=None, on_epoch=None):
-    """The training loop both model families share: config.epochs epochs of
-    ceil(n / batch_size) training_steps at model.schedule(epoch)'s (tau, hard).
+class TrainingRun:
+    """One fit's state, which its caller drives an epoch at a time with
+    train_epoch(): the model, its optimizers (make_optimizers), the RNG
+    that shuffles and draws each step's noise (seed config.rng_seed + 1),
+    the BalancedSampler of sampler="balanced" (seed + 2, else None), the
+    next epoch (0-based) and the TrainingHistory so far.
 
     data: (n, d) one-hot matrix in any dtype, uint8 as encode_chunks gives
-    it. fit holds no copy of it: each step's gather casts the batch's support
-    columns to config.dtype, and 0 and 1 are exact in every dtype, so the
-    dtype of data changes no result. sampler: "uniform" shuffles each epoch;
-    "balanced" draws indices weighted by 1 / level-type count (requires
-    level_types). on_epoch(epoch, history), if given, runs after each epoch
-    is recorded. A NonFiniteLoss from a step is raised again naming the
-    1-based epoch and step within it.
+    it. The run holds no copy of it: each step's gather casts the batch's
+    support columns to config.dtype, and 0 and 1 are exact in every dtype,
+    so the dtype of data changes no result. sampler: "uniform" shuffles each
+    epoch; "balanced" draws indices weighted by 1 / level-type count and
+    needs level_types, which if given must hold one type per row.
 
-    Before the first step fit narrows the model (model.narrow) to the
-    support columns data sets. A column that is zero in every row would
-    give its input weights a zero gradient and so a zero Adam update, so
-    the input nets drop it; its BCE target is 0 in every batch, so the
-    decoder drops its output and the BCE its term. Data of the wrong shape
-    is rejected before the model is touched. Returns the TrainingHistory;
-    the model is updated in place.
+    Starting a run narrows the model (model.narrow) to the support columns
+    data sets. A column that is zero in every row would give its input
+    weights a zero gradient and so a zero Adam update, so the input nets
+    drop it; its BCE target is 0 in every batch, so the decoder drops its
+    output and the BCE its term. Data of the wrong shape or with the wrong
+    number of level types is rejected before the model is touched.
     """
-    cfg = model.config
-    if log_every is not None and log_every < 1:
-        raise InvalidConfig(f"log_every must be >= 1, got {log_every}")
-    if sampler not in SAMPLERS:
-        raise InvalidConfig(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
-    if sampler == "balanced" and level_types is None:
-        raise MissingLabels("the balanced sampler needs level_types")
-    data = np.asarray(data)
-    if data.ndim != 2 or data.shape[1] != cfg.d:
-        raise DimensionMismatch(f"data must be (n, {cfg.d}), got {data.shape}")
-    n = data.shape[0]
-    if n == 0:
-        raise DimensionMismatch("no training data")
-    rng = np.random.default_rng(cfg.rng_seed + 1)  # distinct from init stream
-    history = TrainingHistory()
-    batches_per_epoch = math.ceil(n / cfg.batch_size)
-    balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
-    # the plain VAE has no balance term; its StepLosses carry label_balance 0.0
-    balance_weight = getattr(cfg, "label_balance_weight", 0.0)
-    model.narrow(model.support[data.any(axis=0)[model.support]])
-    optimizers = make_optimizers(model)
-    for epoch in range(cfg.epochs):
-        tau, hard = model.schedule(epoch)
-        order = balanced.draw(n) if balanced is not None else rng.permutation(n)
+
+    def __init__(self, model, data, level_types=None, sampler="uniform"):
+        cfg = model.config
+        if sampler not in SAMPLERS:
+            raise InvalidConfig(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+        if sampler == "balanced" and level_types is None:
+            raise MissingLabels("the balanced sampler needs level_types")
+        data = np.asarray(data)
+        if data.ndim != 2 or data.shape[1] != cfg.d:
+            raise DimensionMismatch(f"data must be (n, {cfg.d}), got {data.shape}")
+        if data.shape[0] == 0:
+            raise DimensionMismatch("no training data")
+        if level_types is not None and len(level_types) != data.shape[0]:
+            raise MissingLabels(f"{len(level_types)} level_types for {data.shape[0]} rows of data")
+        self.model, self.data = model, data
+        self.rng = np.random.default_rng(cfg.rng_seed + 1)  # distinct from init stream
+        self.balanced = BalancedSampler(level_types, cfg.rng_seed + 2) if sampler == "balanced" else None
+        model.narrow(model.support[data.any(axis=0)[model.support]])
+        self.optimizers = make_optimizers(model)
+        self.history = TrainingHistory()
+        self.epoch = 0
+
+    def train_epoch(self):
+        """ceil(n / batch_size) training_steps at model.schedule(epoch)'s
+        (tau, hard); returns the epoch's (recon, kl, total, tau), as recorded
+        in the history with its balance term. A NonFiniteLoss from a step is
+        raised again naming the 1-based epoch and step within it."""
+        cfg, n = self.model.config, len(self.data)
+        tau, hard = self.model.schedule(self.epoch)
+        order = self.balanced.draw(n) if self.balanced is not None else self.rng.permutation(n)
         recon_sum = kl_sum = balance_sum = 0.0
-        count = 0
-        for b in range(batches_per_epoch):
+        for b in range(math.ceil(n / cfg.batch_size)):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             try:
-                losses = training_step(model, data[idx], tau, optimizers, rng, hard=hard)
+                losses = training_step(self.model, self.data[idx], tau, self.optimizers, self.rng, hard=hard)
             except NonFiniteLoss as exc:
-                raise NonFiniteLoss(f"epoch {epoch + 1} step {b + 1}: {exc}") from exc
+                raise NonFiniteLoss(f"epoch {self.epoch + 1} step {b + 1}: {exc}") from exc
             recon_sum += losses.recon * len(idx)
             kl_sum += losses.kl * len(idx)
             balance_sum += losses.label_balance * len(idx)
-            count += len(idx)
-        mean_recon = recon_sum / count
-        mean_kl = kl_sum / count
-        mean_balance = balance_sum / count
+        mean_recon, mean_kl, mean_balance = recon_sum / n, kl_sum / n, balance_sum / n
+        # the plain VAE has no balance term; its StepLosses carry label_balance 0.0
         total = (
             cfg.recon_weight * mean_recon
             + cfg.kl_weight * mean_kl
-            + balance_weight * mean_balance
+            + getattr(cfg, "label_balance_weight", 0.0) * mean_balance
         )
-        history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
-        if log_every is not None and (epoch + 1) % log_every == 0:
-            print(
-                f"epoch {epoch + 1}/{cfg.epochs} recon={mean_recon:.4f} "
-                f"kl={mean_kl:.4f} total={total:.4f} tau={tau:.3f}"
-            )
-        if on_epoch is not None:
-            on_epoch(epoch, history)
-    return history
+        self.history.record(mean_recon, mean_kl, total, tau, label_balance=mean_balance)
+        self.epoch += 1
+        return mean_recon, mean_kl, total, tau
 
 
-def train(model, data, level_types=None, sampler="uniform", checkpoint_path=None, checkpoint_every=None, log_every=None):
-    """fit() the mixture model.
+def fit(model, data, level_types=None, sampler="uniform"):
+    """The training loop both model families share, and the mixture
+    model's as train: a TrainingRun trained for config.epochs epochs.
+    Returns its TrainingHistory; the model is updated in place and should
+    be treated as immutable afterwards."""
+    run = TrainingRun(model, data, level_types, sampler)
+    for _ in range(model.config.epochs):
+        run.train_epoch()
+    return run.history
 
-    With checkpoint_path and checkpoint_every, the model is saved to
-    checkpoint_path every checkpoint_every epochs; saving the final model is
-    left to the caller. The model should be treated as immutable afterwards.
-    """
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise InvalidConfig(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    on_epoch = None
-    if checkpoint_path and checkpoint_every:
-        from .checkpoints import save_gmvae
 
-        def on_epoch(epoch, history):
-            if (epoch + 1) % checkpoint_every == 0:
-                save_gmvae(checkpoint_path, model, history)
-
-    return fit(model, data, level_types=level_types, sampler=sampler, log_every=log_every, on_epoch=on_epoch)
+# the name perfbench/ clocks the mixture model's fit by; train_vae calls fit itself
+train = fit
 
 
 def generate(model, component, n, rng):

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -189,7 +190,11 @@ def test_checkpoint_every_saves_once_per_period(workspace, tmp_path, monkeypatch
     "command, flag",
     [("train", "--log-every"), ("train-baseline", "--log-every"), ("train", "--checkpoint-every")],
 )
-def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, command, flag, value):
+def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, monkeypatch, command, flag, value):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("read the corpus before checking the period flags")
+
+    monkeypatch.setattr(cp, "load_manifest", no_corpus)
     out = tmp_path / "model.json"
     argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
     capsys.readouterr()
@@ -198,6 +203,30 @@ def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, co
     assert error["error"] == "usage" and error["type"] == "InvalidConfig"
     assert value in error["message"]
     assert not out.exists()
+
+
+_LOG_LINE = re.compile(r"epoch \d+/\d+ recon=\S+ kl=\S+ total=\S+ tau=\S+")
+
+
+@pytest.mark.parametrize("command, every, lines", [("train", 2, 3), ("train-baseline", 3, 2)])
+def test_log_every_prints_the_history_row_of_every_nth_epoch(workspace, tmp_path, capsys, command, every, lines):
+    history = tmp_path / "history.csv"
+    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(tmp_path / "model.json")]
+    argv += FAST_TRAIN + ["--epochs", "6", "--log-every", str(every), "--history-csv", str(history)]
+    capsys.readouterr()
+    assert cli.run(argv) == 0
+    logged = [line for line in capsys.readouterr().out.splitlines() if _LOG_LINE.fullmatch(line)]
+    with open(history, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 6 and len(logged) == lines
+    assert logged == [
+        f"epoch {int(r['epoch']) + 1}/6 recon={float(r['recon_loss']):.4f} kl={float(r['kl_loss']):.4f} "
+        f"total={float(r['total_loss']):.4f} tau={float(r['temperature']):.3f}"
+        for r in rows
+        if (int(r["epoch"]) + 1) % every == 0
+    ]
+    # the plain VAE has no temperature
+    assert all(line.endswith(" tau=0.000") for line in logged) == (command == "train-baseline")
 
 
 # each float field a flag sets, with the values no run can train with:
@@ -630,7 +659,15 @@ def test_model_flags_are_the_config_fields(command, cls):
 
 def test_model_flags_reach_the_config(workspace, monkeypatch):
     configs = []
-    monkeypatch.setattr(gm, "train", lambda model, *a, **k: configs.append(model.config) or gm.TrainingHistory())
+
+    class NoTraining:
+        """A run of the model's config that has trained all its epochs."""
+
+        def __init__(self, model, *args):
+            configs.append(model.config)
+            self.model, self.epoch, self.history = model, model.config.epochs, gm.TrainingHistory()
+
+    monkeypatch.setattr(gm, "TrainingRun", NoTraining)
     monkeypatch.setattr(ckpt, "save_gmvae", lambda *a, **k: None)
     argv = ["train", "--manifest", workspace["manifest"], "--out", "o", "--k", "4", "--seed", "9"]
     argv += ["--epochs", "3", "--learning-rate", "0.01", "--tau-decay", "0.5", "--dtype", "float32"]
@@ -1140,7 +1177,8 @@ def test_component_count_below_one_is_invalid_config_before_training(workspace, 
     def no_training(*args, **kwargs):
         raise AssertionError("trained a model before checking the component count")
 
-    monkeypatch.setattr(bl, "fit_vae_gmm", no_training)
+    # every fit of either family, in the CLI or a sweep, starts a TrainingRun
+    monkeypatch.setattr(gm, "TrainingRun", no_training)
     out, history = tmp_path / "out", tmp_path / "history.csv"
     argv = argv + ["--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
     if argv[0] == "train-baseline":
@@ -1149,6 +1187,23 @@ def test_component_count_below_one_is_invalid_config_before_training(workspace, 
     assert cli.run(argv) == 1
     error = _single_error_line(capsys)
     assert error["error"] == "usage" and error["type"] == "InvalidConfig" and argv[1] in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("families", ["gmvae", "vae-gmm,gmvae"])
+def test_sweep_gmvae_component_count_below_two_is_invalid_config_before_training(
+    workspace, tmp_path, capsys, monkeypatch, families
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model before checking every --k-list entry")
+
+    monkeypatch.setattr(gm, "TrainingRun", no_training)
+    argv = ["sweep", "--k-list", "3,1", "--families", families, "--manifest", workspace["manifest"]]
+    capsys.readouterr()
+    assert cli.run(argv + ["--out", str(tmp_path / "sweep.csv"), "--epochs", "1"]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "InvalidConfig"
+    assert error["message"] == "k must be >= 2, got 1"
     assert os.listdir(tmp_path) == []
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
+from levelmix import cli
 from levelmix import evaluation as ev
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
+from levelmix import toygame
 from levelmix.corpus import BalancedSampler
 from levelmix.errors import (
     ComponentOutOfRange,
@@ -661,6 +664,22 @@ def test_fit_rejects_data_of_another_width_before_touching_the_model(toy_setup, 
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "balanced"])
+@pytest.mark.parametrize("count", [10, 298])  # for the toy's 297 chunks
+@pytest.mark.parametrize("family", ["gmvae", "vae"])
+def test_fit_rejects_level_types_of_another_length_before_touching_the_model(toy_setup, family, count, sampler):
+    data, types = toy_setup["data"], toy_setup["types"]
+    d = data.shape[1]
+    model = _toy_model(family, d, toy_setup["vocab"], epochs=1)
+    nets = model.networks()
+    params = {name: net.params.copy() for name, net in nets.items()}
+    with pytest.raises(MissingLabels, match=f"^{count} level_types for {len(data)} rows"):
+        gm.fit(model, data, level_types=(types + types)[:count], sampler=sampler)
+    assert np.array_equal(model.support, np.arange(d)) and model.networks() == nets
+    for name, net in nets.items():
+        assert net.params.tobytes() == params[name].tobytes(), name
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "balanced"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
 def test_fit_on_set_columns_tracks_the_full_networks(toy_setup, monkeypatch, family, dtype, sampler):
@@ -764,51 +783,56 @@ def test_non_finite_loss_leaves_the_full_networks_with_the_trained_values(toy_se
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
-def test_an_error_in_on_epoch_leaves_the_networks_it_saw(toy_setup, family):
+def test_an_error_between_epochs_leaves_the_networks_it_saw(toy_setup, family):
     data, vocab = toy_setup["data"], toy_setup["vocab"]
     model = _toy_model(family, data.shape[1], vocab, epochs=3)
+    run = gm.TrainingRun(model, data)
     seen = []
 
-    def on_epoch(epoch, history):
-        seen.append({name: (net, net.params.copy()) for name, net in model.networks().items()})
-        if epoch == 1:
-            raise KeyboardInterrupt
-
     with pytest.raises(KeyboardInterrupt):
-        gm.fit(model, data, on_epoch=on_epoch)
+        while run.epoch < model.config.epochs:
+            run.train_epoch()
+            seen.append({name: (net, net.params.copy()) for name, net in model.networks().items()})
+            if run.epoch == 2:
+                raise KeyboardInterrupt
     assert len(seen) == 2
     for name, net in model.networks().items():
-        # on_epoch sees the model's own nets
+        # the caller sees the model's own nets between epochs
         assert seen[0][name][0] is net and seen[1][name][0] is net
         assert np.array_equal(net.params, seen[1][name][1])
         assert not np.array_equal(seen[0][name][1], seen[1][name][1])
 
 
 def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_path, monkeypatch):
-    data, vocab = toy_setup["data"], toy_setup["vocab"]
+    data = toy_setup["data"]
     d, k = data.shape[1], 3
-    # with tau_decay set, tau does not depend on the run length, so a 2-epoch
-    # run is the first two epochs of a 3-epoch run
-    model = gm.build_model(small_gmvae_config(d, k=k, epochs=3, tau_decay=0.7), vocab)
-    saved_nets = []
+    # the toy corpus of toy_setup
+    manifest = str(toygame.write_corpus(tmp_path / "corpus", levels_per_type=3, cols=48, seed=1))
+    saves = []
     save_gmvae = ckpt.save_gmvae
 
-    def save(path, m, history=None):
-        saved_nets.append(dict(m.networks()))
-        save_gmvae(path, m, history)
+    def save(path, m, history=None, run_info=None):
+        save_gmvae(path, m, history, run_info=run_info)
+        saves.append((run_info is None, m, dict(m.networks())))
+        if run_info is None:  # a periodic save, which the final one overwrites
+            shutil.copyfile(path, tmp_path / "every.ckpt")
 
     monkeypatch.setattr(ckpt, "save_gmvae", save)
-    path = tmp_path / "every.ckpt"
-    gm.train(model, data, checkpoint_path=path, checkpoint_every=2)
-    assert saved_nets == [model.networks()]
-    _, saved, history = ckpt.load_any(path)
+    # with tau_decay set, tau does not depend on the run length, so a 2-epoch
+    # run is the first two epochs of a 3-epoch run
+    argv = ["train", "--manifest", manifest, "--k", str(k), "--seed", "3", "--tau-decay", "0.7"]
+    argv += ["--hidden-width", "64", "--latent-dim", "16"]
+    assert cli.run(argv + ["--epochs", "3", "--checkpoint-every", "2", "--out", str(tmp_path / "three.ckpt")]) == 0
+    model = saves[-1][1]
+    assert [nets for periodic, _, nets in saves if periodic] == [model.networks()]
+    _, saved, history = ckpt.load_any(tmp_path / "every.ckpt")
     assert len(history) == 2
     s = len(model.support)
     assert s < d and np.array_equal(saved.support, model.support)
     assert saved.label_net.layers[0].weight.shape[1] == s
     assert saved.encoder_trunk.layers[0].weight.shape[1] == s + k
-    two = gm.build_model(small_gmvae_config(d, k=k, epochs=2, tau_decay=0.7), vocab)
-    gm.train(two, data)
+    assert cli.run(argv + ["--epochs", "2", "--out", str(tmp_path / "two.ckpt")]) == 0
+    _, two, _ = ckpt.load_any(tmp_path / "two.ckpt")
     for name, net in two.networks().items():
         assert np.array_equal(saved.networks()[name].params, net.params), name
 
