@@ -27,8 +27,9 @@ all d columns; version 4 stored a weight blob, a bias blob and an
 activation per layer; version 3 had that layout without a support and with
 d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
 more: such a file is a DataError that names its format_version. Loading
-rejects a network with a NaN or infinite parameter, and saving refuses one
-(a NumericError) before it opens any file.
+rejects a network with a NaN or infinite parameter, and a d other than
+256 * the vocab's size when the vocab is not null; saving refuses a
+non-finite parameter (a NumericError) before it opens any file.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -48,7 +49,7 @@ import struct
 import numpy as np
 
 from .baseline import GmmModel, PcaProjection, VaeGmmModel, VaeModel
-from .corpus import TileVocab
+from .corpus import CHUNK_SIZE, TileVocab
 from .errors import DataError, InvalidConfig, NumericError
 from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig
 from .neuralnet import DenseNet, param_count
@@ -243,6 +244,10 @@ def _rebuild(model_cls, config_cls, payload, arrays):
     model = model_cls.__new__(model_cls)
     model.config = config_cls(**payload["config"]).validate()
     model.vocab = _vocab_from_dict(payload["vocab"])
+    # as GmvaeModel() checks a new model: a forged d would size decode_generated's (n, d) arrays
+    if model.vocab is not None and model.config.d != CHUNK_SIZE * CHUNK_SIZE * model.vocab.size:
+        size = model.vocab.size
+        raise DataError(f"config d={model.config.d} does not match 256 * vocab size {size} = {256 * size}")
     # checked before architecture() sizes any buffer from it
     model.support = _support(payload["support"], model.config.d)
     for name, (sizes, activations) in model.architecture().items():

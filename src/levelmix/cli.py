@@ -2,6 +2,10 @@
 generate, encode, eval-cluster, eval-disentangle, eval-playability,
 densities, chart, sweep, compare.
 
+Every command that trains, sweep's rows and compare's runs included, trains
+through _train: one TrainingRun per model, driven an epoch at a time by
+_train_epochs, the one epoch loop of the CLI.
+
 Every artifact records the resolved command, flags, seed and package version
 (JSON artifacts inline under "run_info", CSV/SVG artifacts via a sidecar
 <output>.run.json), with the BLAS thread setting and the usable CPU count,
@@ -17,6 +21,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -26,8 +31,8 @@ from . import charts
 from . import checkpoints as ckpt
 from . import corpus as cp
 from . import evaluation as ev
-from . import experiments
 from . import gmvae as gm
+from . import neuralnet as nn
 from . import playability as pl
 from . import vglc
 from .errors import (
@@ -39,6 +44,7 @@ from .errors import (
 )
 
 DEFAULT_SEED = 42
+FAMILIES = ("gmvae", "vae-gmm")
 
 
 def _run_info(command, args):
@@ -54,13 +60,19 @@ def _run_info(command, args):
     }
 
 
+def save_json(path, payload):
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_sidecar(out_path, info):
-    experiments.save_json(out_path + ".run.json", info)
+    save_json(out_path + ".run.json", info)
 
 
 def _save_report(args, report):
     """The --out JSON artifact: the command's run_info and the report."""
-    experiments.save_json(args.out, {"run_info": _run_info(args.command, args), "report": report.to_dict()})
+    save_json(args.out, {"run_info": _run_info(args.command, args), "report": report.to_dict()})
 
 
 def _load_corpus(args, heuristic_types=False):
@@ -86,11 +98,16 @@ def period(text):
     return int(text)
 
 
-def _component_counts(ks, flag):
-    """ks, or an InvalidConfig if one of them is below 1."""
-    if min(ks) < 1:
-        raise InvalidConfig(f"{flag} takes component counts of at least 1, got {min(ks)}")
-    return ks
+def _at_least(values, low, flag):
+    """values, or an InvalidConfig naming flag if one of them is below low."""
+    if min(values) < low:
+        raise InvalidConfig(f"{flag} takes values of at least {low}, got {min(values)}")
+    return values
+
+
+def seed(text):
+    """A --seed, refused below 0 as the flag is parsed: numpy seeds no generator with a negative value."""
+    return _at_least([int(text)], 0, "--seed")[0]
 
 
 # the config fields a training command sets itself, not from a flag of
@@ -98,18 +115,15 @@ def _component_counts(ks, flag):
 _SET_BY_COMMAND = ("d", "k", "rng_seed")
 
 
-def _config(cls, args, **set_by_command):
-    """The validated config `cls`: each of its fields from the flag of the
-    same name, except the fields the command sets itself. d, which the
-    corpus gives, is 1 until _sized sets it, so a flag no run can train
-    with is refused before the corpus is read."""
+def _config(family, args, k, rng_seed):
+    """The validated config template of a family's model, a GmvaeConfig with
+    k components for a gmvae and a VaeConfig (which has no k) for a vae-gmm:
+    each field from the flag of the same name, except the fields the command
+    sets itself. d, which the corpus gives, is 1 until _train sets it, so a
+    flag no run can train with is refused before the corpus is read."""
+    cls, set_by_command = (gm.GmvaeConfig, {"k": k}) if family == "gmvae" else (bl.VaeConfig, {})
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in _SET_BY_COMMAND}
-    return cls(**flags, d=1, **set_by_command).validate()
-
-
-def _sized(config, data):
-    """config with d set to the training data's one-hot width."""
-    return dataclasses.replace(config, d=data.shape[1]).validate()
+    return cls(**flags, d=1, rng_seed=rng_seed, **set_by_command).validate()
 
 
 def _training_data(args, labelled=False):
@@ -201,23 +215,40 @@ def cmd_build_manifest(args):
 
 
 def _train_epochs(args, run, save=None):
-    """Train run to its config's epochs, printing the --log-every line and, given save,
-    saving to --out without run_info every --checkpoint-every epochs; returns the history."""
-    epochs = run.model.config.epochs
+    """Train run to its config's epochs, printing the --log-every line (sweep and
+    compare have no such flag) and, given save, saving to --out without run_info
+    every --checkpoint-every epochs; returns the history."""
+    epochs, log_every = run.model.config.epochs, getattr(args, "log_every", None)
     while run.epoch < epochs:
         recon, kl, total, tau = run.train_epoch()
-        if args.log_every and run.epoch % args.log_every == 0:
+        if log_every and run.epoch % log_every == 0:
             print(f"epoch {run.epoch}/{epochs} recon={recon:.4f} kl={kl:.4f} total={total:.4f} tau={tau:.3f}")
         if save and args.checkpoint_every and run.epoch % args.checkpoint_every == 0:
             save(args.out, run.model, run.history)
     return run.history
 
 
+def _train(args, family, config, k, data, vocab, level_types, save=None):
+    """(model, history) of a family trained on data with the --sampler: its
+    config template sized to data's width, one TrainingRun and _train_epochs,
+    which saves with save. A gmvae is built from config with k replaced; a
+    vae-gmm trains a VAE with config, then fits a k-component mixture to it,
+    seeded with config.rng_seed (baseline.fit_pca_gmm). Both models offer k,
+    generate, predict and encode."""
+    if family == "gmvae":
+        model = gm.build_model(dataclasses.replace(config, d=data.shape[1], k=k), vocab)
+    else:
+        model = bl.VaeModel(dataclasses.replace(config, d=data.shape[1]))
+    history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler), save)
+    if family == "vae-gmm":
+        model = bl.fit_pca_gmm(model, data, k, gmm_seed=config.rng_seed, vocab=vocab)
+    return model, history
+
+
 def cmd_train(args):
-    config = _config(gm.GmvaeConfig, args, k=args.k, rng_seed=args.seed)
+    config = _config("gmvae", args, args.k, args.seed)
     vocab, data, level_types = _training_data(args)
-    model = gm.build_model(_sized(config, data), vocab)
-    history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler), ckpt.save_gmvae)
+    model, history = _train(args, "gmvae", config, args.k, data, vocab, level_types, ckpt.save_gmvae)
     ckpt.save_gmvae(args.out, model, history, run_info=_run_info("train", args))
     _write_history(args, "train", history)
     print(f"saved {args.out} ({len(history)} epochs)")
@@ -225,12 +256,10 @@ def cmd_train(args):
 
 
 def cmd_train_baseline(args):
-    _component_counts([args.k], "--k")
-    config = _config(bl.VaeConfig, args, rng_seed=args.seed)
+    _at_least([args.k], 1, "--k")
+    config = _config("vae-gmm", args, args.k, args.seed)
     vocab, data, level_types = _training_data(args)
-    vae = bl.VaeModel(_sized(config, data))
-    history = _train_epochs(args, gm.TrainingRun(vae, data, level_types, args.sampler))
-    model = bl.fit_pca_gmm(vae, data, args.k, gmm_seed=args.seed, vocab=vocab)
+    model, history = _train(args, "vae-gmm", config, args.k, data, vocab, level_types)
     ckpt.save_vae_gmm(args.out, model, history, run_info=_run_info("train-baseline", args))
     _write_history(args, "train-baseline", history)
     print(f"saved {args.out} (pca kept {model.pca.m} axes)")
@@ -371,27 +400,24 @@ def cmd_chart(args):
 
 
 def cmd_sweep(args):
-    k_list = _component_counts(_int_list(args.k_list, "--k-list"), "--k-list")
+    k_list = _at_least(_int_list(args.k_list, "--k-list"), 1, "--k-list")
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if not families or any(f not in experiments.FAMILIES for f in families):
+    if not families or any(f not in FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
-    # train_family sets each row's k; the smallest is checked against the GMVAE's k >= 2
-    gmvae = _config(gm.GmvaeConfig, args, k=min(k_list), rng_seed=args.seed) if "gmvae" in families else None
-    vae = _config(bl.VaeConfig, args, rng_seed=args.seed)
+    ev.check_probe_split(args.n_per_component, args.n_train)
+    # each row sets its own k; the smallest is checked against the GMVAE's k >= 2
+    configs = {family: _config(family, args, min(k_list), args.seed) for family in families}
     vocab, data, level_types = _training_data(args)
-    rows = experiments.disentanglement_sweep(
-        data,
-        vocab,
-        k_list,
-        _sized(gmvae, data) if gmvae else None,
-        _sized(vae, data),
-        level_types=level_types,
-        sampler=args.sampler,
-        n_per_component=args.n_per_component,
-        n_train=args.n_train,
-        families=families,
-        log=print,
-    )
+    rows = []
+    for family in families:
+        for k in k_list:
+            model, _ = _train(args, family, configs[family], k, data, vocab, level_types)
+            report = ev.disentanglement(
+                model.generate, k, vocab, np.random.default_rng(args.seed + k),
+                n_per_component=args.n_per_component, n_train=args.n_train,
+            )
+            rows.append((family, k, report.p70, report.p80, report.p90))
+            print(f"{family} k={k}: p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f}")
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["family", "k", "p70", "p80", "p90"])
@@ -401,14 +427,28 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
-    seeds = _int_list(args.seeds, "--seeds")
-    # clustering_comparison replaces the templates' rng_seed by each seed in turn
-    gmvae = _config(gm.GmvaeConfig, args, k=args.k, rng_seed=seeds[0])
-    vae = _config(bl.VaeConfig, args, rng_seed=seeds[0])
-    _, data, level_types = _training_data(args, labelled=True)
-    result = experiments.clustering_comparison(
-        data, level_types, args.k, seeds, _sized(gmvae, data), _sized(vae, data), sampler=args.sampler, log=print
-    )
+    seeds = _at_least(_int_list(args.seeds, "--seeds"), 0, "--seeds")
+    # each run replaces its template's rng_seed by its seed
+    templates = {family: _config(family, args, args.k, seeds[0]) for family in FAMILIES}
+    vocab, data, level_types = _training_data(args, labelled=True)
+    result = ev.ComparisonResult()
+    for seed in seeds:
+        for family in FAMILIES:
+            t0 = time.time()
+            config = dataclasses.replace(templates[family], rng_seed=seed)
+            model, _ = _train(args, family, config, args.k, data, vocab, level_types)
+            mean_max_p = None
+            if family == "gmvae":
+                # the one label-net forward that hard_labels makes
+                logits = gm.label_logits(model, data)
+                labels = np.argmax(logits, axis=1)
+                mean_max_p = float(np.mean(np.max(nn.softmax(logits), axis=1)))
+            else:
+                labels = model.predict(data)
+            acc = ev.clustering_accuracy(labels, level_types, args.k).balanced_accuracy
+            share = float(np.max(np.bincount(labels, minlength=args.k)) / len(labels))
+            result.runs.append(ev.ComparisonRun(seed, family, acc, share, mean_max_p, (time.time() - t0) / 60))
+            print(f"{family} seed={seed}: balanced accuracy {acc:.3f}, largest share {share:.3f}")
     _save_report(args, result)
     medians = f"gmvae {result.median('gmvae'):.3f}, vae-gmm {result.median('vae-gmm'):.3f}"
     print(f"median balanced accuracy: {medians} -> {args.out}")
@@ -441,7 +481,7 @@ def _add_training_run_flags(p, cls):
     p.add_argument("--k", type=int, required=True, help="mixture component count")
     p.add_argument("--log-every", type=period, default=None)
     p.add_argument("--history-csv", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     _add_model_flags(p, cls)
 
 
@@ -493,7 +533,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--component", type=int, required=True)
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
@@ -502,7 +542,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--balanced", action="store_true", help="balanced re-draw before encoding")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval-cluster", help="balanced clustering accuracy against level types")
@@ -514,7 +554,7 @@ def build_parser():
     p = sub.add_parser("eval-disentangle", help="probe-based disentanglement proportions")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--n-per-component", type=int, default=500)
     p.add_argument("--n-train", type=int, default=300)
     p.set_defaults(func=cmd_eval_disentangle)
@@ -525,7 +565,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True, help="supplies solidity map and axis")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=10000)
     p.set_defaults(func=cmd_eval_playability)
 
@@ -535,7 +575,7 @@ def build_parser():
     p.add_argument("--source", choices=("generated", "corpus"), default="generated")
     p.add_argument("--manifest", default=None)
     p.add_argument("--n-per-component", type=int, default=500)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_densities)
 
     p = sub.add_parser("chart", help="radial bar chart SVGs from a density CSV")
@@ -548,7 +588,7 @@ def build_parser():
     p.add_argument("--families", default="gmvae,vae-gmm")
     p.add_argument("--n-per-component", type=int, default=500)
     p.add_argument("--n-train", type=int, default=300)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     _add_model_flags(p, gm.GmvaeConfig)
     p.set_defaults(func=cmd_sweep)
 

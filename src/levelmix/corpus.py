@@ -34,7 +34,10 @@ PAD_SIDES = ("top", "bottom")
 SOLID, PASSABLE, HAZARD = "solid", "passable", "hazard"
 SOLIDITY_KINDS = (SOLID, PASSABLE, HAZARD)
 # padding only has to make a 16-row window fit; every row past that is a row
-# of background windows, and pad_level builds each one as a string
+# of background windows, and pad_level builds each one as a string. The jump
+# fields share the bound: a flood runs one round per unit of jump height and
+# holds max_span + 1 planes of the chunks, and a 16x16 chunk has no use for
+# either past 16
 MAX_PAD_ROWS = 256
 
 
@@ -362,8 +365,8 @@ def _manifest_from_json(raw, path):
         background=background,
         pad_rows_to=rows_to,
         pad_side=pad_side,
-        jump_max_height=_count(jump.get("max_height", 4), "jump.max_height", path),
-        jump_max_span=_count(jump.get("max_span", 5), "jump.max_span", path),
+        jump_max_height=_count(jump.get("max_height", 4), "jump.max_height", path, MAX_PAD_ROWS),
+        jump_max_span=_count(jump.get("max_span", 5), "jump.max_span", path, MAX_PAD_ROWS),
         path=os.path.abspath(path),
     )
 

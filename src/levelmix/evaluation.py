@@ -1,14 +1,16 @@
 """Quantitative evaluation: balanced clustering accuracy under the optimal
-component-to-type assignment, the disentanglement metric driven by an MLP
-probe on generated chunks, tile-density summaries for the radial charts, and
-latent CSV export.
+component-to-type assignment, and the report of the two families' clustering
+comparison (Experiment 1) built from it; the disentanglement metric driven by
+an MLP probe on generated chunks; tile-density summaries for the radial
+charts; and latent CSV export.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -71,6 +73,53 @@ def clustering_accuracy(labels, level_types, k):
         assignment=assignment,
         balanced_accuracy=accuracy,
     )
+
+
+@dataclass
+class ComparisonRun:
+    """One trained model's clustering of the corpus. largest_share is the
+    share of chunks in its largest component (1.0: all in one), and
+    mean_max_p, for a GMVAE only, the mean over chunks of q(y|x)'s largest
+    probability (1/k: a uniform posterior)."""
+
+    seed: int
+    family: str
+    balanced_accuracy: float
+    largest_share: float
+    mean_max_p: Optional[float]
+    minutes: float
+
+
+@dataclass
+class ComparisonResult:
+    """The runs of both families, gmvae and vae-gmm, over the seeds of a
+    clustering comparison."""
+
+    runs: list = field(default_factory=list)
+
+    def median(self, family):
+        values = [r.balanced_accuracy for r in self.runs if r.family == family]
+        return float(np.median(values)) if values else float("nan")
+
+    def summary(self, family):
+        """The family's mean accuracy, its runs at accuracy 1.0 and its
+        runs with every chunk in one component: a median hides the runs
+        that fail."""
+        runs = [r for r in self.runs if r.family == family]
+        return {
+            "runs": len(runs),
+            "mean_accuracy": float(np.mean([r.balanced_accuracy for r in runs])) if runs else float("nan"),
+            "at_one": sum(r.balanced_accuracy == 1.0 for r in runs),
+            "one_component": sum(r.largest_share == 1.0 for r in runs),
+        }
+
+    def to_dict(self):
+        return {
+            "runs": [vars(r) for r in self.runs],
+            "median_gmvae": self.median("gmvae"),
+            "median_vae_gmm": self.median("vae-gmm"),
+            "families": {family: self.summary(family) for family in ("gmvae", "vae-gmm")},
+        }
 
 
 # ---------------------------------------------------------------------------

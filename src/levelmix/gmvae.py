@@ -85,6 +85,8 @@ class VaeConfig:
             raise InvalidConfig("latent_dim, hidden_width, hidden_depth, batch_size must be >= 1")
         if self.epochs < 0:
             raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
+        if self.rng_seed < 0:
+            raise InvalidConfig(f"rng_seed must be >= 0, got {self.rng_seed}")
         _check_float(self, "learning_rate", positive=True)
         _check_float(self, "kl_weight")
         _check_float(self, "recon_weight")
@@ -254,8 +256,8 @@ class EncoderDecoder:
 
 class GmvaeModel(EncoderDecoder):
     """The mixture-prior model. Like baseline.VaeGmmModel it offers k,
-    generate(component, n, rng), predict(data) and encode(data), so the CLI
-    and the experiment drivers treat both families alike."""
+    generate(component, n, rng), predict(data) and encode(data), so every
+    CLI command treats both families alike."""
 
     INPUT_NETS = ("label_net", "encoder_trunk")
 

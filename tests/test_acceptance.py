@@ -7,6 +7,8 @@ multi-hour reduced-replication criteria additionally require
 LEVELMIX_RUN_FULL=1; see the README for the exact commands.
 """
 
+import csv
+import json
 import os
 import time
 import xml.etree.ElementTree as ET
@@ -19,7 +21,6 @@ from levelmix import charts
 from levelmix import cli
 from levelmix import corpus as cp
 from levelmix import evaluation as ev
-from levelmix import experiments
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
 from levelmix import playability as pl
@@ -167,16 +168,24 @@ def test_criterion_2_numerics():
 # Criterion 3: reduced replication of the clustering comparison
 
 
-def test_criterion_3_toy_scale_analog(toy_setup):
+def compare_medians(manifest, out, flags):
+    """The (gmvae, vae-gmm) median balanced accuracies of `levelmix compare`
+    at k = 3 with the balanced sampler, the paper's comparison."""
+    argv = ["compare", "--manifest", str(manifest), "--out", str(out), "--k", "3", "--sampler", "balanced"]
+    assert cli.run(argv + flags) == 0
+    with open(out) as f:
+        report = json.load(f)["report"]
+    return report["median_gmvae"], report["median_vae_gmm"]
+
+
+def test_criterion_3_toy_scale_analog(tmp_path):
     # In-sandbox analog on the synthetic corpus: the same property at toy
     # scale (3 seeds, both families). The corpus-scale criterion runs below.
-    shared = dict(d=toy_setup["data"].shape[1], epochs=100, latent_dim=16, hidden_width=64)
-    result = experiments.clustering_comparison(
-        toy_setup["data"], toy_setup["types"], k=3, seeds=[3, 4, 5],
-        gmvae_config=gm.GmvaeConfig(k=3, **shared), vae_config=bl.VaeConfig(**shared),
+    manifest = toygame.write_corpus(tmp_path / "corpus", levels_per_type=3, cols=48, seed=1)
+    median_mix, median_base = compare_medians(
+        manifest, tmp_path / "experiment1.json",
+        ["--seeds", "3,4,5", "--epochs", "100", "--latent-dim", "16", "--hidden-width", "64"],
     )
-    median_mix = result.median("gmvae")
-    median_base = result.median("vae-gmm")
     assert median_mix >= 0.75, f"mixture median {median_mix:.3f} below 0.75"
     assert median_mix >= median_base - 1e-9, (
         f"mixture {median_mix:.3f} below baseline {median_base:.3f}"
@@ -186,16 +195,11 @@ def test_criterion_3_toy_scale_analog(toy_setup):
 
 
 @needs_full_run
-def test_criterion_3_smb_reduced_replication(smb_data, tmp_path):
-    manifest, vocab, chunks, data, types = smb_data
-    shared = dict(d=data.shape[1], epochs=2000, latent_dim=64, hidden_width=512)
-    result = experiments.clustering_comparison(
-        data, types, k=3, seeds=[0, 1, 2],
-        gmvae_config=gm.GmvaeConfig(k=3, **shared), vae_config=bl.VaeConfig(**shared), log=print,
+def test_criterion_3_smb_reduced_replication(corpus_manifests, tmp_path):
+    median_mix, median_base = compare_medians(
+        corpus_manifests["smb"], tmp_path / "experiment1.json",
+        ["--seeds", "0,1,2", "--epochs", "2000", "--latent-dim", "64", "--hidden-width", "512"],
     )
-    experiments.save_json(tmp_path / "experiment1.json", result.to_dict())
-    median_mix = result.median("gmvae")
-    median_base = result.median("vae-gmm")
     assert median_mix > median_base, (
         f"mixture median {median_mix:.3f} not above baseline {median_base:.3f}"
     )
@@ -232,18 +236,16 @@ def test_criterion_4_synthetic_generators():
 
 
 @needs_full_run
-def test_criterion_4_smb_reduced_sweep(smb_data, tmp_path):
-    manifest, vocab, chunks, data, types = smb_data
-    rows = experiments.disentanglement_sweep(
-        data, vocab, [2, 4, 10],
-        gm.GmvaeConfig(d=data.shape[1], k=2, epochs=2000, rng_seed=0),
-        bl.VaeConfig(d=data.shape[1], epochs=2000, rng_seed=0),
-        log=print,
-    )
-    experiments.save_json(tmp_path / "sweep.json", {"rows": rows})
-    by_key = {(family, k): (p70, p80, p90) for family, k, p70, p80, p90 in rows}
-    mix_p80 = by_key[("gmvae", 10)][1]
-    base_p80 = by_key[("vae-gmm", 10)][1]
+def test_criterion_4_smb_reduced_sweep(corpus_manifests, tmp_path):
+    # the README's reduced grid, at the CLI's defaults (uniform sampler, 500
+    # chunks per component, 300 of them to train the probe)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--k-list", "2,4,10", "--epochs", "2000", "--seed", "0", "--manifest", corpus_manifests["smb"]]
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        by_key = {(row["family"], int(row["k"])): float(row["p80"]) for row in csv.DictReader(f)}
+    mix_p80 = by_key[("gmvae", 10)]
+    base_p80 = by_key[("vae-gmm", 10)]
     assert mix_p80 >= base_p80, f"k=10 p80: mixture {mix_p80} < baseline {base_p80}"
     report("C4 disentanglement-sweep (corpus)", f"k=10 p80 {mix_p80:.2f} vs {base_p80:.2f}")
 

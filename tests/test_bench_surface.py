@@ -93,6 +93,24 @@ def test_tracer_names_the_networks_of_fits_training_copies(perfbench, toy_setup,
     assert groups == (expected | {"label_net", "prior_nets"} if family == "gmvae" else expected)
 
 
+def test_fit_vae_gmm_trains_its_vae_once_through_the_train_vae_global(toy_setup, monkeypatch):
+    # baseline-ki-f32 wraps the module global bl.train_vae around fit_vae_gmm
+    # and reads its first call's time as the training time
+    trained = []
+    train_vae = bl.train_vae
+
+    def recording(*args, **kwargs):
+        trained.append(train_vae(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(bl, "train_vae", recording)
+    data = toy_setup["data"][:100]
+    fields = dict(d=data.shape[1], latent_dim=4, hidden_width=16, hidden_depth=1, batch_size=32, epochs=1)
+    model, history = bl.fit_vae_gmm(data, bl.VaeConfig(**fields), 2)
+    assert len(trained) == 1
+    assert model.vae is trained[0][0] and history is trained[0][1]
+
+
 def test_playability_suite_calls_no_crossable(toy_setup, monkeypatch):
     # the tracer times each call of the module global pl.crossable; the suite
     # answers with flood_crossable, so only the astar_vs_bfs gate calls it

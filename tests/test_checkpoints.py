@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -451,6 +452,28 @@ def test_checkpoint_with_any_support_exits_cleanly(fuzz_workspace, family, data)
         JSON_SCALARS,
     ))
     assert_clean_exit(fuzz_workspace, join_checkpoint(header, blobs))
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_a_d_other_than_the_vocabs_exits_2_naming_both(fuzz_workspace, family):
+    # a forged d would size decode_generated's (n, d) arrays; the support
+    # and every blob still fit it
+    raw, _ = fuzz_workspace["files"][family, 6]
+    header, blobs = split_checkpoint(raw)
+    d = header["config"]["d"]
+    header["config"]["d"] = d + 256 * 5
+    path = fuzz_workspace["root"] / "forged-d.ckpt"
+    path.write_bytes(join_checkpoint(header, blobs))
+    message = f"config d={d + 256 * 5} does not match 256 * vocab size {d // 256} = {d}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        ckpt.load_any(path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["type"] == "DataError" and message in error["message"]
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -16,9 +17,9 @@ from levelmix import checkpoints as ckpt
 from levelmix import cli
 from levelmix import corpus as cp
 from levelmix import evaluation as ev
-from levelmix import experiments
 from levelmix import gmvae as gm
 from levelmix import toygame
+from levelmix.errors import UsageError
 
 FAST_TRAIN = [
     "--epochs", "25",
@@ -118,6 +119,29 @@ def test_argparse_usage_errors_are_one_json_line(tmp_path, capsys, monkeypatch, 
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert error["error"] == "usage" and error["type"] == "UsageError" and named in error["message"]
     assert os.listdir(tmp_path) == []
+
+
+def _readme_commands():
+    """Every `levelmix ...` command README.md quotes, in a code block or
+    inline (where it may wrap), but the `levelmix <command>` placeholder."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("levelmix ")]
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    commands += [" ".join(span.split()) for span in re.findall(r"`(levelmix [^`]+)`", prose)]
+    return [c for c in commands if c != "levelmix <command>"]
+
+
+def test_every_readme_command_parses():
+    # so an example in README cannot drift from the flags
+    commands = [shlex.split(c)[1:] for c in _readme_commands()]
+    assert {"build-manifest", "train", "generate", "densities", "chart", "compare", "sweep"} <= {a[0] for a in commands}
+    for argv in commands:
+        try:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
+        except UsageError as exc:
+            pytest.fail(f"levelmix {' '.join(argv)}: {exc}")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["compare", "-h"]])
@@ -1071,19 +1095,19 @@ def test_sweep_csv(workspace, tmp_path, monkeypatch):
 
 def test_compare_writes_runs_in_seed_family_order(workspace, tmp_path, monkeypatch):
     dtypes = []
-    compare = experiments.clustering_comparison
+    start = gm.TrainingRun
 
-    def recording_compare(data, level_types, k, seeds, gmvae_config, vae_config, **kwargs):
-        dtypes.append((data.dtype, gmvae_config.dtype, vae_config.dtype))
-        return compare(data, level_types, k, seeds, gmvae_config, vae_config, **kwargs)
+    def recording_run(model, data, *args):
+        dtypes.append((type(model).__name__, data.dtype, model.config.dtype))
+        return start(model, data, *args)
 
-    monkeypatch.setattr(experiments, "clustering_comparison", recording_compare)
+    monkeypatch.setattr(gm, "TrainingRun", recording_run)
     out = tmp_path / "exp1.json"
     argv = ["compare", "--manifest", workspace["manifest"], "--out", str(out), "--k", "3", "--seeds", "0,1"]
     argv += ["--dtype", "float32", "--epochs", "2", "--hidden-width", "16", "--latent-dim", "4"]
     assert cli.run(argv) == 0
     # --dtype sets the models' dtype; the corpus stays uint8
-    assert dtypes == [(np.uint8, "float32", "float32")]
+    assert dtypes == [("GmvaeModel", np.uint8, "float32"), ("VaeModel", np.uint8, "float32")] * 2
     payload = json.loads(out.read_text())
     assert set(payload) == {"run_info", "report"}
     assert payload["run_info"]["command"] == "compare"
@@ -1115,7 +1139,7 @@ def test_compare_bad_seed_flags_are_usage_errors(workspace, tmp_path, capsys, mo
     def no_training(*args, **kwargs):
         raise AssertionError("compare trained before it checked its flags")
 
-    monkeypatch.setattr(experiments, "clustering_comparison", no_training)
+    monkeypatch.setattr(gm, "TrainingRun", no_training)
     out = tmp_path / "exp1.json"
     argv = ["compare", "--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
     capsys.readouterr()
@@ -1123,6 +1147,38 @@ def test_compare_bad_seed_flags_are_usage_errors(workspace, tmp_path, capsys, mo
     assert not out.exists()
     error = _single_error_line(capsys)
     assert error["error"] == "usage" and flags[0] in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--seed", "-1"],
+        ["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--seed", "-1"],
+        ["generate", "--model", "c", "--component", "0", "--seed", "-1"],
+        ["encode", "--model", "c", "--manifest", "m", "--out", "o", "--balanced", "--seed", "-1"],
+        ["eval-disentangle", "--model", "c", "--out", "o", "--seed", "-1"],
+        ["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--seed", "-1"],
+        ["densities", "--model", "c", "--out", "o", "--seed", "-1"],
+        ["sweep", "--manifest", "m", "--out", "o", "--k-list", "2", "--seed", "-1"],
+        ["compare", "--manifest", "m", "--out", "o", "--seeds", "-1"],
+        ["compare", "--manifest", "m", "--out", "o", "--seeds", "0,-1"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_negative_seed_is_invalid_config_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv):
+    def no_input(*args, **kwargs):
+        raise AssertionError("read a manifest or checkpoint before checking the seed")
+
+    # numpy seeds no generator with a negative value
+    monkeypatch.setattr(cp, "load_manifest", no_input)
+    monkeypatch.setattr(ckpt, "load_any", no_input)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.run(argv) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "InvalidConfig"
+    assert argv[-2] in error["message"] and "-1" in error["message"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_non_integer_k_list_is_usage_error(workspace, tmp_path, capsys):
@@ -1146,9 +1202,10 @@ def test_eval_disentangle_bad_n_train_is_usage_error(checkpoints, tmp_path, caps
 
 def test_sweep_bad_n_train_is_usage_error_before_training(workspace, tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
-        raise AssertionError("trained a model before checking --n-train")
+        raise AssertionError("trained a model or read the corpus before checking --n-train")
 
-    monkeypatch.setattr(experiments, "train_family", no_training)
+    monkeypatch.setattr(gm, "TrainingRun", no_training)
+    monkeypatch.setattr(cp, "load_manifest", no_training)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--manifest", workspace["manifest"], "--out", str(out), "--k-list", "2"]
     capsys.readouterr()

@@ -311,6 +311,10 @@ def write_manifest(directory, value):
         ("jump", {"max_height": -1}),
         ("jump", {"max_span": -1}),
         ("jump", {"max_height": 4, "max_span": -5}),
+        # a flood runs one round per unit of height and holds max_span + 1 planes
+        ("jump", {"max_height": cp.MAX_PAD_ROWS + 1}),
+        ("jump", {"max_span": cp.MAX_PAD_ROWS + 1}),
+        ("jump", {"max_height": 10**9, "max_span": 5}),
     ],
 )
 def test_manifest_bounds_are_data_errors(tmp_path, field, value):
@@ -321,9 +325,10 @@ def test_manifest_bounds_are_data_errors(tmp_path, field, value):
 
 
 def test_manifest_bounds_are_inclusive(tmp_path):
-    raw = {"levels": ["a.txt"], "pad": {"rows_to": cp.MAX_PAD_ROWS}, "jump": {"max_height": 0, "max_span": 0}}
-    manifest = cp.load_manifest(write_manifest(tmp_path, raw))
-    assert (manifest.pad_rows_to, manifest.jump_max_height, manifest.jump_max_span) == (cp.MAX_PAD_ROWS, 0, 0)
+    for jump in (0, cp.MAX_PAD_ROWS):
+        raw = {"levels": ["a.txt"], "pad": {"rows_to": cp.MAX_PAD_ROWS}, "jump": {"max_height": jump, "max_span": jump}}
+        manifest = cp.load_manifest(write_manifest(tmp_path, raw))
+        assert (manifest.pad_rows_to, manifest.jump_max_height, manifest.jump_max_span) == (cp.MAX_PAD_ROWS, jump, jump)
 
 
 def test_level_file_that_is_not_text_is_data_error(tmp_path):

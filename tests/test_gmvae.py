@@ -75,6 +75,9 @@ def test_build_rejects_bad_config():
         gm.GmvaeConfig(d=0, k=3).validate()
     with pytest.raises(InvalidConfig):
         gm.GmvaeConfig(d=100, k=3, tau_min=2.0, tau_start=1.0).validate()
+    # numpy seeds no generator with a negative value
+    with pytest.raises(InvalidConfig, match="rng_seed must be >= 0, got -1"):
+        gm.VaeConfig(d=100, rng_seed=-1).validate()
 
 
 def test_build_rejects_vocab_mismatch(toy_setup):
