@@ -27,8 +27,9 @@ all d columns; version 4 stored a weight blob, a bias blob and an
 activation per layer; version 3 had that layout without a support and with
 d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
 more: such a file is a DataError that names its format_version. Loading
-rejects a network with a NaN or infinite parameter, and a d other than
-256 * the vocab's size when the vocab is not null; saving refuses a
+rejects a network with a NaN or infinite parameter and, when the vocab is
+not null, a d other than 256 * the vocab's size and a support with no
+column of some cell (column // vocab size); saving refuses a
 non-finite parameter (a NumericError) before it opens any file.
 
 The envelope is written with sorted keys and fixed separators and the
@@ -250,6 +251,11 @@ def _rebuild(model_cls, config_cls, payload, arrays):
         raise DataError(f"config d={model.config.d} does not match 256 * vocab size {size} = {256 * size}")
     # checked before architecture() sizes any buffer from it
     model.support = _support(payload["support"], model.config.d)
+    # a cell without a support column would be tile 0 in every generated chunk
+    if model.vocab is not None:
+        columns = np.bincount(model.support // model.vocab.size, minlength=CHUNK_SIZE * CHUNK_SIZE)
+        if not columns.all():
+            raise DataError(f"support has no column of cell {int(np.argmin(columns))}; generate could not fill it")
     for name, (sizes, activations) in model.architecture().items():
         blob, n = payload["networks"][name], param_count(sizes)
         # checked before the buffer is allocated, so a forged config cannot size it

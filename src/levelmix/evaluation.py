@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import neuralnet as nn
-from .corpus import one_hot_encode
+from .corpus import CHUNK_SIZE, one_hot_encode
 from .errors import (
     EmptyComponent,
     GeneratorFailure,
@@ -48,7 +48,7 @@ def clustering_accuracy(labels, level_types, k):
     # and no other function needs it
     from scipy.optimize import linear_sum_assignment
 
-    labels = np.asarray(labels)
+    labels = np.asarray(labels) if len(labels) else np.zeros(0, dtype=np.intp)  # [] is float64
     if len(labels) != len(level_types):
         raise MissingLabels("labels and level_types differ in length")
     if any(t is None for t in level_types):
@@ -58,8 +58,7 @@ def clustering_accuracy(labels, level_types, k):
     type_names = sorted(set(level_types))
     type_index = {t: j for j, t in enumerate(type_names)}
     confusion = np.zeros((k, len(type_names)), dtype=np.int64)
-    for lab, t in zip(labels, level_types):
-        confusion[lab, type_index[t]] += 1
+    np.add.at(confusion, (labels, np.array([type_index[t] for t in level_types], dtype=np.intp)), 1)
     fractions = confusion / np.maximum(confusion.sum(axis=0, keepdims=True), 1)
     # maximize sum of per-type fractions over injective type->component maps
     rows, cols = linear_sum_assignment(-fractions)
@@ -210,11 +209,14 @@ def disentanglement(generate_fn, k, vocab, rng, n_per_component=500, n_train=300
     component's validation chunks.
 
     generate_fn(component, n, rng) must return chunks; a model's generate
-    method bound to its vocab fits directly.
+    method bound to its vocab fits directly (loading refuses a support
+    without a column of some cell). The chunks' one-hot rows are one uint8
+    block, and only the validation rows are copied to float64.
     """
     check_probe_split(n_per_component, n_train)
     n_val = n_per_component - n_train
-    train_x, train_y, val_x, val_y = [], [], [], []
+    d = CHUNK_SIZE * CHUNK_SIZE * vocab.size
+    block = np.zeros((k, n_per_component, d), dtype=np.uint8)
     for component in range(k):
         try:
             chunks = generate_fn(component, n_per_component, rng)
@@ -224,15 +226,14 @@ def disentanglement(generate_fn, k, vocab, rng, n_per_component=500, n_train=300
             raise GeneratorFailure(
                 f"component {component}: expected {n_per_component} chunks, got {len(chunks)}"
             )
-        flats = np.stack([one_hot_encode(c, vocab) for c in chunks])
-        train_x.append(flats[:n_train])
-        val_x.append(flats[n_train:])
-        train_y.append(np.full(n_train, component, dtype=np.int64))
-        val_y.append(np.full(n_val, component, dtype=np.int64))
-    train_x = np.concatenate(train_x)
-    train_y = np.concatenate(train_y)
+        for i, chunk in enumerate(chunks):
+            block[component, i] = one_hot_encode(chunk, vocab)
+    # one validation forward per component: a GEMM's rows depend on its row count
+    train_x, val_x = block[:, :n_train].reshape(-1, d), block[:, n_train:].astype(np.float64)
+    del block
+    train_y, val_y = (np.repeat(np.arange(k, dtype=np.int64), n) for n in (n_train, n_val))
     probe_seed = int(rng.integers(2**31))
-    net = train_probe(train_x, train_y, np.concatenate(val_x), np.concatenate(val_y), k, probe_seed)
+    net = train_probe(train_x, train_y, val_x.reshape(-1, d), val_y, k, probe_seed)
     accuracies = []
     for component in range(k):
         pred = np.argmax(net.forward(val_x[component]), axis=1)
@@ -283,10 +284,8 @@ def tile_densities(chunk_groups, vocab):
         raise EmptyComponent(f"none of the {k} components has chunks")
     raw = np.zeros((k, t), dtype=np.float64)
     for i, chunks in enumerate(chunk_groups):
-        counts = np.zeros(t, dtype=np.float64)
-        for chunk in chunks:
-            counts += np.bincount(chunk.tiles.reshape(-1), minlength=t)
-        raw[i] = counts / max(len(chunks), 1)
+        if chunks:
+            raw[i] = np.bincount(np.stack([c.tiles for c in chunks]).reshape(-1), minlength=t) / len(chunks)
     maxima = raw.max(axis=0)
     normalized = np.divide(raw, maxima, out=np.zeros_like(raw), where=maxima > 0)
     normalized[empty] = np.nan

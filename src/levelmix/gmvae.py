@@ -569,7 +569,8 @@ def decode_generated(model, latents, component):
     lowest tile id. A narrowed decoder writes only the support's columns,
     so each cell's argmax runs over its support columns, and a (cell, tile)
     pair no training chunk set is never generated; every cell has one, as
-    every chunk sets one tile per cell."""
+    every chunk sets one tile per cell, and loading refuses a support
+    without a column of some cell, where every argmax would be tile 0."""
     logits, _ = model.decoder.forward_cached(latents, keep_cache=False, pre_activation=True)
     if len(model.support) < model.config.d:
         full = np.full((len(logits), model.config.d), -np.inf, dtype=logits.dtype)

@@ -477,6 +477,27 @@ def test_a_d_other_than_the_vocabs_exits_2_naming_both(fuzz_workspace, family):
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_a_support_without_a_column_of_some_cell_exits_2_naming_it(toy_setup, tmp_path, family):
+    # cell 0's columns are 0 .. vocab size - 1: without them every argmax
+    # there would pick tile 0, whatever the decoder wrote
+    model, history = toy_model(family, "float64", toy_setup)
+    vae = getattr(model, "vae", model)
+    vae.narrow(vae.support[vae.support >= toy_setup["vocab"].size])
+    path = tmp_path / "no-cell-0.ckpt"
+    save(family, path, model, history)
+    message = "support has no column of cell 0"
+    with pytest.raises(DataError, match=message):
+        ckpt.load_any(path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["generate", "--model", str(path), "--component", "0", "--n", "1"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["type"] == "DataError" and message in error["message"]
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 def test_non_finite_parameter_exits_2_naming_the_network(fuzz_workspace, family, value):
     raw, _ = fuzz_workspace["files"][family, 6]

@@ -5,15 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FUZZ
+from conftest import FUZZ, small_gmvae_config
 from levelmix import corpus as cp
 from levelmix import evaluation as ev
 from levelmix.errors import EmptyComponent, MissingLabels, UsageError
+
+# disentanglement looks train_probe up at each call; tests that replace it call this
+TRAIN_PROBE = ev.train_probe
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,24 @@ def test_hungarian_equals_exhaustive_small_k(seed):
     report = ev.clustering_accuracy(labels, types, k)
     oracle = exhaustive_balanced_accuracy(report.confusion)
     assert abs(report.balanced_accuracy - oracle) < 1e-9
+
+
+@settings(FUZZ)
+@given(st.data())
+def test_confusion_equals_a_per_chunk_count(data):
+    # k may exceed the number of types, and some components get no chunk
+    k = data.draw(st.integers(1, 6), label="k")
+    types = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40), label="types")
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(types), max_size=len(types)), label="labels")
+    if data.draw(st.booleans(), label="as array"):
+        labels = np.array(labels)
+    report = ev.clustering_accuracy(labels, types, k)
+    names = sorted(set(types))
+    expected = np.zeros((k, len(names)), dtype=np.int64)
+    for label, level_type in zip(labels, types):
+        expected[label, names.index(level_type)] += 1
+    assert report.type_names == names
+    assert report.confusion.dtype == np.int64 and np.array_equal(report.confusion, expected)
 
 
 IMPORT_FOOTPRINT = """
@@ -231,6 +253,75 @@ def test_gmvae_disentanglement_on_trained_model(trained_gmvae, rng):
     assert report.p70 >= 2.0 / 3.0
 
 
+def reference_disentanglement(generate_fn, k, vocab, rng, n_per_component, n_train):
+    """The per-component accuracies and the probe that disentanglement gives,
+    computed from float64 one-hot rows: one np.stack per component, float64
+    training rows, and one validation forward per component."""
+    flats = [
+        np.stack([cp.one_hot_encode(c, vocab) for c in generate_fn(component, n_per_component, rng)])
+        for component in range(k)
+    ]
+    labels = [np.full(n_per_component, component, dtype=np.int64) for component in range(k)]
+    net = TRAIN_PROBE(
+        np.concatenate([f[:n_train] for f in flats]), np.concatenate([y[:n_train] for y in labels]),
+        np.concatenate([f[n_train:] for f in flats]), np.concatenate([y[n_train:] for y in labels]),
+        k, int(rng.integers(2**31)),
+    )
+    accuracies = [float(np.mean(np.argmax(net.forward(f[n_train:]), axis=1) == c)) for c, f in enumerate(flats)]
+    return accuracies, net
+
+
+@pytest.fixture(scope="module")
+def trained_gmvae_f32(toy_setup):
+    from levelmix import gmvae as gm
+
+    data = toy_setup["data"]
+    model = gm.build_model(small_gmvae_config(data.shape[1], dtype="float32", epochs=20), toy_setup["vocab"])
+    gm.train(model, data, level_types=toy_setup["types"], sampler="balanced")
+    return model, None
+
+
+@pytest.mark.parametrize("fixture", ["trained_gmvae", "trained_gmvae_f32", "trained_vae_gmm"])
+def test_disentanglement_equals_the_float64_rows_reference(request, monkeypatch, fixture):
+    model, _ = request.getfixturevalue(fixture)
+    probes = []
+
+    def recording(train_x, *args):
+        # the training rows are the one-byte block's
+        assert train_x.dtype == np.uint8
+        probes.append(TRAIN_PROBE(train_x, *args))
+        return probes[-1]
+
+    monkeypatch.setattr(ev, "train_probe", recording)
+    report = ev.disentanglement(model.generate, model.k, model.vocab, np.random.default_rng(4),
+                                n_per_component=200, n_train=120)
+    accuracies, net = reference_disentanglement(model.generate, model.k, model.vocab, np.random.default_rng(4),
+                                                n_per_component=200, n_train=120)
+    accs = np.array(accuracies)
+    assert report.to_dict() == {
+        "k": model.k,
+        "per_component_accuracy": accuracies,
+        "p70": float(np.mean(accs >= 0.70)),
+        "p80": float(np.mean(accs >= 0.80)),
+        "p90": float(np.mean(accs >= 0.90)),
+        "probe": report.probe,
+    }
+    assert probes[0].params.tobytes() == net.params.tobytes()
+
+
+def test_probe_rows_are_one_byte_each_until_validation(trained_gmvae):
+    # k = 3, 500/300, d = 1024: float64 rows of every chunk peaked at 42.5 MB,
+    # the uint8 block with float64 validation rows at about 24 MB
+    model, _ = trained_gmvae
+    tracemalloc.start()
+    try:
+        ev.disentanglement(model.generate, model.k, model.vocab, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.config.d == 1024 and peak < 33e6
+
+
 # ---------------------------------------------------------------------------
 # tile densities
 
@@ -308,6 +399,34 @@ def test_empty_component_gets_a_nan_row(toy_setup):
     matrix = ev.tile_densities([chunks[:40], [], chunks[40:80]], vocab)
     assert matrix.k == 3 and np.isnan(matrix.values[1]).all()
     assert np.array_equal(matrix.values[[0, 2]], full.values)
+
+
+def loop_densities(groups, vocab):
+    """tile_densities tallied one tile at a time."""
+    raw = np.zeros((len(groups), vocab.size))
+    for i, chunks in enumerate(groups):
+        for chunk in chunks:
+            for tile in chunk.tiles.reshape(-1):
+                raw[i, tile] += 1.0
+        raw[i] /= max(len(chunks), 1)
+    maxima = raw.max(axis=0)
+    normalized = np.divide(raw, maxima, out=np.zeros_like(raw), where=maxima > 0)
+    normalized[[not chunks for chunks in groups]] = np.nan
+    return np.delete(normalized, vocab.background_id, axis=1)
+
+
+@settings(FUZZ)
+@given(st.data())
+def test_densities_equal_a_per_tile_loop(data):
+    t = data.draw(st.integers(1, 5), label="tiles")
+    vocab = cp.TileVocab(game="t", chars=tuple("-ABCD"[:t]))
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(any), label="group sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # each chunk draws from the first few tiles only, so some tiles are never set
+    groups = [[cp.Chunk(tiles=rng.integers(0, rng.integers(1, t + 1), size=(16, 16))) for _ in range(n)] for n in sizes]
+    matrix = ev.tile_densities(groups, vocab)
+    assert matrix.k == len(sizes) and matrix.tile_chars == list(vocab.chars[1:])
+    assert np.array_equal(matrix.values, loop_densities(groups, vocab), equal_nan=True)
 
 
 def test_density_csv_roundtrip(toy_setup):
