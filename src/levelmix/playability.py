@@ -335,21 +335,20 @@ class PlayabilityResult:
 
 def playability_suite(generate_fn, k, rules, vocab, rng, total_budget=10000):
     """Sample floor(total_budget / k) chunks from each component, aggregate,
-    and report the playable fraction. Each component's chunks are answered
-    by one flood_crossable over their stacked tile ids. A budget below k,
-    which leaves a component no chunk, is a UsageError before any chunk is
-    generated."""
+    and report the playable fraction. Every component is generated, in
+    component order from `rng`, before any chunk is answered, so an error
+    from a later component's generator comes before a bad tile in an
+    earlier component. One flood_crossable then answers the stacked tile
+    ids of the whole suite. A budget below k, which leaves a component no
+    chunk, is a UsageError before any chunk is generated."""
     if total_budget < k:
         raise UsageError(f"budget {total_budget} is below k = {k}: each component needs at least one chunk")
     per = total_budget // k
-    per_component = []
-    total = 0
-    good = 0
-    for component in range(k):
-        chunks = generate_fn(component, per, rng)
-        tiles = np.array([ch.tiles for ch in chunks], np.int64).reshape(-1, CHUNK_SIZE, CHUNK_SIZE)
-        ok = int(flood_crossable(tiles, rules, vocab).sum())
-        per_component.append((ok, len(chunks)))
-        good += ok
-        total += len(chunks)
-    return PlayabilityResult(total=total, playable_count=good, per_component=per_component)
+    tiles = [
+        np.array([ch.tiles for ch in generate_fn(component, per, rng)], np.int64).reshape(-1, CHUNK_SIZE, CHUNK_SIZE)
+        for component in range(k)
+    ]
+    crossed = flood_crossable(np.concatenate(tiles), rules, vocab)
+    parts = np.split(crossed, np.cumsum([len(t) for t in tiles])[:-1])
+    per_component = [(int(ok.sum()), len(ok)) for ok in parts]
+    return PlayabilityResult(total=len(crossed), playable_count=int(crossed.sum()), per_component=per_component)

@@ -25,16 +25,19 @@ TRAIN_PROBE = ev.train_probe
 
 
 def exhaustive_balanced_accuracy(confusion):
-    """Oracle: try every injective type->component map explicitly."""
+    """Oracle: try every injective map of min(k, n_types) types to
+    components explicitly; the types left out score zero."""
     k, n_types = confusion.shape
     totals = confusion.sum(axis=0)
+    m = min(k, n_types)
     best = 0.0
-    for combo in itertools.permutations(range(k), min(k, n_types)):
-        acc = 0.0
-        for type_idx, comp in enumerate(combo[:n_types]):
-            if totals[type_idx] > 0:
-                acc += confusion[comp, type_idx] / totals[type_idx]
-        best = max(best, acc / n_types)
+    for matched in itertools.combinations(range(n_types), m):
+        for combo in itertools.permutations(range(k), m):
+            acc = 0.0
+            for type_idx, comp in zip(matched, combo):
+                if totals[type_idx] > 0:
+                    acc += confusion[comp, type_idx] / totals[type_idx]
+            best = max(best, acc / n_types)
     return best
 
 
@@ -78,6 +81,15 @@ def test_fewer_components_than_types_unmatched_score_zero():
     assert abs(report.balanced_accuracy - oracle) < 1e-12
 
 
+def test_oracle_may_leave_out_a_type_other_than_the_last():
+    # the best map for k = 2 leaves type b, not the last type c, unmatched
+    labels = np.array([0, 0, 0, 0, 0, 1, 0])
+    types = ["a", "a", "a", "a", "a", "c", "b"]
+    report = ev.clustering_accuracy(labels, types, 2)
+    assert report.assignment == {"a": 0, "c": 1}
+    assert exhaustive_balanced_accuracy(report.confusion) == report.balanced_accuracy == pytest.approx(2 / 3)
+
+
 def test_missing_labels_rejected():
     with pytest.raises(MissingLabels):
         ev.clustering_accuracy(np.array([0, 1]), ["a", None], 2)
@@ -90,7 +102,7 @@ def test_missing_labels_rejected():
 def test_hungarian_equals_exhaustive_small_k(seed):
     r = np.random.default_rng(seed)
     k = int(r.integers(2, 9))  # up to k = 8
-    n_types = int(r.integers(2, min(k, 5) + 1))
+    n_types = int(r.integers(2, 7))  # above k for k < 6
     n = int(r.integers(20, 120))
     labels = r.integers(0, k, n)
     type_names = [f"t{i}" for i in range(n_types)]

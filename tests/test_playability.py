@@ -318,25 +318,35 @@ def walled_chunk(vocab):
 
 @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
 def test_playability_suite_counts_equal_per_chunk_bfs(toy_setup, axis):
-    # components mix playable and unplayable chunks in different shares, so
-    # a suite that answers True (or False) everywhere fails
+    # components return different numbers of chunks and mix playable and
+    # unplayable ones in different shares, so a suite that answers True (or
+    # False) everywhere, or splits the stacked answers at the wrong chunk,
+    # fails
     vocab, chunks = toy_setup["vocab"], toy_setup["chunks"]
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis=axis)
     walled = walled_chunk(vocab)
+    calls = []
 
     def gen(component, n, rng):
-        picks = rng.choice(len(chunks), size=n, replace=False)
+        calls.append((component, n, rng))
+        picks = rng.choice(len(chunks), size=n - 13 * component, replace=False)
         return [walled if i % 3 < component else chunks[j] for i, j in enumerate(picks)]
 
-    result = pl.playability_suite(gen, 4, rules, vocab, np.random.default_rng(1), total_budget=240)
-    expected = []
+    suite_rng = np.random.default_rng(1)
+    result = pl.playability_suite(gen, 4, rules, vocab, suite_rng, total_budget=240)
+    assert [(c, n) for c, n, _ in calls] == [(0, 60), (1, 60), (2, 60), (3, 60)]
+    assert all(r is suite_rng for _, _, r in calls)
+    expected, flooded = [], []
     rng = np.random.default_rng(1)
     for component in range(4):
         sample = gen(component, 60, rng)
-        expected.append((sum(pl.bfs_crossable(cp.chunk_to_lines(c, vocab), rules) for c in sample), 60))
-    assert result.per_component == expected
-    assert result.playable_count == sum(p for p, _ in expected) and result.total == 240
-    assert len({p for p, _ in expected}) > 1 and 0 < result.playable_count < result.total
+        expected.append((sum(pl.bfs_crossable(cp.chunk_to_lines(c, vocab), rules) for c in sample), len(sample)))
+        answers = pl.flood_crossable(np.array([c.tiles for c in sample]), rules, vocab)
+        flooded.append((int(answers.sum()), len(answers)))
+    assert result.per_component == expected == flooded
+    assert [t for _, t in expected] == [60, 47, 34, 21]
+    assert result.playable_count == sum(p for p, _ in expected) and result.total == 162
+    assert len({p / t for p, t in expected}) > 1 and 0 < result.playable_count < result.total
 
 
 def _first_error(chunks, rules, vocab):
