@@ -7,7 +7,6 @@ learning the mixture during training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -315,7 +314,6 @@ class VaeGmmModel:
     vae: VaeModel
     pca: PcaProjection
     gmm: GmmModel
-    vocab: Optional[object] = None
 
     @property
     def k(self):
@@ -324,6 +322,10 @@ class VaeGmmModel:
     @property
     def support(self):
         return self.vae.support
+
+    @property
+    def vocab(self):
+        return self.vae.vocab
 
     def generate(self, component, n, rng):
         """Sample a GMM component, back-project through PCA, decode through
@@ -342,19 +344,19 @@ class VaeGmmModel:
 
 
 def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform"):
-    """Train a VAE of vae_config (train_vae), then fit_pca_gmm on it: (VaeGmmModel, the VAE's
-    history). A k below 1 is rejected before training."""
+    """Train a VAE of vae_config (train_vae), give it vocab, then fit_pca_gmm on it:
+    (VaeGmmModel, the VAE's history). A k below 1 is rejected before training."""
     if k < 1:
         raise InvalidConfig(f"a mixture needs k >= 1 components, got {k}")
     vae, history = train_vae(data, vae_config, level_types=level_types, sampler=sampler)
-    return fit_pca_gmm(vae, data, k, gmm_seed=gmm_seed, vocab=vocab), history
+    vae.vocab = vocab
+    return fit_pca_gmm(vae, data, k, gmm_seed=gmm_seed), history
 
 
-def fit_pca_gmm(vae, data, k, gmm_seed=0, vocab=None):
+def fit_pca_gmm(vae, data, k, gmm_seed=0):
     """The VaeGmmModel of a trained vae: PCA (95% variance) of its latent means of data, then a
     k-component mixture fit on the projection (gmm_fit, seeded with gmm_seed)."""
-    vae.vocab = vocab
     latents = vae_encode(vae, data)
     projection = pca_fit(latents)
     gmm = gmm_fit(pca_project(projection, latents), k, rng_seed=gmm_seed)
-    return VaeGmmModel(vae=vae, pca=projection, gmm=gmm, vocab=vocab)
+    return VaeGmmModel(vae=vae, pca=projection, gmm=gmm)

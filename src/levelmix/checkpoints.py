@@ -188,14 +188,14 @@ def _finite_networks(model):
     return networks
 
 
-def _envelope(fmt, vocab, model, history, run_info, blobs):
+def _envelope(fmt, model, history, run_info, blobs):
     """The envelope of the config, support and networks of a GmvaeModel or
     VaeModel, without a baseline's PCA and GMM."""
     return {
         "format": fmt,
         "format_version": FORMAT_VERSION,
         "config": vars(model.config),
-        "vocab": _vocab_to_dict(vocab),
+        "vocab": _vocab_to_dict(model.vocab),
         "support": model.support.tolist(),
         "networks": {name: blobs.add(net.params, net.dtype) for name, net in _finite_networks(model).items()},
         "history": None if history is None else vars(history),
@@ -205,13 +205,13 @@ def _envelope(fmt, vocab, model, history, run_info, blobs):
 
 def save_gmvae(path, model, history=None, run_info=None):
     blobs = _BlobWriter()
-    payload = _envelope(FORMAT_GMVAE, model.vocab, model, history, run_info, blobs)
+    payload = _envelope(FORMAT_GMVAE, model, history, run_info, blobs)
     _dump(path, payload, blobs)
 
 
 def save_vae_gmm(path, model, history=None, run_info=None):
     blobs = _BlobWriter()
-    payload = _envelope(FORMAT_VAE_GMM, model.vocab, model.vae, history, run_info, blobs)
+    payload = _envelope(FORMAT_VAE_GMM, model.vae, history, run_info, blobs)
     payload["pca"] = {
         "mean": blobs.add(model.pca.mean),
         "axes": blobs.add(model.pca.axes),
@@ -296,7 +296,7 @@ def _vae_gmm_from_payload(payload, arrays):
     expected = [(ld,), (m, ld), (m,), (k,), (k, m), (k, m, m)]
     if shapes != expected:
         raise DataError(f"PCA and GMM array shapes {shapes} where latent_dim, m and k give {expected}")
-    return VaeGmmModel(vae=vae, pca=projection, gmm=mixture, vocab=vae.vocab)
+    return VaeGmmModel(vae=vae, pca=projection, gmm=mixture)
 
 
 _KINDS = {

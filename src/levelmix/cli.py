@@ -10,7 +10,7 @@ Every artifact records the resolved command, flags, seed and package version
 (JSON artifacts inline under "run_info", CSV/SVG artifacts via a sidecar
 <output>.run.json), with the BLAS thread setting and the usable CPU count,
 so a run can be reproduced exactly. Exit codes: 0
-success, 1 usage error, 2 data error, 3 numeric failure.
+success, 1 usage error or MemoryError, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -108,6 +108,16 @@ def _at_least(values, low, flag):
 def seed(text):
     """A --seed, refused below 0 as the flag is parsed: numpy seeds no generator with a negative value."""
     return _at_least([int(text)], 0, "--seed")[0]
+
+
+def count(text):
+    """A chunk count (--n, --n-per-component, --n-train, --budget), refused
+    above gm.MAX_SIZE as the flag is parsed, before any array is sized from
+    it; the commands check its lower bound."""
+    value = int(text)
+    if value > gm.MAX_SIZE:
+        raise InvalidConfig(f"--n, --n-per-component, --n-train and --budget take at most {gm.MAX_SIZE}, got {value}")
+    return value
 
 
 # the config fields a training command sets itself, not from a flag of
@@ -238,10 +248,10 @@ def _train(args, family, config, k, data, vocab, level_types, save=None):
     if family == "gmvae":
         model = gm.build_model(dataclasses.replace(config, d=data.shape[1], k=k), vocab)
     else:
-        model = bl.VaeModel(dataclasses.replace(config, d=data.shape[1]))
+        model = bl.VaeModel(dataclasses.replace(config, d=data.shape[1]), vocab)
     history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler), save)
     if family == "vae-gmm":
-        model = bl.fit_pca_gmm(model, data, k, gmm_seed=config.rng_seed, vocab=vocab)
+        model = bl.fit_pca_gmm(model, data, k, gmm_seed=config.rng_seed)
     return model, history
 
 
@@ -405,8 +415,10 @@ def cmd_sweep(args):
     if not families or any(f not in FAMILIES for f in families):
         raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
     ev.check_probe_split(args.n_per_component, args.n_train)
-    # each row sets its own k; the smallest is checked against the GMVAE's k >= 2
+    # each row sets its own k; the smallest and the largest are checked against the GMVAE's bounds
     configs = {family: _config(family, args, min(k_list), args.seed) for family in families}
+    if "gmvae" in families:
+        _config("gmvae", args, max(k_list), args.seed)
     vocab, data, level_types = _training_data(args)
     rows = []
     for family in families:
@@ -532,7 +544,7 @@ def build_parser():
     p = sub.add_parser("generate", help="sample chunks from one component")
     p.add_argument("--model", required=True)
     p.add_argument("--component", type=int, required=True)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=count, default=6)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
@@ -555,8 +567,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
-    p.add_argument("--n-per-component", type=int, default=500)
-    p.add_argument("--n-train", type=int, default=300)
+    p.add_argument("--n-per-component", type=count, default=500)
+    p.add_argument("--n-train", type=count, default=300)
     p.set_defaults(func=cmd_eval_disentangle)
 
     p = sub.add_parser(
@@ -566,7 +578,7 @@ def build_parser():
     p.add_argument("--manifest", required=True, help="supplies solidity map and axis")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=count, default=10000)
     p.set_defaults(func=cmd_eval_playability)
 
     p = sub.add_parser("densities", help="per-component normalized tile densities")
@@ -574,7 +586,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--source", choices=("generated", "corpus"), default="generated")
     p.add_argument("--manifest", default=None)
-    p.add_argument("--n-per-component", type=int, default=500)
+    p.add_argument("--n-per-component", type=count, default=500)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_densities)
 
@@ -586,8 +598,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="disentanglement proportions over a k grid")
     p.add_argument("--k-list", required=True, help="comma-separated component counts")
     p.add_argument("--families", default="gmvae,vae-gmm")
-    p.add_argument("--n-per-component", type=int, default=500)
-    p.add_argument("--n-train", type=int, default=300)
+    p.add_argument("--n-per-component", type=count, default=500)
+    p.add_argument("--n-train", type=count, default=300)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     _add_model_flags(p, gm.GmvaeConfig)
     p.set_defaults(func=cmd_sweep)
@@ -607,7 +619,7 @@ def run(argv):
         return args.func(args)
     except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0
-    except UsageError as exc:
+    except (UsageError, MemoryError) as exc:
         _report_error("usage", exc)
         return 1
     except NumericError as exc:

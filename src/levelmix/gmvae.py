@@ -52,12 +52,33 @@ from .neuralnet import DenseNet, AdamState
 DTYPES = ("float64", "float32")
 
 
-def _check_float(config, name, positive=False):
-    """An InvalidConfig naming the field unless its value is finite and
-    > 0 (positive) or >= 0: no run trains with NaN, inf or a negative
-    weight."""
+# the largest value of a config field or a CLI count that sizes an array:
+# a product of three such values, in 8-byte floats, stays under numpy's
+# 2**63-byte limit, so an oversized request fails, at worst, with a MemoryError
+MAX_SIZE = 2**19
+
+
+def _check_int(config, name, low, high=None):
+    """An InvalidConfig naming the field unless its value is an int (not a
+    bool) in [low, high]."""
     value = getattr(config, name)
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InvalidConfig(f"{name} must be <= {high}, got {value}")
+
+
+def _check_float(config, name, positive=False):
+    """An InvalidConfig naming the field unless its value is a number (not
+    a bool), finite and > 0 (positive) or >= 0: no run trains with NaN, inf
+    or a negative weight."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    # compared, not math.isfinite: that raises OverflowError on an int past float range
+    if not (-math.inf < value < math.inf and (value > 0 if positive else value >= 0)):
         raise InvalidConfig(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
 
 
@@ -79,14 +100,10 @@ class VaeConfig:
     dtype: str = "float64"
 
     def validate(self):
-        if self.d < 1:
-            raise InvalidConfig(f"d must be positive, got {self.d}")
-        if min(self.latent_dim, self.hidden_width, self.hidden_depth, self.batch_size) < 1:
-            raise InvalidConfig("latent_dim, hidden_width, hidden_depth, batch_size must be >= 1")
-        if self.epochs < 0:
-            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
-        if self.rng_seed < 0:
-            raise InvalidConfig(f"rng_seed must be >= 0, got {self.rng_seed}")
+        for name in ("d", "latent_dim", "hidden_width", "hidden_depth", "batch_size"):
+            _check_int(self, name, 1, MAX_SIZE)
+        _check_int(self, "epochs", 0)
+        _check_int(self, "rng_seed", 0)
         _check_float(self, "learning_rate", positive=True)
         _check_float(self, "kl_weight")
         _check_float(self, "recon_weight")
@@ -104,15 +121,16 @@ class GmvaeConfig(VaeConfig):
     tau_decay: Optional[float] = None  # None: reach tau_min halfway through training
 
     def validate(self):
-        if self.k < 2:
-            raise InvalidConfig(f"k must be >= 2, got {self.k}")
+        _check_int(self, "k", 2, MAX_SIZE)
         _check_float(self, "tau_start", positive=True)
         _check_float(self, "tau_min", positive=True)
         _check_float(self, "label_balance_weight")
         if self.tau_min > self.tau_start:
             raise InvalidConfig("tau_min must not exceed tau_start")
-        if self.tau_decay is not None and not 0 < self.tau_decay <= 1:
-            raise InvalidConfig(f"tau_decay must be in (0, 1], got {self.tau_decay}")
+        if self.tau_decay is not None:
+            _check_float(self, "tau_decay", positive=True)
+            if self.tau_decay > 1:
+                raise InvalidConfig(f"tau_decay must be in (0, 1], got {self.tau_decay}")
         return super().validate()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -84,6 +85,15 @@ def test_vae_single_batch_overfit(toy_setup):
     t = toy_setup["vocab"].size
     truth = np.argmax(data.reshape(64, 256, t), axis=2)
     assert float(np.mean(pred == truth)) >= 0.99
+
+
+def test_a_vae_gmm_keeps_one_vocab_its_vaes(trained_vae_gmm, toy_setup):
+    # save_vae_gmm writes model.vocab and generate decodes with vae.vocab: one value
+    model, _ = trained_vae_gmm
+    assert model.vocab is model.vae.vocab is toy_setup["vocab"]
+    with pytest.raises(AttributeError):
+        model.vocab = None
+    assert "vocab" not in {f.name for f in dataclasses.fields(model)}
 
 
 def test_vae_encode_of_float32_data_makes_no_float64_copy():

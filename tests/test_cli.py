@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import join_checkpoint, read_header, split_checkpoint
+import levelmix
 from levelmix import baseline as bl
 from levelmix import checkpoints as ckpt
 from levelmix import cli
@@ -171,6 +174,15 @@ def test_run_info_records_blas_threads_and_cpus(trained_checkpoint, monkeypatch)
     assert cli._run_info("generate", args)["openblas_num_threads"] == "1"
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     assert cli._run_info("generate", args)["openblas_num_threads"] is None
+
+
+def test_import_levelmix_loads_no_module_of_the_package():
+    # callers import the modules by name; the package itself holds only the version
+    code = "import levelmix, sys; print(levelmix.__version__, sorted(m for m in sys.modules if m.startswith('levelmix.')))"
+    src = os.path.dirname(os.path.dirname(levelmix.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == f"{levelmix.__version__} []\n"
 
 
 def test_train_without_sched_getaffinity_records_the_cpu_count(workspace, tmp_path, monkeypatch):
@@ -357,6 +369,17 @@ def _latent_dim_config(header):
 
 
 @_edit_header
+def _float_d_config(header):
+    # a JSON float where an int sizes decode_generated's arrays
+    header["config"]["d"] = float(header["config"]["d"])
+
+
+@_edit_header
+def _bool_tau_decay_config(header):
+    header["config"]["tau_decay"] = True
+
+
+@_edit_header
 def _no_support(header):
     del header["support"]
 
@@ -427,6 +450,7 @@ def _assert_data_error(path, capsys):
     [
         _truncate, _drop_config, _short_blob, _int_blob, _no_version, _unknown_format,
         _future_version, _float16_config, _one_component_config, _latent_dim_config,
+        _float_d_config, _bool_tau_decay_config,
     ],
 )
 def test_malformed_checkpoint_is_data_error(trained_checkpoint, tmp_path, capsys, corrupt):
@@ -454,8 +478,23 @@ def _one_parameter_short(header):
 
 @_edit_header
 def _huge_hidden_width(header):
-    # nets this wide would not fit in any memory
-    header["config"]["hidden_width"] = 10**9
+    # nets this wide would not fit in any memory, and the config allows it
+    header["config"]["hidden_width"] = gm.MAX_SIZE
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", 1024.0), ("kl_weight", False), ("latent_dim", gm.MAX_SIZE + 1)],
+)
+def test_config_field_of_the_wrong_type_or_size_is_data_error_naming_it(checkpoints, tmp_path, capsys, family, field, value):
+    with open(checkpoints[family], "rb") as f:
+        header, data = split_checkpoint(f.read())
+    header["config"][field] = value
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(join_checkpoint(header, data))
+    error = _assert_data_error(bad, capsys)
+    assert f"InvalidConfig: {field} must be" in error["message"]
 
 
 @pytest.mark.parametrize("corrupt, network", [(_one_parameter_short, "decoder"), (_huge_hidden_width, "label_net")])
@@ -1245,6 +1284,59 @@ def test_component_count_below_one_is_invalid_config_before_training(workspace, 
     error = _single_error_line(capsys)
     assert error["error"] == "usage" and error["type"] == "InvalidConfig" and argv[1] in error["message"]
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--model", "c", "--component", "0", "--n", "100000000000"],
+        ["generate", "--model", "c", "--component", "0", "--n", str(10**18)],
+        ["densities", "--model", "c", "--out", "o", "--n-per-component", "100000000000"],
+        ["eval-disentangle", "--model", "c", "--out", "o", "--n-train", str(10**18)],
+        ["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--budget", "100000000000"],
+        ["sweep", "--manifest", "m", "--out", "o", "--k-list", "2", "--n-per-component", str(10**18)],
+        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--hidden-depth", str(10**18)],
+        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--hidden-width", str(10**18)],
+        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--latent-dim", str(10**18)],
+        ["train", "--manifest", "m", "--out", "o", "--k", str(10**18)],
+        ["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--hidden-depth", str(10**18)],
+        ["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--batch-size", str(10**18)],
+        ["sweep", "--manifest", "m", "--out", "o", "--k-list", f"2,{10**18}"],
+        ["compare", "--manifest", "m", "--out", "o", "--k", str(10**18)],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_a_size_past_the_bound_is_invalid_config_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv):
+    def no_input(*args, **kwargs):
+        raise AssertionError("read a manifest or checkpoint before checking the sizes")
+
+    # unbounded, each of these would size an array past memory or past numpy's byte limit
+    monkeypatch.setattr(cp, "load_manifest", no_input)
+    monkeypatch.setattr(ckpt, "load_any", no_input)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.run(argv) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "InvalidConfig"
+    assert f"<= {gm.MAX_SIZE}" in error["message"] or f"at most {gm.MAX_SIZE}" in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_a_memory_error_is_a_usage_error_line(checkpoints, tmp_path, capsys, monkeypatch, family):
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000, 1000) and data type float64"
+
+    def out_of_memory(self, component, n, rng):
+        raise MemoryError(message)
+
+    # raised, not provoked: a real request that size could be granted and then kill the process
+    monkeypatch.setattr(gm.GmvaeModel if family == "gmvae" else bl.VaeGmmModel, "generate", out_of_memory)
+    out = tmp_path / "densities.csv"
+    capsys.readouterr()
+    assert cli.run(["densities", "--model", checkpoints[family], "--out", str(out)]) == 1
+    error = _single_error_line(capsys)
+    assert error == {"error": "usage", "type": "MemoryError", "message": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("families", ["gmvae", "vae-gmm,gmvae"])

@@ -80,6 +80,35 @@ def test_build_rejects_bad_config():
         gm.VaeConfig(d=100, rng_seed=-1).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(name, value) for name in ("d", "latent_dim", "hidden_width", "hidden_depth", "batch_size", "epochs", "rng_seed", "k")
+     for value in (4.0, True, "4", None)]
+    + [(name, value) for name in ("learning_rate", "kl_weight", "recon_weight", "label_balance_weight",
+                                  "tau_start", "tau_min", "tau_decay")
+       for value in (True, False, "0.5", [0.5])],
+)
+def test_config_fields_keep_their_declared_types(field, value):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be an? (integer|number), got "):
+        gm.GmvaeConfig(**{"d": 256, "k": 3, field: value}).validate()
+
+
+@pytest.mark.parametrize("field", ["d", "latent_dim", "hidden_width", "hidden_depth", "batch_size", "k"])
+def test_size_fields_are_bounded_so_no_array_passes_numpys_limit(field):
+    # validate only: a model this size would not fit in memory
+    gm.GmvaeConfig(**{"d": 256, "k": 3, field: gm.MAX_SIZE}).validate()
+    with pytest.raises(InvalidConfig, match=f"^{field} must be <= {gm.MAX_SIZE}, got {gm.MAX_SIZE + 1}$"):
+        gm.GmvaeConfig(**{"d": 256, "k": 3, field: gm.MAX_SIZE + 1}).validate()
+    # the largest array, a net's flat parameters, sums under four products of
+    # three sizes (hidden_depth * hidden_width**2 and the like) in 8-byte floats
+    assert 8 * 4 * gm.MAX_SIZE**3 < np.iinfo(np.intp).max
+
+
+def test_float_fields_take_ints_and_huge_ints_are_not_an_overflow():
+    config = gm.GmvaeConfig(d=256, k=3, kl_weight=2, tau_decay=1, label_balance_weight=10**400).validate()
+    assert (config.kl_weight, config.tau_decay) == (2, 1)
+
+
 def test_build_rejects_vocab_mismatch(toy_setup):
     with pytest.raises(InvalidConfig):
         gm.build_model(small_gmvae_config(17), toy_setup["vocab"])
