@@ -242,6 +242,13 @@ def _em_run(points, k, rng, max_iters):
     return GmmModel(weights=weights, means=means, covariances=covariances, log_likelihood_trace=trace)
 
 
+def check_gmm_k(k, n):
+    """Refuse a mixture of more components than its n points; the CLI asks
+    once the corpus is read, before a VAE trains."""
+    if n < k:
+        raise DegenerateData(f"need at least k={k} points, got {n}")
+
+
 def gmm_fit(points, k, rng_seed=0, max_iters=200, restarts=10):
     """EM with k-means++ restarts; the best final mean log-likelihood wins,
     ties broken by lowest restart index. A restart that hits a singular
@@ -252,8 +259,7 @@ def gmm_fit(points, k, rng_seed=0, max_iters=200, restarts=10):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    if points.shape[0] < k:
-        raise DegenerateData(f"need at least k={k} points, got {points.shape[0]}")
+    check_gmm_k(k, points.shape[0])
     best = None
     best_ll = -np.inf
     failures = []

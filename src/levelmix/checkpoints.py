@@ -34,8 +34,7 @@ non-finite parameter (a NumericError) before it opens any file.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
-bytes. Files are written to a temporary file that is then renamed over the
-target, so a crash mid-save keeps the previous file.
+bytes.
 """
 
 from __future__ import annotations
@@ -155,20 +154,16 @@ def _history_from_dict(data):
     )
 
 
-def _dump(path, payload, blobs):
-    """Write the checkpoint file to <path>.tmp, sync it, then rename it over
-    path, so a failed save leaves the previous file as it was."""
-    header = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    start = _aligned(len(MAGIC) + HEADER_LENGTH.size + len(header))
+@contextlib.contextmanager
+def replacing(path):
+    """The binary file every levelmix artifact is written through: open at
+    <path>.tmp, then synced and renamed over path when the block ends, so a
+    crash or a failed write keeps the previous file as it was. On failure
+    the .tmp file is removed."""
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(HEADER_LENGTH.pack(len(header)))
-            f.write(header)
-            for offset, array in blobs.arrays:
-                f.write(bytes(start + offset - f.tell()))
-                f.write(memoryview(array))
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -176,6 +171,19 @@ def _dump(path, payload, blobs):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _dump(path, payload, blobs):
+    """Write the checkpoint file through replacing, one write per blob."""
+    header = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    start = _aligned(len(MAGIC) + HEADER_LENGTH.size + len(header))
+    with replacing(path) as f:
+        f.write(MAGIC)
+        f.write(HEADER_LENGTH.pack(len(header)))
+        f.write(header)
+        for offset, array in blobs.arrays:
+            f.write(bytes(start + offset - f.tell()))
+            f.write(memoryview(array))
 
 
 def _finite_networks(model):

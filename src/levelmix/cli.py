@@ -9,7 +9,8 @@ _train_epochs, the one epoch loop of the CLI.
 Every artifact records the resolved command, flags, seed and package version
 (JSON artifacts inline under "run_info", CSV/SVG artifacts via a sidecar
 <output>.run.json), with the BLAS thread setting and the usable CPU count,
-so a run can be reproduced exactly. Exit codes: 0
+so a run can be reproduced exactly. Every file is written through
+ckpt.replacing, so a failed write keeps the previous file. Exit codes: 0
 success, 1 usage error or MemoryError, 2 data error, 3 numeric failure.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -60,19 +62,22 @@ def _run_info(command, args):
     }
 
 
-def save_json(path, payload):
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_sidecar(out_path, info):
-    save_json(out_path + ".run.json", info)
+def _write(path, text, args=None):
+    """Write text to path through ckpt.replacing and, given args, the
+    command's run_info to the sidecar <path>.run.json."""
+    with ckpt.replacing(path) as f:
+        f.write(text.encode("utf-8"))
+    if args is not None:
+        _write(path + ".run.json", _json(_run_info(args.command, args)))
 
 
 def _save_report(args, report):
     """The --out JSON artifact: the command's run_info and the report."""
-    save_json(args.out, {"run_info": _run_info(args.command, args), "report": report.to_dict()})
+    _write(args.out, _json({"run_info": _run_info(args.command, args), "report": report.to_dict()}))
 
 
 def _load_corpus(args, heuristic_types=False):
@@ -147,13 +152,6 @@ def _training_data(args, labelled=False):
     return vocab, cp.encode_chunks(chunks, vocab), level_types
 
 
-def _write_history(args, command, history):
-    if args.history_csv:
-        with open(args.history_csv, "w") as f:
-            f.write(ckpt.history_to_csv(history))
-        _write_sidecar(args.history_csv, _run_info(command, args))
-
-
 def _load_model(args):
     """The model in the --model checkpoint. Both families offer k,
     generate, predict and encode, so no command asks which family it is."""
@@ -203,20 +201,15 @@ def _ingest(manifest_path, heuristic_types=False):
 def cmd_ingest(args):
     _, vocab, chunks = _ingest(args.manifest, args.heuristic_types)
     if args.out:
-        cp.write_chunk_dump(args.out, chunks, vocab)
-        _write_sidecar(args.out, _run_info("ingest", args))
+        _write(args.out, cp.chunk_dump(chunks, vocab), args)
     return 0
 
 
 def cmd_build_manifest(args):
-    vglc.build_manifest(
-        args.corpus_root,
-        args.game,
-        args.out,
-        levels_dir=args.levels_dir,
-        heuristic_types=not args.no_heuristic_types,
+    manifest = vglc.build_manifest(
+        args.corpus_root, args.game, levels_dir=args.levels_dir, heuristic_types=not args.no_heuristic_types
     )
-    _write_sidecar(args.out, _run_info("build-manifest", args))
+    _write(args.out, json.dumps(manifest, indent=2), args)
     summary, _, _ = _ingest(args.out)
     # a corpus that differs from the published figures is reported, not refused
     for delta in vglc.check_against_reference(args.game, summary["vocab_size"], summary["d"], summary["chunks"]):
@@ -260,7 +253,8 @@ def cmd_train(args):
     vocab, data, level_types = _training_data(args)
     model, history = _train(args, "gmvae", config, args.k, data, vocab, level_types, ckpt.save_gmvae)
     ckpt.save_gmvae(args.out, model, history, run_info=_run_info("train", args))
-    _write_history(args, "train", history)
+    if args.history_csv:
+        _write(args.history_csv, ckpt.history_to_csv(history), args)
     print(f"saved {args.out} ({len(history)} epochs)")
     return 0
 
@@ -269,9 +263,11 @@ def cmd_train_baseline(args):
     _at_least([args.k], 1, "--k")
     config = _config("vae-gmm", args, args.k, args.seed)
     vocab, data, level_types = _training_data(args)
+    bl.check_gmm_k(args.k, len(data))
     model, history = _train(args, "vae-gmm", config, args.k, data, vocab, level_types)
     ckpt.save_vae_gmm(args.out, model, history, run_info=_run_info("train-baseline", args))
-    _write_history(args, "train-baseline", history)
+    if args.history_csv:
+        _write(args.history_csv, ckpt.history_to_csv(history), args)
     print(f"saved {args.out} (pca kept {model.pca.m} axes)")
     return 0
 
@@ -283,9 +279,7 @@ def cmd_generate(args):
     rendered = ["\n".join(cp.chunk_to_lines(c, vocab)) for c in chunks]
     text = ("\n\n").join(rendered) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        _write_sidecar(args.out, _run_info("generate", args))
+        _write(args.out, text, args)
     else:
         print(text, end="")
     return 0
@@ -300,9 +294,7 @@ def cmd_encode(args):
     latents, labels = model.encode(data[indices])
     picked = [chunks[i] for i in indices]
     ids = [f"{c.level_id}:{c.offset[0]}:{c.offset[1]}" for c in picked]
-    with open(args.out, "w", newline="") as f:
-        ev.export_latents(f, ids, [c.level_type for c in picked], labels, latents)
-    _write_sidecar(args.out, _run_info("encode", args))
+    _write(args.out, ev.export_latents(ids, [c.level_type for c in picked], labels, latents), args)
     print(f"wrote {len(ids)} rows to {args.out}")
     return 0
 
@@ -371,9 +363,7 @@ def cmd_densities(args):
     model = _load_model(args)
     vocab = _vocab(args, model)
     matrix = ev.tile_densities(_density_groups(args, model), vocab)
-    with open(args.out, "w") as f:
-        f.write(matrix.to_csv())
-    _write_sidecar(args.out, _run_info("densities", args))
+    _write(args.out, matrix.to_csv(), args)
     print(f"wrote {matrix.k} x {len(matrix.tile_chars)} density matrix to {args.out}")
     return 0
 
@@ -399,9 +389,8 @@ def cmd_chart(args):
     documents = charts.emit_radial_charts(matrix)
     for i, doc in enumerate(documents):
         if doc is not None:
-            with open(os.path.join(args.out_dir, f"component_{i:02d}.svg"), "w") as f:
-                f.write(doc)
-    _write_sidecar(os.path.join(args.out_dir, "charts"), _run_info("chart", args))
+            _write(os.path.join(args.out_dir, f"component_{i:02d}.svg"), doc)
+    _write(os.path.join(args.out_dir, "charts.run.json"), _json(_run_info("chart", args)))
     skipped = [i for i, doc in enumerate(documents) if doc is None]
     print(f"wrote {len(documents) - len(skipped)} charts to {args.out_dir}")
     if skipped:
@@ -420,6 +409,8 @@ def cmd_sweep(args):
     if "gmvae" in families:
         _config("gmvae", args, max(k_list), args.seed)
     vocab, data, level_types = _training_data(args)
+    if "vae-gmm" in families:
+        bl.check_gmm_k(max(k_list), len(data))
     rows = []
     for family in families:
         for k in k_list:
@@ -430,11 +421,9 @@ def cmd_sweep(args):
             )
             rows.append((family, k, report.p70, report.p80, report.p90))
             print(f"{family} k={k}: p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f}")
-    with open(args.out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["family", "k", "p70", "p80", "p90"])
-        writer.writerows(rows)
-    _write_sidecar(args.out, _run_info("sweep", args))
+    text = io.StringIO()
+    csv.writer(text).writerows([("family", "k", "p70", "p80", "p90"), *rows])
+    _write(args.out, text.getvalue(), args)
     return 0
 
 
@@ -443,6 +432,7 @@ def cmd_compare(args):
     # each run replaces its template's rng_seed by its seed
     templates = {family: _config(family, args, args.k, seeds[0]) for family in FAMILIES}
     vocab, data, level_types = _training_data(args, labelled=True)
+    bl.check_gmm_k(args.k, len(data))
     result = ev.ComparisonResult()
     for seed in seeds:
         for family in FAMILIES:
@@ -613,9 +603,25 @@ def build_parser():
     return parser
 
 
+def _check_outputs(args):
+    """Refuse an --out or --history-csv no file can be written to, before any
+    input is read: its directory must exist and the path must name a file.
+    chart makes its --out-dir itself."""
+    for flag in ("--out", "--history-csv"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise DataError(f"{flag} {path}: {directory} is not an existing directory")
+        if os.path.isdir(path or "."):
+            raise DataError(f"{flag} {path} is a directory, not a file")
+
+
 def run(argv):
     try:
         args = build_parser().parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0

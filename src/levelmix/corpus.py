@@ -428,14 +428,10 @@ def renumber_chunks(chunks, vocab, target):
     ]
 
 
-def write_chunk_dump(path, chunks, vocab):
-    """JSON lines, one chunk per line as 16 strings of 16 characters."""
-    with open(path, "w") as f:
-        for chunk in chunks:
-            record = {
-                "level_id": chunk.level_id,
-                "offset": list(chunk.offset),
-                "type": chunk.level_type,
-                "rows": chunk_to_lines(chunk, vocab),
-            }
-            f.write(json.dumps(record) + "\n")
+def chunk_dump(chunks, vocab):
+    """JSON lines text, one chunk per line as 16 strings of 16 characters."""
+    records = (
+        {"level_id": c.level_id, "offset": list(c.offset), "type": c.level_type, "rows": chunk_to_lines(c, vocab)}
+        for c in chunks
+    )
+    return "".join(json.dumps(record) + "\n" for record in records)

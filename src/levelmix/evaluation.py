@@ -301,13 +301,15 @@ def tile_densities(chunk_groups, vocab):
 # Latent export
 
 
-def export_latents(fileobj, chunk_ids, level_types, labels, latents):
-    """CSV rows (chunk id, level_type, hard label, latent means), header
+def export_latents(chunk_ids, level_types, labels, latents):
+    """CSV text of rows (chunk id, level_type, hard label, latent means), header
     included; floats written with repr so a round-trip parse is lossless."""
     latents = np.asarray(latents, dtype=np.float64)
-    writer = csv.writer(fileobj)
+    text = io.StringIO()
+    writer = csv.writer(text)
     dim = latents.shape[1]
     writer.writerow(["chunk_id", "level_type", "label"] + [f"z{i}" for i in range(dim)])
     for cid, ltype, lab, row in zip(chunk_ids, level_types, labels, latents):
         writer.writerow([cid, "" if ltype is None else ltype, int(lab)] + [repr(float(v)) for v in row])
+    return text.getvalue()
 

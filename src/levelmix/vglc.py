@@ -17,7 +17,6 @@ to 16 with background rows on top so a 16x16 window fits.
 from __future__ import annotations
 
 import glob
-import json
 import os
 
 from .corpus import classify_level_type, read_level
@@ -66,8 +65,8 @@ def find_levels_dir(corpus_root, game):
     )
 
 
-def build_manifest(corpus_root, game, out_path, levels_dir=None, heuristic_types=True):
-    """Write a manifest for one game of a corpus checkout; returns its path.
+def build_manifest(corpus_root, game, levels_dir=None, heuristic_types=True):
+    """The manifest dict of one game of a corpus checkout.
 
     Level-type labels for the horizontal game come from the structural
     heuristic (ceiling rows, missing ground line); edit the manifest to
@@ -93,9 +92,7 @@ def build_manifest(corpus_root, game, out_path, levels_dir=None, heuristic_types
     }
     if PAD[game]:
         manifest["pad"] = PAD[game]
-    with open(out_path, "w") as f:
-        json.dump(manifest, f, indent=2)
-    return out_path
+    return manifest
 
 
 def check_against_reference(game, vocab_size, d, chunk_count):

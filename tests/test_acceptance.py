@@ -51,7 +51,9 @@ def corpus_manifests(tmp_path_factory):
     root = tmp_path_factory.mktemp("vglc_manifests")
     paths = {}
     for game in ("smb", "ki", "mm"):
-        paths[game] = vglc.build_manifest(VGLC_ROOT, game, str(root / f"{game}.json"))
+        paths[game] = str(root / f"{game}.json")
+        with open(paths[game], "w") as f:
+            json.dump(vglc.build_manifest(VGLC_ROOT, game), f, indent=2)
     return paths
 
 

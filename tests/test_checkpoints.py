@@ -1,3 +1,4 @@
+import ast
 import base64
 import contextlib
 import io
@@ -258,20 +259,64 @@ def test_a_trained_narrowed_model_round_trips(family, dtype, toy_setup, tmp_path
         assert all(np.array_equal(a.tiles, b.tiles) for a, b in zip(chunks, loaded_chunks))
 
 
-def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch):
+@pytest.mark.parametrize("artifact", ["checkpoint", "eval-cluster", "densities"])
+def test_failed_save_keeps_previous_checkpoint(toy_setup, tmp_path, monkeypatch, capsys, artifact):
+    # a checkpoint, a JSON report and a CSV are all written through ckpt.replacing
     model, history = toy_model("gmvae", "float64", toy_setup)
-    path = tmp_path / "model.json"
-    ckpt.save_gmvae(path, model, history)
-    before = path.read_bytes()
+    model_path = tmp_path / "model.ckpt"
+    ckpt.save_gmvae(model_path, model, history)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / artifact
+    path.write_bytes(b"the previous file\n")
 
     def fail_fsync(fd):
         raise OSError("disk full")
 
     monkeypatch.setattr(ckpt.os, "fsync", fail_fsync)
-    with pytest.raises(OSError, match="disk full"):
-        ckpt.save_gmvae(path, model, history, run_info={"command": "train"})
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["model.json"]
+    if artifact == "checkpoint":
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save_gmvae(path, model, history, run_info={"command": "train"})
+    else:
+        argv = [artifact, "--model", str(model_path), "--out", str(path)]
+        if artifact == "eval-cluster":
+            # the corpus toy_setup is cut from
+            argv += ["--manifest", toygame.write_corpus(tmp_path / "corpus", levels_per_type=3, cols=48, seed=1)]
+        else:
+            argv += ["--n-per-component", "5"]
+        capsys.readouterr()
+        assert cli.run(argv) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert json.loads(error) == {"error": "data", "type": "OSError", "message": "disk full"}
+    assert path.read_bytes() == b"the previous file\n"
+    assert os.listdir(out) == [artifact]
+
+
+def _opens_that_write(tree):
+    """The name of the function around each open() call in tree whose mode
+    writes, or may: a mode that is not a string constant counts."""
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner def's name overrides its outer def's
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((child, node.name) for child in ast.walk(node))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if not modes or (isinstance(modes[0], ast.Constant) and not set(str(modes[0].value)) & set("wax+")):
+            continue
+        yield owner.get(node, "<module>")
+
+
+def test_every_file_levelmix_writes_goes_through_replacing():
+    src = os.path.dirname(ckpt.__file__)
+    writers = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                writers += [f"{name[:-3]}.{function}" for function in _opens_that_write(ast.parse(f.read()))]
+    # write_corpus writes a fresh toy corpus (its levels and manifest) for tests and demos, not a run's artifact
+    assert writers == ["checkpoints.replacing", "toygame.write_corpus", "toygame.write_corpus"]
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])

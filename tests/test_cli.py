@@ -1356,6 +1356,58 @@ def test_sweep_gmvae_component_count_below_two_is_invalid_config_before_training
     assert os.listdir(tmp_path) == []
 
 
+# each case at the default epochs: without the early refusal, it trains, then fails on writing or fitting
+_REFUSED_BEFORE_TRAINING = {
+    "train --out in a missing directory": (["train", "--k", "2", "--out", "missing/model.ckpt"], "--out"),
+    "train --out a directory": (["train", "--k", "2", "--out", "."], "--out"),
+    "train --history-csv in a missing directory": (
+        ["train", "--k", "2", "--out", "model.ckpt", "--history-csv", "missing/history.csv"], "--history-csv"),
+    "compare --out in a missing directory": (["compare", "--out", "missing/compare.json"], "--out"),
+    "sweep --out in a missing directory": (["sweep", "--k-list", "2", "--out", "missing/sweep.csv"], "--out"),
+    "train-baseline k above the chunk count": (["train-baseline", "--k", "500", "--out", "model.ckpt"], None),
+    "compare k above the chunk count": (["compare", "--k", "500", "--out", "compare.json"], None),
+    "sweep k above the chunk count": (["sweep", "--k-list", "2,500", "--out", "sweep.csv"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_BEFORE_TRAINING))
+def test_a_bad_output_path_or_baseline_k_is_refused_before_training(workspace, tmp_path, capsys, monkeypatch, case):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained an epoch before refusing")
+
+    monkeypatch.setattr(gm.TrainingRun, "train_epoch", no_training)
+    monkeypatch.chdir(tmp_path)
+    argv, flag = _REFUSED_BEFORE_TRAINING[case]
+    capsys.readouterr()
+    if argv[0].startswith("train"):
+        argv = argv + ["--log-every", "1"]
+    assert cli.run(argv + ["--manifest", workspace["manifest"]]) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(err)
+    assert len(err.splitlines()) == 1 and "epoch" not in out
+    if flag:
+        assert error["type"] == "DataError" and error["message"].startswith(flag + " ")
+    else:
+        chunks = 6 * (32 - 15)
+        assert error == {"error": "data", "type": "DegenerateData", "message": f"need at least k=500 points, got {chunks}"}
+    assert os.listdir(tmp_path) == []
+
+
+def test_eval_disentangle_out_in_a_missing_directory_is_refused_before_the_probe_trains(
+    trained_checkpoint, tmp_path, capsys, monkeypatch
+):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("trained the probe before refusing")
+
+    monkeypatch.setattr(ev, "train_probe", no_probe)
+    capsys.readouterr()
+    argv = ["eval-disentangle", "--model", trained_checkpoint, "--out", str(tmp_path / "missing" / "dis.json")]
+    assert cli.run(argv) == 2
+    error = _single_error_line(capsys)
+    assert error["type"] == "DataError" and error["message"].startswith("--out ")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "content",
     [

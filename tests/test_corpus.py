@@ -279,12 +279,10 @@ def test_pad_level():
     assert padded.tiles == ["--", "--", "XX", "XX"]
 
 
-def test_chunk_dump_roundtrip(tmp_path, toy_setup):
+def test_chunk_dump_roundtrip(toy_setup):
     vocab = toy_setup["vocab"]
     chunks = toy_setup["chunks"][:10]
-    path = tmp_path / "chunks.jsonl"
-    cp.write_chunk_dump(path, chunks, vocab)
-    lines = path.read_text().strip().split("\n")
+    lines = cp.chunk_dump(chunks, vocab).strip().split("\n")
     assert len(lines) == 10
     for chunk, line in zip(chunks, lines):
         record = json.loads(line)

@@ -459,21 +459,16 @@ def test_density_csv_roundtrip(toy_setup):
 
 
 def test_export_latents_row_and_column_counts():
-    buf = io.StringIO()
     latents = np.random.default_rng(0).standard_normal((7, 64))
-    ev.export_latents(buf, [f"c{i}" for i in range(7)], ["t"] * 7, [0] * 7, latents)
-    lines = buf.getvalue().strip().split("\n")
+    lines = ev.export_latents([f"c{i}" for i in range(7)], ["t"] * 7, [0] * 7, latents).strip().split("\n")
     assert len(lines) == 8
     assert len(lines[0].split(",")) == 3 + 64
 
 
 def test_export_latents_lossless_roundtrip():
-    buf = io.StringIO()
     rng = np.random.default_rng(1)
     latents = rng.standard_normal((5, 8)) * 1e3
-    ev.export_latents(buf, list(range(5)), [None] * 5, [1, 0, 2, 1, 0], latents)
-    buf.seek(0)
-    reader = csv.reader(buf)
+    reader = csv.reader(io.StringIO(ev.export_latents(list(range(5)), [None] * 5, [1, 0, 2, 1, 0], latents)))
     next(reader)
     for i, row in enumerate(reader):
         values = np.array([float(v) for v in row[3:]])

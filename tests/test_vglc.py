@@ -32,9 +32,9 @@ def checkout(tmp_path):
     return root
 
 
-def build(root, game, tmp_path, **kwargs):
-    with open(vglc.build_manifest(str(root), game, str(tmp_path / f"{game}.json"), **kwargs)) as f:
-        return json.load(f)
+def build(root, game, **kwargs):
+    """The manifest, as the JSON that build-manifest writes reads back."""
+    return json.loads(json.dumps(vglc.build_manifest(str(root), game, **kwargs)))
 
 
 def level_dirs(manifest):
@@ -47,49 +47,48 @@ def test_the_first_level_directory_with_level_files_wins(tmp_path):
     os.makedirs(first)  # exists, but holds no .txt file
     write_levels(second, LEVELS[:1])
     write_levels(third, LEVELS)
-    assert level_dirs(build(root, "smb", tmp_path)) == {str(second)}
+    assert level_dirs(build(root, "smb")) == {str(second)}
     write_levels(first, LEVELS[:2])
-    manifest = build(root, "smb", tmp_path)
+    manifest = build(root, "smb")
     assert level_dirs(manifest) == {str(first)} and len(manifest["levels"]) == 2
 
 
 def test_levels_dir_overrides_discovery(checkout, tmp_path):
     elsewhere = tmp_path / "elsewhere"
     write_levels(elsewhere, LEVELS[:2])
-    manifest = build(checkout, "smb", tmp_path, levels_dir=str(elsewhere))
+    manifest = build(checkout, "smb", levels_dir=str(elsewhere))
     assert level_dirs(manifest) == {str(elsewhere)}
     assert [os.path.basename(e["path"]) for e in manifest["levels"]] == sorted(
         f"{level.level_id}.txt" for level in LEVELS[:2]
     )
 
 
-def test_heuristic_types_for_smb_only(checkout, tmp_path):
+def test_heuristic_types_for_smb_only(checkout):
     expected = {f"{level.level_id}.txt": level.level_type for level in LEVELS}
-    smb = build(checkout, "smb", tmp_path)
+    smb = build(checkout, "smb")
     assert {os.path.basename(e["path"]): e["type"] for e in smb["levels"]} == expected
-    assert not any("type" in e for e in build(checkout, "smb", tmp_path, heuristic_types=False)["levels"])
-    assert not any("type" in e for e in build(checkout, "ki", tmp_path)["levels"])
+    assert not any("type" in e for e in build(checkout, "smb", heuristic_types=False)["levels"])
+    assert not any("type" in e for e in build(checkout, "ki")["levels"])
 
 
-def test_smb_levels_are_padded_and_ki_levels_are_not(checkout, tmp_path):
-    smb, ki = build(checkout, "smb", tmp_path), build(checkout, "ki", tmp_path)
+def test_smb_levels_are_padded_and_ki_levels_are_not(checkout):
+    smb, ki = build(checkout, "smb"), build(checkout, "ki")
     assert smb["pad"] == {"rows_to": 16, "side": "top"} and "pad" not in ki
     assert (smb["axis"], ki["axis"]) == ("horizontal", "vertical")
     assert smb["solidity"] == vglc.SOLIDITY["smb"]
 
 
-def test_a_level_file_that_is_not_text_is_a_data_error(checkout, tmp_path):
+def test_a_level_file_that_is_not_text_is_a_data_error(checkout):
     (checkout / vglc.GAME_DIRS["smb"][0] / "broken.txt").write_bytes(b"\xff\xfe--\n--\n")
     with pytest.raises(DataError, match="broken.txt: level file is not text"):
-        build(checkout, "smb", tmp_path)
+        build(checkout, "smb")
 
 
 def test_build_manifest_command_writes_the_manifest_and_its_summary(checkout, tmp_path, capsys):
     out = tmp_path / "cli.json"
     assert cli.run(["build-manifest", "--corpus-root", str(checkout), "--game", "smb", "--out", str(out)]) == 0
     built = capsys.readouterr()
-    vglc.build_manifest(str(checkout), "smb", str(tmp_path / "lib.json"))
-    assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+    assert out.read_text() == json.dumps(vglc.build_manifest(str(checkout), "smb"), indent=2)
     with open(str(out) + ".run.json") as f:
         run_info = json.load(f)
     assert run_info["command"] == "build-manifest" and run_info["flags"]["game"] == "smb"
