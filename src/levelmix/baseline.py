@@ -26,12 +26,6 @@ class VaeModel(EncoderDecoder):
     """Encoder/decoder identical to the mixture model minus label machinery,
     so comparisons isolate the prior."""
 
-    def __init__(self, config, vocab=None):
-        config.validate()
-        self.config = config
-        self.vocab = vocab
-        self._build_networks()
-
     def architecture(self):
         """{network name: (layer sizes, activations)} from the config, in
         the order the networks draw their initial weights."""

@@ -26,11 +26,12 @@ Only version 6 is read. Version 5 had this layout with a decoder that wrote
 all d columns; version 4 stored a weight blob, a bias blob and an
 activation per layer; version 3 had that layout without a support and with
 d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
-more: such a file is a DataError that names its format_version. Loading
-rejects a network with a NaN or infinite parameter and, when the vocab is
-not null, a d other than 256 * the vocab's size and a support with no
-column of some cell (column // vocab size); saving refuses a
-non-finite parameter (a NumericError) before it opens any file.
+more: a binary one is a DataError that names its format_version, and any
+file without the magic is refused from its first 8 bytes. Loading rejects
+a network with a NaN or infinite parameter and, when the vocab is not
+null, a d other than 256 * the vocab's size and a support with no column
+of some cell (column // vocab size); saving refuses a non-finite
+parameter (a NumericError) before it opens any file.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -40,6 +41,7 @@ bytes.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -51,7 +53,7 @@ import numpy as np
 from .baseline import GmmModel, PcaProjection, VaeGmmModel, VaeModel
 from .corpus import CHUNK_SIZE, TileVocab
 from .errors import DataError, InvalidConfig, NumericError
-from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig
+from .gmvae import GmvaeConfig, GmvaeModel, TrainingHistory, VaeConfig, check_d
 from .neuralnet import DenseNet, param_count
 
 FORMAT_GMVAE = "levelmix-gmvae"
@@ -145,13 +147,7 @@ def _vocab_from_dict(data):
 def _history_from_dict(data):
     if data is None:
         return None
-    return TrainingHistory(
-        recon_loss=list(data["recon_loss"]),
-        kl_loss=list(data["kl_loss"]),
-        label_balance_loss=list(data["label_balance_loss"]),
-        total_loss=list(data["total_loss"]),
-        temperature=list(data["temperature"]),
-    )
+    return TrainingHistory(**{f.name: list(data[f.name]) for f in dataclasses.fields(TrainingHistory)})
 
 
 @contextlib.contextmanager
@@ -249,14 +245,12 @@ def _support(value, d):
 
 def _rebuild(model_cls, config_cls, payload, arrays):
     """A model_cls with the payload's validated config, vocab and support,
-    and the networks of the shapes they give, each read from its blob."""
+    and the networks of the shapes they give, each read from its blob. It
+    skips the constructor, which would size every net before its blob."""
     model = model_cls.__new__(model_cls)
     model.config = config_cls(**payload["config"]).validate()
     model.vocab = _vocab_from_dict(payload["vocab"])
-    # as GmvaeModel() checks a new model: a forged d would size decode_generated's (n, d) arrays
-    if model.vocab is not None and model.config.d != CHUNK_SIZE * CHUNK_SIZE * model.vocab.size:
-        size = model.vocab.size
-        raise DataError(f"config d={model.config.d} does not match 256 * vocab size {size} = {256 * size}")
+    check_d(model.config, model.vocab)
     # checked before architecture() sizes any buffer from it
     model.support = _support(payload["support"], model.config.d)
     # a cell without a support column would be tile 0 in every generated chunk
@@ -330,49 +324,35 @@ def _build(path, payload, arrays):
         raise DataError(f"{path}: malformed {fmt} checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
-def _read_blob_file(path, f):
-    """(kind, model, history) from the checkpoint file open as f, just past
-    its magic."""
-    size = os.fstat(f.fileno()).st_size
-    raw = f.read(HEADER_LENGTH.size)
-    if len(raw) != HEADER_LENGTH.size:
-        raise DataError(f"{path}: checkpoint ends inside its header length")
-    (length,) = HEADER_LENGTH.unpack(raw)
-    # checked before the read, so a forged length never sizes a buffer
-    if length > size - len(MAGIC) - HEADER_LENGTH.size:
-        raise DataError(f"{path}: header length {length} exceeds the {size}-byte file")
-    try:
-        payload = json.loads(f.read(length).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
-        raise DataError(f"{path}: checkpoint header is not JSON ({exc})") from None
-    blobs = _BlobFile(f, _aligned(len(MAGIC) + HEADER_LENGTH.size + length), size)
-    return _build(path, payload, blobs)
-
-
 def load_any(path):
     """(kind, model, history) for either checkpoint family, parsed once.
-    Any malformed content, and any file without the magic, raises
-    DataError, which names the format_version of a file of an older format."""
+    A file without the magic, JSON text included, is refused after its
+    first 8 bytes; any malformed content raises DataError, which names the
+    format_version of a file of an older binary format."""
     with open(path, "rb") as f:
-        if f.read(len(MAGIC)) == MAGIC:
-            return _read_blob_file(path, f)
-        f.seek(0)
+        if f.read(len(MAGIC)) != MAGIC:
+            raise DataError(f"{path}: not a levelmix checkpoint (no checkpoint magic)")
+        size = os.fstat(f.fileno()).st_size
+        raw = f.read(HEADER_LENGTH.size)
+        if len(raw) != HEADER_LENGTH.size:
+            raise DataError(f"{path}: checkpoint ends inside its header length")
+        (length,) = HEADER_LENGTH.unpack(raw)
+        # checked before the read, so a forged length never sizes a buffer
+        if length > size - len(MAGIC) - HEADER_LENGTH.size:
+            raise DataError(f"{path}: header length {length} exceeds the {size}-byte file")
         try:
-            payload = json.load(f)
-        except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError, deep nesting
-            payload = None
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    if isinstance(fmt, str) and fmt in _KINDS:
-        version = payload.get("format_version")
-        raise DataError(f"{path}: {fmt} format_version {version!r} is JSON text, no longer read")
-    raise DataError(f"{path}: not a levelmix checkpoint (no checkpoint magic)")
+            payload = json.loads(f.read(length).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
+            raise DataError(f"{path}: checkpoint header is not JSON ({exc})") from None
+        blobs = _BlobFile(f, _aligned(len(MAGIC) + HEADER_LENGTH.size + length), size)
+        return _build(path, payload, blobs)
 
 
 def history_to_csv(history):
-    lines = ["epoch,recon_loss,kl_loss,label_balance_loss,total_loss,temperature"]
-    for i in range(len(history)):
-        lines.append(
-            f"{i},{history.recon_loss[i]!r},{history.kl_loss[i]!r},{history.label_balance_loss[i]!r},"
-            f"{history.total_loss[i]!r},{history.temperature[i]!r}"
-        )
+    """The history as CSV: an epoch column, then one column per
+    TrainingHistory field, in field order."""
+    names = [f.name for f in dataclasses.fields(TrainingHistory)]
+    columns = [getattr(history, name) for name in names]
+    lines = [",".join(["epoch", *names])]
+    lines += [",".join([str(i), *(repr(c[i]) for c in columns)]) for i in range(len(history))]
     return "\n".join(lines) + "\n"

@@ -182,9 +182,8 @@ def _model_corpus(args, model):
     return chunks, data
 
 
-def _ingest(manifest_path, heuristic_types=False):
-    """Print the corpus summary of a manifest; returns (summary, vocab, chunks)."""
-    manifest = cp.load_manifest(manifest_path)
+def _ingest(manifest, heuristic_types=False):
+    """Print the corpus summary of a DatasetManifest; returns (summary, vocab, chunks)."""
     levels, vocab, chunks = cp.load_corpus(manifest, heuristic_types=heuristic_types)
     summary = {
         "game": manifest.game,
@@ -199,7 +198,7 @@ def _ingest(manifest_path, heuristic_types=False):
 
 
 def cmd_ingest(args):
-    _, vocab, chunks = _ingest(args.manifest, args.heuristic_types)
+    _, vocab, chunks = _ingest(cp.load_manifest(args.manifest), args.heuristic_types)
     if args.out:
         _write(args.out, cp.chunk_dump(chunks, vocab), args)
     return 0
@@ -209,8 +208,9 @@ def cmd_build_manifest(args):
     manifest = vglc.build_manifest(
         args.corpus_root, args.game, levels_dir=args.levels_dir, heuristic_types=not args.no_heuristic_types
     )
+    # loaded before anything is written, so a corpus that fails leaves no file
+    summary, _, _ = _ingest(cp.manifest_from_json(manifest, args.out))
     _write(args.out, json.dumps(manifest, indent=2), args)
-    summary, _, _ = _ingest(args.out)
     # a corpus that differs from the published figures is reported, not refused
     for delta in vglc.check_against_reference(args.game, summary["vocab_size"], summary["d"], summary["chunks"]):
         print(f"warning: {delta}", file=sys.stderr)
@@ -370,8 +370,9 @@ def cmd_densities(args):
 
 def _matrix_from_csv(path):
     """The TileDensityMatrix of a densities CSV: a header row, then one row
-    per component of a number per tile. A file it cannot read is a
-    DataError that names it."""
+    per component of a density in [0, 1] per tile, or of nan only for a
+    component without chunks. A file it cannot read is a DataError that
+    names it, and a density out of range one that names its cell."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             header, *rows = csv.reader(f)
@@ -380,7 +381,13 @@ def _matrix_from_csv(path):
         raise DataError(f"{path}: not a densities CSV: {exc}") from None
     if any(len(row) != len(header) for row in rows):
         raise DataError(f"{path}: not a densities CSV: a row's length differs from the header's")
-    return ev.TileDensityMatrix(values=np.array(values), tile_chars=header[1:], k=len(values))
+    values = np.array(values).reshape(len(rows), len(header[1:]))
+    # nan and inf fail both comparisons; a row of nan only is an empty component's
+    bad = ~((values >= 0) & (values <= 1)) & ~np.isnan(values).all(axis=1, keepdims=True)
+    if bad.any():
+        i, j = np.argwhere(bad)[0] + (0, 1)
+        raise DataError(f"{path}: density {rows[i][j]!r} of component {rows[i][0]!r}, tile {header[j]!r} is not in [0, 1]")
+    return ev.TileDensityMatrix(values=values, tile_chars=header[1:], k=len(values))
 
 
 def cmd_chart(args):

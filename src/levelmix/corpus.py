@@ -298,7 +298,7 @@ def load_manifest(path):
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
             raise DataError(f"{path}: manifest is not JSON ({exc})") from None
     try:
-        return _manifest_from_json(raw, path)
+        return manifest_from_json(raw, path)
     except (AttributeError, KeyError, TypeError) as exc:  # a value of the wrong JSON type
         raise DataError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
 
@@ -325,7 +325,9 @@ def _count(value, what, path, limit=None):
     return value
 
 
-def _manifest_from_json(raw, path):
+def manifest_from_json(raw, path):
+    """The DatasetManifest of a manifest's parsed JSON; relative level
+    paths are taken from path's directory, and errors name path."""
     base = os.path.dirname(os.path.abspath(path))
     level_paths, level_types = [], []
     for entry in _checked(raw.get("levels", []), (list,), "levels", path):

@@ -172,6 +172,13 @@ class TrainingHistory:
         return len(self.total_loss)
 
 
+def check_d(config, vocab):
+    """An InvalidConfig unless vocab is None or config.d is 256 * its size:
+    a d of another vocab would size decode_generated's (n, d) arrays."""
+    if vocab is not None and config.d != CHUNK_SIZE * CHUNK_SIZE * vocab.size:
+        raise InvalidConfig(f"config d={config.d} does not match 256 * vocab size {vocab.size} = {256 * vocab.size}")
+
+
 class EncoderDecoder:
     """The encoder trunk, its mean and variance heads and the decoder, which
     both model families share. Subclasses give their networks' shapes in
@@ -180,6 +187,18 @@ class EncoderDecoder:
     # the networks that read the support's columns of x as their first
     # len(support) input columns
     INPUT_NETS = ("encoder_trunk",)
+
+    def __init__(self, config, vocab=None):
+        """Every network over the full support, each drawing its initial
+        weights in architecture order from one generator seeded with
+        config.rng_seed."""
+        self.config = config.validate()
+        check_d(config, vocab)
+        self.vocab = vocab
+        self.support = np.arange(config.d)
+        rng = np.random.default_rng(config.rng_seed)
+        for name, (sizes, activations) in self.architecture().items():
+            setattr(self, name, DenseNet(sizes, activations, rng, config.dtype))
 
     def _encoder_decoder_architecture(self, in_dim):
         cfg = self.config
@@ -190,14 +209,6 @@ class EncoderDecoder:
             "enc_var_head": ([w, ld], ["softplus"]),
             "decoder": ([ld] + [w] * depth + [len(self.support)], ["relu"] * depth + ["sigmoid"]),
         }
-
-    def _build_networks(self):
-        """Every network over the full support, each drawing its initial
-        weights in turn from one generator seeded with config.rng_seed."""
-        self.support = np.arange(self.config.d)
-        rng = np.random.default_rng(self.config.rng_seed)
-        for name, (sizes, activations) in self.architecture().items():
-            setattr(self, name, DenseNet(sizes, activations, rng, self.config.dtype))
 
     def gather(self, x, tail=0):
         """The support's columns of x (..., d) in the model's dtype, then
@@ -280,14 +291,7 @@ class GmvaeModel(EncoderDecoder):
     INPUT_NETS = ("label_net", "encoder_trunk")
 
     def __init__(self, config, vocab=None):
-        config.validate()
-        if vocab is not None and config.d != CHUNK_SIZE * CHUNK_SIZE * vocab.size:
-            raise InvalidConfig(
-                f"d={config.d} does not match 256 * vocab size ({vocab.size})"
-            )
-        self.config = config
-        self.vocab = vocab
-        self._build_networks()
+        super().__init__(config, vocab)
         # symmetric start: all components identical and all labels equally
         # likely, so early assignment is driven by the data, not by init noise
         self.label_net.layers[-1].weight[...] = 0.0
@@ -378,11 +382,13 @@ def _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches):
 
 def _label_balance(logits, k):
     """KL(batch-mean label distribution || uniform) over the noiseless
-    softmax; zero when labels spread evenly, log k at full collapse."""
+    softmax; zero when labels spread evenly, log k at full collapse.
+    Returns (balance, p, p_bar, log_ratio), log_ratio being the floored
+    log(k p_bar) that the balance gradient reuses."""
     p = nn.softmax(logits, axis=-1)
     p_bar = p.mean(axis=0)
     log_ratio = np.log(np.maximum(p_bar * k, nn.positive_floor(p_bar.dtype)))
-    return float(np.sum(p_bar * log_ratio)), p, p_bar
+    return float(np.sum(p_bar * log_ratio)), p, p_bar, log_ratio
 
 
 def gmvae_loss(model, x, tau, hard, gumbel_noise, eps_noise):
@@ -390,7 +396,7 @@ def gmvae_loss(model, x, tau, hard, gumbel_noise, eps_noise):
     t, _ = _forward_pass(model, x, tau, hard, gumbel_noise, eps_noise, keep_caches=False)
     recon = nn.bce_loss(t["x_hat"], t["x_s"])
     kl = nn.kl_diag(t["mu_q"], t["var_q"], t["mu_p"], t["var_p"])
-    balance, _, _ = _label_balance(t["logits"], model.config.k)
+    balance, *_ = _label_balance(t["logits"], model.config.k)
     return float(np.mean(recon)), float(np.mean(kl)), balance
 
 
@@ -417,11 +423,11 @@ def gmvae_loss_and_grads(model, x, tau, hard, gumbel_noise, eps_noise):
     d_y = d_y_enc + d_y_mean + d_y_var
     d_logits = nn.gumbel_softmax_backward(t["soft_y"], tau, d_y)
 
-    balance, p, p_bar = _label_balance(t["logits"], cfg.k)
+    balance, p, _, log_ratio = _label_balance(t["logits"], cfg.k)
     if cfg.label_balance_weight > 0:
         # d(balance)/d(p_bar) = log(k p_bar) + 1, pushed through each row's
         # softmax jacobian; every row contributes 1/batch to the mean
-        g = np.log(np.maximum(p_bar * cfg.k, nn.positive_floor(p_bar.dtype))) + 1.0
+        g = log_ratio + 1.0
         d_logits = d_logits + (cfg.label_balance_weight / batch) * (
             p * (g - (p @ g)[:, None])
         )

@@ -50,6 +50,13 @@ def test_vae_mirrors_gmvae_encoder_decoder_shapes():
     assert vae.encoder_trunk.layers[0].weight.shape[1] + 7 == mix.encoder_trunk.layers[0].weight.shape[1]
 
 
+def test_vae_of_a_d_other_than_the_vocabs_is_invalid_config(toy_setup):
+    vocab = toy_setup["vocab"]
+    with pytest.raises(InvalidConfig, match=f"config d=17 does not match 256 \\* vocab size {vocab.size}"):
+        bl.VaeModel(bl.VaeConfig(d=17), vocab)
+    assert bl.VaeModel(bl.VaeConfig(d=256 * vocab.size, hidden_width=8), vocab).vocab is vocab
+
+
 def test_vae_kl_zero_for_standard_normal_q():
     kl = nn.kl_diag(np.zeros(64), np.ones(64), np.zeros(64), np.ones(64))
     assert kl == 0.0

@@ -146,8 +146,9 @@ FAMILIES = [("gmvae", "float64"), ("gmvae", "float32"), ("vae-gmm", "float64"), 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
 @pytest.mark.parametrize("version", [1, 2])
-def test_json_checkpoint_exits_2_naming_its_version(family, version, toy_setup, tmp_path):
-    # formats 1 and 2 are JSON text, which no longer loads
+def test_json_checkpoint_exits_2_as_not_a_checkpoint(family, version, toy_setup, tmp_path):
+    # formats 1 and 2 are JSON text, without the magic like any other file
+    # that is not a checkpoint
     model, history = toy_model(family, "float64", toy_setup)
     path = tmp_path / f"v{version}.json"
     path.write_text(json.dumps(old_payload(family, model, history, version), sort_keys=True, separators=(",", ":")))
@@ -158,7 +159,23 @@ def test_json_checkpoint_exits_2_naming_its_version(family, version, toy_setup, 
     assert code == 2 and len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "data" and error["type"] == "DataError"
-    assert f"format_version {version} " in error["message"] and str(path) in error["message"]
+    assert "not a levelmix checkpoint" in error["message"] and str(path) in error["message"]
+
+
+def test_a_large_json_file_is_refused_from_its_first_bytes(tmp_path):
+    # a checkpoint family's envelope of tens of MB, as JSON text: its
+    # format and format_version are never parsed
+    path = tmp_path / "large.json"
+    filler = "0" * (20 * 2**20)
+    path.write_text(json.dumps({"format": ckpt.FORMAT_GMVAE, "format_version": 2, "networks": filler}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="not a levelmix checkpoint"):
+            ckpt.load_any(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_file_without_the_magic_is_not_a_checkpoint(tmp_path):

@@ -1428,6 +1428,19 @@ def test_chart_of_a_malformed_densities_csv_is_data_error(tmp_path, capsys, cont
     assert os.listdir(tmp_path) == ["dens.csv"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "1.5"])
+def test_chart_of_a_density_outside_0_1_is_data_error_naming_its_cell(tmp_path, capsys, value):
+    # component 0's row of nan only is an empty component's, which chart skips
+    dens = tmp_path / "dens.csv"
+    dens.write_text(f"component,X,o\n0,nan,nan\n1,{value},0.5\n")
+    capsys.readouterr()
+    assert cli.run(["chart", "--densities", str(dens), "--out-dir", str(tmp_path / "charts")]) == 2
+    error = _single_error_line(capsys)
+    assert error["error"] == "data" and error["type"] == "DataError"
+    assert f"{dens}: density '{value}' of component '1', tile 'X' is not in [0, 1]" in error["message"]
+    assert os.listdir(tmp_path) == ["dens.csv"]
+
+
 def test_render_chunk_ascii_roundtrip(toy_setup):
     vocab = toy_setup["vocab"]
     chunk = toy_setup["chunks"][5]

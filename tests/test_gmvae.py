@@ -160,8 +160,8 @@ def test_training_step_losses_finite_nonnegative(toy_setup, rng):
 def test_float32_label_balance_at_full_collapse_matches_float64():
     # every row sits on component 0; the other two means underflow to 0
     logits = np.tile([200.0, 0.0, 0.0], (5, 1))
-    b64, _, _ = gm._label_balance(logits, 3)
-    b32, _, p_bar = gm._label_balance(logits.astype(np.float32), 3)
+    b64, *_ = gm._label_balance(logits, 3)
+    b32, _, p_bar, _ = gm._label_balance(logits.astype(np.float32), 3)
     assert p_bar.dtype == np.float32 and p_bar[1] == 0.0
     assert abs(b64 - math.log(3.0)) < 1e-12
     assert abs(b32 - b64) < 1e-6

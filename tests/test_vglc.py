@@ -150,3 +150,17 @@ def test_build_manifest_command_errors_are_one_json_line(checkout, tmp_path, cap
     assert error["error"] == kind
     if kind == "usage":
         assert "'zz'" in error["message"] and not out.exists()
+
+
+def test_build_manifest_command_writes_nothing_when_the_corpus_does_not_load(checkout, tmp_path, capsys):
+    # ki levels get no heuristic type, so a level that is not text is met
+    # only when the corpus loads
+    (checkout / vglc.GAME_DIRS["ki"][0] / "broken.txt").write_bytes(b"\xff\xfe--\n")
+    out = tmp_path / "ki.json"
+    capsys.readouterr()
+    assert cli.run(["build-manifest", "--corpus-root", str(checkout), "--game", "ki", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert error["type"] == "DataError" and "broken.txt" in error["message"]
+    assert not out.exists() and not os.path.exists(str(out) + ".run.json")
