@@ -19,7 +19,7 @@ from .errors import (
     NumericError,
     SingularCovariance,
 )
-from .gmvae import EncoderDecoder, VaeConfig, decode_generated, fit
+from .gmvae import EncoderDecoder, VaeConfig, check_d, decode_generated, fit
 
 
 class VaeModel(EncoderDecoder):
@@ -345,9 +345,11 @@ class VaeGmmModel:
 
 def fit_vae_gmm(data, vae_config, k, gmm_seed=0, vocab=None, level_types=None, sampler="uniform"):
     """Train a VAE of vae_config (train_vae), give it vocab, then fit_pca_gmm on it:
-    (VaeGmmModel, the VAE's history). A k below 1 is rejected before training."""
+    (VaeGmmModel, the VAE's history). A k below 1, and a vocab whose 256 * size is not
+    vae_config.d (gmvae.check_d), are rejected before training."""
     if k < 1:
         raise InvalidConfig(f"a mixture needs k >= 1 components, got {k}")
+    check_d(vae_config, vocab)
     vae, history = train_vae(data, vae_config, level_types=level_types, sampler=sampler)
     vae.vocab = vocab
     return fit_pca_gmm(vae, data, k, gmm_seed=gmm_seed), history

@@ -27,11 +27,13 @@ all d columns; version 4 stored a weight blob, a bias blob and an
 activation per layer; version 3 had that layout without a support and with
 d-wide input nets; versions 1 and 2 were JSON text. None of them loads any
 more: a binary one is a DataError that names its format_version, and any
-file without the magic is refused from its first 8 bytes. Loading rejects
-a network with a NaN or infinite parameter and, when the vocab is not
-null, a d other than 256 * the vocab's size and a support with no column
-of some cell (column // vocab size); saving refuses a non-finite
-parameter (a NumericError) before it opens any file.
+file without the magic is refused from its first 8 bytes. Every checkpoint
+carries the tile vocabulary its one-hot columns are numbered in. Saving
+and loading both refuse a model without one, a d other than 256 * the
+vocab's size and a support with no column of some cell (column // vocab
+size), saving before it opens any file; loading also rejects a network
+with a NaN or infinite parameter, and saving refuses one with a
+NumericError.
 
 The envelope is written with sorted keys and fixed separators and the
 offsets follow from the shapes alone, so identical models give identical
@@ -127,8 +129,6 @@ class _BlobFile:
 
 
 def _vocab_to_dict(vocab):
-    if vocab is None:
-        return None
     return {
         "game": vocab.game,
         "chars": "".join(vocab.chars),
@@ -137,8 +137,6 @@ def _vocab_to_dict(vocab):
 
 
 def _vocab_from_dict(data):
-    if data is None:
-        return None
     return TileVocab(
         game=data["game"], chars=tuple(data["chars"]), background_char=data["background"]
     )
@@ -182,6 +180,19 @@ def _dump(path, payload, blobs):
             f.write(memoryview(array))
 
 
+def _check_vocab(model):
+    """Refuse a model whose tile vocabulary is missing or does not fit it:
+    its d must be 256 * the vocab's size (gmvae.check_d), and its support
+    must hold a column of every cell, which generate could not fill
+    otherwise."""
+    if not model.vocab:  # None, or a checkpoint's null or empty vocab
+        raise DataError("model has no tile vocabulary to number its one-hot columns in")
+    check_d(model.config, model.vocab)
+    columns = np.bincount(model.support // model.vocab.size, minlength=CHUNK_SIZE * CHUNK_SIZE)
+    if not columns.all():
+        raise DataError(f"support has no column of cell {int(np.argmin(columns))}; generate could not fill it")
+
+
 def _finite_networks(model):
     """The model's networks by name, once every parameter is finite: a save
     refuses what a load refuses, before any file is opened."""
@@ -193,8 +204,9 @@ def _finite_networks(model):
 
 
 def _envelope(fmt, model, history, run_info, blobs):
-    """The envelope of the config, support and networks of a GmvaeModel or
-    VaeModel, without a baseline's PCA and GMM."""
+    """The envelope of the config, vocab, support and networks of a
+    GmvaeModel or VaeModel, without a baseline's PCA and GMM."""
+    _check_vocab(model)
     return {
         "format": fmt,
         "format_version": FORMAT_VERSION,
@@ -249,15 +261,11 @@ def _rebuild(model_cls, config_cls, payload, arrays):
     skips the constructor, which would size every net before its blob."""
     model = model_cls.__new__(model_cls)
     model.config = config_cls(**payload["config"]).validate()
-    model.vocab = _vocab_from_dict(payload["vocab"])
-    check_d(model.config, model.vocab)
-    # checked before architecture() sizes any buffer from it
+    # a null vocab stays None, and an empty one empty, for _check_vocab to refuse
+    model.vocab = payload["vocab"] and _vocab_from_dict(payload["vocab"])
     model.support = _support(payload["support"], model.config.d)
-    # a cell without a support column would be tile 0 in every generated chunk
-    if model.vocab is not None:
-        columns = np.bincount(model.support // model.vocab.size, minlength=CHUNK_SIZE * CHUNK_SIZE)
-        if not columns.all():
-            raise DataError(f"support has no column of cell {int(np.argmin(columns))}; generate could not fill it")
+    # checked before architecture() sizes any buffer from the support
+    _check_vocab(model)
     for name, (sizes, activations) in model.architecture().items():
         blob, n = payload["networks"][name], param_count(sizes)
         # checked before the buffer is allocated, so a forged config cannot size it

@@ -80,11 +80,6 @@ def _save_report(args, report):
     _write(args.out, _json({"run_info": _run_info(args.command, args), "report": report.to_dict()}))
 
 
-def _load_corpus(args, heuristic_types=False):
-    """(levels, vocab, chunks) of the --manifest corpus."""
-    return cp.load_corpus(cp.load_manifest(args.manifest), heuristic_types=heuristic_types)
-
-
 def _int_list(text, flag):
     """The integers of a comma-separated list flag, or a UsageError."""
     try:
@@ -147,7 +142,7 @@ def _training_data(args, labelled=False):
     the model's dtype; level_types is None unless labelled or the balanced
     sampler, which needs it, is selected."""
     labelled = labelled or args.sampler == "balanced"
-    _, vocab, chunks = _load_corpus(args, heuristic_types=labelled)
+    _, vocab, chunks = cp.load_corpus(cp.load_manifest(args.manifest), heuristic_types=labelled)
     level_types = [c.level_type for c in chunks] if labelled else None
     return vocab, cp.encode_chunks(chunks, vocab), level_types
 
@@ -159,23 +154,18 @@ def _load_model(args):
     return model
 
 
-def _vocab(args, model):
-    """The checkpoint's tile vocabulary, for commands that render chunks."""
-    if model.vocab is None:
-        raise DataError(f"{args.model}: checkpoint has no tile vocabulary (\"vocab\": null)")
-    return model.vocab
-
-
 def _model_corpus(args, model):
-    """The manifest's chunks, their tile ids renumbered to the checkpoint's
-    vocab, and their one-hot matrix in that vocab. A checkpoint without a
-    vocab takes the manifest's own. The model ignores set columns outside
-    its support, and a warning on stderr counts them."""
-    _, vocab, chunks = _load_corpus(args, heuristic_types=True)
-    if model.vocab is not None:
-        chunks = cp.renumber_chunks(chunks, vocab, model.vocab)
-        vocab = model.vocab
-    data = cp.encode_chunks(chunks, vocab)
+    """The --manifest corpus's chunks, each level's tiles numbered in the
+    model's vocab as they are cut, and their one-hot matrix in that vocab;
+    a tile the vocab lacks is a DataError naming it. The model ignores set
+    columns outside its support, and a warning on stderr counts them."""
+    manifest = cp.load_manifest(args.manifest)
+    chunks = [
+        chunk
+        for level in cp.load_levels(manifest, heuristic_types=True)
+        for chunk in cp.extract_chunks(level, model.vocab, axis=manifest.axis)
+    ]
+    data = cp.encode_chunks(chunks, model.vocab)
     outside = np.setdiff1d(np.flatnonzero(data.any(axis=0)), model.support).size
     if outside:
         print(f"warning: {outside} set one-hot columns are outside the model's support and are ignored", file=sys.stderr)
@@ -274,9 +264,8 @@ def cmd_train_baseline(args):
 
 def cmd_generate(args):
     model = _load_model(args)
-    vocab = _vocab(args, model)
     chunks = model.generate(args.component, args.n, np.random.default_rng(args.seed))
-    rendered = ["\n".join(cp.chunk_to_lines(c, vocab)) for c in chunks]
+    rendered = ["\n".join(cp.chunk_to_lines(c, model.vocab)) for c in chunks]
     text = ("\n\n").join(rendered) + "\n"
     if args.out:
         _write(args.out, text, args)
@@ -313,7 +302,7 @@ def cmd_eval_disentangle(args):
     report = ev.disentanglement(
         model.generate,
         model.k,
-        _vocab(args, model),
+        model.vocab,
         np.random.default_rng(args.seed),
         n_per_component=args.n_per_component,
         n_train=args.n_train,
@@ -327,17 +316,16 @@ def cmd_eval_disentangle(args):
 
 def cmd_eval_playability(args):
     model = _load_model(args)
-    vocab = _vocab(args, model)
     manifest = cp.load_manifest(args.manifest)
     rules = pl.rules_from_manifest(manifest)
-    missing = [c for c in vocab.chars if c not in rules.solidity]
+    missing = [c for c in model.vocab.chars if c not in rules.solidity]
     if missing:
         raise DataError(f"solidity map misses vocab tiles {missing!r}")
     result = pl.playability_suite(
         model.generate,
         model.k,
         rules,
-        vocab,
+        model.vocab,
         np.random.default_rng(args.seed),
         total_budget=args.budget,
     )
@@ -361,8 +349,7 @@ def cmd_densities(args):
     if args.source == "corpus" and not args.manifest:
         raise UsageError("--source corpus needs --manifest")
     model = _load_model(args)
-    vocab = _vocab(args, model)
-    matrix = ev.tile_densities(_density_groups(args, model), vocab)
+    matrix = ev.tile_densities(_density_groups(args, model), model.vocab)
     _write(args.out, matrix.to_csv(), args)
     print(f"wrote {matrix.k} x {len(matrix.tile_chars)} density matrix to {args.out}")
     return 0
@@ -612,8 +599,9 @@ def build_parser():
 
 def _check_outputs(args):
     """Refuse an --out or --history-csv no file can be written to, before any
-    input is read: its directory must exist and the path must name a file.
-    chart makes its --out-dir itself."""
+    input is read: its directory must exist, the path must name a file, and
+    --out must not name the history CSV or its sidecar, which are written
+    after it and would take its place. chart makes its --out-dir itself."""
     for flag in ("--out", "--history-csv"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if path is None:
@@ -623,6 +611,12 @@ def _check_outputs(args):
             raise DataError(f"{flag} {path}: {directory} is not an existing directory")
         if os.path.isdir(path or "."):
             raise DataError(f"{flag} {path} is a directory, not a file")
+    # only train and train-baseline take --history-csv, and both need --out
+    history_csv = getattr(args, "history_csv", None)
+    if history_csv is not None and os.path.realpath(args.out) in {
+        os.path.realpath(history_csv), os.path.realpath(history_csv + ".run.json")
+    }:
+        raise DataError(f"--out {args.out} and --history-csv {history_csv} (or its sidecar) name one file")
 
 
 def run(argv):

@@ -150,11 +150,15 @@ def chunk_to_lines(chunk, vocab):
 
 
 def level_to_ids(level, vocab):
+    """The level's tile ids in vocab; a character the vocab lacks is a
+    DataError naming it and the vocab."""
     lookup = vocab.char_to_id
     try:
         return np.array([[lookup[c] for c in row] for row in level.tiles], dtype=np.int64)
     except KeyError as exc:
-        raise IdOutOfRange(f"{level.level_id}: character {exc.args[0]!r} not in vocab") from None
+        raise DataError(
+            f"{level.level_id}: tile character {exc.args[0]!r} is not in the vocab {''.join(vocab.chars)!r}"
+        ) from None
 
 
 def extract_chunks(level, vocab, axis="horizontal"):
@@ -292,7 +296,7 @@ class DatasetManifest:
 
 
 def load_manifest(path):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             raw = json.load(f)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
@@ -378,7 +382,7 @@ def read_level(path, level_type=None):
     that is not text, is a DataError."""
     if not os.path.exists(path):
         raise DataError(f"level file not found: {path}")
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             text = f.read()
         except UnicodeDecodeError as exc:
@@ -411,23 +415,6 @@ def load_corpus(manifest, heuristic_types=False):
     for level in levels:
         chunks.extend(extract_chunks(level, vocab, axis=manifest.axis))
     return levels, vocab, chunks
-
-
-def renumber_chunks(chunks, vocab, target):
-    """The chunks, whose tile ids index `vocab`, with each id renumbered to
-    the id of the same character in `target`, through one lookup table. A
-    character of `vocab` that `target` lacks is a DataError naming it."""
-    lookup = target.char_to_id
-    missing = [c for c in vocab.chars if c not in lookup]
-    if missing:
-        raise DataError(
-            f"tile character {missing[0]!r} is not in the model's vocab {''.join(target.chars)!r}"
-        )
-    table = np.array([lookup[c] for c in vocab.chars], dtype=np.int64)
-    return [
-        Chunk(table[c.tiles], level_id=c.level_id, offset=c.offset, level_type=c.level_type)
-        for c in chunks
-    ]
 
 
 def chunk_dump(chunks, vocab):

@@ -102,7 +102,7 @@ def write_corpus(directory, levels_per_type=3, cols=64, seed=0):
     entries = []
     for level in make_corpus(levels_per_type=levels_per_type, cols=cols, seed=seed):
         name = f"{level.level_id}.txt"
-        with open(os.path.join(directory, name), "w") as f:
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
             f.write("\n".join(level.tiles) + "\n")
         entries.append({"path": name, "type": level.level_type})
     manifest = {
@@ -114,6 +114,6 @@ def write_corpus(directory, levels_per_type=3, cols=64, seed=0):
         "jump": {"max_height": 4, "max_span": 5},
     }
     path = os.path.join(directory, "toy.json")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
     return path

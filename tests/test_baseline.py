@@ -57,6 +57,17 @@ def test_vae_of_a_d_other_than_the_vocabs_is_invalid_config(toy_setup):
     assert bl.VaeModel(bl.VaeConfig(d=256 * vocab.size, hidden_width=8), vocab).vocab is vocab
 
 
+def test_fit_vae_gmm_of_a_vocab_that_does_not_fit_d_is_refused_before_training(toy_setup, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained an epoch before refusing")
+
+    monkeypatch.setattr(gm.TrainingRun, "train_epoch", no_training)
+    data, vocab = toy_setup["data"], toy_setup["vocab"]
+    three_tiles = dataclasses.replace(vocab, chars=vocab.chars[:3])
+    with pytest.raises(InvalidConfig, match=f"config d={data.shape[1]} does not match 256 \\* vocab size 3"):
+        bl.fit_vae_gmm(data, small_vae_config(data.shape[1]), 3, vocab=three_tiles)
+
+
 def test_vae_kl_zero_for_standard_normal_q():
     kl = nn.kl_diag(np.zeros(64), np.ones(64), np.zeros(64), np.ones(64))
     assert kl == 0.0

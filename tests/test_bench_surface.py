@@ -76,9 +76,10 @@ def test_both_families_train_through_training_step(toy_setup, monkeypatch, famil
 
 @pytest.mark.parametrize("family", ["gmvae", "vae"])
 def test_tracer_names_the_networks_of_fits_training_copies(perfbench, toy_setup, family):
-    # fit trains copies of the networks that read the raw input; the tracer
-    # registers them at each step, so no forward, backward or Adam span of a
-    # training run falls in the "other" group
+    # fit narrows the model in place, replacing the networks that read the
+    # raw input and the decoder with narrowed ones; the tracer registers them
+    # at each step, so no forward, backward or Adam span of a training run
+    # falls in the "other" group
     tracer, _ = perfbench
     data = toy_setup["data"][:100]
     fields = dict(d=data.shape[1], latent_dim=4, hidden_width=16, hidden_depth=1, batch_size=32, epochs=1)

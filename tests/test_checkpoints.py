@@ -1,6 +1,7 @@
 import ast
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from levelmix import cli
 from levelmix import gmvae as gm
 from levelmix import neuralnet as nn
 from levelmix import toygame
-from levelmix.errors import DataError, NumericError
+from levelmix.errors import DataError, InvalidConfig, NumericError
 
 
 def toy_model(family, dtype, toy_setup):
@@ -542,11 +543,13 @@ def test_a_d_other_than_the_vocabs_exits_2_naming_both(fuzz_workspace, family):
 def test_a_support_without_a_column_of_some_cell_exits_2_naming_it(toy_setup, tmp_path, family):
     # cell 0's columns are 0 .. vocab size - 1: without them every argmax
     # there would pick tile 0, whatever the decoder wrote
+    # save refuses such a model, so the support is cut in a saved header
     model, history = toy_model(family, "float64", toy_setup)
-    vae = getattr(model, "vae", model)
-    vae.narrow(vae.support[vae.support >= toy_setup["vocab"].size])
     path = tmp_path / "no-cell-0.ckpt"
     save(family, path, model, history)
+    header, data = split_checkpoint(path.read_bytes())
+    header["support"] = [c for c in header["support"] if c >= toy_setup["vocab"].size]
+    path.write_bytes(join_checkpoint(header, data))
     message = "support has no column of cell 0"
     with pytest.raises(DataError, match=message):
         ckpt.load_any(path)
@@ -557,6 +560,37 @@ def test_a_support_without_a_column_of_some_cell_exits_2_naming_it(toy_setup, tm
     assert code == 2 and len(lines) == 1
     error = json.loads(lines[0])
     assert error["type"] == "DataError" and message in error["message"]
+
+
+# each spoils a trained model's VAE (or GMVAE) so that no checkpoint may hold it
+_UNSAVABLE = {
+    "no vocab": (lambda vae, vocab: setattr(vae, "vocab", None), "model has no tile vocabulary"),
+    "a vocab that does not fit d": (
+        lambda vae, vocab: setattr(vae, "vocab", dataclasses.replace(vocab, chars=vocab.chars[:3])),
+        "does not match 256 \\* vocab size 3",
+    ),
+    "a support without cell 0": (
+        lambda vae, vocab: vae.narrow(vae.support[vae.support >= vocab.size]),
+        "support has no column of cell 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+@pytest.mark.parametrize("case", list(_UNSAVABLE))
+def test_save_refuses_a_model_without_a_vocab_that_fits_it_before_opening_a_file(
+    toy_setup, tmp_path, monkeypatch, family, case
+):
+    def no_file(path):
+        raise AssertionError(f"opened {path} before refusing")
+
+    spoil, message = _UNSAVABLE[case]
+    model, history = toy_model(family, "float64", toy_setup)
+    spoil(getattr(model, "vae", model), toy_setup["vocab"])
+    monkeypatch.setattr(ckpt, "replacing", no_file)
+    with pytest.raises((DataError, InvalidConfig), match=message):
+        save(family, tmp_path / "model.ckpt", model, history)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])

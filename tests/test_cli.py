@@ -751,34 +751,27 @@ def _without_vocab(checkpoint, tmp_path):
 
 
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
-@pytest.mark.parametrize("command", ["generate", "eval-disentangle", "eval-playability", "densities"])
+@pytest.mark.parametrize(
+    "command", ["generate", "eval-disentangle", "eval-playability", "densities", "eval-cluster", "encode"]
+)
 def test_checkpoint_without_vocab_is_data_error(workspace, checkpoints, tmp_path, capsys, family, command):
     model = _without_vocab(checkpoints[family], tmp_path)
     out = str(tmp_path / "out")
+    # a corpus whose own vocab -XZo has the model's size but not its tiles
+    retiled = ["--manifest", _retiled_manifest(workspace, tmp_path, "S", "Z"), "--out", out]
     argv = {
         "generate": ["--component", "0", "--n", "1"],
         "eval-disentangle": ["--out", out, "--n-per-component", "5", "--n-train", "3"],
         "eval-playability": ["--manifest", workspace["manifest"], "--out", out, "--budget", "6"],
         "densities": ["--out", out, "--n-per-component", "5"],
+        "eval-cluster": retiled,
+        "encode": retiled,
     }[command]
     capsys.readouterr()
     assert cli.run([command, "--model", model] + argv) == 2
     error = _single_error_line(capsys)
     assert error["error"] == "data" and error["type"] == "DataError"
     assert model in error["message"] and "vocabulary" in error["message"]
-
-
-@pytest.mark.parametrize("command", ["eval-cluster", "encode"])
-def test_checkpoint_without_vocab_uses_corpus_vocab(workspace, trained_checkpoint, tmp_path, command):
-    # the toy corpus vocab is the one the model was trained with, so the
-    # output matches the one from the full checkpoint
-    outputs = []
-    for model in (trained_checkpoint, _without_vocab(trained_checkpoint, tmp_path)):
-        out = tmp_path / f"out{len(outputs)}"
-        assert cli.run([command, "--model", model, "--manifest", workspace["manifest"], "--out", str(out)]) == 0
-        text = out.read_text()
-        outputs.append(json.loads(text)["report"] if command == "eval-cluster" else text)
-    assert outputs[0] == outputs[1]
 
 
 def _retiled_manifest(workspace, tmp_path, old, new):
@@ -1362,6 +1355,16 @@ _REFUSED_BEFORE_TRAINING = {
     "train --out a directory": (["train", "--k", "2", "--out", "."], "--out"),
     "train --history-csv in a missing directory": (
         ["train", "--k", "2", "--out", "model.ckpt", "--history-csv", "missing/history.csv"], "--history-csv"),
+    # the history CSV and its sidecar, written last, would take the checkpoint's place
+    "train --out and --history-csv of one file": (
+        ["train", "--k", "2", "--out", "model.ckpt", "--history-csv", "./model.ckpt"],
+        "--out model.ckpt and --history-csv ./model.ckpt"),
+    "train-baseline --out and --history-csv of one file": (
+        ["train-baseline", "--k", "2", "--out", "model.ckpt", "--history-csv", "model.ckpt"],
+        "--out model.ckpt and --history-csv model.ckpt"),
+    "train --out the --history-csv sidecar": (
+        ["train", "--k", "2", "--out", "history.csv.run.json", "--history-csv", "history.csv"],
+        "--out history.csv.run.json and --history-csv history.csv"),
     "compare --out in a missing directory": (["compare", "--out", "missing/compare.json"], "--out"),
     "sweep --out in a missing directory": (["sweep", "--k-list", "2", "--out", "missing/sweep.csv"], "--out"),
     "train-baseline k above the chunk count": (["train-baseline", "--k", "500", "--out", "model.ckpt"], None),

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -416,3 +418,24 @@ def test_any_text_parses_or_is_a_data_error(text):
         return
     assert level.rows == len(level.tiles) >= 1 and level.cols >= 1
     assert all(len(row) == level.cols and "\n" not in row for row in level.tiles)
+
+
+def test_a_manifest_and_its_levels_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode, open() without an encoding reads ASCII
+    rows = ["-" * 20] * 14 + ["-\u00e9" * 10, "X" * 20]
+    (tmp_path / "level.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    manifest = {"game": "t", "levels": ["level.txt"], "solidity": {"-": "passable", "X": "solid", "\u00e9": "solid"}}
+    (tmp_path / "m.json").write_text(json.dumps(manifest, ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cp.__file__))
+    code = "import sys; from levelmix import cli; sys.exit(cli.run(sys.argv[1:]))"
+    outputs = []
+    for env in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}):
+        result = subprocess.run(
+            [sys.executable, "-c", code, "ingest", "--manifest", str(tmp_path / "m.json")],
+            env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, encoding="utf-8",
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    summary = json.loads(outputs[0])
+    assert (summary["vocab"], summary["chunks"]) == ("-X\u00e9", 5)
+    assert outputs[1] == outputs[0]

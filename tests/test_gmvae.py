@@ -1008,9 +1008,10 @@ def test_the_uint8_corpus_answers_as_its_float64_copy(request, toy_setup, family
 @pytest.mark.parametrize("dtype", gm.DTYPES)
 def test_hard_labels_makes_no_float_copy_of_the_corpus(trained_gmvae, toy_setup, dtype):
     # the toy corpus tiled until a float copy of it dwarfs the model. The
-    # label net casts only the columns the rows set, 59% of them, so the
-    # pass holds their float copy, the uint8 gather it is cast from and
-    # the hidden layers' outputs, well below a full float copy
+    # trained model is narrowed to the columns the rows set, 59% of them,
+    # and its gather casts only those, so the pass holds their float copy,
+    # the uint8 np.take it is written from and the hidden layers' outputs,
+    # well below a full float copy
     model = _as_dtype(trained_gmvae[0], dtype)
     data = np.tile(toy_setup["data"], (10, 1))
     copy_bytes = data.size * np.dtype(dtype).itemsize
