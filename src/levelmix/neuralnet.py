@@ -27,12 +27,6 @@ from .errors import (
 
 ACTIVATIONS = ("relu", "softplus", "sigmoid", "linear")
 
-# the sigmoid runs over blocks of rows of about this many elements, so its
-# exp(-|z|) and sign mask hold one block: in place on a 500x3072 float64
-# output it peaks at 1.2 outputs, not 2.3, and takes 5.8 ms, not 11.5, on a
-# 2-vCPU Xeon with 2 MB of L2 per core (16k blocks 7.6 ms, 64k 5.1 ms)
-SIGMOID_BLOCK = 1 << 15
-
 # sigmoid outputs (and BCE inputs) are clamped away from {0, 1} so log() is safe
 CLAMP_EPS = 1e-7
 # keeps -log(-log(u)) finite when drawing Gumbel noise
@@ -42,8 +36,8 @@ GUMBEL_EPS = 1e-12
 def _activate(name, z, out):
     """Write the activation of z into out and return out; out may be z
     itself. The one body of each activation: the forward pass runs it in
-    place and the out-of-place wrappers below run it into a new buffer, with
-    the same ufuncs in the same order and dtype, so both give the same bytes."""
+    place and apply_activation below runs it into a new buffer, with the
+    same ufuncs in the same order and dtype, so both give the same bytes."""
     if name == "relu":
         return np.maximum(z, 0.0, out=out)
     if name == "softplus":
@@ -57,18 +51,13 @@ def _activate(name, z, out):
         # NaN's sign), and max(e, z >= 0) is 1 where z >= 0 and e below, so
         # this is 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) bit for bit,
         # with no boolean gathers
-        z_rows, out_rows = np.atleast_1d(z, out)
-        step = max(1, SIGMOID_BLOCK // max(1, z_rows[:1].size))
-        for start in range(0, len(z_rows), step):
-            zb, ob = z_rows[start : start + step], out_rows[start : start + step]
-            positive = zb >= 0
-            e = np.negative(zb)
-            np.minimum(zb, e, out=e)
-            np.exp(e, out=e)
-            np.maximum(e, positive, out=ob)
-            e += 1.0
-            np.divide(ob, e, out=ob)
-        return out
+        positive = z >= 0
+        e = np.negative(z)
+        np.minimum(z, e, out=e)
+        np.exp(e, out=e)
+        np.maximum(e, positive, out=out)
+        e += 1.0
+        return np.divide(out, e, out=out)
     if name == "linear":
         if out is not z:
             out[...] = z
@@ -100,10 +89,6 @@ def apply_activation(name, z):
     return _activate(name, z, np.empty_like(z))
 
 
-def _sigmoid(z):
-    return apply_activation("sigmoid", z)
-
-
 def activation_grad(name, z, a):
     """d(activation)/dz given output a; only softplus reads the
     pre-activation z (the others take None). relu's mask comes from the
@@ -111,7 +96,7 @@ def activation_grad(name, z, a):
     if name == "relu":
         return (a > 0.0).astype(a.dtype)
     if name == "softplus":
-        return _sigmoid(z)
+        return apply_activation("sigmoid", z)
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "linear":
@@ -312,13 +297,14 @@ class DenseNet:
 
 
 # Adam updates this many elements at a time, so one block of p, g, m, v and
-# the scratch (1.8 MB in float64) stays in a core's L2 cache. On a 2-vCPU
-# Xeon with 2 MB of L2 per core, a 2.1M-parameter float64 update took
-# 18-19 ms with 16k-64k blocks, 23-26 ms with 4k and 21-25 ms with 128k.
+# the two scratch blocks (1.5 MB in float64) stays in a core's L2 cache. On
+# a 2-vCPU Xeon with 2 MB of L2 per core, a 2.1M-parameter float64 update
+# took 18-19 ms with 16k-64k blocks, 23-26 ms with 4k and 21-25 ms with 128k.
 ADAM_BLOCK = 1 << 15
-# every this many steps Adam zeroes each moment that one more gradient-free
-# step than that could carry below the smallest normal: a subnormal moment
-# stays (0.9 or 0.999 times a few ulps rounds back) and slows every step
+# every this many steps Adam zeroes each v that one more gradient-free step
+# than that could carry below the smallest normal, and each m whose update
+# lr_t m it could: a subnormal moment stays (0.9 or 0.999 times a few ulps
+# rounds back) and slows every step, and a subnormal update each step it is in
 ADAM_FLUSH_EVERY = 64
 # Adam's moment decay rates and the floor added to the root of the second
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -335,8 +321,8 @@ class AdamState:
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
         block = min(net.params.size, ADAM_BLOCK)
-        self._scaled_grad = np.empty(block, dtype=net.dtype)
-        self._denom = np.empty(block, dtype=net.dtype)
+        # the scaled gradient, then, once v holds it, sqrt(v) + eps
+        self._scratch = np.empty(block, dtype=net.dtype)
         self._update = np.empty(block, dtype=net.dtype)
 
     def step(self, net):
@@ -354,15 +340,18 @@ class AdamState:
         b1, b2, c1, c2, eps = ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPSILON
         p, g, m, v = net.params, net.grads, self.m, self.v
         tiny, flush = np.finfo(net.dtype).tiny, (t - 1) % ADAM_FLUSH_EVERY == 0
+        # lr sqrt(1 - b2) is at most lr_t at every step, so an m above its
+        # floor keeps lr_t m normal until the next flush
+        m_floor = tiny / (min(1.0, self.learning_rate * c2**0.5) * b1 ** (ADAM_FLUSH_EVERY + 1))
         block = self._update.size
         for start in range(0, p.size, block):
             end = min(start + block, p.size)
             n = end - start
             gb, mb, vb = g[start:end], m[start:end], v[start:end]
-            s, d, u = self._scaled_grad[:n], self._denom[:n], self._update[:n]
+            s, u = self._scratch[:n], self._update[:n]
             if flush:
                 # times 1.0 where a moment reaches its floor, else times 0.0
-                mb *= np.greater_equal(np.abs(mb, out=s), tiny / b1 ** (ADAM_FLUSH_EVERY + 1), out=s)
+                mb *= np.greater_equal(np.abs(mb, out=s), m_floor, out=s)
                 vb *= np.greater_equal(vb, tiny / b2 ** (ADAM_FLUSH_EVERY + 1), out=s)
             mb *= b1
             np.multiply(gb, c1, out=s)
@@ -372,9 +361,9 @@ class AdamState:
             s *= gb
             vb += s
             np.multiply(mb, lr_t, out=u)
-            np.sqrt(vb, out=d)
-            d += eps
-            u /= d
+            np.sqrt(vb, out=s)
+            s += eps
+            u /= s
             p[start:end] -= u
 
 

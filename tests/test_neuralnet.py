@@ -121,14 +121,13 @@ def masked_sigmoid(z):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_sigmoid_bytes_equal_masked_expression(dtype):
-    # 1,720 rows of 64: three whole sigmoid blocks and a partial one
     z = np.concatenate([
         special_values(dtype),
         np.random.default_rng(0).standard_normal(100_059).astype(dtype) * 20,
         np.linspace(-120.0, 120.0, 10_001, dtype=dtype),
     ]).reshape(-1, 64)
     with np.errstate(over="ignore", invalid="ignore"):
-        out, inplace, ref = nn._sigmoid(z), in_place("sigmoid", z), masked_sigmoid(z)
+        out, inplace, ref = nn.apply_activation("sigmoid", z), in_place("sigmoid", z), masked_sigmoid(z)
     assert out.dtype == inplace.dtype == np.dtype(dtype)
     assert out.tobytes() == inplace.tobytes() == ref.tobytes()
 
@@ -232,15 +231,16 @@ def test_integer_input_reads_only_its_set_columns(dtype):
 
 
 def test_decoder_shaped_forward_peaks_below_one_and_a_half_outputs():
-    # the float64 decoder of a 64-latent, 512-wide net on 500 rows: the
-    # textbook forward holds up to four output-sized arrays at once (4.17
-    # outputs), the in-place one the output, the last hidden layer and one
-    # block's sigmoid scratch (1.2 outputs)
+    # the float64 decoder of a 64-latent, 512-wide net on 500 rows, in the
+    # forward that generation runs: the textbook forward holds up to four
+    # output-sized arrays at once (4.17 outputs), the in-place one that
+    # stops before the sigmoid holds the output and the last hidden layer
+    # (1.17 outputs)
     net = make_net([64, 512, 512, 512, 3072], ["relu"] * 3 + ["sigmoid"])
     x = np.random.default_rng(1).standard_normal((500, 64))
     tracemalloc.start()
     try:
-        out = net.forward(x)
+        out, _ = net.forward_cached(x, keep_cache=False, pre_activation=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -526,9 +526,28 @@ def test_adam_moments_near_the_smallest_normal_never_go_subnormal(dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_adam_updates_of_moments_above_their_floor_never_go_subnormal(dtype):
+    # with no gradient, first moments from just above tiny / beta1^65 to
+    # 1e16 times it decay 0.9 a step, and the step size lr_t is 1.5e-4 to
+    # 3.2e-4 over the first steps: each update lr_t m stays normal, or its m
+    # is zeroed, across three flushes and the steps between them
+    net = nn.DenseNet([30, 20], ["linear"], np.random.default_rng(3), dtype)
+    opt = nn.AdamState(net)
+    floor = np.finfo(dtype).tiny / nn.ADAM_BETA1 ** (nn.ADAM_FLUSH_EVERY + 1)
+    opt.m[...] = floor * np.geomspace(1.01, 1e16, opt.m.size)
+    opt.v[...] = 1e-12
+    net.grads[...] = 0.0
+    for t in range(1, 3 * nn.ADAM_FLUSH_EVERY + 2):
+        opt.step(net)
+        lr_t = net.dtype.type(opt.learning_rate * np.sqrt(1.0 - nn.ADAM_BETA2**t) / (1.0 - nn.ADAM_BETA1**t))
+        assert subnormal_count(opt.m * lr_t) == 0, t
+    assert np.count_nonzero(opt.m) > 0
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_adam_scratch_is_in_the_net_dtype(dtype):
     opt = nn.AdamState(nn.DenseNet([3, 2], ["linear"], np.random.default_rng(0), dtype))
-    assert opt._update.dtype == opt._denom.dtype == opt.m.dtype == np.dtype(dtype)
+    assert opt._update.dtype == opt._scratch.dtype == opt.m.dtype == np.dtype(dtype)
 
 
 def test_parameters_and_gradients_are_views_of_flat_buffers():

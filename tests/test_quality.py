@@ -11,8 +11,9 @@ import pytest
 from levelmix import cli, toygame
 
 RECORD = os.path.join(os.path.dirname(__file__), os.pardir, "QUALITY_toy.json")
-# the rebuilt run: one seed of one record of the latest change
-DTYPE, SAMPLER, SEED = "float64", "uniform", 0
+# the rebuilt runs: one seed of two records of the latest change, one in
+# each dtype
+SEED = 0
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +41,13 @@ def test_every_pair_holds_both_sides_of_every_record(quality):
                 assert r["command"].startswith("levelmix compare ")
 
 
-def test_a_rebuilt_run_equals_the_record(quality, tmp_path):
+@pytest.mark.parametrize("dtype, sampler", [("float64", "uniform"), ("float32", "balanced")])
+def test_a_rebuilt_run_equals_the_record(quality, tmp_path, dtype, sampler):
     # the record runs at one BLAS thread, since the thread count moves the
     # last bits of a sum, and so does the rebuild, in its own process. A
     # numpy or BLAS build other than the side's `numpy` and `blas` may move
     # them too: accuracies and shares are counts of chunks, and they match
-    (entry,) = [r for r in quality["pairs"][-1]["change"]["records"] if (r["dtype"], r["sampler"]) == (DTYPE, SAMPLER)]
+    (entry,) = [r for r in quality["pairs"][-1]["change"]["records"] if (r["dtype"], r["sampler"]) == (dtype, sampler)]
     argv = entry["command"].split()[1:]
     manifest = toygame.write_corpus(tmp_path / "corpus", **quality["corpus"]["toygame.write_corpus"])
     out = tmp_path / "compare.json"
