@@ -251,8 +251,8 @@ def gmm_fit(points, k, rng_seed=0, max_iters=200, restarts=10):
     if k < 1:
         raise InvalidConfig(f"a mixture needs k >= 1 components, got {k}")
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
+    if points.ndim != 2:
+        raise DimensionMismatch(f"points have shape {points.shape}, expected (n, m)")
     check_gmm_k(k, points.shape[0])
     best = None
     best_ll = -np.inf
@@ -274,12 +274,8 @@ def gmm_fit(points, k, rng_seed=0, max_iters=200, restarts=10):
 
 def gmm_log_responsibilities(model, points):
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.shape[1] != model.means.shape[1]:
-        raise DimensionMismatch(
-            f"points have dim {points.shape[1]}, model expects {model.means.shape[1]}"
-        )
+    if points.ndim != 2 or points.shape[1] != model.means.shape[1]:
+        raise DimensionMismatch(f"points have shape {points.shape}, model expects (n, {model.means.shape[1]})")
     log_prob, log_norm = _e_step(points, model.weights, model.means, model.covariances)
     return log_prob - log_norm
 

@@ -600,10 +600,15 @@ def build_parser():
 def _check_outputs(args):
     """Refuse an --out or --history-csv no file can be written to, before any
     input is read: its directory must exist, the path must name a file, and
-    --out must not name the history CSV or its sidecar, which are written
-    after it and would take its place. chart makes its --out-dir itself."""
-    for flag in ("--out", "--history-csv"):
-        path = getattr(args, flag[2:].replace("-", "_"), None)
+    neither the path nor its .run.json sidecar may name --model or
+    --manifest, which it would overwrite, or, for --history-csv, the --out
+    model, which it would replace. chart makes its --out-dir itself."""
+    def named(flag):
+        return getattr(args, flag[2:].replace("-", "_"), None)
+
+    inputs = ("--model", "--manifest")
+    for flag, others in (("--out", inputs), ("--history-csv", inputs + ("--out",))):
+        path = named(flag)
         if path is None:
             continue
         directory = os.path.dirname(path) or "."
@@ -611,12 +616,11 @@ def _check_outputs(args):
             raise DataError(f"{flag} {path}: {directory} is not an existing directory")
         if os.path.isdir(path or "."):
             raise DataError(f"{flag} {path} is a directory, not a file")
-    # only train and train-baseline take --history-csv, and both need --out
-    history_csv = getattr(args, "history_csv", None)
-    if history_csv is not None and os.path.realpath(args.out) in {
-        os.path.realpath(history_csv), os.path.realpath(history_csv + ".run.json")
-    }:
-        raise DataError(f"--out {args.out} and --history-csv {history_csv} (or its sidecar) name one file")
+        written = {os.path.realpath(path), os.path.realpath(path + ".run.json")}
+        for other in others:
+            other_path = named(other)
+            if other_path is not None and os.path.realpath(other_path) in written:
+                raise DataError(f"{other} {other_path} and {flag} {path} (or its sidecar) name one file")
 
 
 def run(argv):

@@ -197,9 +197,9 @@ def extract_chunks(level, vocab, axis="horizontal"):
 
 
 def one_hot_encode(chunk, vocab):
-    """Flatten a chunk to a one-hot float64 vector of length 256 * vocab
+    """Flatten a chunk to a one-hot uint8 vector of length 256 * vocab
     size: the one row of _one_hot for this chunk."""
-    return _one_hot(chunk.tiles[None], vocab.size, np.float64)[0]
+    return _one_hot(chunk.tiles[None], vocab.size)[0]
 
 
 def encode_chunks(chunks, vocab):
@@ -207,18 +207,18 @@ def encode_chunks(chunks, vocab):
     one byte per entry: row i is one_hot_encode(chunks[i], vocab). 0 and 1
     are exact in every dtype, so the networks cast the rows they read to
     their own dtype with no change in value."""
-    return _one_hot(np.stack([c.tiles for c in chunks]), vocab.size, np.uint8)
+    return _one_hot(np.stack([c.tiles for c in chunks]), vocab.size)
 
 
-def _one_hot(tiles, t, dtype):
-    """The (n, 256 * t) one-hot rows of n stacked tile-id grids.
+def _one_hot(tiles, t):
+    """The (n, 256 * t) uint8 one-hot rows of n stacked tile-id grids.
 
     Layout is cell-major: entry [cell * t + tile_id] with cell = row * 16 + col.
     This ordering is part of the checkpoint format and must not change.
     """
     ids = tiles.reshape(-1)
     _check_ids(ids, t)
-    out = np.zeros((len(tiles), ids.size // len(tiles) * t), dtype=dtype)
+    out = np.zeros((len(tiles), ids.size // len(tiles) * t), dtype=np.uint8)
     out.reshape(-1)[np.arange(ids.size) * t + ids] = 1
     return out
 
@@ -226,13 +226,11 @@ def _one_hot(tiles, t, dtype):
 def decode(values, vocab, level_id="", offset=(0, 0)):
     """Per-cell argmax of a flat vector back to a 16x16 integer chunk.
 
-    Ties break toward the lowest tile id. Floating values keep their dtype
-    (a float32 decoder's output is not copied to float64, which would not
-    change its argmax); other values are read as float64.
+    Ties break toward the lowest tile id. Values keep their dtype: an
+    argmax is the same in any dtype that holds them, so a float32
+    decoder's output or a one-hot row is read as it is.
     """
     values = np.asarray(values)
-    if values.dtype.kind != "f":
-        values = values.astype(np.float64)
     t = vocab.size
     d = CHUNK_SIZE * CHUNK_SIZE * t
     if values.shape != (d,):

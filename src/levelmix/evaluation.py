@@ -208,7 +208,8 @@ def disentanglement(generate_fn, k, vocab, rng, n_per_component=500, n_train=300
     training split, and score each component by the probe's accuracy on that
     component's validation chunks.
 
-    generate_fn(component, n, rng) must return chunks; a model's generate
+    generate_fn(component, n, rng) must return n chunks, or the count is a
+    GeneratorFailure; what it raises propagates as it is. A model's generate
     method bound to its vocab fits directly (loading refuses a support
     without a column of some cell). The chunks' one-hot rows are one uint8
     block, and only the validation rows are copied to float64.
@@ -218,10 +219,7 @@ def disentanglement(generate_fn, k, vocab, rng, n_per_component=500, n_train=300
     d = CHUNK_SIZE * CHUNK_SIZE * vocab.size
     block = np.zeros((k, n_per_component, d), dtype=np.uint8)
     for component in range(k):
-        try:
-            chunks = generate_fn(component, n_per_component, rng)
-        except Exception as exc:
-            raise GeneratorFailure(f"component {component}: {exc}") from exc
+        chunks = generate_fn(component, n_per_component, rng)
         if len(chunks) != n_per_component:
             raise GeneratorFailure(
                 f"component {component}: expected {n_per_component} chunks, got {len(chunks)}"

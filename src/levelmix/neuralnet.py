@@ -2,11 +2,11 @@
 Adam, Bernoulli cross-entropy, diagonal-Gaussian utilities, Gumbel-Softmax
 sampling and finite-difference gradient checking.
 
-Everything operates on numpy arrays whose last axis is the feature axis, so
-the same code handles single vectors (dim,) and batches (batch, dim).
-float64 is the default; float32 can be selected per network for speed. The
-loss terms, the Gumbel-Softmax and Adam compute in the dtype of their
-floating inputs (or parameters), so a float32 network trains in float32.
+A network reads a 2-D batch (batch, dim), one example per row, and its
+parameter gradients are sums over the batch's rows. float64 is the
+default; float32 can be selected per network for speed. The loss terms,
+the Gumbel-Softmax and Adam compute in the dtype of their floating inputs
+(or parameters), so a float32 network trains in float32.
 """
 
 from __future__ import annotations
@@ -235,16 +235,16 @@ class DenseNet:
         if keep_cache and pre_activation:
             raise ValueError("a forward that stops before the last activation keeps no cache")
         x = np.asarray(x)
-        if x.shape[-1] != self.layers[0].in_dim:
+        if x.ndim != 2 or x.shape[1] != self.layers[0].in_dim:
             raise DimensionMismatch(
-                f"input has {x.shape[-1]} features, net expects {self.layers[0].in_dim}"
+                f"input has shape {x.shape}, net expects (n, {self.layers[0].in_dim})"
             )
         columns, w0 = None, self.layers[0].weight
         if not keep_cache and x.dtype.kind in "biu":
-            columns = np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0))
+            columns = np.flatnonzero(x.any(axis=0))
             w0 = w0[:, columns]
         # the gathered integer columns are freed once cast
-        a = np.asarray(x if columns is None else np.take(x, columns, axis=-1), dtype=self.dtype)
+        a = np.asarray(x if columns is None else np.take(x, columns, axis=1), dtype=self.dtype)
         cache = [] if keep_cache else None
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
@@ -276,12 +276,8 @@ class DenseNet:
             dw, db = self._grad_views[i]
             a_in, z, a_out = cache[i]
             gz = g * activation_grad(layer.activation, z, a_out)
-            if gz.ndim == 1:
-                np.outer(gz, a_in, out=dw)
-                db[...] = gz
-            else:
-                np.matmul(gz.T, a_in, out=dw)
-                gz.sum(axis=0, out=db)
+            np.matmul(gz.T, a_in, out=dw)
+            gz.sum(axis=0, out=db)
             if i or input_tail is None:
                 g = gz @ layer.weight
             else:

@@ -168,23 +168,18 @@ _MAX_FLOOD_WIDTH = 30
 def _tile_bits(tiles, rules, vocab):
     """(passable, solid) bit rows of each grid, each (height, n) uint32.
 
-    On the first grid, in stack order, that has a bad tile, raises what
-    chunk_to_lines and then bfs_crossable raise on it: IdOutOfRange before
-    UncoveredTile, each naming the first bad tile in row-major order.
+    Checks the whole stack once: any id out of range is an IdOutOfRange,
+    then any tile the solidity map lacks an UncoveredTile, each naming the
+    first such tile in the stack's row-major order.
     """
     width = tiles.shape[2]
     if width > _MAX_FLOOD_WIDTH:
         raise LengthMismatch(f"the flood takes rows of at most {_MAX_FLOOD_WIDTH} tiles, got {width}")
+    _check_ids(tiles, vocab.size)
     kinds = [rules.solidity.get(char) for char in vocab.chars]
-    bad_id = (tiles < 0) | (tiles >= vocab.size)
-    # one extra entry for the ids that are out of range, which count as covered
-    covered = np.array([kind is not None for kind in kinds] + [True])
-    uncovered = ~covered[np.where(bad_id, vocab.size, tiles)]
-    bad = (bad_id | uncovered).any(axis=(1, 2))
-    if bad.any():
-        first = int(np.argmax(bad))
-        _check_ids(tiles[first], vocab.size)
-        char = vocab.chars[tiles[first].flat[np.argmax(uncovered[first])]]
+    uncovered = np.array([kind is None for kind in kinds])[tiles]
+    if uncovered.any():
+        char = vocab.chars[tiles.flat[np.argmax(uncovered)]]
         raise UncoveredTile(f"tile {char!r} missing from the solidity map")
     weights = np.left_shift(np.uint32(1), np.arange(1, width + 1, dtype=np.uint32))
     rows = tiles.transpose(1, 0, 2)

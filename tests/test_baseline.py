@@ -314,6 +314,16 @@ def test_gmm_dimension_mismatch():
         bl.gmm_predict(model, np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize("shape", [(10,), (10, 2, 1)])
+def test_gmm_takes_only_2d_points(shape):
+    model = bl.gmm_fit(two_blobs()[0], 2, rng_seed=1)
+    points = np.zeros(shape)
+    with pytest.raises(DimensionMismatch, match=r"points have shape"):
+        bl.gmm_fit(points, 1)
+    with pytest.raises(DimensionMismatch, match=r"points have shape"):
+        bl.gmm_predict(model, points)
+
+
 def test_gmm_sample_component_bounds():
     points, _ = two_blobs()
     model = bl.gmm_fit(points, 2, rng_seed=1)

@@ -1315,8 +1315,9 @@ def test_a_size_past_the_bound_is_invalid_config_before_any_input_is_read(tmp_pa
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["densities", "eval-disentangle"])
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
-def test_a_memory_error_is_a_usage_error_line(checkpoints, tmp_path, capsys, monkeypatch, family):
+def test_a_memory_error_is_a_usage_error_line(checkpoints, tmp_path, capsys, monkeypatch, family, command):
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000000, 1000) and data type float64"
 
     def out_of_memory(self, component, n, rng):
@@ -1324,9 +1325,9 @@ def test_a_memory_error_is_a_usage_error_line(checkpoints, tmp_path, capsys, mon
 
     # raised, not provoked: a real request that size could be granted and then kill the process
     monkeypatch.setattr(gm.GmvaeModel if family == "gmvae" else bl.VaeGmmModel, "generate", out_of_memory)
-    out = tmp_path / "densities.csv"
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert cli.run(["densities", "--model", checkpoints[family], "--out", str(out)]) == 1
+    assert cli.run([command, "--model", checkpoints[family], "--out", str(out)]) == 1
     error = _single_error_line(capsys)
     assert error == {"error": "usage", "type": "MemoryError", "message": message}
     assert not out.exists()
@@ -1394,6 +1395,83 @@ def test_a_bad_output_path_or_baseline_k_is_refused_before_training(workspace, t
         chunks = 6 * (32 - 15)
         assert error == {"error": "data", "type": "DegenerateData", "message": f"need at least k=500 points, got {chunks}"}
     assert os.listdir(tmp_path) == []
+
+
+# (argv, the input flag, the output flag): each output, or the sidecar written
+# beside it, names the input file
+_OUTPUT_NAMES_AN_INPUT = {
+    "generate --model": (["generate", "--model", "m.ckpt", "--component", "0", "--out", "m.ckpt"], "--model", "--out"),
+    "encode --model": (["encode", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "m.ckpt"], "--model", "--out"),
+    "encode --manifest": (
+        ["encode", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "./toy.json"], "--manifest", "--out"),
+    "eval-cluster --model": (
+        ["eval-cluster", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "m.ckpt"], "--model", "--out"),
+    "eval-cluster --manifest": (
+        ["eval-cluster", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "eval-disentangle --model": (["eval-disentangle", "--model", "m.ckpt", "--out", "m.ckpt"], "--model", "--out"),
+    "eval-playability --model": (
+        ["eval-playability", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "m.ckpt"], "--model", "--out"),
+    "eval-playability --manifest": (
+        ["eval-playability", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "densities --model": (["densities", "--model", "m.ckpt", "--out", "m.ckpt"], "--model", "--out"),
+    "densities --manifest": (
+        ["densities", "--model", "m.ckpt", "--source", "corpus", "--manifest", "toy.json", "--out", "toy.json"],
+        "--manifest", "--out"),
+    "ingest --manifest": (["ingest", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "ingest --manifest as the --out sidecar": (
+        ["ingest", "--manifest", "dump.run.json", "--out", "dump"], "--manifest", "--out"),
+    "train --manifest": (["train", "--k", "2", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "train-baseline --manifest": (
+        ["train-baseline", "--k", "2", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "sweep --manifest": (["sweep", "--k-list", "2", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "compare --manifest": (["compare", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
+    "train --history-csv": (
+        ["train", "--k", "2", "--manifest", "toy.json", "--out", "m2.ckpt", "--history-csv", "toy.json"],
+        "--manifest", "--history-csv"),
+    "train-baseline --history-csv sidecar": (
+        ["train-baseline", "--k", "2", "--manifest", "h.csv.run.json", "--out", "m2.ckpt", "--history-csv", "h.csv"],
+        "--manifest", "--history-csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTPUT_NAMES_AN_INPUT))
+def test_an_output_that_names_an_input_is_refused_before_any_input_is_read(tmp_path, capsys, monkeypatch, case):
+    def no_input(*args, **kwargs):
+        raise AssertionError("read an input before refusing")
+
+    monkeypatch.setattr(cp, "load_manifest", no_input)
+    monkeypatch.setattr(ckpt, "load_any", no_input)
+    monkeypatch.chdir(tmp_path)
+    argv, input_flag, output_flag = _OUTPUT_NAMES_AN_INPUT[case]
+    inputs = {argv[i + 1]: f"the bytes of {argv[i + 1]}".encode() for i in range(len(argv))
+              if argv[i] in ("--model", "--manifest")}
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    capsys.readouterr()
+    assert cli.run(argv) == 2
+    error = _single_error_line(capsys)
+    input_path, output_path = argv[argv.index(input_flag) + 1], argv[argv.index(output_flag) + 1]
+    assert error == {
+        "error": "data",
+        "type": "DataError",
+        "message": f"{input_flag} {input_path} and {output_flag} {output_path} (or its sidecar) name one file",
+    }
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.normpath(name) for name in inputs)
+    for name, data in inputs.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_a_memory_error_in_generation_is_a_usage_error_line_from_sweep(workspace, tmp_path, capsys, monkeypatch):
+    def out_of_memory(self, component, n, rng):
+        raise MemoryError("generation")
+
+    monkeypatch.setattr(gm.GmvaeModel, "generate", out_of_memory)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--k-list", "2", "--families", "gmvae", "--manifest", workspace["manifest"], "--out", str(out)]
+    capsys.readouterr()
+    assert cli.run(argv + ["--epochs", "1", "--hidden-width", "16", "--latent-dim", "4"]) == 1
+    assert _single_error_line(capsys) == {"error": "usage", "type": "MemoryError", "message": "generation"}
+    assert not out.exists()
 
 
 def test_eval_disentangle_out_in_a_missing_directory_is_refused_before_the_probe_trains(

@@ -133,7 +133,7 @@ def test_one_hot_length_and_layout(toy_setup):
     vocab = toy_setup["vocab"]
     chunk = toy_setup["chunks"][0]
     flat = cp.one_hot_encode(chunk, vocab)
-    assert flat.shape == (256 * vocab.size,)
+    assert flat.shape == (256 * vocab.size,) and flat.dtype == np.uint8
     # cell-major: block [cell*T : (cell+1)*T] is the one-hot of that cell
     t = vocab.size
     for cell in (0, 17, 255):
@@ -188,7 +188,7 @@ def test_encode_chunks_equals_stacked_one_hot(toy_setup):
     data = cp.encode_chunks(chunks, vocab)
     # one byte per entry
     assert data.dtype == np.uint8
-    # entry for entry, the float64 rows of one_hot_encode
+    # entry for entry, the rows of one_hot_encode
     assert np.array_equal(data, np.stack([cp.one_hot_encode(c, vocab) for c in chunks]))
 
 

@@ -240,13 +240,23 @@ def test_probe_split_without_both_sides_is_usage_error(n_per_component, n_train)
     assert calls == []
 
 
-def test_generator_failure_wrapped():
+def test_a_wrong_chunk_count_is_a_generator_failure():
+    vocab = cp.TileVocab(game="t", chars=("-",))
+
+    def short(component, n, rng):
+        return [constant_chunk(0) for _ in range(n - component)]
+
+    with pytest.raises(ev.GeneratorFailure, match="component 1: expected 10 chunks, got 9"):
+        ev.disentanglement(short, 2, vocab, np.random.default_rng(0), n_per_component=10, n_train=5)
+
+
+def test_a_generator_error_propagates_as_it_is():
     vocab = cp.TileVocab(game="t", chars=("-",))
 
     def bad(component, n, rng):
         raise RuntimeError("boom")
 
-    with pytest.raises(ev.GeneratorFailure):
+    with pytest.raises(RuntimeError, match="^boom$"):
         ev.disentanglement(bad, 2, vocab, np.random.default_rng(0), n_per_component=10, n_train=5)
 
 
@@ -270,7 +280,7 @@ def reference_disentanglement(generate_fn, k, vocab, rng, n_per_component, n_tra
     computed from float64 one-hot rows: one np.stack per component, float64
     training rows, and one validation forward per component."""
     flats = [
-        np.stack([cp.one_hot_encode(c, vocab) for c in generate_fn(component, n_per_component, rng)])
+        np.stack([cp.one_hot_encode(c, vocab) for c in generate_fn(component, n_per_component, rng)]).astype(np.float64)
         for component in range(k)
     ]
     labels = [np.full(n_per_component, component, dtype=np.int64) for component in range(k)]

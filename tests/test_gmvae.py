@@ -450,8 +450,7 @@ def test_prior_mean_linearity(trained_gmvae):
     # affine prior-mean net: midpoint label gives midpoint of component means
     model, _ = trained_gmvae
     k = model.config.k
-    e0 = np.zeros(k); e0[0] = 1.0
-    e1 = np.zeros(k); e1[1] = 1.0
+    e0, e1 = np.eye(k)[[0]], np.eye(k)[[1]]
     mid = 0.5 * (e0 + e1)
     m0 = model.prior_mean_net.forward(e0)
     m1 = model.prior_mean_net.forward(e1)

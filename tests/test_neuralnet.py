@@ -29,8 +29,16 @@ def test_identity_linear_layer():
     net = make_net([3, 3], ["linear"])
     net.layers[0].weight[...] = np.eye(3)
     net.layers[0].bias[...] = 0.0
-    x = np.array([1.5, -2.0, 0.25])
+    x = np.array([[1.5, -2.0, 0.25]])
     assert np.allclose(net.forward(x), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+def test_forward_refuses_anything_but_a_2d_batch(dtype):
+    net = make_net([3, 2], ["linear"])
+    for x in (np.ones(3, dtype=dtype), np.ones((1, 1, 3), dtype=dtype)):
+        with pytest.raises(DimensionMismatch, match=r"expects \(n, 3\)"):
+            net.forward(x)
 
 
 def test_activation_values():
@@ -319,20 +327,20 @@ def test_keep_narrows_both_ends_of_a_one_layer_net():
 
 def test_linear_weight_gradient_is_outer_product():
     net = make_net([3, 2], ["linear"], seed=4)
-    x = np.array([1.0, -2.0, 0.5])
-    upstream = np.array([0.3, -0.7])
+    x = np.array([[1.0, -2.0, 0.5]])
+    upstream = np.array([[0.3, -0.7]])
     _, cache = net.forward_cached(x)
     net.backward(cache, upstream)
     dw, db = grad_arrays(net)
     assert np.allclose(dw, np.outer(upstream, x))
-    assert np.allclose(db, upstream)
+    assert np.allclose(db, upstream[0])
 
 
 def test_zero_upstream_zero_gradients():
     net = make_net([3, 4, 2], ["relu", "sigmoid"], seed=2)
-    _, cache = net.forward_cached(np.ones(3))
+    _, cache = net.forward_cached(np.ones((1, 3)))
     net.grads[...] = np.nan
-    gin = net.backward(cache, np.zeros(2))
+    gin = net.backward(cache, np.zeros((1, 2)))
     assert np.all(net.grads == 0)
     assert np.all(gin == 0)
 
@@ -348,8 +356,8 @@ def test_backward_matches_finite_differences(activations):
     sizes = [5] + [8] * (len(activations) - 1) + [4]
     net = make_net(sizes, activations, seed=11)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(5)
-    target = rng.standard_normal(4)
+    x = rng.standard_normal((1, 5))
+    target = rng.standard_normal((1, 4))
 
     def loss(_=None):
         return float(np.sum((net.forward(x) - target) ** 2))

@@ -349,13 +349,12 @@ def test_playability_suite_counts_equal_per_chunk_bfs(toy_setup, axis):
     assert len({p / t for p, t in expected}) > 1 and 0 < result.playable_count < result.total
 
 
-def _first_error(chunks, rules, vocab):
-    for chunk in chunks:
-        try:
-            pl.bfs_crossable(cp.chunk_to_lines(chunk, vocab), rules)
-        except LevelMixError as exc:
-            return exc
-    raise AssertionError("no chunk raised")
+def _error(chunk, rules, vocab):
+    try:
+        pl.bfs_crossable(cp.chunk_to_lines(chunk, vocab), rules)
+    except LevelMixError as exc:
+        return exc
+    return None
 
 
 @pytest.mark.parametrize(
@@ -364,11 +363,11 @@ def _first_error(chunks, rules, vocab):
         (["id"], IdOutOfRange),
         (["uncovered"], UncoveredTile),
         (["both"], IdOutOfRange),
-        (["uncovered", "id"], UncoveredTile),
+        (["uncovered", "id"], IdOutOfRange),
         (["id", "uncovered"], IdOutOfRange),
     ],
 )
-def test_playability_suite_raises_what_bfs_crossable_raises(toy_setup, order, expected):
+def test_playability_suite_raises_any_bad_id_before_any_uncovered_tile(toy_setup, order, expected):
     # a tile id >= vocab.size, and a vocab tile missing from the solidity map
     vocab = cp.TileVocab(game="toy", chars=toy_setup["vocab"].chars + ("~",))
     rules = pl.PlayabilityRules(game="toy", solidity=dict(toygame_solidity()), axis="horizontal")
@@ -382,9 +381,10 @@ def test_playability_suite_raises_what_bfs_crossable_raises(toy_setup, order, ex
             chunk.tiles[12, 2], chunk.tiles[13, 1] = vocab.size + 3, vocab.size
         broken.append(chunk)
     chunks = good + broken
-    per_chunk = _first_error(chunks, rules, vocab)
-    assert type(per_chunk) is expected
+    # the message names the stack's first bad tile of its kind: the one the
+    # first chunk that has such a tile raises on its own
+    first = next(e for e in (_error(c, rules, vocab) for c in chunks) if type(e) is expected)
     with pytest.raises(expected) as suite:
         pl.playability_suite(lambda component, n, rng: chunks, 1, rules, vocab, np.random.default_rng(0),
                              total_budget=len(chunks))
-    assert str(suite.value) == str(per_chunk)
+    assert str(suite.value) == str(first)
