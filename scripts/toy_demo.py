@@ -21,12 +21,13 @@ def main():
 
     os.makedirs(args.workdir, exist_ok=True)
     manifest = toygame.write_corpus(os.path.join(args.workdir, "corpus"), levels_per_type=3, cols=48, seed=1)
+    # train writes model.ckpt, history.csv and run.json in the workdir
     model = os.path.join(args.workdir, "model.ckpt")
     small = ["--hidden-width", "64", "--latent-dim", "16", "--epochs", str(args.epochs), "--seed", str(args.seed)]
 
     steps = [
         ["ingest", "--manifest", manifest],
-        ["train", "--manifest", manifest, "--k", "3", "--sampler", "balanced", "--out", model] + small,
+        ["train", "--manifest", manifest, "--k", "3", "--sampler", "balanced", "--out-dir", args.workdir] + small,
         ["eval-cluster", "--model", model, "--manifest", manifest, "--out", os.path.join(args.workdir, "cluster.json")],
         ["generate", "--model", model, "--component", "0", "--n", "3"],
         ["encode", "--model", model, "--manifest", manifest, "--out", os.path.join(args.workdir, "latents.csv")],

@@ -6,12 +6,16 @@ Every command that trains, sweep's rows and compare's runs included, trains
 through _train: one TrainingRun per model, driven an epoch at a time by
 _train_epochs, the one epoch loop of the CLI.
 
-Every artifact records the resolved command, flags, seed and package version
-(JSON artifacts inline under "run_info", CSV/SVG artifacts via a sidecar
-<output>.run.json), with the BLAS thread setting and the usable CPU count,
-so a run can be reproduced exactly. Every file is written through
-ckpt.replacing, so a failed write keeps the previous file. Exit codes: 0
-success, 1 usage error or MemoryError, 2 data error, 3 numeric failure.
+train and train-baseline write model.ckpt (where --checkpoint-every also
+saves), history.csv and run.json in --out-dir, and chart component_NN.svg and
+run.json; every other command writes --out, and a CSV or text --out gets a
+sidecar <out>.run.json. Every artifact records the resolved command, flags,
+seed and package version (run_info, inline in a checkpoint or JSON report),
+with the BLAS thread setting and the usable CPU count, so a run can be
+reproduced exactly. Every file is written through ckpt.replacing, so a failed
+write keeps the previous file, and no command writes over its own input
+(_check_outputs). Exit codes: 0 success, 1 usage error or MemoryError, 2 data
+error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import sys
 import time
 
@@ -47,6 +52,12 @@ from .errors import (
 
 DEFAULT_SEED = 42
 FAMILIES = ("gmvae", "vae-gmm")
+# the names a training run writes in its --out-dir
+MODEL, HISTORY, RUN_JSON = "model.ckpt", "history.csv", "run.json"
+# as regular expressions, those and chart's: run.json and the names
+# f"component_{i:02d}.svg" gives
+_RUN_FILES = "|".join(map(re.escape, (MODEL, HISTORY, RUN_JSON)))
+_CHART_FILES = r"component_(\d\d|[1-9]\d\d+)\.svg|" + re.escape(RUN_JSON)
 
 
 def _run_info(command, args):
@@ -73,6 +84,12 @@ def _write(path, text, args=None):
         f.write(text.encode("utf-8"))
     if args is not None:
         _write(path + ".run.json", _json(_run_info(args.command, args)))
+
+
+def _out_file(args, name):
+    """The path of name in --out-dir, which is made at the command's first write."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
 
 
 def _save_report(args, report):
@@ -209,15 +226,15 @@ def cmd_build_manifest(args):
 
 def _train_epochs(args, run, save=None):
     """Train run to its config's epochs, printing the --log-every line (sweep and
-    compare have no such flag) and, given save, saving to --out without run_info
-    every --checkpoint-every epochs; returns the history."""
+    compare have no such flag) and, given save, saving to --out-dir's model.ckpt
+    without run_info every --checkpoint-every epochs; returns the history."""
     epochs, log_every = run.model.config.epochs, getattr(args, "log_every", None)
     while run.epoch < epochs:
         recon, kl, total, tau = run.train_epoch()
         if log_every and run.epoch % log_every == 0:
             print(f"epoch {run.epoch}/{epochs} recon={recon:.4f} kl={kl:.4f} total={total:.4f} tau={tau:.3f}")
         if save and args.checkpoint_every and run.epoch % args.checkpoint_every == 0:
-            save(args.out, run.model, run.history)
+            save(_out_file(args, MODEL), run.model, run.history)
     return run.history
 
 
@@ -238,14 +255,23 @@ def _train(args, family, config, k, data, vocab, level_types, save=None):
     return model, history
 
 
+def _save_run(args, save, model, history):
+    """Write a training run's --out-dir: the model, with run_info, through
+    save, then history.csv and run.json, the model's run_info; returns the
+    model's path."""
+    path, run_info = _out_file(args, MODEL), _run_info(args.command, args)
+    save(path, model, history, run_info=run_info)
+    _write(_out_file(args, HISTORY), ckpt.history_to_csv(history))
+    _write(_out_file(args, RUN_JSON), _json(run_info))
+    return path
+
+
 def cmd_train(args):
     config = _config("gmvae", args, args.k, args.seed)
     vocab, data, level_types = _training_data(args)
     model, history = _train(args, "gmvae", config, args.k, data, vocab, level_types, ckpt.save_gmvae)
-    ckpt.save_gmvae(args.out, model, history, run_info=_run_info("train", args))
-    if args.history_csv:
-        _write(args.history_csv, ckpt.history_to_csv(history), args)
-    print(f"saved {args.out} ({len(history)} epochs)")
+    path = _save_run(args, ckpt.save_gmvae, model, history)
+    print(f"saved {path} ({len(history)} epochs)")
     return 0
 
 
@@ -255,10 +281,8 @@ def cmd_train_baseline(args):
     vocab, data, level_types = _training_data(args)
     bl.check_gmm_k(args.k, len(data))
     model, history = _train(args, "vae-gmm", config, args.k, data, vocab, level_types)
-    ckpt.save_vae_gmm(args.out, model, history, run_info=_run_info("train-baseline", args))
-    if args.history_csv:
-        _write(args.history_csv, ckpt.history_to_csv(history), args)
-    print(f"saved {args.out} (pca kept {model.pca.m} axes)")
+    path = _save_run(args, ckpt.save_vae_gmm, model, history)
+    print(f"saved {path} (pca kept {model.pca.m} axes)")
     return 0
 
 
@@ -378,13 +402,11 @@ def _matrix_from_csv(path):
 
 
 def cmd_chart(args):
-    matrix = _matrix_from_csv(args.densities)
-    os.makedirs(args.out_dir, exist_ok=True)
-    documents = charts.emit_radial_charts(matrix)
+    documents = charts.emit_radial_charts(_matrix_from_csv(args.densities))
     for i, doc in enumerate(documents):
         if doc is not None:
-            _write(os.path.join(args.out_dir, f"component_{i:02d}.svg"), doc)
-    _write(os.path.join(args.out_dir, "charts.run.json"), _json(_run_info("chart", args)))
+            _write(_out_file(args, f"component_{i:02d}.svg"), doc)
+    _write(_out_file(args, RUN_JSON), _json(_run_info("chart", args)))
     skipped = [i for i, doc in enumerate(documents) if doc is None]
     print(f"wrote {len(documents) - len(skipped)} charts to {args.out_dir}")
     if skipped:
@@ -430,7 +452,7 @@ def cmd_compare(args):
     result = ev.ComparisonResult()
     for seed in seeds:
         for family in FAMILIES:
-            t0 = time.time()
+            t0 = time.perf_counter()
             config = dataclasses.replace(templates[family], rng_seed=seed)
             model, _ = _train(args, family, config, args.k, data, vocab, level_types)
             mean_max_p = None
@@ -443,7 +465,7 @@ def cmd_compare(args):
                 labels = model.predict(data)
             acc = ev.clustering_accuracy(labels, level_types, args.k).balanced_accuracy
             share = float(np.max(np.bincount(labels, minlength=args.k)) / len(labels))
-            result.runs.append(ev.ComparisonRun(seed, family, acc, share, mean_max_p, (time.time() - t0) / 60))
+            result.runs.append(ev.ComparisonRun(seed, family, acc, share, mean_max_p, (time.perf_counter() - t0) / 60))
             print(f"{family} seed={seed}: balanced accuracy {acc:.3f}, largest share {share:.3f}")
     _save_report(args, result)
     medians = f"gmvae {result.median('gmvae'):.3f}, vae-gmm {result.median('vae-gmm'):.3f}"
@@ -452,14 +474,13 @@ def cmd_compare(args):
 
 
 def _add_model_flags(p, cls):
-    """The corpus, output and sampler flags of a command that trains, and one
+    """The corpus and sampler flags of a command that trains, and one
     flag per field of the config `cls` (VaeConfig, or GmvaeConfig for the
     mixture fields too) but those the command sets itself. A flag takes its
     field's name, default and the default's type; a None default is a
     float. Each command adds its own seed flag: compare takes a list of
     seeds."""
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     for f in dataclasses.fields(cls):
         if f.name in _SET_BY_COMMAND:
             continue
@@ -476,7 +497,7 @@ def _add_training_run_flags(p, cls):
     """Flags of a single training run: train and train-baseline."""
     p.add_argument("--k", type=int, required=True, help="mixture component count")
     p.add_argument("--log-every", type=period, default=None)
-    p.add_argument("--history-csv", default=None)
+    p.add_argument("--out-dir", required=True, help="writes model.ckpt, history.csv and run.json here")
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     _add_model_flags(p, cls)
 
@@ -518,7 +539,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a mixture-prior model")
     _add_training_run_flags(p, gm.GmvaeConfig)
-    p.add_argument("--checkpoint-every", type=period, default=None, help="also save every N epochs")
+    p.add_argument("--checkpoint-every", type=period, default=None, help="also save model.ckpt every N epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-baseline", help="train the VAE + PCA + GMM pipeline")
@@ -576,7 +597,7 @@ def build_parser():
 
     p = sub.add_parser("chart", help="radial bar chart SVGs from a density CSV")
     p.add_argument("--densities", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, help="writes component_NN.svg and run.json here")
     p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("sweep", help="disentanglement proportions over a k grid")
@@ -585,12 +606,14 @@ def build_parser():
     p.add_argument("--n-per-component", type=count, default=500)
     p.add_argument("--n-train", type=count, default=300)
     p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    p.add_argument("--out", required=True)
     _add_model_flags(p, gm.GmvaeConfig)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="Experiment 1: clustering accuracy of both families")
     p.add_argument("--k", type=int, default=3, help="mixture component count")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    p.add_argument("--out", required=True)
     _add_model_flags(p, gm.GmvaeConfig)
     p.set_defaults(func=cmd_compare)
 
@@ -598,29 +621,35 @@ def build_parser():
 
 
 def _check_outputs(args):
-    """Refuse an --out or --history-csv no file can be written to, before any
-    input is read: its directory must exist, the path must name a file, and
-    neither the path nor its .run.json sidecar may name --model or
-    --manifest, which it would overwrite, or, for --history-csv, the --out
-    model, which it would replace. chart makes its --out-dir itself."""
-    def named(flag):
-        return getattr(args, flag[2:].replace("-", "_"), None)
-
-    inputs = ("--model", "--manifest")
-    for flag, others in (("--out", inputs), ("--history-csv", inputs + ("--out",))):
-        path = named(flag)
+    """Refuse, before any input is read, an output no file can be written to,
+    and an input (--model, --manifest, --densities) whose realpath is a name
+    the command writes in its output directory's realpath: --out and its
+    sidecar, or the --out-dir names above, each also as the <name>.tmp that
+    ckpt.replacing renames over it. An --out's directory must exist, and an
+    --out-dir, made at the first write, must lie in an existing directory."""
+    if getattr(args, "out_dir", None) is not None:
+        flag, target = "--out-dir", args.out_dir
+        if os.path.exists(target) and not os.path.isdir(target):
+            raise DataError(f"--out-dir {target} is a file, not a directory")
+        parent, directory = os.path.dirname(os.path.normpath(target)), target
+        names = _CHART_FILES if args.command == "chart" else _RUN_FILES
+    elif getattr(args, "out", None) is not None:
+        flag, target = "--out", args.out
+        if os.path.isdir(target or "."):
+            raise DataError(f"--out {target} is a directory, not a file")
+        parent = directory = os.path.dirname(target)
+        names = re.escape(os.path.basename(target)) + r"(\.run\.json)?"
+    else:
+        return
+    if not os.path.isdir(parent or "."):
+        raise DataError(f"{flag} {target}: {parent} is not an existing directory")
+    for input_flag in ("--model", "--manifest", "--densities"):
+        path = getattr(args, input_flag[2:], None)
         if path is None:
             continue
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise DataError(f"{flag} {path}: {directory} is not an existing directory")
-        if os.path.isdir(path or "."):
-            raise DataError(f"{flag} {path} is a directory, not a file")
-        written = {os.path.realpath(path), os.path.realpath(path + ".run.json")}
-        for other in others:
-            other_path = named(other)
-            if other_path is not None and os.path.realpath(other_path) in written:
-                raise DataError(f"{other} {other_path} and {flag} {path} (or its sidecar) name one file")
+        real_dir, name = os.path.split(os.path.realpath(path))
+        if real_dir == os.path.realpath(directory or ".") and re.fullmatch(rf"({names})(\.tmp)?", name):
+            raise DataError(f"{input_flag} {path} is {os.path.join(directory, name)}, which {args.command} writes")
 
 
 def run(argv):

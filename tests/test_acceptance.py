@@ -311,13 +311,12 @@ def test_criterion_5_smb_model_playability(smb_data):
 
 def test_criterion_6_determinism(tmp_path):
     manifest = toygame.write_corpus(tmp_path / "corpus", levels_per_type=2, cols=32, seed=2)
-    out = tmp_path / "model.json"
-    history = tmp_path / "history.csv"
+    out_dir = tmp_path / "run"
+    out, history = out_dir / "model.ckpt", out_dir / "history.csv"
     args = [
         "train", "--manifest", str(manifest), "--k", "3",
         "--epochs", "12", "--hidden-width", "32", "--latent-dim", "8",
-        "--seed", "11", "--sampler", "balanced",
-        "--out", str(out), "--history-csv", str(history),
+        "--seed", "11", "--sampler", "balanced", "--out-dir", str(out_dir),
     ]
     assert cli.run(args) == 0
     first_model = out.read_bytes()

@@ -398,8 +398,8 @@ def fuzz_workspace(tmp_path_factory):
     manifest = str(toygame.write_corpus(root / "corpus", levels_per_type=1, cols=20, seed=2))
     files = {}
     for family, command in (("gmvae", "train"), ("vae-gmm", "train-baseline")):
-        path = root / f"{family}.ckpt"
-        argv = [command, "--manifest", manifest, "--k", "2", "--out", str(path), "--epochs", "1"]
+        path = root / family / "model.ckpt"
+        argv = [command, "--manifest", manifest, "--k", "2", "--out-dir", str(path.parent), "--epochs", "1"]
         argv += ["--hidden-width", "8", "--hidden-depth", "1", "--latent-dim", "2", "--seed", "1"]
         assert cli.run(argv) == 0
         _, model, history = ckpt.load_any(path)

@@ -41,23 +41,23 @@ def workspace(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained_checkpoint(workspace):
-    out = str(workspace["root"] / "model.json")
+    out_dir = workspace["root"] / "gmvae"
     code = cli.run(
-        ["train", "--manifest", workspace["manifest"], "--k", "3", "--out", out] + FAST_TRAIN
+        ["train", "--manifest", workspace["manifest"], "--k", "3", "--out-dir", str(out_dir)] + FAST_TRAIN
     )
     assert code == 0
-    return out
+    return str(out_dir / "model.ckpt")
 
 
 @pytest.fixture(scope="module")
 def baseline_checkpoint(workspace):
-    out = str(workspace["root"] / "baseline.json")
+    out_dir = workspace["root"] / "vae-gmm"
     code = cli.run(
-        ["train-baseline", "--manifest", workspace["manifest"], "--k", "3", "--out", out]
+        ["train-baseline", "--manifest", workspace["manifest"], "--k", "3", "--out-dir", str(out_dir)]
         + FAST_TRAIN
     )
     assert code == 0
-    return out
+    return str(out_dir / "model.ckpt")
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +101,14 @@ def test_usage_error_exit_code():
     "argv, named",
     [
         (["compare", "--manifest", "m", "--out", "o", "--seed", "3"], "--seed 3"),  # unknown flag
-        (["train", "--manifest", "m", "--out", "o", "--k", "abc"], "'abc'"),  # not an integer
-        (["train", "--manifest", "m", "--out", "o", "--k", "2", "--dtype", "float16"], "'float16'"),  # before the corpus
-        (["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--epochs", "1.5"], "'1.5'"),
-        (["train", "--manifest", "m", "--k", "2"], "--out"),  # missing required flag
-        (["train", "--manifest", "m", "--out", "o", "--k", "2", "--hist", "f"], "--hist"),  # abbreviated
+        (["train", "--manifest", "m", "--out-dir", "o", "--k", "abc"], "'abc'"),  # not an integer
+        (["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--dtype", "float16"], "'float16'"),  # before the corpus
+        (["train-baseline", "--manifest", "m", "--out-dir", "o", "--k", "2", "--epochs", "1.5"], "'1.5'"),
+        (["train", "--manifest", "m", "--k", "2"], "--out-dir"),  # missing required flag
+        (["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--check", "5"], "--check"),  # abbreviated
+        # the flags --out-dir replaced
+        (["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--history-csv", "x"], "--history-csv x"),
+        (["train-baseline", "--manifest", "m", "--out-dir", "o", "--k", "2", "--out", "x"], "--out x"),
         (["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--bud", "5"], "--bud"),
         (["generate", "--model", "c", "--component", "0", "--n", "1.5"], "'1.5'"),
         (["sweep", "--manifest", "m", "--out", "o", "--k-list", "2", "--fam", "gmvae"], "--fam"),
@@ -164,6 +167,20 @@ def test_train_writes_checkpoint_and_history(workspace, trained_checkpoint):
     assert payload["config"]["hidden_width"] == 32
 
 
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_a_training_run_writes_its_three_files_in_out_dir(checkpoints, family):
+    # the checkpoint's run_info and history, and the same in plain files
+    out_dir = os.path.dirname(checkpoints[family])
+    assert sorted(os.listdir(out_dir)) == ["history.csv", "model.ckpt", "run.json"]
+    _, _, history = ckpt.load_any(checkpoints[family])
+    with open(os.path.join(out_dir, "history.csv"), encoding="utf-8") as f:
+        assert f.read() == ckpt.history_to_csv(history)
+    with open(os.path.join(out_dir, "run.json"), encoding="utf-8") as f:
+        run_info = json.load(f)
+    assert run_info == read_header(checkpoints[family])["run_info"]
+    assert run_info["flags"]["out_dir"] == out_dir and "out" not in run_info["flags"]
+
+
 def test_run_info_records_blas_threads_and_cpus(trained_checkpoint, monkeypatch):
     # byte-identical training needs the same BLAS thread count
     info = read_header(trained_checkpoint)["run_info"]
@@ -188,19 +205,18 @@ def test_import_levelmix_loads_no_module_of_the_package():
 def test_train_without_sched_getaffinity_records_the_cpu_count(workspace, tmp_path, monkeypatch):
     # macOS and Windows have no os.sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    out = tmp_path / "model.ckpt"
-    argv = ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
+    argv = ["train", "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(tmp_path)] + FAST_TRAIN
     assert cli.run(argv + ["--epochs", "1"]) == 0
-    assert read_header(out)["run_info"]["cpus"] == os.cpu_count()
+    assert read_header(tmp_path / "model.ckpt")["run_info"]["cpus"] == os.cpu_count()
 
 
 def test_train_determinism_byte_identical(workspace, tmp_path):
-    out = tmp_path / "model.json"
+    out = tmp_path / "model.ckpt"
     args = ["train", "--manifest", workspace["manifest"], "--k", "2"] + FAST_TRAIN
-    assert cli.run(args + ["--epochs", "6", "--out", str(out)]) == 0
+    assert cli.run(args + ["--epochs", "6", "--out-dir", str(tmp_path)]) == 0
     first = out.read_bytes()
     out.unlink()
-    assert cli.run(args + ["--epochs", "6", "--out", str(out)]) == 0
+    assert cli.run(args + ["--epochs", "6", "--out-dir", str(tmp_path)]) == 0
     assert out.read_bytes() == first
 
 
@@ -213,12 +229,11 @@ def test_checkpoint_every_saves_once_per_period(workspace, tmp_path, monkeypatch
         return save(path, *args, **kwargs)
 
     monkeypatch.setattr(ckpt, "save_gmvae", counting_save)
-    out = tmp_path / "model.json"
-    args = ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
+    args = ["train", "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(tmp_path)] + FAST_TRAIN
     assert cli.run(args + ["--epochs", "4", "--checkpoint-every", "2"]) == 0
     # two periodic saves, then the final one with run_info
     assert calls == [False, False, True]
-    assert read_header(out)["run_info"]["command"] == "train"
+    assert read_header(tmp_path / "model.ckpt")["run_info"]["command"] == "train"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -231,8 +246,8 @@ def test_period_flags_below_one_are_usage_errors(workspace, tmp_path, capsys, mo
         raise AssertionError("read the corpus before checking the period flags")
 
     monkeypatch.setattr(cp, "load_manifest", no_corpus)
-    out = tmp_path / "model.json"
-    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(out)] + FAST_TRAIN
+    out = tmp_path / "run"
+    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(out)] + FAST_TRAIN
     capsys.readouterr()
     assert cli.run(argv + ["--epochs", "2", flag, value]) == 1
     error = _single_error_line(capsys)
@@ -247,8 +262,8 @@ _LOG_LINE = re.compile(r"epoch \d+/\d+ recon=\S+ kl=\S+ total=\S+ tau=\S+")
 @pytest.mark.parametrize("command, every, lines", [("train", 2, 3), ("train-baseline", 3, 2)])
 def test_log_every_prints_the_history_row_of_every_nth_epoch(workspace, tmp_path, capsys, command, every, lines):
     history = tmp_path / "history.csv"
-    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(tmp_path / "model.json")]
-    argv += FAST_TRAIN + ["--epochs", "6", "--log-every", str(every), "--history-csv", str(history)]
+    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(tmp_path)]
+    argv += FAST_TRAIN + ["--epochs", "6", "--log-every", str(every)]
     capsys.readouterr()
     assert cli.run(argv) == 0
     logged = [line for line in capsys.readouterr().out.splitlines() if _LOG_LINE.fullmatch(line)]
@@ -285,8 +300,7 @@ def test_untrainable_config_value_is_invalid_config_before_the_corpus_is_read(
         raise AssertionError("read the corpus before checking the config")
 
     monkeypatch.setattr(cp, "load_manifest", no_corpus)
-    out = tmp_path / "model.ckpt"
-    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out", str(out), "--epochs", "1"]
+    argv = [command, "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(tmp_path / "run"), "--epochs", "1"]
     capsys.readouterr()
     assert cli.run(argv + ["--" + field.replace("_", "-"), value]) == 1
     error = _single_error_line(capsys)
@@ -298,7 +312,7 @@ def test_untrainable_config_value_is_invalid_config_before_the_corpus_is_read(
 def test_training_data_is_uint8_in_every_dtype(workspace, tmp_path, dtype):
     # --dtype sets the model's dtype only; the corpus takes one byte per entry
     args = cli.build_parser().parse_args(
-        ["train", "--manifest", workspace["manifest"], "--k", "2", "--out", str(tmp_path / "m"), "--dtype", dtype]
+        ["train", "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(tmp_path), "--dtype", dtype]
     )
     _, data, _ = cli._training_data(args)
     assert data.dtype == np.uint8 and set(np.unique(data)) == {0, 1}
@@ -658,7 +672,7 @@ def test_malformed_manifest_is_data_error(tmp_path, capsys, command, text):
     manifest.write_text(text)
     argv = [command, "--manifest", str(manifest)]
     if command == "train":
-        argv += ["--k", "2", "--out", str(tmp_path / "m.json")] + FAST_TRAIN
+        argv += ["--k", "2", "--out-dir", str(tmp_path / "run")] + FAST_TRAIN
     if command == "compare":
         argv += ["--out", str(tmp_path / "exp1.json"), "--seeds", "0", "--epochs", "1"]
     capsys.readouterr()
@@ -683,8 +697,8 @@ def test_malformed_manifest_is_data_error(tmp_path, capsys, command, text):
 )
 def test_training_commands_reject_flags_they_ignore(workspace, tmp_path, command, flag):
     out = tmp_path / "out"
-    argv = [command, "--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
-    argv += ["--k", "2"] if command == "train-baseline" else ["--k-list", "2"]
+    argv = [command, "--manifest", workspace["manifest"], "--epochs", "1"]
+    argv += ["--k", "2", "--out-dir", str(out)] if command == "train-baseline" else ["--k-list", "2", "--out", str(out)]
     cli.build_parser().parse_args(argv)  # accepted without the flag
     assert cli.run(argv + [flag, "1"]) == 1
     assert not out.exists()
@@ -720,7 +734,7 @@ def test_model_flags_are_the_config_fields(command, cls):
     assert mixture & actions.keys() == (mixture if cls is gm.GmvaeConfig else set())
 
 
-def test_model_flags_reach_the_config(workspace, monkeypatch):
+def test_model_flags_reach_the_config(workspace, tmp_path, monkeypatch):
     configs = []
 
     class NoTraining:
@@ -732,7 +746,7 @@ def test_model_flags_reach_the_config(workspace, monkeypatch):
 
     monkeypatch.setattr(gm, "TrainingRun", NoTraining)
     monkeypatch.setattr(ckpt, "save_gmvae", lambda *a, **k: None)
-    argv = ["train", "--manifest", workspace["manifest"], "--out", "o", "--k", "4", "--seed", "9"]
+    argv = ["train", "--manifest", workspace["manifest"], "--out-dir", str(tmp_path), "--k", "4", "--seed", "9"]
     argv += ["--epochs", "3", "--learning-rate", "0.01", "--tau-decay", "0.5", "--dtype", "float32"]
     assert cli.run(argv) == 0
     (config,) = configs
@@ -1014,6 +1028,23 @@ def test_eval_playability_bad_tiles_are_data_errors(workspace, trained_checkpoin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
+def test_eval_playability_of_a_mixed_axis_manifest_is_unsupported_game(workspace, checkpoints, tmp_path, capsys, family):
+    # mm's levels are chunked along both axes, and the flood has no start or finish there
+    with open(workspace["manifest"]) as f:
+        manifest = json.load(f)
+    manifest["axis"] = "both"
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(manifest))
+    out = tmp_path / "play.json"
+    argv = ["eval-playability", "--model", checkpoints[family], "--manifest", str(mixed), "--out", str(out)]
+    capsys.readouterr()
+    assert cli.run(argv + ["--budget", "30"]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "UnsupportedGame" and "'both'" in error["message"]
+    assert os.listdir(tmp_path) == ["mixed.json"]
+
+
 def _check_densities_and_chart_pipeline(checkpoint, tmp_path):
     dens = tmp_path / "dens.csv"
     code = cli.run(
@@ -1033,6 +1064,8 @@ def _check_densities_and_chart_pipeline(checkpoint, tmp_path):
     assert len(svgs) == 3
     for svg in svgs:
         ET.fromstring(svg.read_text())
+    assert sorted(os.listdir(chart_dir)) == [svg.name for svg in svgs] + ["run.json"]
+    assert json.loads((chart_dir / "run.json").read_text())["flags"]["densities"] == str(dens)
 
 
 def test_densities_and_chart_pipeline(trained_checkpoint, tmp_path):
@@ -1184,8 +1217,8 @@ def test_compare_bad_seed_flags_are_usage_errors(workspace, tmp_path, capsys, mo
 @pytest.mark.parametrize(
     "argv",
     [
-        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--seed", "-1"],
-        ["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--seed", "-1"],
+        ["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--seed", "-1"],
+        ["train-baseline", "--manifest", "m", "--out-dir", "o", "--k", "2", "--seed", "-1"],
         ["generate", "--model", "c", "--component", "0", "--seed", "-1"],
         ["encode", "--model", "c", "--manifest", "m", "--out", "o", "--balanced", "--seed", "-1"],
         ["eval-disentangle", "--model", "c", "--out", "o", "--seed", "-1"],
@@ -1268,10 +1301,8 @@ def test_component_count_below_one_is_invalid_config_before_training(workspace, 
 
     # every fit of either family, in the CLI or a sweep, starts a TrainingRun
     monkeypatch.setattr(gm, "TrainingRun", no_training)
-    out, history = tmp_path / "out", tmp_path / "history.csv"
-    argv = argv + ["--manifest", workspace["manifest"], "--out", str(out), "--epochs", "1"]
-    if argv[0] == "train-baseline":
-        argv += ["--history-csv", str(history)]
+    out = "--out-dir" if argv[0] == "train-baseline" else "--out"
+    argv = argv + ["--manifest", workspace["manifest"], out, str(tmp_path / "out"), "--epochs", "1"]
     capsys.readouterr()
     assert cli.run(argv) == 1
     error = _single_error_line(capsys)
@@ -1288,12 +1319,12 @@ def test_component_count_below_one_is_invalid_config_before_training(workspace, 
         ["eval-disentangle", "--model", "c", "--out", "o", "--n-train", str(10**18)],
         ["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--budget", "100000000000"],
         ["sweep", "--manifest", "m", "--out", "o", "--k-list", "2", "--n-per-component", str(10**18)],
-        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--hidden-depth", str(10**18)],
-        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--hidden-width", str(10**18)],
-        ["train", "--manifest", "m", "--out", "o", "--k", "2", "--latent-dim", str(10**18)],
-        ["train", "--manifest", "m", "--out", "o", "--k", str(10**18)],
-        ["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--hidden-depth", str(10**18)],
-        ["train-baseline", "--manifest", "m", "--out", "o", "--k", "2", "--batch-size", str(10**18)],
+        ["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--hidden-depth", str(10**18)],
+        ["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--hidden-width", str(10**18)],
+        ["train", "--manifest", "m", "--out-dir", "o", "--k", "2", "--latent-dim", str(10**18)],
+        ["train", "--manifest", "m", "--out-dir", "o", "--k", str(10**18)],
+        ["train-baseline", "--manifest", "m", "--out-dir", "o", "--k", "2", "--hidden-depth", str(10**18)],
+        ["train-baseline", "--manifest", "m", "--out-dir", "o", "--k", "2", "--batch-size", str(10**18)],
         ["sweep", "--manifest", "m", "--out", "o", "--k-list", f"2,{10**18}"],
         ["compare", "--manifest", "m", "--out", "o", "--k", str(10**18)],
     ],
@@ -1352,23 +1383,14 @@ def test_sweep_gmvae_component_count_below_two_is_invalid_config_before_training
 
 # each case at the default epochs: without the early refusal, it trains, then fails on writing or fitting
 _REFUSED_BEFORE_TRAINING = {
-    "train --out in a missing directory": (["train", "--k", "2", "--out", "missing/model.ckpt"], "--out"),
-    "train --out a directory": (["train", "--k", "2", "--out", "."], "--out"),
-    "train --history-csv in a missing directory": (
-        ["train", "--k", "2", "--out", "model.ckpt", "--history-csv", "missing/history.csv"], "--history-csv"),
-    # the history CSV and its sidecar, written last, would take the checkpoint's place
-    "train --out and --history-csv of one file": (
-        ["train", "--k", "2", "--out", "model.ckpt", "--history-csv", "./model.ckpt"],
-        "--out model.ckpt and --history-csv ./model.ckpt"),
-    "train-baseline --out and --history-csv of one file": (
-        ["train-baseline", "--k", "2", "--out", "model.ckpt", "--history-csv", "model.ckpt"],
-        "--out model.ckpt and --history-csv model.ckpt"),
-    "train --out the --history-csv sidecar": (
-        ["train", "--k", "2", "--out", "history.csv.run.json", "--history-csv", "history.csv"],
-        "--out history.csv.run.json and --history-csv history.csv"),
+    "train --out-dir in a missing directory": (["train", "--k", "2", "--out-dir", "missing/run"], "--out-dir"),
+    "train-baseline --out-dir in a missing directory": (
+        ["train-baseline", "--k", "2", "--out-dir", "missing/run/"], "--out-dir"),
+    "train --out-dir a file": (["train", "--k", "2", "--out-dir", os.devnull], "--out-dir"),
     "compare --out in a missing directory": (["compare", "--out", "missing/compare.json"], "--out"),
     "sweep --out in a missing directory": (["sweep", "--k-list", "2", "--out", "missing/sweep.csv"], "--out"),
-    "train-baseline k above the chunk count": (["train-baseline", "--k", "500", "--out", "model.ckpt"], None),
+    "sweep --out a directory": (["sweep", "--k-list", "2", "--out", "."], "--out"),
+    "train-baseline k above the chunk count": (["train-baseline", "--k", "500", "--out-dir", "run"], None),
     "compare k above the chunk count": (["compare", "--k", "500", "--out", "compare.json"], None),
     "sweep k above the chunk count": (["sweep", "--k-list", "2,500", "--out", "sweep.csv"], None),
 }
@@ -1397,68 +1419,89 @@ def test_a_bad_output_path_or_baseline_k_is_refused_before_training(workspace, t
     assert os.listdir(tmp_path) == []
 
 
-# (argv, the input flag, the output flag): each output, or the sidecar written
-# beside it, names the input file
-_OUTPUT_NAMES_AN_INPUT = {
-    "generate --model": (["generate", "--model", "m.ckpt", "--component", "0", "--out", "m.ckpt"], "--model", "--out"),
-    "encode --model": (["encode", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "m.ckpt"], "--model", "--out"),
-    "encode --manifest": (
-        ["encode", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "./toy.json"], "--manifest", "--out"),
-    "eval-cluster --model": (
-        ["eval-cluster", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "m.ckpt"], "--model", "--out"),
-    "eval-cluster --manifest": (
-        ["eval-cluster", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "eval-disentangle --model": (["eval-disentangle", "--model", "m.ckpt", "--out", "m.ckpt"], "--model", "--out"),
-    "eval-playability --model": (
-        ["eval-playability", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "m.ckpt"], "--model", "--out"),
-    "eval-playability --manifest": (
-        ["eval-playability", "--model", "m.ckpt", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "densities --model": (["densities", "--model", "m.ckpt", "--out", "m.ckpt"], "--model", "--out"),
-    "densities --manifest": (
-        ["densities", "--model", "m.ckpt", "--source", "corpus", "--manifest", "toy.json", "--out", "toy.json"],
-        "--manifest", "--out"),
-    "ingest --manifest": (["ingest", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "ingest --manifest as the --out sidecar": (
-        ["ingest", "--manifest", "dump.run.json", "--out", "dump"], "--manifest", "--out"),
-    "train --manifest": (["train", "--k", "2", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "train-baseline --manifest": (
-        ["train-baseline", "--k", "2", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "sweep --manifest": (["sweep", "--k-list", "2", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "compare --manifest": (["compare", "--manifest", "toy.json", "--out", "toy.json"], "--manifest", "--out"),
-    "train --history-csv": (
-        ["train", "--k", "2", "--manifest", "toy.json", "--out", "m2.ckpt", "--history-csv", "toy.json"],
-        "--manifest", "--history-csv"),
-    "train-baseline --history-csv sidecar": (
-        ["train-baseline", "--k", "2", "--manifest", "h.csv.run.json", "--out", "m2.ckpt", "--history-csv", "h.csv"],
-        "--manifest", "--history-csv"),
+# each command that reads an input file: its other flags, its input flags,
+# and the names it writes given --out o or --out-dir D
+_INPUTS = {"--model": "m.ckpt", "--manifest": "toy.json", "--densities": "dens.csv"}
+_OUT_NAMES = ("o", "o.run.json")
+_RUN_NAMES = ("D/model.ckpt", "D/history.csv", "D/run.json")
+_WRITERS = {
+    "generate": (["--component", "0"], ["--model"], _OUT_NAMES),
+    "encode": ([], ["--model", "--manifest"], _OUT_NAMES),
+    "eval-cluster": ([], ["--model", "--manifest"], _OUT_NAMES),
+    "eval-disentangle": ([], ["--model"], _OUT_NAMES),
+    "eval-playability": ([], ["--model", "--manifest"], _OUT_NAMES),
+    "densities": (["--source", "corpus"], ["--model", "--manifest"], _OUT_NAMES),
+    "ingest": ([], ["--manifest"], _OUT_NAMES),
+    "sweep": (["--k-list", "2"], ["--manifest"], _OUT_NAMES),
+    "compare": ([], ["--manifest"], _OUT_NAMES),
+    "train": (["--k", "2"], ["--manifest"], _RUN_NAMES),
+    "train-baseline": (["--k", "2"], ["--manifest"], _RUN_NAMES),
+    "chart": ([], ["--densities"], ("D/component_00.svg", "D/component_100.svg", "D/run.json")),
 }
+# (command, input flag, the input's path, the written name it is): one case
+# per written name, and the same file reached by other paths and as the
+# <name>.tmp that each write renames into place
+_WRITES_OVER_AN_INPUT = [
+    (command, flag, name, name)
+    for command, (_, flags, names) in _WRITERS.items()
+    for flag in flags
+    for name in names
+] + [
+    ("encode", "--manifest", "./o", "o"),
+    ("eval-cluster", "--model", "o.tmp", "o.tmp"),
+    ("ingest", "--manifest", "o.run.json.tmp", "o.run.json.tmp"),
+    ("train", "--manifest", "D/../D/model.ckpt.tmp", "D/model.ckpt.tmp"),
+    ("train-baseline", "--manifest", "link/history.csv", "D/history.csv"),
+    ("chart", "--densities", "link/./run.json", "D/run.json"),
+    ("chart", "--densities", "D/component_07.svg.tmp", "D/component_07.svg.tmp"),
+]
 
 
-@pytest.mark.parametrize("case", list(_OUTPUT_NAMES_AN_INPUT))
-def test_an_output_that_names_an_input_is_refused_before_any_input_is_read(tmp_path, capsys, monkeypatch, case):
+@pytest.mark.parametrize(
+    "command, input_flag, path, written", _WRITES_OVER_AN_INPUT, ids=[" ".join(case[:3]) for case in _WRITES_OVER_AN_INPUT]
+)
+def test_a_command_that_would_write_over_its_input_is_refused_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, command, input_flag, path, written
+):
     def no_input(*args, **kwargs):
         raise AssertionError("read an input before refusing")
 
     monkeypatch.setattr(cp, "load_manifest", no_input)
     monkeypatch.setattr(ckpt, "load_any", no_input)
+    monkeypatch.setattr(cli, "_matrix_from_csv", no_input)
     monkeypatch.chdir(tmp_path)
-    argv, input_flag, output_flag = _OUTPUT_NAMES_AN_INPUT[case]
-    inputs = {argv[i + 1]: f"the bytes of {argv[i + 1]}".encode() for i in range(len(argv))
-              if argv[i] in ("--model", "--manifest")}
-    for name, data in inputs.items():
-        (tmp_path / name).write_bytes(data)
+    os.mkdir("D")
+    os.symlink("D", "link")
+    extra, flags, names = _WRITERS[command]
+    inputs = {flag: path if flag == input_flag else _INPUTS[flag] for flag in flags}
+    for flag, name in inputs.items():
+        (tmp_path / name).write_bytes(f"the bytes of {flag}".encode())
+    files = sorted(os.path.relpath(os.path.join(root, f), tmp_path) for root, _, fs in os.walk(tmp_path) for f in fs)
+    out = ["--out", "o"] if names is _OUT_NAMES else ["--out-dir", "D"]
+    argv = [command, *extra, *(arg for flag, name in inputs.items() for arg in (flag, name)), *out]
     capsys.readouterr()
     assert cli.run(argv) == 2
     error = _single_error_line(capsys)
-    input_path, output_path = argv[argv.index(input_flag) + 1], argv[argv.index(output_flag) + 1]
-    assert error == {
-        "error": "data",
-        "type": "DataError",
-        "message": f"{input_flag} {input_path} and {output_flag} {output_path} (or its sidecar) name one file",
-    }
-    assert sorted(os.listdir(tmp_path)) == sorted(os.path.normpath(name) for name in inputs)
-    for name, data in inputs.items():
-        assert (tmp_path / name).read_bytes() == data
+    assert error == {"error": "data", "type": "DataError", "message": f"{input_flag} {path} is {written}, which {command} writes"}
+    after = sorted(os.path.relpath(os.path.join(root, f), tmp_path) for root, _, fs in os.walk(tmp_path) for f in fs)
+    assert after == files
+    for flag, name in inputs.items():
+        assert (tmp_path / name).read_bytes() == f"the bytes of {flag}".encode()
+
+
+def test_an_input_in_an_out_dir_under_a_name_it_does_not_write_is_read(workspace, trained_checkpoint, tmp_path):
+    # the rule refuses only the names a command writes: a manifest in
+    # train's --out-dir and a densities CSV in chart's are inputs like any other
+    manifest = _retiled_manifest(workspace, tmp_path, "S", "S")
+    before = (tmp_path / "retiled.json").read_bytes()
+    argv = ["train", "--manifest", manifest, "--k", "2", "--out-dir", str(tmp_path)] + FAST_TRAIN
+    assert cli.run(argv + ["--epochs", "1"]) == 0
+    dens = tmp_path / "dens.csv"
+    assert cli.run(["densities", "--model", trained_checkpoint, "--out", str(dens), "--n-per-component", "5"]) == 0
+    densities = dens.read_bytes()
+    assert cli.run(["chart", "--densities", str(dens), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "retiled.json").read_bytes() == before and dens.read_bytes() == densities
+    assert {"model.ckpt", "history.csv", "run.json", "component_00.svg"} <= set(os.listdir(tmp_path))
 
 
 def test_a_memory_error_in_generation_is_a_usage_error_line_from_sweep(workspace, tmp_path, capsys, monkeypatch):

@@ -853,7 +853,7 @@ def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_p
     # run is the first two epochs of a 3-epoch run
     argv = ["train", "--manifest", manifest, "--k", str(k), "--seed", "3", "--tau-decay", "0.7"]
     argv += ["--hidden-width", "64", "--latent-dim", "16"]
-    assert cli.run(argv + ["--epochs", "3", "--checkpoint-every", "2", "--out", str(tmp_path / "three.ckpt")]) == 0
+    assert cli.run(argv + ["--epochs", "3", "--checkpoint-every", "2", "--out-dir", str(tmp_path / "three")]) == 0
     model = saves[-1][1]
     assert [nets for periodic, _, nets in saves if periodic] == [model.networks()]
     _, saved, history = ckpt.load_any(tmp_path / "every.ckpt")
@@ -862,8 +862,8 @@ def test_checkpoint_every_saves_the_full_networks_of_that_epoch(toy_setup, tmp_p
     assert s < d and np.array_equal(saved.support, model.support)
     assert saved.label_net.layers[0].weight.shape[1] == s
     assert saved.encoder_trunk.layers[0].weight.shape[1] == s + k
-    assert cli.run(argv + ["--epochs", "2", "--out", str(tmp_path / "two.ckpt")]) == 0
-    _, two, _ = ckpt.load_any(tmp_path / "two.ckpt")
+    assert cli.run(argv + ["--epochs", "2", "--out-dir", str(tmp_path / "two")]) == 0
+    _, two, _ = ckpt.load_any(tmp_path / "two" / "model.ckpt")
     for name, net in two.networks().items():
         assert np.array_equal(saved.networks()[name].params, net.params), name
 
