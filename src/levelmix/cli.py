@@ -46,6 +46,7 @@ from .errors import (
     DataError,
     InvalidConfig,
     LevelMixError,
+    MissingLabels,
     NumericError,
     UsageError,
 )
@@ -153,17 +154,6 @@ def _config(family, args, k, rng_seed):
     return cls(**flags, d=1, rng_seed=rng_seed, **set_by_command).validate()
 
 
-def _training_data(args, labelled=False):
-    """(vocab, data, level_types) for a training command: data is
-    encode_chunks' uint8 one-hot matrix whatever --dtype, which sets only
-    the model's dtype; level_types is None unless labelled or the balanced
-    sampler, which needs it, is selected."""
-    labelled = labelled or args.sampler == "balanced"
-    _, vocab, chunks = cp.load_corpus(cp.load_manifest(args.manifest), heuristic_types=labelled)
-    level_types = [c.level_type for c in chunks] if labelled else None
-    return vocab, cp.encode_chunks(chunks, vocab), level_types
-
-
 def _load_model(args):
     """The model in the --model checkpoint. Both families offer k,
     generate, predict and encode, so no command asks which family it is."""
@@ -171,27 +161,35 @@ def _load_model(args):
     return model
 
 
-def _model_corpus(args, model):
-    """The --manifest corpus's chunks, each level's tiles numbered in the
-    model's vocab as they are cut, and their one-hot matrix in that vocab;
-    a tile the vocab lacks is a DataError naming it. The model ignores set
-    columns outside its support, and a warning on stderr counts them."""
-    manifest = cp.load_manifest(args.manifest)
-    chunks = [
-        chunk
-        for level in cp.load_levels(manifest, heuristic_types=True)
-        for chunk in cp.extract_chunks(level, model.vocab, axis=manifest.axis)
-    ]
-    data = cp.encode_chunks(chunks, model.vocab)
-    outside = np.setdiff1d(np.flatnonzero(data.any(axis=0)), model.support).size
-    if outside:
-        print(f"warning: {outside} set one-hot columns are outside the model's support and are ignored", file=sys.stderr)
-    return chunks, data
+def _corpus(args, model=None):
+    """(vocab, chunks, data) of the --manifest corpus: data is
+    encode_chunks' uint8 one-hot matrix, whatever --dtype, which sets only a
+    model's dtype. Given a model, each level is cut in its vocab (a tile the
+    vocab lacks is a DataError naming it); the model ignores set columns
+    outside its support, and a warning on stderr counts them."""
+    _, vocab, chunks = cp.load_corpus(cp.load_manifest(args.manifest), vocab=getattr(model, "vocab", None))
+    data = cp.encode_chunks(chunks, vocab)
+    if model is not None:
+        outside = np.setdiff1d(np.flatnonzero(data.any(axis=0)), model.support).size
+        if outside:
+            print(f"warning: {outside} set one-hot columns are outside the model's support and are ignored", file=sys.stderr)
+    return vocab, chunks, data
 
 
-def _ingest(manifest, heuristic_types=False):
+def _level_types(args, chunks):
+    """Each chunk's level type, for a command that scores a clustering or
+    draws balanced batches. Types come from the manifest alone, so a level
+    without one is a MissingLabels naming the manifest and the level, raised
+    before any run trains or any file is written."""
+    untyped = next((c.level_id for c in chunks if c.level_type is None), None)
+    if untyped is not None:
+        raise MissingLabels(f'{args.manifest}: level {untyped} has no "type"; clustering scores and balanced draws need one per level')
+    return [c.level_type for c in chunks]
+
+
+def _ingest(manifest):
     """Print the corpus summary of a DatasetManifest; returns (summary, vocab, chunks)."""
-    levels, vocab, chunks = cp.load_corpus(manifest, heuristic_types=heuristic_types)
+    levels, vocab, chunks = cp.load_corpus(manifest)
     summary = {
         "game": manifest.game,
         "levels": len(levels),
@@ -205,7 +203,7 @@ def _ingest(manifest, heuristic_types=False):
 
 
 def cmd_ingest(args):
-    _, vocab, chunks = _ingest(cp.load_manifest(args.manifest), args.heuristic_types)
+    _, vocab, chunks = _ingest(cp.load_manifest(args.manifest))
     if args.out:
         _write(args.out, cp.chunk_dump(chunks, vocab), args)
     return 0
@@ -224,65 +222,56 @@ def cmd_build_manifest(args):
     return 0
 
 
-def _train_epochs(args, run, save=None):
-    """Train run to its config's epochs, printing the --log-every line (sweep and
-    compare have no such flag) and, given save, saving to --out-dir's model.ckpt
-    without run_info every --checkpoint-every epochs; returns the history."""
+def _train_epochs(args, run):
+    """Train run to its config's epochs, printing the --log-every line and saving
+    the gmvae to --out-dir's model.ckpt without run_info every --checkpoint-every
+    epochs (train's flag; sweep and compare have neither); returns the history."""
     epochs, log_every = run.model.config.epochs, getattr(args, "log_every", None)
+    save_every = getattr(args, "checkpoint_every", None)
     while run.epoch < epochs:
         recon, kl, total, tau = run.train_epoch()
         if log_every and run.epoch % log_every == 0:
             print(f"epoch {run.epoch}/{epochs} recon={recon:.4f} kl={kl:.4f} total={total:.4f} tau={tau:.3f}")
-        if save and args.checkpoint_every and run.epoch % args.checkpoint_every == 0:
-            save(_out_file(args, MODEL), run.model, run.history)
+        if save_every and run.epoch % save_every == 0:
+            ckpt.save_gmvae(_out_file(args, MODEL), run.model, run.history)
     return run.history
 
 
-def _train(args, family, config, k, data, vocab, level_types, save=None):
+def _train(args, family, config, k, data, vocab, level_types):
     """(model, history) of a family trained on data with the --sampler: its
-    config template sized to data's width, one TrainingRun and _train_epochs,
-    which saves with save. A gmvae is built from config with k replaced; a
-    vae-gmm trains a VAE with config, then fits a k-component mixture to it,
-    seeded with config.rng_seed (baseline.fit_pca_gmm). Both models offer k,
-    generate, predict and encode."""
+    config template sized to data's width, one TrainingRun and _train_epochs.
+    A gmvae is built from config with k replaced; a vae-gmm trains a VAE
+    with config, then fits a k-component mixture to it, seeded with
+    config.rng_seed (baseline.fit_pca_gmm). Both models offer k, generate,
+    predict and encode."""
     if family == "gmvae":
         model = gm.build_model(dataclasses.replace(config, d=data.shape[1], k=k), vocab)
     else:
         model = bl.VaeModel(dataclasses.replace(config, d=data.shape[1]), vocab)
-    history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler), save)
+    history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler))
     if family == "vae-gmm":
         model = bl.fit_pca_gmm(model, data, k, gmm_seed=config.rng_seed)
     return model, history
 
 
-def _save_run(args, save, model, history):
-    """Write a training run's --out-dir: the model, with run_info, through
-    save, then history.csv and run.json, the model's run_info; returns the
-    model's path."""
+def cmd_train(args):
+    """train (a gmvae) and train-baseline (a vae-gmm), each a run written to --out-dir."""
+    family = "gmvae" if args.command == "train" else "vae-gmm"
+    if family == "vae-gmm":
+        _at_least([args.k], 1, "--k")  # a GmvaeConfig bounds its own k
+    config = _config(family, args, args.k, args.seed)
+    vocab, chunks, data = _corpus(args)
+    level_types = _level_types(args, chunks) if args.sampler == "balanced" else None
+    if family == "vae-gmm":
+        bl.check_gmm_k(args.k, len(data))
+    model, history = _train(args, family, config, args.k, data, vocab, level_types)
     path, run_info = _out_file(args, MODEL), _run_info(args.command, args)
+    save = ckpt.save_gmvae if family == "gmvae" else ckpt.save_vae_gmm
     save(path, model, history, run_info=run_info)
     _write(_out_file(args, HISTORY), ckpt.history_to_csv(history))
     _write(_out_file(args, RUN_JSON), _json(run_info))
-    return path
-
-
-def cmd_train(args):
-    config = _config("gmvae", args, args.k, args.seed)
-    vocab, data, level_types = _training_data(args)
-    model, history = _train(args, "gmvae", config, args.k, data, vocab, level_types, ckpt.save_gmvae)
-    path = _save_run(args, ckpt.save_gmvae, model, history)
-    print(f"saved {path} ({len(history)} epochs)")
-    return 0
-
-
-def cmd_train_baseline(args):
-    _at_least([args.k], 1, "--k")
-    config = _config("vae-gmm", args, args.k, args.seed)
-    vocab, data, level_types = _training_data(args)
-    bl.check_gmm_k(args.k, len(data))
-    model, history = _train(args, "vae-gmm", config, args.k, data, vocab, level_types)
-    path = _save_run(args, ckpt.save_vae_gmm, model, history)
-    print(f"saved {path} (pca kept {model.pca.m} axes)")
+    detail = f"{len(history)} epochs" if family == "gmvae" else f"pca kept {model.pca.m} axes"
+    print(f"saved {path} ({detail})")
     return 0
 
 
@@ -300,10 +289,10 @@ def cmd_generate(args):
 
 def cmd_encode(args):
     model = _load_model(args)
-    chunks, data = _model_corpus(args, model)
+    _, chunks, data = _corpus(args, model)
     indices = np.arange(len(chunks))
     if args.balanced:
-        indices = cp.BalancedSampler([c.level_type for c in chunks], args.seed).draw(len(chunks))
+        indices = cp.BalancedSampler(_level_types(args, chunks), args.seed).draw(len(chunks))
     latents, labels = model.encode(data[indices])
     picked = [chunks[i] for i in indices]
     ids = [f"{c.level_id}:{c.offset[0]}:{c.offset[1]}" for c in picked]
@@ -314,8 +303,9 @@ def cmd_encode(args):
 
 def cmd_eval_cluster(args):
     model = _load_model(args)
-    chunks, data = _model_corpus(args, model)
-    report = ev.clustering_accuracy(model.predict(data), [c.level_type for c in chunks], model.k)
+    _, chunks, data = _corpus(args, model)
+    level_types = _level_types(args, chunks)
+    report = ev.clustering_accuracy(model.predict(data), level_types, model.k)
     _save_report(args, report)
     print(f"balanced accuracy {report.balanced_accuracy:.4f} -> {args.out}")
     return 0
@@ -362,7 +352,7 @@ def _density_groups(args, model):
     if args.source == "generated":
         rng = np.random.default_rng(args.seed)
         return [model.generate(i, args.n_per_component, rng) for i in range(model.k)]
-    chunks, data = _model_corpus(args, model)
+    _, chunks, data = _corpus(args, model)
     groups = [[] for _ in range(model.k)]
     for chunk, lab in zip(chunks, model.predict(data)):
         groups[int(lab)].append(chunk)
@@ -424,7 +414,8 @@ def cmd_sweep(args):
     configs = {family: _config(family, args, min(k_list), args.seed) for family in families}
     if "gmvae" in families:
         _config("gmvae", args, max(k_list), args.seed)
-    vocab, data, level_types = _training_data(args)
+    vocab, chunks, data = _corpus(args)
+    level_types = _level_types(args, chunks) if args.sampler == "balanced" else None
     if "vae-gmm" in families:
         bl.check_gmm_k(max(k_list), len(data))
     rows = []
@@ -447,7 +438,8 @@ def cmd_compare(args):
     seeds = _at_least(_int_list(args.seeds, "--seeds"), 0, "--seeds")
     # each run replaces its template's rng_seed by its seed
     templates = {family: _config(family, args, args.k, seeds[0]) for family in FAMILIES}
-    vocab, data, level_types = _training_data(args, labelled=True)
+    vocab, chunks, data = _corpus(args)
+    level_types = _level_types(args, chunks)
     bl.check_gmm_k(args.k, len(data))
     result = ev.ComparisonResult()
     for seed in seeds:
@@ -534,7 +526,6 @@ def build_parser():
     p = sub.add_parser("ingest", help="parse a corpus and report chunk counts")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None, help="optional chunk dump (JSON lines)")
-    p.add_argument("--heuristic-types", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train a mixture-prior model")
@@ -544,7 +535,7 @@ def build_parser():
 
     p = sub.add_parser("train-baseline", help="train the VAE + PCA + GMM pipeline")
     _add_training_run_flags(p, bl.VaeConfig)
-    p.set_defaults(func=cmd_train_baseline)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="sample chunks from one component")
     p.add_argument("--model", required=True)

@@ -5,7 +5,9 @@ from flat one-hot vectors.
 Levels are plain text, one character per tile, rows separated by newlines
 (the format used by the common level-corpus repositories). A JSON manifest
 describes one game: its level files, optional per-level type labels, the
-tile solidity map and the traversal axis.
+tile solidity map and the traversal axis. A level's type comes from the
+manifest alone, and serves only to score a clustering and to weight the
+balanced sampler.
 """
 
 from __future__ import annotations
@@ -391,7 +393,9 @@ def read_level(path, level_type=None):
 def load_levels(manifest, heuristic_types=False):
     """Parse every level in the manifest; missing files are a DataError.
 
-    With heuristic_types, unlabeled levels get classify_level_type labels.
+    With heuristic_types, untyped levels get classify_level_type labels. No
+    command passes it; perfbench/workloads.py's eval unit does (a no-op on
+    its typed corpus), and it goes with ROADMAP item 6's benchmark change.
     """
     levels = []
     for lv_path, lv_type in zip(manifest.level_paths, manifest.level_types):
@@ -405,10 +409,14 @@ def load_levels(manifest, heuristic_types=False):
     return levels
 
 
-def load_corpus(manifest, heuristic_types=False):
-    """Manifest -> (levels, vocab, chunks)."""
+def load_corpus(manifest, heuristic_types=False, vocab=None):
+    """Manifest -> (levels, vocab, chunks), each level cut in vocab (a
+    model's; a tile it lacks is a DataError naming it) or, without one, in
+    the vocab its levels build; the one corpus reader of every command.
+    heuristic_types is load_levels'."""
     levels = load_levels(manifest, heuristic_types=heuristic_types)
-    vocab = build_vocab(levels, game=manifest.game, background_char=manifest.background)
+    if vocab is None:
+        vocab = build_vocab(levels, game=manifest.game, background_char=manifest.background)
     chunks = []
     for level in levels:
         chunks.extend(extract_chunks(level, vocab, axis=manifest.axis))

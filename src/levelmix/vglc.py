@@ -68,9 +68,10 @@ def find_levels_dir(corpus_root, game):
 def build_manifest(corpus_root, game, levels_dir=None, heuristic_types=True):
     """The manifest dict of one game of a corpus checkout.
 
-    Level-type labels for the horizontal game come from the structural
-    heuristic (ceiling rows, missing ground line); edit the manifest to
-    override them.
+    Level-type labels for smb come from the structural heuristic (ceiling
+    rows, missing ground line), the one place a type is guessed: commands
+    read types from the manifest alone. Edit the manifest to override them,
+    or to type ki and mm levels.
     """
     if game not in GAME_DIRS:
         raise DataError(f"unknown game {game!r}; expected one of {sorted(GAME_DIRS)}")

@@ -60,7 +60,7 @@ def corpus_manifests(tmp_path_factory):
 @pytest.fixture(scope="module")
 def smb_data(corpus_manifests):
     manifest = cp.load_manifest(corpus_manifests["smb"])
-    _, vocab, chunks = cp.load_corpus(manifest, heuristic_types=True)
+    _, vocab, chunks = cp.load_corpus(manifest)
     data = cp.encode_chunks(chunks, vocab)
     types = [c.level_type for c in chunks]
     return manifest, vocab, chunks, data, types

@@ -112,6 +112,8 @@ def test_usage_error_exit_code():
         (["eval-playability", "--model", "c", "--manifest", "m", "--out", "o", "--bud", "5"], "--bud"),
         (["generate", "--model", "c", "--component", "0", "--n", "1.5"], "'1.5'"),
         (["sweep", "--manifest", "m", "--out", "o", "--k-list", "2", "--fam", "gmvae"], "--fam"),
+        # no command guesses a level type: build-manifest writes smb's guess into the manifest
+        (["ingest", "--manifest", "m", "--heuristic-types"], "--heuristic-types"),
         (["no-such-command"], "'no-such-command'"),
         ([], "command"),
     ],
@@ -314,7 +316,7 @@ def test_training_data_is_uint8_in_every_dtype(workspace, tmp_path, dtype):
     args = cli.build_parser().parse_args(
         ["train", "--manifest", workspace["manifest"], "--k", "2", "--out-dir", str(tmp_path), "--dtype", dtype]
     )
-    _, data, _ = cli._training_data(args)
+    _, _, data = cli._corpus(args)
     assert data.dtype == np.uint8 and set(np.unique(data)) == {0, 1}
 
 
@@ -829,11 +831,7 @@ def test_manifest_with_a_subset_vocab_is_read_in_the_model_vocab(workspace, trai
     manifest_path = _retiled_manifest(workspace, tmp_path, "S", "-")
     _, model, _ = ckpt.load_any(trained_checkpoint)
     manifest = cp.load_manifest(manifest_path)
-    chunks = [
-        chunk
-        for level in cp.load_levels(manifest, heuristic_types=True)
-        for chunk in cp.extract_chunks(level, model.vocab, axis=manifest.axis)
-    ]
+    _, _, chunks = cp.load_corpus(manifest, vocab=model.vocab)
     data = cp.encode_chunks(chunks, model.vocab)
     labels = model.predict(data)
 
@@ -916,7 +914,7 @@ def test_encode_latent_csv_vae_gmm(workspace, baseline_checkpoint, tmp_path):
 @pytest.mark.parametrize("family", ["gmvae", "vae-gmm"])
 def test_encode_balanced_writes_sampler_rows(workspace, checkpoints, tmp_path, family):
     rows = _encode_rows(workspace, checkpoints[family], tmp_path / "balanced.csv", "--balanced", "--seed", "3")
-    _, vocab, chunks = cp.load_corpus(cp.load_manifest(workspace["manifest"]), heuristic_types=True)
+    _, vocab, chunks = cp.load_corpus(cp.load_manifest(workspace["manifest"]))
     indices = cp.BalancedSampler([c.level_type for c in chunks], 3).draw(len(chunks))
     picked = [chunks[i] for i in indices]
     assert len(rows) == len(chunks) + 1
@@ -1093,7 +1091,7 @@ def test_densities_and_chart_with_an_empty_corpus_component(workspace, trained_c
     manifest = _retiled_manifest(workspace, tmp_path, "S", "-")
     _, model, _ = ckpt.load_any(trained_checkpoint)
     args = cli.build_parser().parse_args(["encode", "--model", "m", "--manifest", manifest, "--out", "o"])
-    _, data = cli._model_corpus(args, model)
+    _, _, data = cli._corpus(args, model)
     empty = sorted(set(range(model.k)) - set(model.predict(data).tolist()))
     assert empty and len(empty) < model.k
     dens = tmp_path / "dens.csv"

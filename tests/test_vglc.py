@@ -95,7 +95,7 @@ def test_build_manifest_command_writes_the_manifest_and_its_summary(checkout, tm
 
     # the manifest loads, and its summary is ingest's
     manifest = cp.load_manifest(str(out))
-    _, vocab, chunks = cp.load_corpus(manifest, heuristic_types=True)
+    _, vocab, chunks = cp.load_corpus(manifest)
     assert {c.level_type for c in chunks} == set(toygame.TYPES)
     assert cli.run(["ingest", "--manifest", str(out)]) == 0
     summary = json.loads(built.out)
@@ -113,7 +113,23 @@ def test_build_manifest_command_without_heuristic_types(checkout, tmp_path, caps
     out = tmp_path / "cli.json"
     argv = ["build-manifest", "--corpus-root", str(checkout), "--game", "smb", "--out", str(out)]
     assert cli.run(argv + ["--no-heuristic-types"]) == 0
-    assert not any("type" in e for e in json.loads(out.read_text())["levels"])
+    levels = json.loads(out.read_text())["levels"]
+    assert not any("type" in e for e in levels)
+
+    # no later command guesses the types the manifest leaves out
+    run = tmp_path / "run"
+    argv = ["train", "--manifest", str(out), "--k", "2", "--out-dir", str(run)]
+    assert cli.run(argv + ["--epochs", "1", "--hidden-width", "8", "--latent-dim", "2"]) == 0
+    for command in (
+        ["eval-cluster", "--model", str(run / "model.ckpt")],
+        ["compare", "--seeds", "0", "--k", "2", "--epochs", "1", "--hidden-width", "8", "--latent-dim", "2"],
+    ):
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert cli.run(command + ["--manifest", str(out), "--out", str(report)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "MissingLabels" and os.path.basename(levels[0]["path"]) in error["message"]
+        assert not report.exists()
 
 
 @pytest.mark.parametrize(
