@@ -2,9 +2,10 @@
 generate, encode, eval-cluster, eval-disentangle, eval-playability,
 densities, chart, sweep, compare.
 
-Every command that trains, sweep's rows and compare's runs included, trains
-through _train: one TrainingRun per model, driven an epoch at a time by
-_train_epochs, the one epoch loop of the CLI.
+Every command that trains (train, train-baseline, sweep and compare) goes
+through _runs: it makes every refusal before any run trains, reads the
+corpus once, and gives the one train(family, k, seed) of the CLI, which
+drives one TrainingRun per model an epoch at a time.
 
 train and train-baseline write model.ckpt (where --checkpoint-every also
 saves), history.csv and run.json in --out-dir, and chart component_NN.svg and
@@ -98,14 +99,22 @@ def _save_report(args, report):
     _write(args.out, _json({"run_info": _run_info(args.command, args), "report": report.to_dict()}))
 
 
-def _int_list(text, flag):
-    """The integers of a comma-separated list flag, or a UsageError."""
+def _list(text, flag, choices=None):
+    """The entries of a comma-separated list flag (--k-list, --seeds,
+    --families): integers, or names drawn from choices. An empty list, an
+    entry of neither kind or a repeated entry, which would train and count
+    the same run twice, is a UsageError naming flag."""
+    entries = [v.strip() for v in text.split(",") if v.strip()]
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = entries if choices else [int(v) for v in entries]
     except ValueError:
         values = []
-    if not values:
-        raise UsageError(f"{flag} must be a non-empty comma-separated list of integers, got {text!r}")
+    if not values or (choices and not set(values) <= set(choices)):
+        kind = f"names drawn from {','.join(choices)}" if choices else "integers"
+        raise UsageError(f"{flag} must be a non-empty comma-separated list of {kind}, got {text!r}")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise UsageError(f"{flag} lists {repeated} more than once, got {text!r}")
     return values
 
 
@@ -147,8 +156,8 @@ def _config(family, args, k, rng_seed):
     """The validated config template of a family's model, a GmvaeConfig with
     k components for a gmvae and a VaeConfig (which has no k) for a vae-gmm:
     each field from the flag of the same name, except the fields the command
-    sets itself. d, which the corpus gives, is 1 until _train sets it, so a
-    flag no run can train with is refused before the corpus is read."""
+    sets itself. d, which the corpus gives, is 1 until _runs' train sets it,
+    so a flag no run can train with is refused before the corpus is read."""
     cls, set_by_command = (gm.GmvaeConfig, {"k": k}) if family == "gmvae" else (bl.VaeConfig, {})
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in _SET_BY_COMMAND}
     return cls(**flags, d=1, rng_seed=rng_seed, **set_by_command).validate()
@@ -222,36 +231,38 @@ def cmd_build_manifest(args):
     return 0
 
 
-def _train_epochs(args, run):
-    """Train run to its config's epochs, printing the --log-every line and saving
-    the gmvae to --out-dir's model.ckpt without run_info every --checkpoint-every
-    epochs (train's flag; sweep and compare have neither); returns the history."""
-    epochs, log_every = run.model.config.epochs, getattr(args, "log_every", None)
-    save_every = getattr(args, "checkpoint_every", None)
-    while run.epoch < epochs:
-        recon, kl, total, tau = run.train_epoch()
-        if log_every and run.epoch % log_every == 0:
-            print(f"epoch {run.epoch}/{epochs} recon={recon:.4f} kl={kl:.4f} total={total:.4f} tau={tau:.3f}")
-        if save_every and run.epoch % save_every == 0:
-            ckpt.save_gmvae(_out_file(args, MODEL), run.model, run.history)
-    return run.history
+def _runs(args, runs, typed=False):
+    """The run driver of train, train-baseline, sweep and compare, given
+    their (family, k, seed) runs. Before any run trains it validates each
+    run's config, reads the corpus once, asks _level_types if typed or the
+    sampler is balanced, and checks the largest vae-gmm k against the chunk
+    count. Returns (data, level_types, train): train(family, k, seed) trains
+    one TrainingRun, with train's --log-every line and --checkpoint-every
+    save of the gmvae (without run_info), fits a vae-gmm's mixture seeded
+    with seed (baseline.fit_pca_gmm), and returns (model, history)."""
+    configs = {(family, k, seed): _config(family, args, k, seed) for family, k, seed in runs}
+    vocab, chunks, data = _corpus(args)
+    level_types = _level_types(args, chunks) if typed or args.sampler == "balanced" else None
+    gmm_ks = [k for family, k, _ in runs if family == "vae-gmm"]
+    if gmm_ks:
+        bl.check_gmm_k(max(gmm_ks), len(data))
+    log_every, save_every = getattr(args, "log_every", None), getattr(args, "checkpoint_every", None)
 
+    def train(family, k, seed):
+        config = dataclasses.replace(configs[family, k, seed], d=data.shape[1])
+        model = gm.build_model(config, vocab) if family == "gmvae" else bl.VaeModel(config, vocab)
+        run = gm.TrainingRun(model, data, level_types, args.sampler)
+        while run.epoch < config.epochs:
+            recon, kl, total, tau = run.train_epoch()
+            if log_every and run.epoch % log_every == 0:
+                print(f"epoch {run.epoch}/{config.epochs} recon={recon:.4f} kl={kl:.4f} total={total:.4f} tau={tau:.3f}")
+            if save_every and run.epoch % save_every == 0:
+                ckpt.save_gmvae(_out_file(args, MODEL), model, run.history)
+        if family == "vae-gmm":
+            model = bl.fit_pca_gmm(model, data, k, gmm_seed=seed)
+        return model, run.history
 
-def _train(args, family, config, k, data, vocab, level_types):
-    """(model, history) of a family trained on data with the --sampler: its
-    config template sized to data's width, one TrainingRun and _train_epochs.
-    A gmvae is built from config with k replaced; a vae-gmm trains a VAE
-    with config, then fits a k-component mixture to it, seeded with
-    config.rng_seed (baseline.fit_pca_gmm). Both models offer k, generate,
-    predict and encode."""
-    if family == "gmvae":
-        model = gm.build_model(dataclasses.replace(config, d=data.shape[1], k=k), vocab)
-    else:
-        model = bl.VaeModel(dataclasses.replace(config, d=data.shape[1]), vocab)
-    history = _train_epochs(args, gm.TrainingRun(model, data, level_types, args.sampler))
-    if family == "vae-gmm":
-        model = bl.fit_pca_gmm(model, data, k, gmm_seed=config.rng_seed)
-    return model, history
+    return data, level_types, train
 
 
 def cmd_train(args):
@@ -259,12 +270,9 @@ def cmd_train(args):
     family = "gmvae" if args.command == "train" else "vae-gmm"
     if family == "vae-gmm":
         _at_least([args.k], 1, "--k")  # a GmvaeConfig bounds its own k
-    config = _config(family, args, args.k, args.seed)
-    vocab, chunks, data = _corpus(args)
-    level_types = _level_types(args, chunks) if args.sampler == "balanced" else None
-    if family == "vae-gmm":
-        bl.check_gmm_k(args.k, len(data))
-    model, history = _train(args, family, config, args.k, data, vocab, level_types)
+    run = (family, args.k, args.seed)
+    _, _, train = _runs(args, [run])
+    model, history = train(*run)
     path, run_info = _out_file(args, MODEL), _run_info(args.command, args)
     save = ckpt.save_gmvae if family == "gmvae" else ckpt.save_vae_gmm
     save(path, model, history, run_info=run_info)
@@ -362,6 +370,8 @@ def _density_groups(args, model):
 def cmd_densities(args):
     if args.source == "corpus" and not args.manifest:
         raise UsageError("--source corpus needs --manifest")
+    if args.source == "generated" and args.manifest:
+        raise UsageError("--source generated reads no --manifest")
     model = _load_model(args)
     matrix = ev.tile_densities(_density_groups(args, model), model.vocab)
     _write(args.out, matrix.to_csv(), args)
@@ -405,29 +415,20 @@ def cmd_chart(args):
 
 
 def cmd_sweep(args):
-    k_list = _at_least(_int_list(args.k_list, "--k-list"), 1, "--k-list")
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if not families or any(f not in FAMILIES for f in families):
-        raise UsageError("families must be a comma list drawn from gmvae,vae-gmm")
+    k_list = _at_least(_list(args.k_list, "--k-list"), 1, "--k-list")
+    families = _list(args.families, "--families", FAMILIES)
     ev.check_probe_split(args.n_per_component, args.n_train)
-    # each row sets its own k; the smallest and the largest are checked against the GMVAE's bounds
-    configs = {family: _config(family, args, min(k_list), args.seed) for family in families}
-    if "gmvae" in families:
-        _config("gmvae", args, max(k_list), args.seed)
-    vocab, chunks, data = _corpus(args)
-    level_types = _level_types(args, chunks) if args.sampler == "balanced" else None
-    if "vae-gmm" in families:
-        bl.check_gmm_k(max(k_list), len(data))
+    runs = [(family, k, args.seed) for family in families for k in k_list]
+    _, _, train = _runs(args, runs)
     rows = []
-    for family in families:
-        for k in k_list:
-            model, _ = _train(args, family, configs[family], k, data, vocab, level_types)
-            report = ev.disentanglement(
-                model.generate, k, vocab, np.random.default_rng(args.seed + k),
-                n_per_component=args.n_per_component, n_train=args.n_train,
-            )
-            rows.append((family, k, report.p70, report.p80, report.p90))
-            print(f"{family} k={k}: p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f}")
+    for family, k, seed in runs:
+        model, _ = train(family, k, seed)
+        report = ev.disentanglement(
+            model.generate, k, model.vocab, np.random.default_rng(seed + k),
+            n_per_component=args.n_per_component, n_train=args.n_train,
+        )
+        rows.append((family, k, report.p70, report.p80, report.p90))
+        print(f"{family} k={k}: p70={report.p70:.3f} p80={report.p80:.3f} p90={report.p90:.3f}")
     text = io.StringIO()
     csv.writer(text).writerows([("family", "k", "p70", "p80", "p90"), *rows])
     _write(args.out, text.getvalue(), args)
@@ -435,30 +436,25 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
-    seeds = _at_least(_int_list(args.seeds, "--seeds"), 0, "--seeds")
-    # each run replaces its template's rng_seed by its seed
-    templates = {family: _config(family, args, args.k, seeds[0]) for family in FAMILIES}
-    vocab, chunks, data = _corpus(args)
-    level_types = _level_types(args, chunks)
-    bl.check_gmm_k(args.k, len(data))
+    seeds = _at_least(_list(args.seeds, "--seeds"), 0, "--seeds")
+    runs = [(family, args.k, seed) for seed in seeds for family in FAMILIES]
+    data, level_types, train = _runs(args, runs, typed=True)
     result = ev.ComparisonResult()
-    for seed in seeds:
-        for family in FAMILIES:
-            t0 = time.perf_counter()
-            config = dataclasses.replace(templates[family], rng_seed=seed)
-            model, _ = _train(args, family, config, args.k, data, vocab, level_types)
-            mean_max_p = None
-            if family == "gmvae":
-                # the one label-net forward that hard_labels makes
-                logits = gm.label_logits(model, data)
-                labels = np.argmax(logits, axis=1)
-                mean_max_p = float(np.mean(np.max(nn.softmax(logits), axis=1)))
-            else:
-                labels = model.predict(data)
-            acc = ev.clustering_accuracy(labels, level_types, args.k).balanced_accuracy
-            share = float(np.max(np.bincount(labels, minlength=args.k)) / len(labels))
-            result.runs.append(ev.ComparisonRun(seed, family, acc, share, mean_max_p, (time.perf_counter() - t0) / 60))
-            print(f"{family} seed={seed}: balanced accuracy {acc:.3f}, largest share {share:.3f}")
+    for family, k, seed in runs:
+        t0 = time.perf_counter()
+        model, _ = train(family, k, seed)
+        mean_max_p = None
+        if family == "gmvae":
+            # the one label-net forward that hard_labels makes
+            logits = gm.label_logits(model, data)
+            labels = np.argmax(logits, axis=1)
+            mean_max_p = float(np.mean(np.max(nn.softmax(logits), axis=1)))
+        else:
+            labels = model.predict(data)
+        acc = ev.clustering_accuracy(labels, level_types, k).balanced_accuracy
+        share = float(np.max(np.bincount(labels, minlength=k)) / len(labels))
+        result.runs.append(ev.ComparisonRun(seed, family, acc, share, mean_max_p, (time.perf_counter() - t0) / 60))
+        print(f"{family} seed={seed}: balanced accuracy {acc:.3f}, largest share {share:.3f}")
     _save_report(args, result)
     medians = f"gmvae {result.median('gmvae'):.3f}, vae-gmm {result.median('vae-gmm'):.3f}"
     print(f"median balanced accuracy: {medians} -> {args.out}")

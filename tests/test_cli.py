@@ -1252,6 +1252,71 @@ def test_sweep_non_integer_k_list_is_usage_error(workspace, tmp_path, capsys):
     assert error["error"] == "usage" and "--k-list" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["sweep", "--k-list", "2,3,2"], "--k-list", "2"),
+        (["sweep", "--k-list", "2", "--families", "gmvae,vae-gmm,gmvae"], "--families", "gmvae"),
+        (["compare", "--seeds", "0,0"], "--seeds", "0"),
+    ],
+    ids=["--k-list", "--families", "--seeds"],
+)
+def test_a_repeated_list_entry_is_a_usage_error_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv, flag, value):
+    def no_input(*args, **kwargs):
+        raise AssertionError("read the manifest before refusing a repeated entry")
+
+    # a repeated entry would train the same run twice: a second identical
+    # sweep row, or a seed counted twice in compare's medians
+    monkeypatch.setattr(cp, "load_manifest", no_input)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.run(argv + ["--manifest", "m", "--out", "o", "--epochs", "1"]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "usage" and error["type"] == "UsageError"
+    assert error["message"].startswith(f"{flag} lists {value} more than once")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--source", "corpus"], "--source corpus needs --manifest"),
+        (["--manifest", "m"], "--source generated reads no --manifest"),
+        (["--source", "generated", "--manifest", "m"], "--source generated reads no --manifest"),
+    ],
+    ids=["corpus without a manifest", "default source with a manifest", "generated with a manifest"],
+)
+def test_densities_manifest_must_match_its_source(tmp_path, capsys, monkeypatch, flags, message):
+    def no_input(*args, **kwargs):
+        raise AssertionError("read an input before refusing the flags")
+
+    monkeypatch.setattr(cp, "load_manifest", no_input)
+    monkeypatch.setattr(ckpt, "load_any", no_input)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.run(["densities", "--model", "c", "--out", "o"] + flags) == 1
+    assert _single_error_line(capsys) == {"error": "usage", "type": "UsageError", "message": message}
+    assert os.listdir(tmp_path) == []
+
+
+def test_compare_runs_are_the_models_train_and_train_baseline_save(workspace, tmp_path):
+    # the same flags and seed give the same model in every command that
+    # trains, so compare's score of a run is eval-cluster's of that checkpoint
+    flags = ["--manifest", workspace["manifest"], "--k", "3", "--epochs", "3", "--hidden-width", "16", "--latent-dim", "4"]
+    compare = tmp_path / "compare.json"
+    assert cli.run(["compare", "--seeds", "4", "--out", str(compare)] + flags) == 0
+    runs = {r["family"]: r for r in json.loads(compare.read_text())["report"]["runs"]}
+    for family, command in (("gmvae", "train"), ("vae-gmm", "train-baseline")):
+        out_dir, cluster = tmp_path / family, tmp_path / f"{family}.json"
+        assert cli.run([command, "--seed", "4", "--out-dir", str(out_dir)] + flags) == 0
+        argv = ["eval-cluster", "--model", str(out_dir / "model.ckpt"), "--manifest", workspace["manifest"]]
+        assert cli.run(argv + ["--out", str(cluster)]) == 0
+        report = json.loads(cluster.read_text())["report"]
+        confusion = np.array(report["confusion"])
+        assert runs[family]["balanced_accuracy"] == report["balanced_accuracy"], family
+        assert runs[family]["largest_share"] == confusion.sum(axis=1).max() / confusion.sum(), family
+
+
 @pytest.mark.parametrize("n_train", ["0", "20", "25"])
 def test_eval_disentangle_bad_n_train_is_usage_error(checkpoints, tmp_path, capsys, n_train):
     out = tmp_path / "dis.json"

@@ -131,6 +131,32 @@ def test_the_vertical_game_through_the_cli(ki_manifest, ki_typed, ki_models, tmp
         assert report["total"] == 6 and 0.0 <= report["fraction"] <= 1.0
 
 
+def test_sweep_and_compare_on_the_vertical_game(ki_typed, tmp_path, monkeypatch):
+    trained = []
+    start = gm.TrainingRun
+
+    def recording_run(model, data, *args):
+        trained.append((type(model).__name__, model.config.rng_seed, data.shape[1]))
+        return start(model, data, *args)
+
+    monkeypatch.setattr(gm, "TrainingRun", recording_run)
+    sweep = tmp_path / "sweep.csv"
+    argv = ["sweep", "--manifest", ki_typed, "--k-list", "2", "--n-per-component", "8", "--n-train", "4"]
+    assert cli.run(argv + ["--out", str(sweep)] + TOY_WIDTH) == 0
+    with open(sweep, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[:2] for row in rows] == [["family", "k"], ["gmvae", "2"], ["vae-gmm", "2"]]
+
+    compare = tmp_path / "compare.json"
+    argv = ["compare", "--manifest", ki_typed, "--seeds", "0", "--k", "2", "--out", str(compare)]
+    assert cli.run(argv + TOY_WIDTH[:-2]) == 0
+    with open(compare, encoding="utf-8") as f:
+        runs = json.load(f)["report"]["runs"]
+    assert [(r["seed"], r["family"]) for r in runs] == [(0, "gmvae"), (0, "vae-gmm")]
+    # sweep's rows at --seed 5, then compare's runs at seed 0, each on the ki vocab's d
+    assert trained == [("GmvaeModel", 5, 256 * 7), ("VaeModel", 5, 256 * 7), ("GmvaeModel", 0, 256 * 7), ("VaeModel", 0, 256 * 7)]
+
+
 @pytest.mark.parametrize(
     "command", ["eval-cluster", "compare", "train", "train-baseline", "sweep", "encode --balanced"]
 )
